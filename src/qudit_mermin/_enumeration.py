@@ -1,16 +1,26 @@
-"""Vectorized exhaustive maximization over per-site factor alphabets.
+"""Exact exhaustive maximization over per-site factor alphabets.
 
 An assignment is a length-N tuple (a_1, ..., a_N) of letters from an
 alphabet of size A; its value is
 
     score(a) = | sum_slots  prod_sites  F[a_i, slot] |**2,
 
-where every F[a, slot] is a cyclotomic integer.  Products are carried as
-exact int64 coefficient vectors (multiplication by a fixed factor is a
-linear map on coefficients); a float shadow ranks candidates, and every
-near-tie is settled with exact coefficient arithmetic.  The reported
-maximum, tie count, and lexicographic arg-min are therefore identical for
-any worker count and any partition of the index range.
+where every F[a, slot] is a cyclotomic integer.  The product over sites
+commutes, so the score depends only on the multiset of letters:
+``run_search`` evaluates each of the C(N+A-1, N) classes (non-decreasing
+letter tuples) once instead of all A**N assignments.  Class products are
+built level by level, each prefix extended only by letters not below its
+last letter, and carried as exact int64 coefficient vectors
+(multiplication by a fixed factor is a linear map on coefficients).  A
+float shadow ranks the classes, and every near-tie is settled with exact
+coefficient arithmetic.
+
+A class with letter multiplicities m_a stands for N!/prod(m_a!)
+assignments, so the tie count is the sum of these multinomials over the
+maximizing classes.  The lexicographically smallest arrangement of a class
+is its sorted tuple, so the arg-max is the smallest sorted arrangement
+among the maximizing classes.  The reported maximum, tie count and
+lexicographic arg-min are exact and do not depend on any worker count.
 
 Assignment indices are base-A integers with site 1 as the most significant
 digit, so the flat index order is the lexicographic order of assignments.
@@ -18,14 +28,20 @@ digit, so the flat index order is the lexicographic order of assignments.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, compare_real_coeffs, _alpha_powers, order_params
+from .cyclotomic import (
+    CycInt,
+    _alpha_powers,
+    compare_real_coeffs,
+    order_params,
+    root_of_unity,
+)
 
 __all__ = [
     "ProductSpace",
@@ -38,7 +54,6 @@ __all__ = [
 
 _BAND_REL = 1e-6
 _COEFF_LIMIT = 2**52
-_TARGET_CHUNK_ELEMS = 12_000_000
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
@@ -87,150 +102,122 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _mult_matrix(factor: CycInt, phi: int) -> np.ndarray:
+    """Multiplication-by-``factor`` matrix, one ``times_root`` per column.
+
+    Reference for the vectorized ``_tables``.
+    """
     cols = [factor.times_root(j).coeffs for j in range(phi)]
     return np.array(cols, dtype=np.int64).T
 
 
+def _shift_matrices(m: int) -> np.ndarray:
+    """``shifts[k]``: the matrix of multiplication by alpha**k, k < phi(m)."""
+    _, phi = order_params(m)
+    roots = np.array(
+        [root_of_unity(e, m).coeffs for e in range(2 * phi - 1)], dtype=np.int64
+    )
+    k = np.arange(phi)
+    # column j of shifts[k] holds the coefficients of alpha**(k + j)
+    return roots[np.add.outer(k, k)].transpose(0, 2, 1)
+
+
 def _tables(space: ProductSpace):
-    _, phi = order_params(space.order)
-    a_size, slots = space.alphabet, space.slots
-    vecs = np.zeros((a_size, slots, phi), dtype=np.int64)
-    mats = np.zeros((a_size, slots, phi, phi), dtype=np.int64)
-    for a in range(a_size):
-        for s in range(slots):
-            f = space.factors[a][s]
-            vecs[a, s] = f.coeffs
-            mats[a, s] = _mult_matrix(f, phi)
+    """Exact multiplication matrices ``mats[a, s]`` and the float powers of alpha."""
+    coeffs = np.array(
+        [[f.coeffs for f in row] for row in space.factors], dtype=np.int64
+    )
+    mats = np.einsum("ask,kij->asij", coeffs, _shift_matrices(space.order))
     powers = np.array(_alpha_powers(space.order), dtype=np.complex128)
-    return vecs, mats, powers
+    return mats, powers
 
 
-def _apply_site(p: np.ndarray, digits: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    a_size = mats.shape[0]
-    if a_size <= 32:
-        for a in range(a_size):
-            sel = np.nonzero(digits == a)[0]
-            if sel.size:
-                p[sel] = np.einsum("sij,ksj->ksi", mats[a], p[sel])
-        return p
-    order = np.argsort(digits, kind="stable")
-    p_sorted = p[order]
-    d_sorted = digits[order]
-    bounds = np.searchsorted(d_sorted, np.arange(a_size + 1))
-    for a in range(a_size):
-        lo, hi = bounds[a], bounds[a + 1]
-        if lo < hi:
-            p_sorted[lo:hi] = np.einsum("sij,ksj->ksi", mats[a], p_sorted[lo:hi])
-    out = np.empty_like(p_sorted)
-    out[order] = p_sorted
-    return out
+def _unit_products(space: ProductSpace) -> np.ndarray:
+    """The empty product (1 in every slot), shaped (1, slots, phi)."""
+    _, phi = order_params(space.order)
+    p = np.zeros((1, space.slots, phi), dtype=np.int64)
+    p[:, :, 0] = 1
+    return p
 
 
-def _chunk_products(
-    idx: np.ndarray, n_sites: int, a_size: int, vecs: np.ndarray, mats: np.ndarray
-) -> np.ndarray:
-    digit0 = (idx // a_size ** (n_sites - 1)) % a_size
-    p = vecs[digit0].copy()
-    for t in range(1, n_sites):
-        digits = (idx // a_size ** (n_sites - 1 - t)) % a_size
-        p = _apply_site(p, digits, mats)
+def _checked(p: np.ndarray) -> np.ndarray:
     if p.size and np.abs(p).max() >= _COEFF_LIMIT:
         raise OverflowError("product coefficients exceeded the exact int64 range")
     return p
 
 
-def _scan_range(args):
-    order, n_sites, a_size, vecs, mats, powers, lo, hi = args
-    chunk = max(1024, _TARGET_CHUNK_ELEMS // (vecs.shape[1] * vecs.shape[2]))
+def _extend(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Multiply each (K, slots, phi) slot product by one letter's factors."""
+    out = np.matmul(p.transpose(1, 0, 2), mat.transpose(0, 2, 1))
+    return _checked(out.transpose(1, 0, 2))
+
+
+def _scores(v: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    vals = v.astype(np.float64) @ powers
+    return vals.real * vals.real + vals.imag * vals.imag
+
+
+def _class_letters(ends: list[np.ndarray], last: int, parent: int) -> list[int]:
+    """Sorted letters of the final-level class ``parent`` extended by ``last``."""
+    letters = [last]
+    for t in range(len(ends) - 1, 0, -1):
+        # class ``parent`` of length t sits in the block of its last letter c
+        c = int(np.searchsorted(ends[t], parent, side="right"))
+        parent -= int(ends[t][c] - ends[t - 1][c])
+        letters.append(c)
+    letters.reverse()
+    return letters
+
+
+def run_search(space: ProductSpace) -> RawSearchResult:
+    """Exact maximum over all A**N assignments, one evaluation per class."""
+    mats, powers = _tables(space)
+    a_size, n_sites = space.alphabet, space.n_sites
+    # Classes of length t are stored in blocks by last letter b; block b
+    # extends, by b, the first ends[t-1][b] classes of length t-1, which are
+    # exactly those whose last letter is at most b (ends[0]: the empty class).
+    ends = [np.ones(a_size, dtype=np.int64)]
+    p = _unit_products(space)
+    for _ in range(n_sites - 1):
+        p = np.concatenate([_extend(mats[b], p[: ends[-1][b]]) for b in range(a_size)])
+        ends.append(np.cumsum(ends[-1]))
+    # The last level is streamed one block at a time; only the float band
+    # around the running maximum is kept.
     best = -np.inf
-    cand_idx: list[np.ndarray] = []
-    cand_vec: list[np.ndarray] = []
-    for c_lo in range(lo, hi, chunk):
-        c_hi = min(c_lo + chunk, hi)
-        idx = np.arange(c_lo, c_hi, dtype=np.int64)
-        p = _chunk_products(idx, n_sites, a_size, vecs, mats)
-        v = p.sum(axis=1)
-        vals = v.astype(np.float64) @ powers
-        scores = vals.real * vals.real + vals.imag * vals.imag
-        cmax = float(scores.max())
-        if cmax > best:
-            best = cmax
-        band = _BAND_REL * max(1.0, best)
-        keep = scores >= best - band
-        if keep.any():
-            cand_idx.append(idx[keep])
-            cand_vec.append(v[keep])
-    all_idx = np.concatenate(cand_idx)
-    all_vec = np.concatenate(cand_vec)
-    vals = all_vec.astype(np.float64) @ powers
-    scores = vals.real * vals.real + vals.imag * vals.imag
-    keep = scores >= best - _BAND_REL * max(1.0, best)
-    all_idx, all_vec = all_idx[keep], all_vec[keep]
+    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for b in range(a_size):
+        v = _extend(mats[b], p[: ends[-1][b]]).sum(axis=1)
+        scores = _scores(v, powers)
+        best = max(best, float(scores.max()))
+        keep = np.nonzero(scores >= best - _BAND_REL * max(1.0, best))[0]
+        if keep.size:
+            blocks.append((b, keep, v[keep]))
+    floor = best - _BAND_REL * max(1.0, best)
     # Exact resolution of the candidate band.
+    n_fact = math.factorial(n_sites)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for flat, row in zip(all_idx.tolist(), all_vec):
-        value = CycInt(order, tuple(row.tolist()))
-        sq = (value * value.conjugate()).coeffs
-        entry = groups.get(sq)
-        if entry is None:
-            groups[sq] = [1, flat]
-        else:
-            entry[0] += 1
-            if flat < entry[1]:
-                entry[1] = flat
+    for b, parents, rows in blocks:
+        keep = _scores(rows, powers) >= floor
+        for parent, row in zip(parents[keep].tolist(), rows[keep]):
+            value = CycInt(space.order, tuple(row.tolist()))
+            sq = (value * value.conjugate()).coeffs
+            letters = _class_letters(ends, b, parent)
+            count = n_fact // math.prod(
+                math.factorial(m) for m in Counter(letters).values()
+            )
+            flat = 0
+            for a in letters:
+                flat = flat * a_size + a
+            entry = groups.get(sq)
+            if entry is None:
+                groups[sq] = [count, flat]
+            else:
+                entry[0] += count
+                entry[1] = min(entry[1], flat)
     best_sq = None
     for sq in groups:
-        if best_sq is None or compare_real_coeffs(order, sq, best_sq) > 0:
+        if best_sq is None or compare_real_coeffs(space.order, sq, best_sq) > 0:
             best_sq = sq
     count, argmin = groups[best_sq]
-    return best_sq, count, argmin, hi - lo
-
-
-def _partition(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base, rem = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return multiprocessing.get_context()
-
-
-def run_search(space: ProductSpace, workers: int | None = None) -> RawSearchResult:
-    """Scan the whole space; exact merge makes the result partition-invariant."""
-    vecs, mats, powers = _tables(space)
-    total = space.size
-    n_workers = resolve_workers(workers)
-    ranges = _partition(total, n_workers)
-    args = [
-        (space.order, space.n_sites, space.alphabet, vecs, mats, powers, lo, hi)
-        for lo, hi in ranges
-    ]
-    if len(args) == 1 or n_workers == 1:
-        partials = [_scan_range(a) for a in args]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=_pool_context()
-        ) as pool:
-            partials = list(pool.map(_scan_range, args))
-    best_sq, count, argmin, scanned = partials[0]
-    for sq, c, a, s in partials[1:]:
-        scanned += s
-        rel = compare_real_coeffs(space.order, sq, best_sq)
-        if rel > 0:
-            best_sq, count, argmin = sq, c, a
-        elif rel == 0:
-            count += c
-            argmin = min(argmin, a)
     powers_list = _alpha_powers(space.order)
     best_value = sum(
         c * powers_list[j].real for j, c in enumerate(best_sq) if c
@@ -240,7 +227,7 @@ def run_search(space: ProductSpace, workers: int | None = None) -> RawSearchResu
         best_sq_value=float(best_value),
         num_maximizers=count,
         argmax_index=argmin,
-        assignments_scanned=scanned,
+        assignments_scanned=space.size,
     )
 
 
@@ -248,11 +235,12 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     """Float |sum of products|**2 for every index (small spaces only)."""
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    vecs, mats, powers = _tables(space)
-    idx = np.arange(space.size, dtype=np.int64)
-    p = _chunk_products(idx, space.n_sites, space.alphabet, vecs, mats)
-    vals = p.sum(axis=1).astype(np.float64) @ powers
-    return vals.real * vals.real + vals.imag * vals.imag
+    mats, powers = _tables(space)
+    p = _unit_products(space)
+    # breadth-first: each step appends one site as the least significant digit
+    for _ in range(space.n_sites):
+        p = np.einsum("asij,ksj->kasi", mats, p).reshape(-1, *p.shape[1:])
+    return _scores(_checked(p).sum(axis=1), powers)
 
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:

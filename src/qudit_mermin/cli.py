@@ -32,6 +32,7 @@ from .hidden_variables import (
     ghz_contradiction_count,
     iter_contradiction_witnesses,
     max_equals_uniform,
+    search_workers,
     uniform_value,
     violation_ratio,
 )
@@ -43,7 +44,7 @@ THREE_SETTING_ASYMPTOTE = 1.185
 TABLE1_CAP = 12
 VERIFY_CAP = 12
 IDENTITY_CAP = 6
-RATIO_CAP_N = 9
+RATIO_CAP_N = 15
 FULL_CAP_N = 5
 WITNESS_CAP = 8
 SCALING_CAP = 40
@@ -123,7 +124,8 @@ _out_option = click.option(
 )
 _workers_option = click.option(
     "--workers", type=int, default=None,
-    help="Worker processes (default: QUDIT_MERMIN_WORKERS, else CPU count).",
+    help="Pool size for the full-mode search (default: QUDIT_MERMIN_WORKERS, "
+    "else CPU count); ratio and conjecture scans accept it but run in one process.",
 )
 
 
@@ -334,7 +336,7 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
         f"({'attained' if equals_uniform else 'NOT attained'}); "
         f"{result.num_maximizers} maximizers"
     )
-    click.echo(f"workers: {workers if workers else 'auto'}", err=True)
+    click.echo(f"workers: {search_workers(n, mode, workers)}", err=True)
     _finish(fmt, out, payload, [results], human, ok,
             f"search max {result.max_magnitude} vs uniform {uniform}", started)
 

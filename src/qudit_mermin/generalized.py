@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._enumeration import ProductSpace, decode_index, run_search
+from ._enumeration import ProductSpace, decode_index, resolve_workers, run_search
 from .cyclotomic import CycInt, root_of_unity
 from .mermin import (
     IdentityReport,
@@ -207,14 +207,19 @@ def _conjecture_space(d: int, n_sites: int) -> ProductSpace:
 def conjecture_search(
     d: int = 5, n_sites: int = 2, workers: int | None = None
 ) -> ConjectureReport:
-    """Scan every per-site ratio tuple and compare against the all-ones point."""
+    """Scan every per-site ratio tuple and compare against the all-ones point.
+
+    The scan evaluates each multiset of per-site tuples once, in one
+    process; ``workers`` is validated but does not change the work.
+    """
     cfg = GeneralConfig(d, n_sites)
     space_size = d ** ((d - 1) * n_sites)
     if space_size > CONJECTURE_CAP:
         raise ValueError(
             f"ratio space {d}**{(d - 1) * n_sites} exceeds the cap of {CONJECTURE_CAP}"
         )
-    raw = run_search(_conjecture_space(cfg.d, cfg.n_sites), workers)
+    resolve_workers(workers)
+    raw = run_search(_conjecture_space(cfg.d, cfg.n_sites))
     uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs
     uniform_is_max = uniform_sq == raw.best_sq_coeffs

@@ -13,15 +13,18 @@ the roots of x**3 - 3*x**2 + 3, and the classical maximum for N sites is
 (A**N + B**N +- C**N)/3, an exact integer computed here by the recurrence
 p_N = 3*p_{N-1} - 3*p_{N-3} on the power sums.
 
-The exhaustive searches are exact: ratio mode scans all 9**N ratio
-assignments, full mode scans all 27**N value assignments termwise and
-cross-checks each magnitude against its ratio reduction.
+The exhaustive searches are exact: ratio mode covers all 9**N ratio
+assignments by evaluating each of the C(N+8, 8) multisets of per-site
+ratios once (the factor products commute across sites); full mode scans
+all 27**N value assignments termwise, in a process pool, and cross-checks
+each magnitude against its ratio reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,8 +32,6 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
-    _partition,
-    _pool_context,
     decode_index,
     full_space_scores,
     resolve_workers,
@@ -60,6 +61,7 @@ __all__ = [
     "power_sum",
     "uniform_value",
     "exhaustive_search",
+    "search_workers",
     "permutation_class_max",
     "ghz_contradiction_count",
     "contradiction_witness",
@@ -81,7 +83,8 @@ _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 # Rotation index of a qutrit letter -> column in the (X, Y, V) value triple.
 _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 
-RATIO_SEARCH_CAP = 10**9
+# Ratio mode evaluates C(N+8, 8) site-permutation classes; this allows N <= 15.
+RATIO_SEARCH_CAP = 500_000
 FULL_SEARCH_CAP = 10**8
 
 
@@ -339,26 +342,42 @@ def max_equals_uniform(result: SearchResult) -> bool:
     return result.max_sq_coeffs == target.coeffs
 
 
+def search_workers(n_sites: int, mode: str, workers: int | None = None) -> int:
+    """Processes an exhaustive search runs in: the full-mode pool size, else 1.
+
+    ``workers`` is validated in every mode (see ``resolve_workers``); only
+    full mode uses a pool, never larger than its 27**N assignments.
+    """
+    requested = resolve_workers(workers)
+    return min(requested, 27**n_sites) if mode == "full" else 1
+
+
 def exhaustive_search(
     n_sites: int, mode: str = "ratio", workers: int | None = None
 ) -> SearchResult:
-    """Scan every assignment and return the exact classical maximum.
+    """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
-    form; full mode covers the 27**N value assignments termwise and also
-    verifies, for every one of them, that its magnitude agrees with the
-    ratio reduction.  Ties are counted exactly and the arg-max reported is
-    the lexicographically smallest maximizer (encoding R1,S1,...,RN,SN for
-    ratio mode and X1,Y1,V1,... for full mode, with 1 < w < w^2).
+    form, one evaluation per multiset of per-site ratios, in one process;
+    its cap of ``RATIO_SEARCH_CAP`` applies to the C(N+8, 8) multisets.
+    Full mode scans the 27**N value assignments termwise in a pool of
+    ``workers`` processes and also verifies, for every one of them, that
+    its magnitude agrees with the ratio reduction.  Ties are counted
+    exactly and the arg-max reported is the lexicographically smallest
+    maximizer (encoding R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,...
+    for full mode, with 1 < w < w^2).
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     if mode == "ratio":
-        if 9**n_sites > RATIO_SEARCH_CAP:
+        classes = math.comb(n_sites + 8, 8)
+        if classes > RATIO_SEARCH_CAP:
             raise ValueError(
-                f"ratio search space 9**{n_sites} exceeds the cap of {RATIO_SEARCH_CAP}"
+                f"ratio search classes C({n_sites}+8, 8) = {classes} exceed "
+                f"the cap of {RATIO_SEARCH_CAP}"
             )
-        raw = run_search(_ratio_space(n_sites), workers)
+        resolve_workers(workers)  # validated; the ratio scan runs in one process
+        raw = run_search(_ratio_space(n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
         return SearchResult(
             mode="ratio",
@@ -438,6 +457,25 @@ def _scan_full_range(args):
     return best, count, lexmin, hi - lo, max_dev
 
 
+def _partition(total: int, parts: int) -> list[tuple[int, int]]:
+    parts = max(1, min(parts, total))
+    base, rem = divmod(total, parts)
+    ranges = []
+    lo = 0
+    for i in range(parts):
+        hi = lo + base + (1 if i < rem else 0)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
+def _pool_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
+
+
 def _full_search(n_sites: int, workers: int | None) -> SearchResult:
     if 27**n_sites > FULL_SEARCH_CAP:
         raise ValueError(
@@ -446,7 +484,7 @@ def _full_search(n_sites: int, workers: int | None) -> SearchResult:
     weights, letters = _encode_terms(n_sites)
     ratio_mag = np.sqrt(full_space_scores(_ratio_space(n_sites))) / 3.0
     total = 27**n_sites
-    n_workers = resolve_workers(workers)
+    n_workers = search_workers(n_sites, "full", workers)
     ranges = _partition(total, n_workers)
     args = [(n_sites, weights, letters, ratio_mag, lo, hi) for lo, hi in ranges]
     if len(args) == 1 or n_workers == 1:

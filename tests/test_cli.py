@@ -129,6 +129,27 @@ def test_search_worker_count_does_not_change_bytes(runner):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_search_reports_effective_workers_on_stderr(runner):
+    payloads = []
+    for mode, workers, expected in (("ratio", "2", "1"), ("full", "2", "2")):
+        result = runner.invoke(
+            cli,
+            ["search", "--n", "2", "--mode", mode, "--workers", workers,
+             "--format", "json"],
+        )
+        assert result.exit_code == 0
+        assert result.stderr.splitlines() == [f"workers: {expected}"]
+        plain = runner.invoke(
+            cli,
+            ["search", "--n", "2", "--mode", mode, "--workers", "1",
+             "--format", "json"],
+        )
+        assert plain.stderr.splitlines() == ["workers: 1"]
+        assert result.stdout.encode("utf-8") == plain.stdout.encode("utf-8")
+        payloads.append(json.loads(result.stdout))
+    assert all("workers" not in json.dumps(p) for p in payloads)
+
+
 def test_witness_command(runner):
     result = runner.invoke(cli, ["witness", "--n", "3", "--format", "json"])
     assert result.exit_code == 0

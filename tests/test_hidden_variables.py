@@ -196,6 +196,14 @@ def test_search_worker_determinism():
     assert results[0].num_maximizers == 81
 
 
+def test_ratio_search_n10_beyond_the_old_cap():
+    # C(18, 8) = 43758 classes stand for the 9**10 assignments
+    result = exhaustive_search(10)
+    assert max_equals_uniform(result)
+    assert result.argmax_index == 0
+    assert result.assignments_scanned == 9**10
+
+
 def brute_force_full(n_sites):
     """From-scratch integer evaluation over all 27**N value assignments."""
     terms = []
@@ -242,7 +250,7 @@ def test_full_search_worker_determinism():
 
 def test_search_caps_and_bad_mode():
     with pytest.raises(ValueError):
-        exhaustive_search(10, mode="ratio")
+        exhaustive_search(16, mode="ratio")
     with pytest.raises(ValueError):
         exhaustive_search(6, mode="full")
     with pytest.raises(ValueError):
