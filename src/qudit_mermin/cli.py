@@ -36,13 +36,18 @@ from .hidden_variables import (
     uniform_value,
     violation_ratio,
 )
-from .mermin import build_mermin, counts_by_position, expand_identity, verify_eigenvalue
+from .mermin import (
+    build_mermin,
+    check_verify_budget,
+    counts_by_position,
+    expand_identity,
+    verify_eigenvalue,
+)
 
 TWO_SETTING_ASYMPTOTE = 1.064
 THREE_SETTING_ASYMPTOTE = 1.185
 
 TABLE1_CAP = 12
-VERIFY_CAP = 12
 IDENTITY_CAP = 6
 RATIO_CAP_N = 15
 FULL_CAP_N = 5
@@ -228,11 +233,14 @@ def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
     """Check the exact operator eigenvalue d**(N-1) on its GHZ state."""
     started = time.perf_counter()
     if d == 3:
-        if not 1 <= n <= VERIFY_CAP:
-            raise click.UsageError(f"need 1 <= n <= {VERIFY_CAP} for d=3")
         if variant not in (0, 1, 2):
             raise click.UsageError("variant must be 0, 1, or 2")
-        eigenvalue = verify_eigenvalue(build_mermin(3, n, variant))
+        try:
+            check_verify_budget(3, n)
+            op = build_mermin(3, n, variant)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        eigenvalue = verify_eigenvalue(op)
     else:
         if variant != 0:
             raise click.UsageError("variants other than 0 are defined for d=3 only")

@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 __all__ = [
     "CycInt",
     "PhaseExponent",
     "root_of_unity",
+    "root_sum",
     "order_params",
     "compare_real_coeffs",
 ]
@@ -308,6 +310,19 @@ def root_of_unity(j: int, m: int) -> CycInt:
     raw = [0] * m
     raw[j % m] = 1
     return CycInt(m, _reduce(m, raw))
+
+
+def root_sum(m: int, exponents) -> CycInt:
+    """Exact sum of alpha**e over an integer array of exponents e.
+
+    Every sum of roots of unity goes through here: the exponents are folded
+    mod m and tallied in one int64 ``bincount``, and the tally is reduced
+    once, so the cost is one pass over the array plus one ``_reduce``.
+    """
+    order_params(m)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    tally = np.bincount((exponents % m).ravel(), minlength=m)
+    return CycInt(m, _reduce(m, tally.tolist()))
 
 
 def mp_real_value(m: int, coeffs, dps: int = 80):

@@ -26,11 +26,12 @@ import math
 from dataclasses import dataclass
 
 from ._enumeration import ProductSpace, decode_index, resolve_workers, run_search
-from .cyclotomic import CycInt, root_of_unity
+from .cyclotomic import CycInt, root_sum
 from .mermin import (
     IdentityReport,
     MerminOperator,
     build_mermin,
+    check_verify_budget,
     expand_identity,
     verify_eigenvalue,
 )
@@ -53,7 +54,6 @@ __all__ = [
 
 SUPPORTED_DIMENSIONS = (3, 5, 7)
 BUILD_CAP = 10**7
-EIGENVALUE_CAP = 10**6
 CONJECTURE_CAP = 10**8
 
 
@@ -86,10 +86,7 @@ def build_general_mermin(cfg: GeneralConfig) -> MerminOperator:
 
 
 def verify_general_eigenvalue(cfg: GeneralConfig) -> int:
-    if cfg.d**cfg.n_sites > EIGENVALUE_CAP:
-        raise ValueError(
-            f"state space {cfg.d}**{cfg.n_sites} exceeds the cap of {EIGENVALUE_CAP}"
-        )
+    check_verify_budget(cfg.d, cfg.n_sites)
     return verify_eigenvalue(build_general_mermin(cfg))
 
 
@@ -127,15 +124,12 @@ class UniformFactorSet:
 
 def _general_factor(d: int, p: int, ratio_exps=None) -> CycInt:
     """Per-site factor of product p: sum_j alpha**(mix) * (j-th ratio)."""
-    m = d * d
-    alphabet = rotation_alphabet(d)
-    total = CycInt.zero(m)
-    for j in alphabet:
-        t = 0
-        if ratio_exps is not None and j != 0:
-            t = ratio_exps[j]
-        total = total + root_of_unity(mixing_exponent(d, p, j) + d * t, m)
-    return total
+    exponents = [
+        mixing_exponent(d, p, j)
+        + (d * ratio_exps[j] if ratio_exps is not None and j != 0 else 0)
+        for j in rotation_alphabet(d)
+    ]
+    return root_sum(d * d, exponents)
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
@@ -143,9 +137,9 @@ def uniform_factors(d: int) -> UniformFactorSet:
         raise ValueError(
             f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {d}"
         )
+    values = [_general_factor(d, p) for p in range(d)]
     entries = [
-        FactorSetEntry(p, _general_factor(d, p).magnitude(), _general_factor(d, p))
-        for p in range(d)
+        FactorSetEntry(p, value.magnitude(), value) for p, value in enumerate(values)
     ]
     entries.sort(key=lambda e: (-e.magnitude, e.product_index))
     return UniformFactorSet(d, tuple(entries))

@@ -397,14 +397,12 @@ def exhaustive_search(
 
 
 def _encode_terms(n_sites: int):
-    terms = build_mermin(3, n_sites, 0).terms
-    weights = np.empty(len(terms), dtype=np.int16)
-    letters = np.empty((len(terms), n_sites), dtype=np.int8)
-    for t, (word, weight) in enumerate(terms):
-        exp = weight.as_root_exponent()
-        assert exp is not None and exp % 3 == 0
-        weights[t] = exp // 3
-        letters[t] = [_J_TO_COLUMN[j] for j in word.letters]
+    """Variant-0 terms as omega exponents of the weights and value columns."""
+    op = build_mermin(3, n_sites, 0)
+    if (op.weight_exponents % 3).any():
+        raise ArithmeticError("a variant-0 weight is not a power of omega")
+    weights = (op.weight_exponents // 3).astype(np.int16)
+    letters = (op.letters % 3).astype(np.int8)  # j -> j % 3, as in _J_TO_COLUMN
     return weights, letters
 
 

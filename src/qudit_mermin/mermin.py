@@ -6,8 +6,11 @@ position k carries weight alpha**(c - k) = omega**(-(k-c)/d), so every
 term acts on the matching GHZ state with eigenvalue +1 and the total
 eigenvalue is the term count d**(N-1).
 
-Operators are stored as term lists, never as dense matrices; applying a
-term to a GHZ state touches only its d nonzero amplitudes.
+Operators are stored as exponent arrays, never as dense matrices or term
+lists: one row of rotation indices per word and one weight exponent mod
+d**2 per row.  Every weight and every GHZ phase is a root of unity, so the
+eigenvalue check adds integer exponents in numpy and turns each sum of
+roots into a cyclotomic integer with one ``root_sum``.
 """
 
 from __future__ import annotations
@@ -15,12 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cyclotomic import CycInt, root_of_unity
+import numpy as np
+
+from .cyclotomic import CycInt, root_of_unity, root_sum
 from .qudit_ops import (
     EigenstateError,
     SettingWord,
-    apply_word,
+    _phase_table,
     ghz_state,
     rotation_alphabet,
 )
@@ -29,25 +35,108 @@ __all__ = [
     "MerminOperator",
     "PositionCounts",
     "IdentityReport",
+    "VERIFY_TERM_CAP",
     "build_mermin",
+    "check_verify_budget",
     "verify_eigenvalue",
     "counts_by_position",
     "expand_identity",
 ]
 
+# Terms one eigenvalue verification may process: d**(N-1) <= 3**13 admits
+# d = 3 up to N = 14, d = 5 up to N = 9 and d = 7 up to N = 8.
+VERIFY_TERM_CAP = 3**13
 
-@dataclass(frozen=True)
+
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class MerminOperator:
-    """Weighted word list for one variant; weights are roots of unity."""
+    """Weighted word list for one variant, stored as exponent arrays.
+
+    ``letters[t]`` holds the rotation indices of word t (one int8 per site)
+    and ``weight_exponents[t]`` the exponent e of its weight alpha**e, mod
+    d**2; both arrays are read-only.  ``build_mermin`` lists the d**(N-1)
+    words in lexicographic order of their letters.  ``terms`` materializes
+    the same operator as (SettingWord, CycInt) pairs on first use.
+    """
 
     d: int
     n_sites: int
     variant: int
-    terms: tuple[tuple[SettingWord, CycInt], ...]
+    letters: np.ndarray
+    weight_exponents: np.ndarray
+
+    def __post_init__(self) -> None:
+        half = len(rotation_alphabet(self.d)) // 2
+        letters = _read_only(self.letters, np.int8)
+        exponents = _read_only(
+            np.asarray(self.weight_exponents, dtype=np.int64) % (self.d * self.d),
+            np.int64,
+        )
+        if letters.ndim != 2 or letters.shape[1] != self.n_sites:
+            raise ValueError(
+                f"letters must have shape (terms, {self.n_sites}), got {letters.shape}"
+            )
+        if letters.size and int(np.abs(letters).max()) > half:
+            raise ValueError(f"a rotation index is out of range for d={self.d}")
+        if exponents.shape != letters.shape[:1]:
+            raise ValueError("need one weight exponent per word")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "weight_exponents", exponents)
+
+    @classmethod
+    def from_terms(cls, d: int, n_sites: int, variant: int, terms) -> MerminOperator:
+        """Build from (SettingWord, CycInt) pairs whose weights are roots of unity."""
+        m = d * d
+        if not 0 <= variant < d:
+            raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+        letters = []
+        exponents = []
+        for word, weight in terms:
+            if len(word.letters) != n_sites:
+                raise ValueError(f"word {word} does not have {n_sites} sites")
+            exponent = weight.as_root_exponent() if weight.order == m else None
+            if exponent is None:
+                raise ValueError(f"weight {weight} of {word} is not a root of unity")
+            letters.append(SettingWord(d, tuple(word.letters)).letters)
+            exponents.append(exponent)
+        shape = (len(letters), n_sites)
+        return cls(d, n_sites, variant, np.array(letters, dtype=np.int8).reshape(shape),
+                   np.array(exponents, dtype=np.int64))
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.letters)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[SettingWord, CycInt], ...]:
+        m = self.d * self.d
+        roots = [root_of_unity(e, m) for e in range(m)]
+        return tuple(
+            (SettingWord(self.d, tuple(row)), roots[e])
+            for row, e in zip(self.letters.tolist(), self.weight_exponents.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MerminOperator):
+            return NotImplemented
+        return (
+            (self.d, self.n_sites, self.variant)
+            == (other.d, other.n_sites, other.variant)
+            and np.array_equal(self.letters, other.letters)
+            and np.array_equal(self.weight_exponents, other.weight_exponents)
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.d, self.n_sites, self.variant,
+             self.letters.tobytes(), self.weight_exponents.tobytes())
+        )
 
 
 @dataclass(frozen=True)
@@ -81,40 +170,64 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 
     The same position rule is applied at every N for every variant; the
     shifted variants follow the c = 0 pattern by rotational covariance.
+    The first N-1 letters run over every prefix in lexicographic order and
+    the last letter is the unique one that puts the word on the variant's
+    residue class, which keeps the lexicographic order of all d**N words.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     if not 0 <= variant < d:
         raise ValueError(f"variant must lie in [0, {d}), got {variant}")
     m = d * d
-    alphabet = rotation_alphabet(d)
-    terms = []
-    for letters in itertools.product(alphabet, repeat=n_sites):
-        k = sum(letters) % m
-        if (k - variant) % d == 0:
-            word = SettingWord(d, letters)
-            terms.append((word, root_of_unity(variant - k, m)))
-    op = MerminOperator(d, n_sites, variant, tuple(terms))
-    assert op.term_count == d ** (n_sites - 1)
-    return op
+    half = (d - 1) // 2
+    count = d ** (n_sites - 1)
+    letters = np.empty((count, n_sites), dtype=np.int8)
+    index = np.arange(count, dtype=np.int64)
+    for i in range(n_sites - 1):
+        letters[:, i] = (index // d ** (n_sites - 2 - i)) % d - half
+    prefix_sum = letters[:, :-1].sum(axis=1, dtype=np.int64)
+    letters[:, -1] = (variant - prefix_sum + half) % d - half
+    k = (prefix_sum + letters[:, -1]) % m
+    return MerminOperator(d, n_sites, variant, letters, (variant - k) % m)
+
+
+def check_verify_budget(d: int, n_sites: int) -> None:
+    """Raise ValueError when verifying d**(N-1) terms exceeds VERIFY_TERM_CAP."""
+    if d ** (n_sites - 1) > VERIFY_TERM_CAP:
+        raise ValueError(
+            f"verifying {d}**{n_sites - 1} terms exceeds the cap of "
+            f"{VERIFY_TERM_CAP} terms"
+        )
 
 
 def verify_eigenvalue(op: MerminOperator) -> int:
     """Apply the operator to its GHZ state exactly and return the eigenvalue.
 
-    Raises EigenstateError if the result is not an integer multiple of the
-    state (which would indicate a construction bug), as distinct from the
-    ValueError raised on malformed input.
+    Each GHZ label r (every digit r) maps to the label with every digit
+    r + 1, picking up alpha**(weight + sum_i table_i[r]) per term; those
+    exponents are summed as integer arrays and reduced by one ``root_sum``
+    per label.  Raises EigenstateError if the result is not an integer
+    multiple of the state (which would indicate a construction bug), as
+    distinct from the ValueError raised on malformed or over-cap input.
     """
-    m = op.d * op.d
-    psi = ghz_state(op.variant, op.d, op.n_sites)
+    d, n = op.d, op.n_sites
+    check_verify_budget(d, n)
+    m = d * d
+    half = (d - 1) // 2
+    psi = ghz_state(op.variant, d, n)
+    # table[j + half, digit]: phase exponent of letter j acting on digit
+    table = np.array([_phase_table(d, j) for j in rotation_alphabet(d)], dtype=np.int64)
+    powers = [d**i for i in range(n)]
     totals = {label: CycInt.zero(m) for label in psi.amplitudes}
-    for word, weight in op.terms:
-        mapped = apply_word(word, psi)
-        for label, amp in mapped.amplitudes.items():
-            if label not in totals:
-                raise EigenstateError("a term left the GHZ support")
-            totals[label] = totals[label] + weight * amp
+    for label, amp in psi.amplitudes.items():
+        digits = [(label // p) % d for p in powers]
+        phases = op.weight_exponents.copy()
+        for i, digit in enumerate(digits):
+            phases += table[:, digit][op.letters[:, i] + half]
+        mapped = sum(((digit + 1) % d) * p for digit, p in zip(digits, powers))
+        if mapped not in totals:
+            raise EigenstateError("a term left the GHZ support")
+        totals[mapped] = totals[mapped] + root_sum(m, phases) * amp
     lam: CycInt | None = None
     for label, amp in psi.amplitudes.items():
         ratio = totals[label] * amp.conjugate()

@@ -199,6 +199,18 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["identity", "--n", "9"]).exit_code == 2
 
 
+def test_verify_term_budget_exit_codes(runner):
+    # the first N over the 3**13-term budget for each d is a usage error
+    for d, over in ((3, 15), (5, 10), (7, 9)):
+        argv = ["verify", "--n", str(over), "--d", str(d)]
+        result = runner.invoke(cli, argv)
+        assert result.exit_code == 2, (d, over)
+        assert "cap" in result.stderr
+    result = runner.invoke(cli, ["verify", "--n", "13", "--variant", "2", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["results"]["eigenvalue"] == 3**12
+
+
 def test_out_writes_file(runner, tmp_path):
     target = tmp_path / "report.json"
     result = runner.invoke(

@@ -10,8 +10,11 @@ import math
 
 import pytest
 
+from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.generalized import (
     GeneralConfig,
+    _general_factor,
+    _ratio_tuples,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
@@ -137,3 +140,35 @@ def test_config_validation_and_caps():
     with pytest.raises(ValueError):
         conjecture_search(7, 2)
     assert GeneralConfig(5, 2).settings == 5
+
+
+def per_root_factor(d, p, ratio_exps=None):
+    """Reference: add the d roots of the factor one CycInt at a time."""
+    m = d * d
+    half = (d - 1) // 2
+    total = CycInt.zero(m)
+    for j in range(-half, half + 1):
+        t = ratio_exps[j] if ratio_exps is not None and j != 0 else 0
+        total = total + root_of_unity(mixing_exponent(d, p, j) + d * t, m)
+    return total
+
+
+def test_factors_match_per_root_sums():
+    for d in (3, 5, 7):
+        for p in range(d):
+            assert _general_factor(d, p) == per_root_factor(d, p)
+    for d in (3, 5):
+        nonzero = [j for j in range(-(d // 2), d // 2 + 1) if j != 0]
+        for tup in _ratio_tuples(d):
+            ratio_exps = dict(zip(nonzero, tup))
+            for p in range(d):
+                assert _general_factor(d, p, ratio_exps) == per_root_factor(
+                    d, p, ratio_exps
+                )
+
+
+def test_verify_budget_first_over_cap_n_per_dimension():
+    for d, last in ((3, 14), (5, 9), (7, 8)):
+        with pytest.raises(ValueError):
+            verify_general_eigenvalue(GeneralConfig(d, last + 1))
+    assert verify_general_eigenvalue(GeneralConfig(5, 8)) == 5**7

@@ -19,6 +19,7 @@ from qudit_mermin.hidden_variables import (
     B_VALUE,
     C_VALUE,
     HVAssignment,
+    _encode_terms,
     contradiction_witness,
     exhaustive_search,
     factor_table,
@@ -228,6 +229,17 @@ def brute_force_full(n_sites):
         elif sq == best:
             count += 1
     return best, count, argmin
+
+
+def test_encode_terms_matches_per_term_encoding():
+    for n_sites in range(1, 6):
+        weights, letters = _encode_terms(n_sites)
+        terms = build_mermin(3, n_sites, 0).terms
+        assert weights.dtype == np.int16 and letters.dtype == np.int8
+        assert weights.tolist() == [wt.as_root_exponent() // 3 for _, wt in terms]
+        assert letters.tolist() == [
+            [{0: 0, 1: 1, -1: 2}[j] for j in word.letters] for word, _ in terms
+        ]
 
 
 def test_full_search_n3_against_independent_evaluation():

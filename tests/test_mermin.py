@@ -1,9 +1,10 @@
 """Operator construction, exact eigenvalues, and term combinatorics.
 
-Two independent oracles are used throughout: brute-force enumeration of
-all 3**N words for the position counts, and dense float matrices (built
-by kron products from the matrix definitions) for small-N eigenvalue
-checks.
+Independent oracles are used throughout: brute-force enumeration of all
+3**N words for the position counts and the term list, dense float matrices
+(built by kron products from the matrix definitions) for small-N
+eigenvalue checks, and a per-term ``apply_word`` loop over exact
+``StateVector``s as the reference for the exponent-histogram kernel.
 """
 
 import itertools
@@ -11,17 +12,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qudit_mermin.cyclotomic import root_of_unity
+from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.hidden_variables import uniform_value
 from qudit_mermin.mermin import (
+    VERIFY_TERM_CAP,
     MerminOperator,
     build_mermin,
+    check_verify_budget,
     counts_by_position,
     expand_identity,
     verify_eigenvalue,
 )
-from qudit_mermin.qudit_ops import EigenstateError, apply_word, ghz_state
+from qudit_mermin.qudit_ops import EigenstateError, SettingWord, apply_word, ghz_state
 
 from test_qudit_ops import dense_ghz, dense_word
 
@@ -35,6 +40,43 @@ def brute_force_counts(d, n_sites):
         for letters in itertools.product(alphabet, repeat=n_sites)
     )
     return tuple(tally.get(k, 0) for k in range(d * d))
+
+
+def seed_terms(d, n_sites, variant):
+    """Enumeration oracle: filter all d**N words by position, in product order."""
+    m = d * d
+    half = (d - 1) // 2
+    terms = []
+    for letters in itertools.product(range(-half, half + 1), repeat=n_sites):
+        k = sum(letters) % m
+        if (k - variant) % d == 0:
+            terms.append((SettingWord(d, letters), root_of_unity(variant - k, m)))
+    return tuple(terms)
+
+
+def reference_eigenvalue(op):
+    """Per-term oracle: apply every word to the GHZ state with StateVectors."""
+    m = op.d * op.d
+    psi = ghz_state(op.variant, op.d, op.n_sites)
+    totals = {label: CycInt.zero(m) for label in psi.amplitudes}
+    for word, weight in op.terms:
+        for label, amp in apply_word(word, psi).amplitudes.items():
+            if label not in totals:
+                raise EigenstateError("a term left the GHZ support")
+            totals[label] = totals[label] + weight * amp
+    ratios = {totals[label] * amp.conjugate() for label, amp in psi.amplitudes.items()}
+    if len(ratios) != 1:
+        raise EigenstateError("not proportional to the GHZ state")
+    (lam,) = ratios
+    if not lam.is_integer():
+        raise EigenstateError(f"eigenvalue {lam} is not a rational integer")
+    return lam.as_integer()
+
+
+def small_cases():
+    yield from ((3, n, c) for n in range(1, 8) for c in range(3))
+    yield from ((5, n, c) for n in range(1, 4) for c in range(5))
+    yield from ((7, n, c) for n in range(1, 3) for c in range(7))
 
 
 def test_build_n3_term_structure():
@@ -170,6 +212,94 @@ def test_tampered_weight_raises_eigenstate_error():
             tampered.append((word, root_of_unity(1, 9)))
         else:
             tampered.append((word, weight))
-    bad = MerminOperator(3, 3, 0, tuple(tampered))
+    bad = MerminOperator.from_terms(3, 3, 0, tuple(tampered))
     with pytest.raises(EigenstateError):
         verify_eigenvalue(bad)
+
+
+def test_terms_match_product_order_build():
+    for n in range(1, 7):
+        for c in range(3):
+            assert build_mermin(3, n, c).terms == seed_terms(3, n, c)
+    for n in range(1, 4):
+        for c in range(5):
+            assert build_mermin(5, n, c).terms == seed_terms(5, n, c)
+
+
+def test_kernel_matches_per_term_reference():
+    for d, n, c in small_cases():
+        op = build_mermin(d, n, c)
+        assert verify_eigenvalue(op) == reference_eigenvalue(op) == d ** (n - 1)
+
+
+def test_eigenvalue_equals_position_count_route():
+    for d, n_max in ((3, 12), (5, 6), (7, 5)):
+        for n in range(1, n_max + 1):
+            counts = counts_by_position(d, n).counts
+            for c in range(d):
+                expected = sum(counts[k] for k in range(c, d * d, d))
+                assert verify_eigenvalue(build_mermin(d, n, c)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_random_root_weights_agree_with_reference(data):
+    d = data.draw(st.sampled_from([3, 5]))
+    n = data.draw(st.integers(1, 4 if d == 3 else 2))
+    c = data.draw(st.integers(0, d - 1))
+    m = d * d
+    terms = build_mermin(d, n, c).terms
+    # an empty dict and a zero global shift leave the operator intact
+    shifts = data.draw(
+        st.dictionaries(st.integers(0, len(terms) - 1), st.integers(1, m - 1), max_size=3)
+    )
+    global_shift = data.draw(st.sampled_from([0, 1, d]))
+    tampered = tuple(
+        (word, weight.times_root(shifts.get(t, 0) + global_shift))
+        for t, (word, weight) in enumerate(terms)
+    )
+    op = MerminOperator.from_terms(d, n, c, tampered)
+    try:
+        expected = reference_eigenvalue(op)
+    except EigenstateError:
+        with pytest.raises(EigenstateError):
+            verify_eigenvalue(op)
+    else:
+        assert verify_eigenvalue(op) == expected
+
+
+def test_from_terms_round_trip_and_validation():
+    op = build_mermin(3, 4, 2)
+    again = MerminOperator.from_terms(3, 4, 2, op.terms)
+    assert again == op and hash(again) == hash(op)
+    assert again.letters.dtype == np.int8 and again.weight_exponents.dtype == np.int64
+    word, weight = op.terms[0]
+    with pytest.raises(ValueError):  # 1 + alpha is not a root of unity
+        MerminOperator.from_terms(3, 4, 2, [(word, weight + root_of_unity(1, 9))])
+    with pytest.raises(ValueError):  # rotation index 2 does not exist for d = 3
+        MerminOperator.from_terms(3, 2, 0, [(SettingWord(5, (2, -2)), weight)])
+    with pytest.raises(ValueError):
+        MerminOperator.from_terms(3, 3, 2, [(word, weight)])
+    with pytest.raises(ValueError):
+        MerminOperator.from_terms(3, 4, 3, [(word, weight)])
+
+
+def test_operator_arrays_are_read_only():
+    op = build_mermin(3, 3, 0)
+    assert op.letters.shape == (9, 3) and op.term_count == 9
+    for array in (op.letters, op.weight_exponents):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert op != build_mermin(3, 3, 1)
+    with pytest.raises(ValueError):
+        MerminOperator(3, 3, 0, np.full((1, 3), 2, dtype=np.int8), [0])
+    shifted = MerminOperator(3, 3, 0, op.letters, op.weight_exponents + 9)
+    assert shifted == op
+
+
+def test_verify_budget_first_over_cap_n():
+    assert VERIFY_TERM_CAP == 3**13
+    for d, last in ((3, 14), (5, 9), (7, 8)):
+        check_verify_budget(d, last)
+        with pytest.raises(ValueError):
+            check_verify_budget(d, last + 1)
