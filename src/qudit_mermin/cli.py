@@ -17,6 +17,7 @@ import time
 import click
 
 from . import __version__
+from .cyclotomic import compare_real_coeffs
 from .generalized import (
     GeneralConfig,
     build_general_mermin,
@@ -129,8 +130,8 @@ _out_option = click.option(
 )
 _workers_option = click.option(
     "--workers", type=int, default=None,
-    help="Pool size for the full-mode search (default: QUDIT_MERMIN_WORKERS, "
-    "else CPU count); ratio and conjecture scans accept it but run in one process.",
+    help="Accepted and validated for compatibility (default: QUDIT_MERMIN_WORKERS, "
+    "else CPU count); every search and scan runs in one process.",
 )
 
 
@@ -406,10 +407,12 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
     started = time.perf_counter()
     try:
         cfg = GeneralConfig(d, n)
-        eigenvalue = verify_general_eigenvalue(cfg)
-        term_count = build_general_mermin(cfg).term_count
+        check_verify_budget(d, n)
+        op = build_general_mermin(cfg)
+        eigenvalue = verify_eigenvalue(op)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    term_count = op.term_count
     expected = d ** (n - 1)
     ok = eigenvalue == expected and term_count == expected
     factors = uniform_factors(d)
@@ -438,7 +441,7 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
             "num_maximizers": report.num_maximizers,
             "assignments_scanned": report.assignments_scanned,
         }
-        if report.max_magnitude < report.uniform_magnitude - 1e-9:
+        if compare_real_coeffs(d * d, report.max_sq_coeffs, report.uniform_sq_coeffs) < 0:
             ok, note = False, "scan maximum fell below the uniform value"
     payload = _payload(
         "general", {"d": d, "n": n, "conjecture": conjecture}, results

@@ -176,6 +176,8 @@ class ConjectureReport:
     argmax_ratio_exponents: tuple[tuple[int, ...], ...]
     num_maximizers: int
     assignments_scanned: int
+    max_sq_coeffs: tuple[int, ...]  # canonical coeffs of |d*v|**2, scan maximum
+    uniform_sq_coeffs: tuple[int, ...]  # and at the all-ones point
 
 
 def _ratio_tuples(d: int) -> tuple[tuple[int, ...], ...]:
@@ -235,4 +237,6 @@ def conjecture_search(
         argmax_ratio_exponents=site_tuples,
         num_maximizers=raw.num_maximizers,
         assignments_scanned=raw.assignments_scanned,
+        max_sq_coeffs=raw.best_sq_coeffs,
+        uniform_sq_coeffs=uniform_sq,
     )

@@ -15,17 +15,16 @@ p_N = 3*p_{N-1} - 3*p_{N-3} on the power sums.
 
 The exhaustive searches are exact: ratio mode covers all 9**N ratio
 assignments by evaluating each of the C(N+8, 8) multisets of per-site
-ratios once (the factor products commute across sites); full mode scans
-all 27**N value assignments termwise, in a process pool, and cross-checks
-each magnitude against its ratio reduction.
+ratios once (the factor products commute across sites); full mode assigns
+the sites of the operator's own terms one at a time, exactly over Z[omega],
+and cross-checks the magnitude of each of the 27**N value assignments
+against its ratio reduction.  Both run in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,13 +342,9 @@ def max_equals_uniform(result: SearchResult) -> bool:
 
 
 def search_workers(n_sites: int, mode: str, workers: int | None = None) -> int:
-    """Processes an exhaustive search runs in: the full-mode pool size, else 1.
-
-    ``workers`` is validated in every mode (see ``resolve_workers``); only
-    full mode uses a pool, never larger than its 27**N assignments.
-    """
-    requested = resolve_workers(workers)
-    return min(requested, 27**n_sites) if mode == "full" else 1
+    """Processes an exhaustive search runs in: always 1 (``workers`` is validated)."""
+    resolve_workers(workers)
+    return 1
 
 
 def exhaustive_search(
@@ -358,17 +353,18 @@ def exhaustive_search(
     """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
-    form, one evaluation per multiset of per-site ratios, in one process;
-    its cap of ``RATIO_SEARCH_CAP`` applies to the C(N+8, 8) multisets.
-    Full mode scans the 27**N value assignments termwise in a pool of
-    ``workers`` processes and also verifies, for every one of them, that
-    its magnitude agrees with the ratio reduction.  Ties are counted
-    exactly and the arg-max reported is the lexicographically smallest
-    maximizer (encoding R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,...
-    for full mode, with 1 < w < w^2).
+    form, one evaluation per multiset of per-site ratios; its cap of
+    ``RATIO_SEARCH_CAP`` applies to the C(N+8, 8) multisets.  Full mode
+    contracts the operator terms site by site into the exact value of each
+    of the 27**N value assignments and checks every magnitude against the
+    ratio reduction.  Both run in one process (``workers`` is validated
+    only).  Ties are counted exactly and the arg-max reported is the
+    lexicographically smallest maximizer (encoding R1,S1,...,RN,SN for ratio
+    mode and X1,Y1,V1,... for full mode, with 1 < w < w^2).
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
+    resolve_workers(workers)
     if mode == "ratio":
         classes = math.comb(n_sites + 8, 8)
         if classes > RATIO_SEARCH_CAP:
@@ -376,7 +372,6 @@ def exhaustive_search(
                 f"ratio search classes C({n_sites}+8, 8) = {classes} exceed "
                 f"the cap of {RATIO_SEARCH_CAP}"
             )
-        resolve_workers(workers)  # validated; the ratio scan runs in one process
         raw = run_search(_ratio_space(n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
         return SearchResult(
@@ -392,7 +387,7 @@ def exhaustive_search(
             details={},
         )
     if mode == "full":
-        return _full_search(n_sites, workers)
+        return _full_search(n_sites)
     raise ValueError(f"unknown search mode {mode!r} (expected 'ratio' or 'full')")
 
 
@@ -406,116 +401,113 @@ def _encode_terms(n_sites: int):
     return weights, letters
 
 
-def _scan_full_range(args):
-    n_sites, weights, letters, ratio_mag, lo, hi = args
-    chunk = 3**11
-    best = -1
-    count = 0
-    lexmin = -1
-    max_dev = 0.0
-    n_terms = len(weights)
-    for c_lo in range(lo, hi, chunk):
-        c_hi = min(c_lo + chunk, hi)
-        idx = np.arange(c_lo, c_hi, dtype=np.int64)
-        columns = []
-        ridx = np.zeros(idx.shape, dtype=np.int64)
-        for i in range(n_sites):
-            digit = (idx // 27 ** (n_sites - 1 - i)) % 27
-            e_x = digit // 9
-            e_y = (digit // 3) % 3
-            e_v = digit % 3
-            columns.append(
-                np.stack([e_x, e_y, e_v]).astype(np.int16)
-            )
-            ridx = ridx * 9 + 3 * ((e_y - e_x) % 3) + ((e_v - e_x) % 3)
-        n_counts = [
-            np.zeros(idx.shape, dtype=np.int64) for _ in range(3)
-        ]
-        for t in range(n_terms):
-            acc = np.full(idx.shape, weights[t], dtype=np.int16)
-            for i in range(n_sites):
-                acc += columns[i][letters[t, i]]
-            acc %= 3
-            for j in range(3):
-                n_counts[j] += acc == j
-        n0, n1, n2 = n_counts
-        score = ((n0 - n1) ** 2 + (n1 - n2) ** 2 + (n2 - n0) ** 2) // 2
-        dev = np.abs(np.sqrt(score.astype(np.float64)) - ratio_mag[ridx])
-        max_dev = max(max_dev, float(dev.max()))
-        cmax = int(score.max())
-        if cmax > best:
-            best = cmax
-            count = 0
-            lexmin = -1
-        if cmax == best:
-            mask = score == best
-            count += int(mask.sum())
-            first = int(idx[mask].min())
-            lexmin = first if lexmin < 0 else min(lexmin, first)
-    return best, count, lexmin, hi - lo, max_dev
+# Z[omega] values are int64 pairs (a, b) meaning a + b*omega; row e is omega**e.
+_OMEGA_PAIRS = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int64)
+# Full-index digit 9x + 3y + v of one site -> its ratio digit 3r + s.
+_X, _Y, _V = np.indices((3, 3, 3)).reshape(3, -1)
+_RATIO_DIGIT = 3 * ((_Y - _X) % 3) + (_V - _X) % 3
+# The last _STREAMED_SITES sites are streamed in blocks of at most _BLOCK
+# assignments; materializing them too would hold 27**N pairs at once.
+_STREAMED_SITES = 2
+_BLOCK = 3**11
 
 
-def _partition(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base, rem = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+def _site(f: np.ndarray) -> np.ndarray:
+    """Assign the values (x, y, v) of the next site.
+
+    ``f[:, c*R + r, j, p]`` (pair axis first) sums the terms whose letter
+    there is column c, with r the letters of the later sites, j the values
+    of the sites assigned so far and p a block of prefixes.  Returns
+    out[:, r, 27j + 9x + 3y + v, p] = sum_c omega**(x, y, v)[c] f[:, c*R + r, j, p].
+    """
+    _, rows, assigned, prefixes = f.shape
+    f = f.reshape(2, 3, rows // 3, assigned, prefixes)
+    a, b = f[0], f[1]
+    # rot[:, c, ..., e, :] = omega**e f[:, c]; omega*(a + b*omega) = -b + (a-b)*omega
+    rot = np.stack([f, np.stack([-b, a - b]), np.stack([b - a, -a])], axis=-2)
+    x, y, v = rot.swapaxes(0, 1)  # the rotated X, Y and V columns
+    out = x[..., :, None, None, :] + y[..., None, :, None, :] + v[..., None, None, :, :]
+    return out.reshape(2, rows // 3, 27 * assigned, prefixes)
 
 
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return multiprocessing.get_context()
+def _contract_scores(weights: np.ndarray, letters: np.ndarray):
+    """Exact |value|**2 of every value assignment, in lexicographic blocks.
+
+    Term t contributes omega**(weights[t] + sum_i value_i[letters[t, i]]).
+    The terms are scattered into a table over letter columns and the sites
+    are assigned one at a time; the first N - s sites are materialized and
+    the last s = min(N, _STREAMED_SITES) are streamed in blocks.  Yields
+    ``(first, scores)`` where ``scores[j, i]`` belongs to the assignment
+    with flat index (first + i) * 27**s + j.
+    """
+    n_terms, n_sites = letters.shape
+    streamed = min(n_sites, _STREAMED_SITES)
+    # Entries are sums of at most n_terms roots of unity, so |a|, |b| <= n_terms
+    # and the partial sums of a*a - a*b + b*b stay within 3 * n_terms**2.
+    if 3 * n_terms**2 >= 2**63:
+        raise OverflowError("term count exceeds the exact int64 score range")
+    f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
+    np.add.at(f[:, :, 0, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
+    for _ in range(n_sites - streamed):
+        f = _site(f)
+    # the materialized assignments become the prefix axis of the stream
+    f = f.reshape(2, 3**streamed, 1, -1)
+    step = max(1, _BLOCK // 27**streamed)
+    for first in range(0, f.shape[3], step):
+        g = f[..., first : first + step]
+        for _ in range(streamed):
+            g = _site(g)
+        a, b = g[0, 0], g[1, 0]
+        yield first, a * a - a * b + b * b
 
 
-def _full_search(n_sites: int, workers: int | None) -> SearchResult:
+def _ratio_indices(n_sites: int) -> np.ndarray:
+    """Ratio index of each of the 27**N full indices."""
+    r = np.zeros(1, dtype=np.int64)
+    for _ in range(n_sites):
+        r = (9 * r[:, None] + _RATIO_DIGIT).ravel()
+    return r
+
+
+def _full_search(n_sites: int) -> SearchResult:
     if 27**n_sites > FULL_SEARCH_CAP:
         raise ValueError(
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )
     weights, letters = _encode_terms(n_sites)
     ratio_mag = np.sqrt(full_space_scores(_ratio_space(n_sites))) / 3.0
-    total = 27**n_sites
-    n_workers = search_workers(n_sites, "full", workers)
-    ranges = _partition(total, n_workers)
-    args = [(n_sites, weights, letters, ratio_mag, lo, hi) for lo, hi in ranges]
-    if len(args) == 1 or n_workers == 1:
-        partials = [_scan_full_range(a) for a in args]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=_pool_context()
-        ) as pool:
-            partials = list(pool.map(_scan_full_range, args))
-    best, count, lexmin, scanned, max_dev = partials[0]
-    for b, c, a, s, dv in partials[1:]:
-        scanned += s
-        max_dev = max(max_dev, dv)
-        if b > best:
-            best, count, lexmin = b, c, a
-        elif b == best:
-            count += c
-            lexmin = min(lexmin, a)
-    assignment = HVAssignment.from_full_index(n_sites, lexmin)
+    streamed = min(n_sites, _STREAMED_SITES)
+    prefix_ratio = _ratio_indices(n_sites - streamed) * 9**streamed
+    tail_ratio = _ratio_indices(streamed)
+    best = lexmin = -1
+    count = scanned = 0
+    max_dev = 0.0
+    for first, score in _contract_scores(weights, letters):
+        ridx = tail_ratio[:, None] + prefix_ratio[first : first + score.shape[1]]
+        dev = np.abs(np.sqrt(score.astype(np.float64)) - ratio_mag[ridx])
+        max_dev = max(max_dev, float(dev.max()))
+        scanned += score.size
+        cmax = int(score.max())
+        if cmax > best:
+            best, count, lexmin = cmax, 0, -1
+        if cmax == best:
+            hits = score == best
+            count += int(np.count_nonzero(hits))
+            if lexmin < 0:  # blocks arrive in increasing index order
+                i, j = np.argwhere(hits.T)[0]
+                lexmin = int((first + i) * len(score) + j)
     return SearchResult(
         mode="full",
         n_sites=n_sites,
         max_magnitude=math.sqrt(best),
         max_sq_coeffs=CycInt.integer(best, 9).coeffs,
-        argmax=assignment,
+        argmax=HVAssignment.from_full_index(n_sites, lexmin),
         argmax_index=lexmin,
         argmax_factor_labels=None,
         num_maximizers=count,
         assignments_scanned=scanned,
-        details={
-            "max_sq_int": best,
-            "ratio_agreement_max_abs_dev": max_dev,
-        },
+        details={"max_sq_int": best, "ratio_agreement_max_abs_dev": max_dev},
     )
 
 

@@ -131,7 +131,7 @@ def test_search_worker_count_does_not_change_bytes(runner):
 
 def test_search_reports_effective_workers_on_stderr(runner):
     payloads = []
-    for mode, workers, expected in (("ratio", "2", "1"), ("full", "2", "2")):
+    for mode, workers, expected in (("ratio", "2", "1"), ("full", "2", "1")):
         result = runner.invoke(
             cli,
             ["search", "--n", "2", "--mode", mode, "--workers", workers,
@@ -169,6 +169,45 @@ def test_general_command(runner):
     res = json.loads(result.stdout)["results"]
     assert res["eigenvalue"] == 5 and res["term_count"] == 5
     assert abs(res["largest_factor"] - 4.6898) < 1e-3
+
+
+def test_general_builds_the_operator_once(runner, monkeypatch):
+    from qudit_mermin import generalized
+
+    built = []
+    real_build = generalized.build_mermin
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(generalized, "build_mermin", counting_build)
+    result = runner.invoke(cli, ["general", "--d", "5", "--n", "3", "--format", "json"])
+    assert result.exit_code == 0
+    assert built == [(5, 3, 0)]
+    assert json.loads(result.stdout)["results"]["term_count"] == 25
+
+
+def test_general_conjecture_check_is_exact(runner, monkeypatch):
+    from dataclasses import replace
+
+    from qudit_mermin.cyclotomic import CycInt
+
+    report = cli_module.conjecture_search(3, 3)
+    assert report.uniform_sq_coeffs == CycInt.integer(18**2, 9).coeffs
+    below = CycInt.integer(18**2 - 1, 9).coeffs
+    # the floats stay equal (6.0 and 6.0); only the exact values differ
+    cases = {
+        0: replace(report, uniform_sq_coeffs=below),
+        1: replace(report, max_sq_coeffs=below),  # the same two values, swapped
+    }
+    for exit_code, crafted in cases.items():
+        monkeypatch.setattr(cli_module, "conjecture_search", lambda *a, **k: crafted)
+        result = runner.invoke(
+            cli, ["general", "--d", "3", "--n", "3", "--conjecture", "--format", "json"]
+        )
+        assert result.exit_code == exit_code
+    assert "scan maximum fell below the uniform value" in result.stderr
 
 
 def test_scaling_csv(runner):

@@ -3,23 +3,33 @@
 Independent oracles: the factor constants are recomputed from cosines, the
 integer recurrence is validated against direct float powers, the small
 searches are cross-checked by a plain double loop over all assignments,
-and the full-mode maximizer count is reproduced by a from-scratch integer
-evaluation written in this file.
+the full-mode maximizer count is reproduced by a from-scratch integer
+evaluation written in this file, and the full-mode site contraction is
+checked against the per-term scanner it replaced, kept here as the
+reference.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qudit_mermin import hidden_variables
+from qudit_mermin._enumeration import full_space_scores
 from qudit_mermin.cyclotomic import CycInt
 from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
     C_VALUE,
     HVAssignment,
+    SearchResult,
+    _contract_scores,
     _encode_terms,
+    _ratio_space,
     contradiction_witness,
     exhaustive_search,
     factor_table,
@@ -240,6 +250,151 @@ def test_encode_terms_matches_per_term_encoding():
         assert letters.tolist() == [
             [{0: 0, 1: 1, -1: 2}[j] for j in word.letters] for word, _ in terms
         ]
+
+
+def reference_chunk_scores(n_sites, weights, letters, c_lo, c_hi):
+    """Per-term scores of the flat indices [c_lo, c_hi) and their ratio indices.
+
+    This is the termwise scan full mode ran before the site contraction:
+    one pass per term over the chunk, tallying the omega exponents.
+    """
+    idx = np.arange(c_lo, c_hi, dtype=np.int64)
+    columns = []
+    ridx = np.zeros(idx.shape, dtype=np.int64)
+    for i in range(n_sites):
+        digit = (idx // 27 ** (n_sites - 1 - i)) % 27
+        e_x = digit // 9
+        e_y = (digit // 3) % 3
+        e_v = digit % 3
+        columns.append(np.stack([e_x, e_y, e_v]).astype(np.int16))
+        ridx = ridx * 9 + 3 * ((e_y - e_x) % 3) + ((e_v - e_x) % 3)
+    n_counts = [np.zeros(idx.shape, dtype=np.int64) for _ in range(3)]
+    for t in range(len(weights)):
+        acc = np.full(idx.shape, weights[t], dtype=np.int16)
+        for i in range(n_sites):
+            acc += columns[i][letters[t, i]]
+        acc %= 3
+        for j in range(3):
+            n_counts[j] += acc == j
+    n0, n1, n2 = n_counts
+    score = ((n0 - n1) ** 2 + (n1 - n2) ** 2 + (n2 - n0) ** 2) // 2
+    return idx, ridx, score
+
+
+def reference_scan(n_sites, weights, letters, ratio_mag, lo, hi):
+    """(best, ties, lexicographic arg-min, scanned, deviation) over [lo, hi)."""
+    chunk = 3**11
+    best = -1
+    count = 0
+    lexmin = -1
+    max_dev = 0.0
+    for c_lo in range(lo, hi, chunk):
+        c_hi = min(c_lo + chunk, hi)
+        idx, ridx, score = reference_chunk_scores(
+            n_sites, weights, letters, c_lo, c_hi
+        )
+        dev = np.abs(np.sqrt(score.astype(np.float64)) - ratio_mag[ridx])
+        max_dev = max(max_dev, float(dev.max()))
+        cmax = int(score.max())
+        if cmax > best:
+            best = cmax
+            count = 0
+            lexmin = -1
+        if cmax == best:
+            mask = score == best
+            count += int(mask.sum())
+            first = int(idx[mask].min())
+            lexmin = first if lexmin < 0 else min(lexmin, first)
+    return best, count, lexmin, hi - lo, max_dev
+
+
+def contracted_scores(weights, letters, streamed, block=3**11):
+    """Every score from ``_contract_scores``, in flat index order."""
+    blocks = []
+    expected_first = 0
+    with mock.patch.multiple(
+        hidden_variables, _STREAMED_SITES=streamed, _BLOCK=block
+    ):
+        contraction = list(_contract_scores(weights, letters))
+    for first, score in contraction:
+        assert first == expected_first
+        expected_first += score.shape[1]
+        blocks.append(score.T.ravel())
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
+    weights, letters = _encode_terms(n_sites)
+    _, _, reference = reference_chunk_scores(
+        n_sites, weights, letters, 0, 27**n_sites
+    )
+    for streamed in range(n_sites + 1):
+        scores = contracted_scores(weights, letters, streamed)
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, reference)
+
+
+def test_full_search_n4_equals_the_per_term_scan():
+    n_sites = 4
+    weights, letters = _encode_terms(n_sites)
+    ratio_mag = np.sqrt(full_space_scores(_ratio_space(n_sites))) / 3.0
+    best, count, lexmin, scanned, max_dev = reference_scan(
+        n_sites, weights, letters, ratio_mag, 0, 27**n_sites
+    )
+    reference = SearchResult(
+        mode="full",
+        n_sites=n_sites,
+        max_magnitude=math.sqrt(best),
+        max_sq_coeffs=CycInt.integer(best, 9).coeffs,
+        argmax=HVAssignment.from_full_index(n_sites, lexmin),
+        argmax_index=lexmin,
+        argmax_factor_labels=None,
+        num_maximizers=count,
+        assignments_scanned=scanned,
+        details={"max_sq_int": best, "ratio_agreement_max_abs_dev": max_dev},
+    )
+    result = exhaustive_search(n_sites, mode="full")
+    assert result == reference
+    # the deviation is the same float, bit for bit
+    assert result.details["ratio_agreement_max_abs_dev"].hex() == max_dev.hex()
+
+
+@st.composite
+def term_tables(draw):
+    """Random letter rows and weight exponents, some words repeated."""
+    n_sites = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 2), min_size=n_sites, max_size=n_sites)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=4))
+    letters = np.array(rows + repeats, dtype=np.int8)
+    weights = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=len(letters), max_size=len(letters))),
+        dtype=np.int16,
+    )
+    streamed = draw(st.integers(0, n_sites))
+    block = draw(st.sampled_from([1, 27, 3**11]))
+    return weights, letters, streamed, block
+
+
+@settings(max_examples=120, deadline=None)
+@given(term_tables())
+def test_contraction_matches_per_term_evaluation_on_random_terms(table):
+    weights, letters, streamed, block = table
+    n_sites = letters.shape[1]
+    _, _, reference = reference_chunk_scores(
+        n_sites, weights, letters, 0, 27**n_sites
+    )
+    scores = contracted_scores(weights, letters, streamed, block)
+    assert np.array_equal(scores, reference)
+
+
+def test_contraction_refuses_term_counts_beyond_int64():
+    # 2**31 terms could push a score past 2**63; the rows are zero-width,
+    # so the refusal allocates nothing
+    letters = np.empty((2**31, 0), dtype=np.int8)
+    with pytest.raises(OverflowError):
+        next(_contract_scores(np.zeros(1, dtype=np.int16), letters))
 
 
 def test_full_search_n3_against_independent_evaluation():
