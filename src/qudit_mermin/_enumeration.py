@@ -50,10 +50,17 @@ __all__ = [
     "full_space_scores",
     "exact_sum",
     "resolve_workers",
+    "check_search_budget",
 ]
 
 _BAND_REL = 1e-6
 _COEFF_LIMIT = 2**52
+
+# One search may evaluate CLASS_CAP letter multisets (the qutrit ratio space
+# up to N = 15) after building a (A, slots, phi, phi) multiplication table of
+# TABLE_CAP int64 entries (80 MB; d = 5 needs 1.25e6 and d = 7 1.45e9).
+CLASS_CAP = 500_000
+TABLE_CAP = 10**7
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
@@ -99,6 +106,22 @@ def resolve_workers(workers: int | None = None) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
+    """Raise ValueError for an over-budget space; call it before building factors."""
+    _, phi = order_params(order)
+    entries = alphabet * slots * phi * phi
+    if entries > TABLE_CAP:
+        raise ValueError(
+            f"multiplication table of {alphabet} x {slots} x {phi}**2 = {entries} "
+            f"int64 entries exceeds the cap of {TABLE_CAP}"
+        )
+    if math.comb(n_sites + alphabet - 1, n_sites) > CLASS_CAP:
+        raise ValueError(
+            f"the C({n_sites}+{alphabet - 1}, {n_sites}) multisets of {n_sites} "
+            f"letters from {alphabet} exceed the cap of {CLASS_CAP}"
+        )
 
 
 def _mult_matrix(factor: CycInt, phi: int) -> np.ndarray:
@@ -245,12 +268,7 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:
     """Pure-Python evaluation of the slot-product sum at one flat index."""
-    digits = []
-    rem = index
-    for _ in range(space.n_sites):
-        digits.append(rem % space.alphabet)
-        rem //= space.alphabet
-    digits.reverse()  # site 1 is the most significant digit
+    digits = decode_index(index, space.alphabet, space.n_sites)
     total = CycInt.zero(space.order)
     for s in range(space.slots):
         prod = CycInt.one(space.order)

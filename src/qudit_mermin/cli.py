@@ -24,7 +24,6 @@ from .generalized import (
     conjecture_search,
     general_uniform_value,
     uniform_factors,
-    verify_general_eigenvalue,
 )
 from .hidden_variables import (
     SYMBOLS,
@@ -33,13 +32,11 @@ from .hidden_variables import (
     ghz_contradiction_count,
     iter_contradiction_witnesses,
     max_equals_uniform,
-    search_workers,
     uniform_value,
     violation_ratio,
 )
 from .mermin import (
     build_mermin,
-    check_verify_budget,
     counts_by_position,
     expand_identity,
     verify_eigenvalue,
@@ -50,8 +47,6 @@ THREE_SETTING_ASYMPTOTE = 1.185
 
 TABLE1_CAP = 12
 IDENTITY_CAP = 6
-RATIO_CAP_N = 15
-FULL_CAP_N = 5
 WITNESS_CAP = 8
 SCALING_CAP = 40
 
@@ -233,23 +228,14 @@ def cmd_table2(fmt: str, out: str | None) -> None:
 def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
     """Check the exact operator eigenvalue d**(N-1) on its GHZ state."""
     started = time.perf_counter()
-    if d == 3:
-        if variant not in (0, 1, 2):
-            raise click.UsageError("variant must be 0, 1, or 2")
-        try:
-            check_verify_budget(3, n)
-            op = build_mermin(3, n, variant)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        eigenvalue = verify_eigenvalue(op)
-    else:
-        if variant != 0:
-            raise click.UsageError("variants other than 0 are defined for d=3 only")
-        try:
-            cfg = GeneralConfig(d, n)
-            eigenvalue = verify_general_eigenvalue(cfg)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+    if d != 3 and variant != 0:
+        raise click.UsageError("variants other than 0 are defined for d=3 only")
+    try:
+        GeneralConfig(d, n)
+        op = build_mermin(d, n, variant)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    eigenvalue = verify_eigenvalue(op)
     expected = d ** (n - 1)
     ok = eigenvalue == expected
     results = {
@@ -307,10 +293,10 @@ def cmd_identity(n: int, fmt: str, out: str | None) -> None:
 def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None) -> None:
     """Exhaustive hidden-variable search for the classical maximum."""
     started = time.perf_counter()
-    cap = RATIO_CAP_N if mode == "ratio" else FULL_CAP_N
-    if not 1 <= n <= cap:
-        raise click.UsageError(f"need 1 <= n <= {cap} in {mode} mode")
-    result = exhaustive_search(n, mode=mode, workers=workers)
+    try:
+        result = exhaustive_search(n, mode=mode, workers=workers)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     uniform = uniform_value(n)
     equals_uniform = max_equals_uniform(result)
     ok = equals_uniform or n < 3
@@ -345,7 +331,7 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
         f"({'attained' if equals_uniform else 'NOT attained'}); "
         f"{result.num_maximizers} maximizers"
     )
-    click.echo(f"workers: {search_workers(n, mode, workers)}", err=True)
+    click.echo("workers: 1", err=True)
     _finish(fmt, out, payload, [results], human, ok,
             f"search max {result.max_magnitude} vs uniform {uniform}", started)
 
@@ -406,9 +392,7 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
     """Eigenvalue and uniform factors for odd local dimension d."""
     started = time.perf_counter()
     try:
-        cfg = GeneralConfig(d, n)
-        check_verify_budget(d, n)
-        op = build_general_mermin(cfg)
+        op = build_general_mermin(GeneralConfig(d, n))
         eigenvalue = verify_eigenvalue(op)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

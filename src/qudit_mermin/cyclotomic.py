@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -327,6 +326,8 @@ def root_sum(m: int, exponents) -> CycInt:
 
 def mp_real_value(m: int, coeffs, dps: int = 80):
     """High-precision real part of sum_j coeffs[j] * alpha**j."""
+    import mpmath  # only the rare near-tie comparison needs it
+
     order_params(m)
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)

@@ -25,13 +25,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._enumeration import ProductSpace, decode_index, resolve_workers, run_search
+from ._enumeration import (
+    ProductSpace,
+    check_search_budget,
+    decode_index,
+    resolve_workers,
+    run_search,
+)
 from .cyclotomic import CycInt, root_sum
 from .mermin import (
     IdentityReport,
     MerminOperator,
     build_mermin,
-    check_verify_budget,
     expand_identity,
     verify_eigenvalue,
 )
@@ -53,8 +58,6 @@ __all__ = [
 ]
 
 SUPPORTED_DIMENSIONS = (3, 5, 7)
-BUILD_CAP = 10**7
-CONJECTURE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,10 @@ class GeneralConfig:
 
 
 def build_general_mermin(cfg: GeneralConfig) -> MerminOperator:
-    if cfg.d ** (cfg.n_sites - 1) > BUILD_CAP:
-        raise ValueError(
-            f"term count {cfg.d}**{cfg.n_sites - 1} exceeds the cap of {BUILD_CAP}"
-        )
     return build_mermin(cfg.d, cfg.n_sites, 0)
 
 
 def verify_general_eigenvalue(cfg: GeneralConfig) -> int:
-    check_verify_budget(cfg.d, cfg.n_sites)
     return verify_eigenvalue(build_general_mermin(cfg))
 
 
@@ -206,15 +204,13 @@ def conjecture_search(
     """Scan every per-site ratio tuple and compare against the all-ones point.
 
     The scan evaluates each multiset of per-site tuples once, in one
-    process; ``workers`` is validated but does not change the work.
+    process; ``workers`` is validated but does not change the work.  A
+    space over the search budget raises ValueError before its d**(d-1)
+    factor rows are built.
     """
     cfg = GeneralConfig(d, n_sites)
-    space_size = d ** ((d - 1) * n_sites)
-    if space_size > CONJECTURE_CAP:
-        raise ValueError(
-            f"ratio space {d}**{(d - 1) * n_sites} exceeds the cap of {CONJECTURE_CAP}"
-        )
     resolve_workers(workers)
+    check_search_budget(d ** (d - 1), d, d * d, n_sites)
     raw = run_search(_conjecture_space(cfg.d, cfg.n_sites))
     uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
+    check_search_budget,
     decode_index,
     full_space_scores,
     resolve_workers,
@@ -60,7 +61,6 @@ __all__ = [
     "power_sum",
     "uniform_value",
     "exhaustive_search",
-    "search_workers",
     "permutation_class_max",
     "ghz_contradiction_count",
     "contradiction_witness",
@@ -82,8 +82,7 @@ _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 # Rotation index of a qutrit letter -> column in the (X, Y, V) value triple.
 _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 
-# Ratio mode evaluates C(N+8, 8) site-permutation classes; this allows N <= 15.
-RATIO_SEARCH_CAP = 500_000
+# Full mode covers 27**N value assignments; this allows N <= 5.
 FULL_SEARCH_CAP = 10**8
 
 
@@ -341,37 +340,28 @@ def max_equals_uniform(result: SearchResult) -> bool:
     return result.max_sq_coeffs == target.coeffs
 
 
-def search_workers(n_sites: int, mode: str, workers: int | None = None) -> int:
-    """Processes an exhaustive search runs in: always 1 (``workers`` is validated)."""
-    resolve_workers(workers)
-    return 1
-
-
 def exhaustive_search(
     n_sites: int, mode: str = "ratio", workers: int | None = None
 ) -> SearchResult:
     """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
-    form, one evaluation per multiset of per-site ratios; its cap of
-    ``RATIO_SEARCH_CAP`` applies to the C(N+8, 8) multisets.  Full mode
-    contracts the operator terms site by site into the exact value of each
-    of the 27**N value assignments and checks every magnitude against the
-    ratio reduction.  Both run in one process (``workers`` is validated
-    only).  Ties are counted exactly and the arg-max reported is the
-    lexicographically smallest maximizer (encoding R1,S1,...,RN,SN for ratio
-    mode and X1,Y1,V1,... for full mode, with 1 < w < w^2).
+    form, one evaluation per multiset of per-site ratios, and its C(N+8, 8)
+    multisets are bounded by ``_enumeration.check_search_budget``.  Full
+    mode contracts the operator terms site by site into the exact value of
+    each of the 27**N <= ``FULL_SEARCH_CAP`` value assignments and checks
+    every magnitude against the ratio reduction.  An over-budget N raises
+    ValueError before anything is built.  Both run in one process
+    (``workers`` is validated only).  Ties are counted exactly and the
+    arg-max reported is the lexicographically smallest maximizer (encoding
+    R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,... for full mode, with
+    1 < w < w^2).
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     resolve_workers(workers)
     if mode == "ratio":
-        classes = math.comb(n_sites + 8, 8)
-        if classes > RATIO_SEARCH_CAP:
-            raise ValueError(
-                f"ratio search classes C({n_sites}+8, 8) = {classes} exceed "
-                f"the cap of {RATIO_SEARCH_CAP}"
-            )
+        check_search_budget(9, 3, 9, n_sites)  # 9 ratio letters, 3 slots, Z[alpha_9]
         raw = run_search(_ratio_space(n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
         return SearchResult(
@@ -471,7 +461,8 @@ def _ratio_indices(n_sites: int) -> np.ndarray:
 
 
 def _full_search(n_sites: int) -> SearchResult:
-    if 27**n_sites > FULL_SEARCH_CAP:
+    # clamped: 27**k is over the cap for every k past its bit length
+    if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
         raise ValueError(
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )

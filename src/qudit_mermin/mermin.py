@@ -43,8 +43,8 @@ __all__ = [
     "expand_identity",
 ]
 
-# Terms one eigenvalue verification may process: d**(N-1) <= 3**13 admits
-# d = 3 up to N = 14, d = 5 up to N = 9 and d = 7 up to N = 8.
+# Terms one operator may hold, checked when it is built and when it is
+# verified: d**(N-1) <= 3**13 admits N <= 14, 9 and 8 for d = 3, 5 and 7.
 VERIFY_TERM_CAP = 3**13
 
 
@@ -173,11 +173,14 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
     The first N-1 letters run over every prefix in lexicographic order and
     the last letter is the unique one that puts the word on the variant's
     residue class, which keeps the lexicographic order of all d**N words.
+    Raises ValueError before allocating anything when the term count is
+    over ``VERIFY_TERM_CAP``.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     if not 0 <= variant < d:
         raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    check_verify_budget(d, n_sites)
     m = d * d
     half = (d - 1) // 2
     count = d ** (n_sites - 1)
@@ -192,10 +195,15 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 
 
 def check_verify_budget(d: int, n_sites: int) -> None:
-    """Raise ValueError when verifying d**(N-1) terms exceeds VERIFY_TERM_CAP."""
-    if d ** (n_sites - 1) > VERIFY_TERM_CAP:
+    """Raise ValueError when an operator of d**(N-1) terms exceeds VERIFY_TERM_CAP.
+
+    ``build_mermin`` and ``verify_eigenvalue`` both call it, the latter
+    because it also takes operators built by ``MerminOperator.from_terms``.
+    """
+    # clamped: d**k is over the cap for every k past its bit length
+    if d ** min(n_sites - 1, VERIFY_TERM_CAP.bit_length()) > VERIFY_TERM_CAP:
         raise ValueError(
-            f"verifying {d}**{n_sites - 1} terms exceeds the cap of "
+            f"an operator of {d}**{n_sites - 1} terms exceeds the cap of "
             f"{VERIFY_TERM_CAP} terms"
         )
 

@@ -236,6 +236,15 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["table1", "--n-min", "5", "--n-max", "3"]).exit_code == 2
     assert runner.invoke(cli, ["verify", "--n", "2", "--d", "4"]).exit_code == 2
     assert runner.invoke(cli, ["identity", "--n", "9"]).exit_code == 2
+    assert runner.invoke(cli, ["search", "--n", "3", "--workers", "0"]).exit_code == 2
+    # a huge N is refused without raising the base to the N-th power
+    huge = str(10**9)
+    assert runner.invoke(cli, ["search", "--n", huge, "--mode", "full"]).exit_code == 2
+    assert runner.invoke(cli, ["verify", "--n", huge]).exit_code == 2
+    # refused by the multiplication-table budget before any factor is built
+    result = runner.invoke(cli, ["general", "--d", "7", "--n", "1", "--conjecture"])
+    assert result.exit_code == 2
+    assert "cap" in result.stderr
 
 
 def test_verify_term_budget_exit_codes(runner):

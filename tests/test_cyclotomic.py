@@ -6,10 +6,16 @@ polynomial coefficients with numpy, independent of the reduction code.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qudit_mermin
+from qudit_mermin import cyclotomic
 from qudit_mermin.cyclotomic import (
     CycInt,
     PhaseExponent,
@@ -178,7 +184,7 @@ def test_pow_and_int_mixing():
         omega ** (-1)
 
 
-def test_compare_real_coeffs_orders_values():
+def test_compare_real_coeffs_orders_values(monkeypatch):
     one = CycInt.integer(1, 9).coeffs
     two = CycInt.integer(2, 9).coeffs
     assert compare_real_coeffs(9, two, one) == 1
@@ -187,3 +193,27 @@ def test_compare_real_coeffs_orders_values():
     # a genuinely close pair: 2*cos(2*pi/9) vs its 6-digit rational shadow
     close = CycInt.from_coeffs(9, [0, 1, 0, 0, 0, 0, 0, 0, 1]).coeffs
     assert compare_real_coeffs(9, close, CycInt.integer(1, 9).coeffs) == 1
+    # x = 2*cos(80 deg) lies in (0, 1), so x**14 ~ 3.7e-7 is inside the float
+    # noise band and only the high-precision fallback can order it against 0
+    calls = []
+    fallback = cyclotomic.mp_real_value
+    monkeypatch.setattr(
+        cyclotomic, "mp_real_value", lambda *a: calls.append(a) or fallback(*a)
+    )
+    tiny = ((root_of_unity(2, 9) + root_of_unity(7, 9)) ** 14).coeffs
+    zero = CycInt.zero(9).coeffs
+    assert compare_real_coeffs(9, tiny, zero) == 1
+    assert compare_real_coeffs(9, zero, tiny) == -1
+    assert len(calls) == 2
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # mpmath is imported only by the high-precision comparison fallback
+    src = str(Path(qudit_mermin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qudit_mermin; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

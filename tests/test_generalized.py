@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from qudit_mermin import _enumeration, generalized
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.generalized import (
     GeneralConfig,
@@ -23,7 +24,13 @@ from qudit_mermin.generalized import (
     uniform_factors,
     verify_general_eigenvalue,
 )
-from qudit_mermin.hidden_variables import A_VALUE, B_VALUE, C_VALUE
+from qudit_mermin.hidden_variables import (
+    A_VALUE,
+    B_VALUE,
+    C_VALUE,
+    _factor_by_slot,
+    exhaustive_search,
+)
 from qudit_mermin.mermin import build_mermin
 
 
@@ -117,6 +124,13 @@ def test_conjecture_search_d3_regression():
     assert report.gap == 0.0
     assert report.num_maximizers == 27
     assert report.assignments_scanned == 9**3
+    # at d = 3 the scan's letters are the ratio search's, with R and S swapped
+    for p, r, s in itertools.product(range(3), repeat=3):
+        assert _factor_by_slot(p, r, s) == _general_factor(3, p, {1: r, -1: s})
+    report = conjecture_search(3, 9)
+    ratio = exhaustive_search(9)
+    assert report.max_sq_coeffs == ratio.max_sq_coeffs
+    assert report.num_maximizers == ratio.num_maximizers
 
 
 def test_conjecture_search_d5_single_site():
@@ -128,7 +142,7 @@ def test_conjecture_search_d5_single_site():
     assert report.assignments_scanned == 625
 
 
-def test_config_validation_and_caps():
+def test_config_validation_and_caps(monkeypatch):
     with pytest.raises(ValueError):
         GeneralConfig(4, 2)
     with pytest.raises(ValueError):
@@ -139,6 +153,16 @@ def test_config_validation_and_caps():
         verify_general_eigenvalue(GeneralConfig(5, 10))
     with pytest.raises(ValueError):
         conjecture_search(7, 2)
+
+    def never(*args):
+        raise AssertionError("an over-budget space reached its build")
+
+    # d = 7 is refused at N = 1 by the budget, before the factor alphabet
+    # or the multiplication table is built
+    monkeypatch.setattr(generalized, "_conjecture_space", never)
+    monkeypatch.setattr(_enumeration, "_tables", never)
+    with pytest.raises(ValueError):
+        conjecture_search(7, 1)
     assert GeneralConfig(5, 2).settings == 5
 
 

@@ -202,6 +202,10 @@ def test_bad_build_arguments():
         build_mermin(3, 0, 0)
     with pytest.raises(ValueError):
         build_mermin(3, 3, 3)
+    # the first N over the 3**13-term budget is refused before anything is built
+    for d, over in ((3, 15), (5, 10), (7, 9)):
+        with pytest.raises(ValueError):
+            build_mermin(d, over)
 
 
 def test_tampered_weight_raises_eigenstate_error():
