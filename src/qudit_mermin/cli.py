@@ -87,6 +87,10 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# Every click.echo names sys.stdout or sys.stderr, looked up at call time.
+# Without a file, click caches each new sys.stdout/sys.stderr in a weak-key
+# map whose value is the stream itself, so an in-process call under
+# redirect_stdout would keep its output buffer alive for good.
 def _emit(fmt: str, out: str | None, payload: dict, rows: list[dict], human: str) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -97,9 +101,9 @@ def _emit(fmt: str, out: str | None, payload: dict, rows: list[dict], human: str
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        click.echo(f"wrote {out}", err=True)
+        click.echo(f"wrote {out}", file=sys.stderr)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _finish(fmt, out, payload, rows, human, ok, mismatch_note, started):
@@ -107,7 +111,7 @@ def _finish(fmt, out, payload, rows, human, ok, mismatch_note, started):
         human += f"\nelapsed: {time.perf_counter() - started:.3f} s"
     _emit(fmt, out, payload, rows, human)
     if not ok:
-        click.echo(f"verification mismatch: {mismatch_note}", err=True)
+        click.echo(f"verification mismatch: {mismatch_note}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -331,7 +335,7 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
         f"({'attained' if equals_uniform else 'NOT attained'}); "
         f"{result.num_maximizers} maximizers"
     )
-    click.echo("workers: 1", err=True)
+    click.echo("workers: 1", file=sys.stderr)
     _finish(fmt, out, payload, [results], human, ok,
             f"search max {result.max_magnitude} vs uniform {uniform}", started)
 

@@ -337,30 +337,66 @@ def mp_real_value(m: int, coeffs, dps: int = 80):
         return total
 
 
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+# Coefficient mass below which every float in the shadow stays finite.
+_FLOAT_MASS_LIMIT = 2**1000
+
+
 def compare_real_coeffs(m: int, c1, c2) -> int:
     """Total order on two real cyclotomic values given by canonical coeffs.
 
     Returns -1, 0, or +1.  Equality is decided exactly on the canonical
-    form; a strict inequality is decided by the float shadow, falling back
-    to 80-digit evaluation when the float gap is within noise.
+    form.  A strict inequality is decided by the float shadow only when the
+    float gap exceeds both the noise band 1e-6*(1 + |f1| + |f2|) and a
+    proven bound on the shadow's rounding error; otherwise the difference
+    is evaluated with mpmath at a precision that cannot get its sign wrong.
+
+    Shadow error.  Write S_i = sum_j |c_i[j]| and u = 2**-53.  Each stored
+    cos(2*pi*j/m) is within 32u of the true value: its argument carries at
+    most three roundings, < 3u * 2*pi < 19u (cos is 1-Lipschitz), and a
+    platform cos accurate to one ulp, as glibc's is, adds at most 2u.
+    Converting c_j to a double and multiplying add 2u relative, and summing
+    the phi products adds at most (phi - 1)u relative to the sum of their
+    magnitudes.  So each shadow is within (phi + 34) * u * S_i of its
+    value, and computing the bound with a factor of 2 to spare makes any
+    |gap| above it carry the true sign.
+
+    Exact fallback.  x = value1 - value2 is a nonzero real element of
+    Z[alpha] with coefficients d_j, S = sum_j |d_j|.  Its norm, the product
+    of its phi Galois conjugates, is a nonzero rational integer, so it is
+    at least 1 in magnitude; every conjugate sends alpha**j to a root of
+    unity and is therefore at most S in magnitude.  Hence |x| >= S**(1-phi).
+    At D significant digits the cosines are within 20 * 10**-D (three
+    argument roundings and one in cos, as above) and the products and the
+    phi additions add (phi + 2) * 10**-D relative, so the sum errs by less
+    than (phi + 23) * S * 10**-D.  D = phi * digits(S) + 10, where
+    10**digits(S) > S, keeps that below S**(1-phi) <= |x|, so the computed
+    sign is the true one.
     """
     c1 = tuple(c1)
     c2 = tuple(c2)
     if c1 == c2:
         return 0
-    powers = _alpha_powers(m)
+    _, phi = order_params(m)
+    mass = sum(map(abs, c1)) + sum(map(abs, c2))
+    if mass < _FLOAT_MASS_LIMIT:
+        powers = _alpha_powers(m)
 
-    def shadow(c):
-        return sum(v * powers[j].real for j, v in enumerate(c) if v)
+        def shadow(c):
+            return sum(v * powers[j].real for j, v in enumerate(c) if v)
 
-    f1, f2 = shadow(c1), shadow(c2)
-    gap = f1 - f2
-    if abs(gap) > 1e-6 * (1.0 + abs(f1) + abs(f2)):
-        return 1 if gap > 0 else -1
+        f1, f2 = shadow(c1), shadow(c2)
+        gap = f1 - f2
+        noise = 2.0 * (phi + 34) * _UNIT_ROUNDOFF * mass
+        if abs(gap) > max(1e-6 * (1.0 + abs(f1) + abs(f2)), noise):
+            return 1 if gap > 0 else -1
     diff = tuple(a - b for a, b in zip(c1, c2))
-    value = mp_real_value(m, diff)
+    digits = phi * len(str(sum(map(abs, diff)))) + 10
+    value = mp_real_value(m, diff, digits)
     if value > 0:
         return 1
     if value < 0:
         return -1
+    # unreachable for real inputs, by the bound above
     raise ArithmeticError("comparison of distinct canonical forms came out zero")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +38,15 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, root_of_unity
+from .cyclotomic import CycInt, PhaseExponent, root_of_unity, root_sum
 from .mermin import MerminOperator, build_mermin, counts_by_position
-from .qudit_ops import SettingWord, eigenphase
+from .qudit_ops import (
+    EigenstateError,
+    SettingWord,
+    _phase_table,
+    eigenphase,
+    rotation_alphabet,
+)
 
 __all__ = [
     "A_VALUE",
@@ -53,7 +60,6 @@ __all__ = [
     "PermutationClassReport",
     "WitnessRecord",
     "factor_value",
-    "factor_triple",
     "factor_table",
     "hv_value_direct",
     "hv_value_product",
@@ -86,6 +92,7 @@ _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 FULL_SEARCH_CAP = 10**8
 
 
+@lru_cache(maxsize=27)  # one entry per (p, r, s) in range(3)**3
 def _factor_by_slot(p: int, r_exp: int, s_exp: int) -> CycInt:
     base = 3 * p + 2
     return (
@@ -243,17 +250,24 @@ class HVAssignment:
 
 
 def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
-    """Exact classical operator value: sum of weight * product of values."""
+    """Exact classical operator value: sum of weight * product of values.
+
+    Term t predicts the value product omega**e_t with e_t = sum_i
+    values[i][col], col the value column of its letter at site i
+    (``letters % 3``, as in ``_J_TO_COLUMN``).  The terms are grouped by
+    e_t mod 3 and each group's weights are summed by one ``root_sum``, so
+    the value is W_0 + omega*W_1 + omega**2*W_2 for any root-of-unity
+    weights, with no per-term ring arithmetic.
+    """
     if op.d != 3:
         raise ValueError("direct hidden-variable evaluation is defined for d=3")
     if assignment.n_sites != op.n_sites:
         raise ValueError("assignment and operator have different site counts")
+    values = np.array(assignment.values, dtype=np.int64).reshape(op.n_sites, 3)
+    e = values[np.arange(op.n_sites), op.letters % 3].sum(axis=1) % 3
     total = CycInt.zero(9)
-    for word, weight in op.terms:
-        e = 0
-        for i, j in enumerate(word.letters):
-            e += assignment.values[i][_J_TO_COLUMN[j]]
-        total = total + weight.times_root(3 * e)
+    for k in range(3):
+        total = total + root_sum(9, op.weight_exponents[e == k]).times_root(3 * k)
     return total
 
 
@@ -624,11 +638,41 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
 
 
 def iter_contradiction_witnesses(n_sites: int):
-    """All witnesses at points 3 and 6, in lexicographic word order."""
-    for letters in itertools.product((-1, 0, 1), repeat=n_sites):
-        word = SettingWord(3, letters)
-        if word.position in (3, 6):
-            yield contradiction_witness(word)
+    """All witnesses at points 3 and 6, in lexicographic word order.
+
+    The 3**N words are listed as a (words, N) letter array in the order of
+    ``itertools.product((-1, 0, 1), repeat=N)``.  A kept word's eigenphase
+    on the GHZ state of index 0 is alpha**e, e the sum of its letters'
+    phase-table entries on any GHZ label (every digit r); the three labels
+    must agree and e must be a multiple of 3, else EigenstateError, as in
+    ``eigenphase``.  The records equal those of ``contradiction_witness``.
+    """
+    if n_sites < 0:
+        raise ValueError("the number of sites cannot be negative")
+    alphabet = np.array(rotation_alphabet(3), dtype=np.int64)
+    index = np.arange(3**n_sites, dtype=np.int64)[:, None]
+    letters = alphabet[index // 3 ** np.arange(n_sites - 1, -1, -1) % 3]
+    positions = letters.sum(axis=1) % 9
+    kept = (positions == 3) | (positions == 6)
+    letters, positions = letters[kept], positions[kept]
+    # table[j + 1, r]: phase exponent of letter j acting on digit r
+    table = np.array([_phase_table(3, j) for j in alphabet.tolist()], dtype=np.int64)
+    phases = table[letters + 1].sum(axis=1) % 9  # (words, label r)
+    if (phases != phases[:, :1]).any():
+        raise EigenstateError("a word is not proportional to the GHZ state")
+    if (phases[:, 0] % 3).any():
+        raise EigenstateError("a witness eigenphase is not a power of omega")
+    quantum = [PhaseExponent(e, 9).to_complex() for e in range(9)]
+    # the uniform assignment predicts 1 for every word
+    for row, k, e in zip(letters.tolist(), positions.tolist(), phases[:, 0].tolist()):
+        yield WitnessRecord(
+            word=SettingWord(3, tuple(row)),
+            position=k,
+            quantum_omega_exponent=e // 3,
+            quantum_value=quantum[e],
+            hv_value=1,
+            contradicts=e != 0,
+        )
 
 
 def violation_ratio(n_sites: int) -> float:

@@ -1,14 +1,20 @@
 """Command-line surface: formats, exit codes, and output determinism."""
 
+import contextlib
 import csv
+import gc
 import io
+import itertools
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
 from qudit_mermin import cli as cli_module
 from qudit_mermin.cli import cli
+from qudit_mermin.hidden_variables import contradiction_witness
+from qudit_mermin.qudit_ops import SettingWord
 
 
 @pytest.fixture()
@@ -159,6 +165,43 @@ def test_witness_command(runner):
     assert words["YYY"]["quantum"] == "w^1"
     assert words["VVV"]["quantum"] == "w^2"
     assert all(row["contradicts"] for row in res["rows"])
+
+
+def test_witness_rows_equal_the_per_word_build(runner):
+    result = runner.invoke(cli, ["witness", "--n", "5", "--format", "json"])
+    assert result.exit_code == 0
+    words = [SettingWord(3, w) for w in itertools.product((-1, 0, 1), repeat=5)]
+    expected = [
+        {
+            "word": str(w.word),
+            "position": w.position,
+            "quantum": f"w^{w.quantum_omega_exponent}",
+            "hv_prediction": w.hv_value,
+            "contradicts": w.contradicts,
+        }
+        for w in (contradiction_witness(x) for x in words if x.position in (3, 6))
+    ]
+    assert json.loads(result.stdout)["results"]["rows"] == expected
+
+
+def test_in_process_calls_release_their_output_buffers(tmp_path):
+    # the benchmark and notebooks run the CLI in process under redirect_stdout
+    calls = [
+        ["table1", "--format", "json"],
+        ["table1"],
+        ["search", "--n", "2"],  # writes "workers: 1" to stderr
+        ["witness", "--n", "3", "--out", str(tmp_path / "w.json")],  # "wrote ..."
+    ]
+    refs = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(args=argv, prog_name="qudit-mermin", standalone_mode=False)
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_general_command(runner):

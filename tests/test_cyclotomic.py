@@ -1,10 +1,13 @@
 """Exactness and ring-law tests for the cyclotomic integer arithmetic.
 
 Float shadows used as oracles here are computed directly from the raw
-polynomial coefficients with numpy, independent of the reduction code.
+polynomial coefficients with numpy, independent of the reduction code; the
+ring operations are also checked against sympy's polynomial remainder
+modulo the cyclotomic polynomial.
 """
 
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -13,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qudit_mermin
 from qudit_mermin import cyclotomic
@@ -22,6 +28,7 @@ from qudit_mermin.cyclotomic import (
     compare_real_coeffs,
     order_params,
     root_of_unity,
+    root_sum,
 )
 
 ALPHA9 = cmath.exp(2j * math.pi / 9)
@@ -217,3 +224,74 @@ def test_package_import_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("k", [160, 200])
+def test_compare_real_coeffs_past_the_float_shadow(k):
+    # x = (2 cos 80 deg)**k is 3.3e-74 (k = 160) or 1.4e-92 (k = 200), while
+    # its coefficients sum to ~1e44 or more: the float shadow is pure noise
+    x = ((root_of_unity(2, 9) + root_of_unity(7, 9)) ** k).coeffs
+    zero = CycInt.zero(9).coeffs
+    one = CycInt.one(9).coeffs
+    assert compare_real_coeffs(9, x, zero) == 1
+    assert compare_real_coeffs(9, zero, x) == -1
+    assert compare_real_coeffs(9, x, one) == -1
+    assert compare_real_coeffs(9, one, x) == 1
+
+
+def test_compare_real_coeffs_beyond_the_float_range():
+    # coefficients past 2**1024 have no float shadow; the exact path orders them
+    big = CycInt.integer(10**400, 9)
+    assert compare_real_coeffs(9, (big + 1).coeffs, big.coeffs) == 1
+    assert compare_real_coeffs(9, big.coeffs, (big + 1).coeffs) == -1
+
+
+X = sympy.Symbol("x")
+ORDERS = st.sampled_from([9, 25, 49])
+
+
+@functools.cache
+def cyclotomic_poly(m):
+    return sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+
+
+def sympy_canonical(m, poly):
+    """Coefficients of poly mod Phi_m(x), lowest degree first, phi of them."""
+    rem = sympy.rem(poly, cyclotomic_poly(m))
+    coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+    _, phi = order_params(m)
+    return tuple(coeffs + [0] * (phi - len(coeffs)))
+
+
+def sympy_poly(powers):
+    """sum_e c_e x**e from {e: c_e}."""
+    return sympy.Poly(sum((c * X**e for e, c in powers.items()), sympy.Integer(0)), X)
+
+
+def element(m, draw, bound=10**6):
+    _, phi = order_params(m)
+    return draw(st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, st.data())
+def test_ring_operations_match_sympy(m, data):
+    a = element(m, data.draw)
+    b = element(m, data.draw)
+    j = data.draw(st.integers(-3 * m, 3 * m))
+    pa, pb = sympy_poly(dict(enumerate(a))), sympy_poly(dict(enumerate(b)))
+    x, y = CycInt(m, tuple(a)), CycInt(m, tuple(b))
+    assert (x * y).coeffs == sympy_canonical(m, pa * pb)
+    assert x.times_root(j).coeffs == sympy_canonical(m, pa * sympy_poly({j % m: 1}))
+    # conjugation sends alpha**e to alpha**(m - e)
+    conjugate = sympy_poly({(-e) % m: c for e, c in enumerate(a) if c})
+    assert x.conjugate().coeffs == sympy_canonical(m, conjugate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, st.lists(st.integers(-10**4, 10**4), max_size=200))
+def test_root_sum_matches_sympy(m, exponents):
+    powers = {}
+    for e in exponents:
+        powers[e % m] = powers.get(e % m, 0) + 1
+    assert root_sum(m, exponents).coeffs == sympy_canonical(m, sympy_poly(powers))

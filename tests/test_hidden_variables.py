@@ -6,9 +6,13 @@ searches are cross-checked by a plain double loop over all assignments,
 the full-mode maximizer count is reproduced by a from-scratch integer
 evaluation written in this file, and the full-mode site contraction is
 checked against the per-term scanner it replaced, kept here as the
-reference.
+reference.  The per-term ``hv_value_direct`` loop and the per-word witness
+build (``contradiction_witness``) are the references for their
+exponent-array replacements.
 """
 
+import dataclasses
+import functools
 import itertools
 import math
 from unittest import mock
@@ -20,13 +24,14 @@ from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables
 from qudit_mermin._enumeration import full_space_scores
-from qudit_mermin.cyclotomic import CycInt
+from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
     C_VALUE,
     HVAssignment,
     SearchResult,
+    WitnessRecord,
     _contract_scores,
     _encode_terms,
     _ratio_space,
@@ -45,8 +50,8 @@ from qudit_mermin.hidden_variables import (
     uniform_value,
     violation_ratio,
 )
-from qudit_mermin.mermin import build_mermin
-from qudit_mermin.qudit_ops import SettingWord
+from qudit_mermin.mermin import MerminOperator, build_mermin
+from qudit_mermin.qudit_ops import EigenstateError, SettingWord
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -133,6 +138,74 @@ def test_hv_value_direct_examples():
         values = tuple(int(v) for v in rng.integers(0, 3, size=3))
         value = hv_value_direct(HVAssignment((values,)), op1)
         assert abs(value.magnitude() - 1.0) < 1e-12
+
+
+# rotation index -> column of the (X, Y, V) value triple
+_COLUMN = {0: 0, 1: 1, -1: 2}
+
+
+def reference_hv_value_direct(assignment, op):
+    """The per-term loop ``hv_value_direct`` replaced: weight * omega**e per term."""
+    total = CycInt.zero(9)
+    for word, weight in op.terms:
+        e = sum(assignment.values[i][_COLUMN[j]] for i, j in enumerate(word.letters))
+        total = total + weight.times_root(3 * e)
+    return total
+
+
+def direct_counting_times_root(assignment, op):
+    """``hv_value_direct`` and the number of ``CycInt.times_root`` calls it made."""
+    with mock.patch.object(
+        CycInt, "times_root", autospec=True, side_effect=CycInt.times_root
+    ) as spy:
+        value = hv_value_direct(assignment, op)
+    return value, spy.call_count
+
+
+@functools.cache
+def mermin_operator(n_sites, variant):
+    op = build_mermin(3, n_sites, variant)
+    op.terms  # materialize once for the reference loop
+    return op
+
+
+def value_rows(n_sites):
+    triple = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.lists(triple, min_size=n_sites, max_size=n_sites).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hv_value_direct_matches_the_per_term_loop(data):
+    n_sites = data.draw(st.integers(1, 8))
+    op = mermin_operator(n_sites, data.draw(st.integers(0, 2)))
+    assignment = HVAssignment(data.draw(value_rows(n_sites)))
+    value, calls = direct_counting_times_root(assignment, op)
+    assert value == reference_hv_value_direct(assignment, op)
+    assert calls <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hv_value_direct_on_arbitrary_root_weights(data):
+    # from_terms operators: any alpha**e weight, repeated words, any order
+    n_sites = data.draw(st.integers(1, 5))
+    word = st.tuples(*[st.sampled_from((-1, 0, 1))] * n_sites)
+    pairs = data.draw(st.lists(st.tuples(word, st.integers(0, 8)), max_size=40))
+    pairs += pairs[:1]
+    terms = [(SettingWord(3, w), root_of_unity(e, 9)) for w, e in pairs]
+    op = MerminOperator.from_terms(3, n_sites, data.draw(st.integers(0, 2)), terms)
+    assignment = HVAssignment(data.draw(value_rows(n_sites)))
+    value, calls = direct_counting_times_root(assignment, op)
+    assert value == reference_hv_value_direct(assignment, op)
+    assert calls <= 3
+
+
+def test_hv_value_direct_rejects_other_d_and_site_counts():
+    with pytest.raises(ValueError, match="d=3"):
+        hv_value_direct(HVAssignment.uniform(2), build_mermin(5, 2, 0))
+    with pytest.raises(ValueError, match="site counts"):
+        hv_value_direct(HVAssignment.uniform(3), build_mermin(3, 4, 0))
 
 
 def test_hv_value_product_examples():
@@ -481,6 +554,40 @@ def test_witness_enumeration_matches_count():
         witnesses = list(iter_contradiction_witnesses(n))
         assert len(witnesses) == ghz_contradiction_count(n)
         assert all(w.contradicts for w in witnesses)
+
+
+def test_witness_arrays_equal_the_per_word_build():
+    for n in range(1, 8):
+        words = [
+            SettingWord(3, letters)
+            for letters in itertools.product((-1, 0, 1), repeat=n)
+        ]
+        expected = [contradiction_witness(w) for w in words if w.position in (3, 6)]
+        got = list(iter_contradiction_witnesses(n))
+        assert len(got) == len(expected) == ghz_contradiction_count(n)
+        for a, b in zip(got, expected):
+            for f in dataclasses.fields(WitnessRecord):
+                assert getattr(a, f.name) == getattr(b, f.name), (n, b.word, f.name)
+            # the floats are bit-identical, not just equal
+            assert a.quantum_value.real.hex() == b.quantum_value.real.hex()
+            assert a.quantum_value.imag.hex() == b.quantum_value.imag.hex()
+    assert list(iter_contradiction_witnesses(0)) == []
+
+
+def test_witness_arrays_check_the_eigenphases(monkeypatch):
+    table = hidden_variables._phase_table
+
+    def tampered(letter, phases):
+        return lambda d, j: phases if j == letter else table(d, j)
+
+    # Y acting with one phase on every digit: YYYYV's labels disagree
+    monkeypatch.setattr(hidden_variables, "_phase_table", tampered(1, (1, 1, 1)))
+    with pytest.raises(EigenstateError, match="proportional"):
+        list(iter_contradiction_witnesses(5))
+    # X picking up alpha: XYYY has the eigenphase alpha**4, not a power of omega
+    monkeypatch.setattr(hidden_variables, "_phase_table", tampered(0, (1, 1, 1)))
+    with pytest.raises(EigenstateError, match="power of omega"):
+        list(iter_contradiction_witnesses(4))
 
 
 def test_violation_ratios():
