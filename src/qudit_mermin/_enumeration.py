@@ -38,9 +38,9 @@ import numpy as np
 from .cyclotomic import (
     CycInt,
     _alpha_powers,
+    _root_coeffs,
     compare_real_coeffs,
     order_params,
-    root_of_unity,
 )
 
 __all__ = [
@@ -136,12 +136,9 @@ def _mult_matrix(factor: CycInt, phi: int) -> np.ndarray:
 def _shift_matrices(m: int) -> np.ndarray:
     """``shifts[k]``: the matrix of multiplication by alpha**k, k < phi(m)."""
     _, phi = order_params(m)
-    roots = np.array(
-        [root_of_unity(e, m).coeffs for e in range(2 * phi - 1)], dtype=np.int64
-    )
     k = np.arange(phi)
-    # column j of shifts[k] holds the coefficients of alpha**(k + j)
-    return roots[np.add.outer(k, k)].transpose(0, 2, 1)
+    # column j of shifts[k] holds alpha**(k + j), folded mod m (2*phi - 2 >= m)
+    return _root_coeffs(m)[np.add.outer(k, k) % m].transpose(0, 2, 1)
 
 
 def _tables(space: ProductSpace):
@@ -155,23 +152,27 @@ def _tables(space: ProductSpace):
 
 
 def _unit_products(space: ProductSpace) -> np.ndarray:
-    """The empty product (1 in every slot), shaped (1, slots, phi)."""
-    _, phi = order_params(space.order)
-    p = np.zeros((1, space.slots, phi), dtype=np.int64)
-    p[:, :, 0] = 1
+    """The empty product (1 = alpha**0 in every slot), shaped (1, slots, phi)."""
+    return np.tile(_root_coeffs(space.order)[0], (1, space.slots, 1))
+
+
+def _checked(p: np.ndarray, l1: int = 1) -> np.ndarray:
+    """Raise OverflowError unless max|p| < 2**52 and max|p| * l1 < 2**63.
+
+    With ``l1`` the largest L1 norm of a row of the letter matrices, the
+    second bound covers every partial sum of the next matmul of ``p``.
+    """
+    if p.size:
+        peak = int(np.abs(p).max())
+        if peak >= _COEFF_LIMIT or peak * l1 >= 2**63:
+            raise OverflowError("product coefficients exceeded the exact int64 range")
     return p
 
 
-def _checked(p: np.ndarray) -> np.ndarray:
-    if p.size and np.abs(p).max() >= _COEFF_LIMIT:
-        raise OverflowError("product coefficients exceeded the exact int64 range")
-    return p
-
-
-def _extend(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _extend(mat: np.ndarray, p: np.ndarray, l1: int = 1) -> np.ndarray:
     """Multiply each (K, slots, phi) slot product by one letter's factors."""
     out = np.matmul(p.transpose(1, 0, 2), mat.transpose(0, 2, 1))
-    return _checked(out.transpose(1, 0, 2))
+    return _checked(out.transpose(1, 0, 2), l1)
 
 
 def _scores(v: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -194,6 +195,7 @@ def _class_letters(ends: list[np.ndarray], last: int, parent: int) -> list[int]:
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
     mats, powers = _tables(space)
+    l1 = max(int(np.abs(mat).sum(axis=-1).max()) for mat in mats)
     a_size, n_sites = space.alphabet, space.n_sites
     # Classes of length t are stored in blocks by last letter b; block b
     # extends, by b, the first ends[t-1][b] classes of length t-1, which are
@@ -201,7 +203,9 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     ends = [np.ones(a_size, dtype=np.int64)]
     p = _unit_products(space)
     for _ in range(n_sites - 1):
-        p = np.concatenate([_extend(mats[b], p[: ends[-1][b]]) for b in range(a_size)])
+        p = np.concatenate(
+            [_extend(mats[b], p[: ends[-1][b]], l1) for b in range(a_size)]
+        )
         ends.append(np.cumsum(ends[-1]))
     # The last level is streamed one block at a time; only the float band
     # around the running maximum is kept.
@@ -259,11 +263,12 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
     mats, powers = _tables(space)
+    l1 = max(int(np.abs(mat).sum(axis=-1).max()) for mat in mats)
     p = _unit_products(space)
     # breadth-first: each step appends one site as the least significant digit
     for _ in range(space.n_sites):
-        p = np.einsum("asij,ksj->kasi", mats, p).reshape(-1, *p.shape[1:])
-    return _scores(_checked(p).sum(axis=1), powers)
+        p = _checked(np.einsum("asij,ksj->kasi", mats, p).reshape(-1, *p.shape[1:]), l1)
+    return _scores(p.sum(axis=1), powers)
 
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:

@@ -8,6 +8,7 @@ diagnostic-only and go to stderr in human mode).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -46,8 +47,6 @@ TWO_SETTING_ASYMPTOTE = 1.064
 THREE_SETTING_ASYMPTOTE = 1.185
 
 TABLE1_CAP = 12
-IDENTITY_CAP = 6
-WITNESS_CAP = 8
 SCALING_CAP = 40
 
 
@@ -113,6 +112,15 @@ def _finish(fmt, out, payload, rows, human, ok, mismatch_note, started):
     if not ok:
         click.echo(f"verification mismatch: {mismatch_note}", file=sys.stderr)
         sys.exit(1)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from the library (bad or over-budget input) as exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 _format_option = click.option(
@@ -234,11 +242,9 @@ def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
     started = time.perf_counter()
     if d != 3 and variant != 0:
         raise click.UsageError("variants other than 0 are defined for d=3 only")
-    try:
+    with _usage_errors():
         GeneralConfig(d, n)
         op = build_mermin(d, n, variant)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     eigenvalue = verify_eigenvalue(op)
     expected = d ** (n - 1)
     ok = eigenvalue == expected
@@ -266,9 +272,8 @@ def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
 def cmd_identity(n: int, fmt: str, out: str | None) -> None:
     """Term-for-term check of the product-form expansion of the operator."""
     started = time.perf_counter()
-    if not 1 <= n <= IDENTITY_CAP:
-        raise click.UsageError(f"need 1 <= n <= {IDENTITY_CAP}")
-    report = expand_identity(n)
+    with _usage_errors():
+        report = expand_identity(n)
     results = {
         "n": n,
         "n_words": report.n_words,
@@ -297,10 +302,8 @@ def cmd_identity(n: int, fmt: str, out: str | None) -> None:
 def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None) -> None:
     """Exhaustive hidden-variable search for the classical maximum."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         result = exhaustive_search(n, mode=mode, workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     uniform = uniform_value(n)
     equals_uniform = max_equals_uniform(result)
     ok = equals_uniform or n < 3
@@ -349,10 +352,9 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
 def cmd_witness(n: int, limit: int, fmt: str, out: str | None) -> None:
     """List GHZ contradictions: quantum eigenphase vs uniform prediction."""
     started = time.perf_counter()
-    if not 1 <= n <= WITNESS_CAP:
-        raise click.UsageError(f"need 1 <= n <= {WITNESS_CAP}")
-    witnesses = list(iter_contradiction_witnesses(n))
-    expected = ghz_contradiction_count(n)
+    with _usage_errors():
+        witnesses = list(iter_contradiction_witnesses(n))
+        expected = ghz_contradiction_count(n)
     ok = len(witnesses) == expected and all(w.contradicts for w in witnesses)
     rows = [
         {
@@ -395,11 +397,9 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
                 fmt: str, out: str | None) -> None:
     """Eigenvalue and uniform factors for odd local dimension d."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         op = build_general_mermin(GeneralConfig(d, n))
         eigenvalue = verify_eigenvalue(op)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     term_count = op.term_count
     expected = d ** (n - 1)
     ok = eigenvalue == expected and term_count == expected
@@ -417,10 +417,8 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
     }
     note = f"eigenvalue {eigenvalue} or term count {term_count} != {expected}"
     if conjecture:
-        try:
+        with _usage_errors():
             report = conjecture_search(d, n, workers=workers)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
         results["conjecture"] = {
             "max_magnitude": report.max_magnitude,
             "uniform_magnitude": report.uniform_magnitude,

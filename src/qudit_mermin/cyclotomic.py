@@ -30,6 +30,7 @@ __all__ = [
     "PhaseExponent",
     "root_of_unity",
     "root_sum",
+    "root_sums",
     "order_params",
     "compare_real_coeffs",
 ]
@@ -81,15 +82,23 @@ def _alpha_powers(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * j / m) for j in range(phi))
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@lru_cache(maxsize=None)
+def _root_coeffs(m: int) -> np.ndarray:
+    """Read-only (m, phi) int64 array whose row e is the canonical alpha**e."""
+    order_params(m)
+    return _read_only([_reduce(m, (0,) * e + (1,)) for e in range(m)], np.int64)
+
+
 @lru_cache(maxsize=None)
 def _root_table(m: int) -> dict[tuple[int, ...], int]:
-    """Canonical coefficient vectors of alpha**e for e in [0, m)."""
-    table = {}
-    for e in range(m):
-        raw = [0] * m
-        raw[e] = 1
-        table.setdefault(_reduce(m, raw), e)
-    return table
+    """Exponent e in [0, m) of each canonical alpha**e, keyed by its coeffs."""
+    return {tuple(row): e for e, row in enumerate(_root_coeffs(m).tolist())}
 
 
 @dataclass(frozen=True)
@@ -305,23 +314,26 @@ class PhaseExponent:
 
 def root_of_unity(j: int, m: int) -> CycInt:
     """Canonical representative of alpha**j, alpha = exp(2*pi*i/m)."""
-    order_params(m)
-    raw = [0] * m
-    raw[j % m] = 1
-    return CycInt(m, _reduce(m, raw))
+    return CycInt(m, tuple(_root_coeffs(m)[j % m].tolist()))
+
+
+def root_sums(m: int, exponents) -> np.ndarray:
+    """Canonical int64 coeffs (..., phi) of the alpha**e sums over an (..., K) array.
+
+    Every sum of roots of unity goes through here: one ``bincount`` of each row
+    mod m, reduced exactly (linearly) by ``_root_coeffs(m)``.  K = 0 gives 0.
+    """
+    table = _root_coeffs(m)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    shape = exponents.shape[:-1]
+    offsets = m * np.arange(math.prod(shape), dtype=np.int64).reshape(*shape, 1)
+    tally = np.bincount((exponents % m + offsets).ravel(), minlength=m * offsets.size)
+    return tally.reshape(*shape, m) @ table
 
 
 def root_sum(m: int, exponents) -> CycInt:
-    """Exact sum of alpha**e over an integer array of exponents e.
-
-    Every sum of roots of unity goes through here: the exponents are folded
-    mod m and tallied in one int64 ``bincount``, and the tally is reduced
-    once, so the cost is one pass over the array plus one ``_reduce``.
-    """
-    order_params(m)
-    exponents = np.asarray(exponents, dtype=np.int64)
-    tally = np.bincount((exponents % m).ravel(), minlength=m)
-    return CycInt(m, _reduce(m, tally.tolist()))
+    """Exact sum of alpha**e over an array of exponents: one row of ``root_sums``."""
+    return CycInt(m, tuple(root_sums(m, np.ravel(exponents)).tolist()))
 
 
 def mp_real_value(m: int, coeffs, dps: int = 80):

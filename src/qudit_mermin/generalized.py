@@ -25,6 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._enumeration import (
     ProductSpace,
     check_search_budget,
@@ -32,7 +34,7 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, root_sum
+from .cyclotomic import CycInt, root_sum, root_sums
 from .mermin import (
     IdentityReport,
     MerminOperator,
@@ -188,14 +190,13 @@ def _ratio_tuples(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _conjecture_space(d: int, n_sites: int) -> ProductSpace:
-    alphabet = [j for j in rotation_alphabet(d) if j != 0]
-    rows = []
-    for tup in _ratio_tuples(d):
-        ratio_exps = dict(zip(alphabet, tup))
-        rows.append(
-            tuple(_general_factor(d, p, ratio_exps) for p in range(d))
-        )
-    return ProductSpace(order=d * d, n_sites=n_sites, factors=tuple(rows))
+    """Every ``_general_factor(d, p, ratios)``, from one ``root_sums``."""
+    # ratio exponent of each letter j per tuple, 0 for j = 0 (the middle letter)
+    ratios = np.insert(np.array(_ratio_tuples(d)), (d - 1) // 2, 0, axis=1)
+    mix = mixing_exponent(d, np.arange(d)[:, None], np.array(rotation_alphabet(d)))
+    coeffs = root_sums(d * d, mix + d * ratios[:, None, :])
+    factors = tuple(tuple(CycInt(d * d, tuple(c)) for c in r.tolist()) for r in coeffs)
+    return ProductSpace(order=d * d, n_sites=n_sites, factors=factors)
 
 
 def conjecture_search(

@@ -39,13 +39,14 @@ from ._enumeration import (
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, root_of_unity, root_sum
+from .generalized import _general_factor
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
     SettingWord,
-    _phase_table,
+    _all_words,
+    _phase_array,
     eigenphase,
-    rotation_alphabet,
 )
 
 __all__ = [
@@ -82,7 +83,6 @@ SYMBOLS = ("1", "w", "w^2")
 
 # Product index p -> factor letter: the three products of the identity
 # expansion are the B, C, A products in that order.
-_SLOT_LETTERS = ("B", "C", "A")
 _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 
 # Rotation index of a qutrit letter -> column in the (X, Y, V) value triple.
@@ -94,12 +94,7 @@ FULL_SEARCH_CAP = 10**8
 
 @lru_cache(maxsize=27)  # one entry per (p, r, s) in range(3)**3
 def _factor_by_slot(p: int, r_exp: int, s_exp: int) -> CycInt:
-    base = 3 * p + 2
-    return (
-        root_of_unity(0, 9)
-        + root_of_unity(base + 3 * r_exp, 9)
-        + root_of_unity(-base + 3 * s_exp, 9)
-    )
+    return _general_factor(3, p, {1: r_exp, -1: s_exp})
 
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
@@ -640,24 +635,24 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
 def iter_contradiction_witnesses(n_sites: int):
     """All witnesses at points 3 and 6, in lexicographic word order.
 
-    The 3**N words are listed as a (words, N) letter array in the order of
-    ``itertools.product((-1, 0, 1), repeat=N)``.  A kept word's eigenphase
-    on the GHZ state of index 0 is alpha**e, e the sum of its letters'
-    phase-table entries on any GHZ label (every digit r); the three labels
-    must agree and e must be a multiple of 3, else EigenstateError, as in
-    ``eigenphase``.  The records equal those of ``contradiction_witness``.
+    The 3**N <= 3**8 words come from ``_all_words`` (N > 8 raises ValueError
+    on first use).  A kept word's eigenphase on the GHZ state of index 0 is
+    alpha**e, e the sum of its letters' ``_phase_array`` entries on any GHZ
+    label (every digit r); the three labels must agree and e must be a
+    multiple of 3, else EigenstateError, as in ``eigenphase``.  The records
+    equal those of ``contradiction_witness``.
     """
-    if n_sites < 0:
-        raise ValueError("the number of sites cannot be negative")
-    alphabet = np.array(rotation_alphabet(3), dtype=np.int64)
-    index = np.arange(3**n_sites, dtype=np.int64)[:, None]
-    letters = alphabet[index // 3 ** np.arange(n_sites - 1, -1, -1) % 3]
-    positions = letters.sum(axis=1) % 9
+    if not 0 <= n_sites <= 8:
+        raise ValueError(f"witness scans need 0 <= N <= 8 (3**8 words), got {n_sites}")
+    letters = _all_words(3, n_sites)
+    positions = letters.sum(axis=1, dtype=np.int64) % 9
     kept = (positions == 3) | (positions == 6)
     letters, positions = letters[kept], positions[kept]
-    # table[j + 1, r]: phase exponent of letter j acting on digit r
-    table = np.array([_phase_table(3, j) for j in alphabet.tolist()], dtype=np.int64)
-    phases = table[letters + 1].sum(axis=1) % 9  # (words, label r)
+    table = _phase_array(3)  # table[j + 1, r]: letter j acting on digit r
+    phases = np.zeros((len(letters), 3), dtype=np.int64)  # (words, label r)
+    for column in letters.T:  # site by site
+        phases += table[column + 1]
+    phases %= 9
     if (phases != phases[:, :1]).any():
         raise EigenstateError("a word is not proportional to the GHZ state")
     if (phases[:, 0] % 3).any():

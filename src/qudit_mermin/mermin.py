@@ -9,24 +9,24 @@ eigenvalue is the term count d**(N-1).
 Operators are stored as exponent arrays, never as dense matrices or term
 lists: one row of rotation indices per word and one weight exponent mod
 d**2 per row.  Every weight and every GHZ phase is a root of unity, so the
-eigenvalue check adds integer exponents in numpy and turns each sum of
-roots into a cyclotomic integer with one ``root_sum``.
+eigenvalue check and the identity expansion add integer exponents in numpy
+and turn the sums of roots into cyclotomic integers with ``root_sums``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt, root_of_unity, root_sum
+from .cyclotomic import CycInt, _read_only, root_of_unity, root_sum, root_sums
 from .qudit_ops import (
     EigenstateError,
     SettingWord,
-    _phase_table,
+    _all_words,
+    _phase_array,
     ghz_state,
     rotation_alphabet,
 )
@@ -46,12 +46,6 @@ __all__ = [
 # Terms one operator may hold, checked when it is built and when it is
 # verified: d**(N-1) <= 3**13 admits N <= 14, 9 and 8 for d = 3, 5 and 7.
 VERIFY_TERM_CAP = 3**13
-
-
-def _read_only(values, dtype) -> np.ndarray:
-    view = np.asarray(values, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +110,8 @@ class MerminOperator:
     @cached_property
     def terms(self) -> tuple[tuple[SettingWord, CycInt], ...]:
         m = self.d * self.d
-        roots = [root_of_unity(e, m) for e in range(m)]
         return tuple(
-            (SettingWord(self.d, tuple(row)), roots[e])
+            (SettingWord(self.d, tuple(row)), root_of_unity(e, m))
             for row, e in zip(self.letters.tolist(), self.weight_exponents.tolist())
         )
 
@@ -183,11 +176,8 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
     check_verify_budget(d, n_sites)
     m = d * d
     half = (d - 1) // 2
-    count = d ** (n_sites - 1)
-    letters = np.empty((count, n_sites), dtype=np.int8)
-    index = np.arange(count, dtype=np.int64)
-    for i in range(n_sites - 1):
-        letters[:, i] = (index // d ** (n_sites - 2 - i)) % d - half
+    letters = np.empty((d ** (n_sites - 1), n_sites), dtype=np.int8)
+    letters[:, :-1] = _all_words(d, n_sites - 1)
     prefix_sum = letters[:, :-1].sum(axis=1, dtype=np.int64)
     letters[:, -1] = (variant - prefix_sum + half) % d - half
     k = (prefix_sum + letters[:, -1]) % m
@@ -223,8 +213,7 @@ def verify_eigenvalue(op: MerminOperator) -> int:
     m = d * d
     half = (d - 1) // 2
     psi = ghz_state(op.variant, d, n)
-    # table[j + half, digit]: phase exponent of letter j acting on digit
-    table = np.array([_phase_table(d, j) for j in rotation_alphabet(d)], dtype=np.int64)
+    table = _phase_array(d)  # table[j + half, digit]
     powers = [d**i for i in range(n)]
     totals = {label: CycInt.zero(m) for label in psi.amplitudes}
     for label, amp in psi.amplitudes.items():
@@ -282,55 +271,39 @@ def counts_by_position(d: int, n_sites: int) -> PositionCounts:
 def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     """Symbolically expand the product-form sum and compare term for term.
 
-    Expands sum_p tensor_i (sum_j alpha**(j*(d*p + d - 1)) W_j) by exact
-    exponent bookkeeping over all d**N words.  Words that appear in the
-    variant-0 operator must come out with d times their weight; every other
-    word must come out exactly zero.
+    Expands sum_p tensor_i (sum_j alpha**(j*(d*p + d - 1)) W_j) over all
+    d**N <= 20000 words at once (product p gives a word alpha**((d*p + d - 1)*s),
+    s its letter sum).  Words in the variant-0 operator must come out with d
+    times their weight; every other word must come out exactly zero.
     """
-    if d**n_sites > 20000:
+    if d ** min(n_sites, 15) > 20000:  # clamped: d**15 > 20000
         raise ValueError(
             f"symbolic expansion covers {d}**{n_sites} words; "
             "reduce N (the cap is d**N <= 20000)"
         )
+    op = build_mermin(d, n_sites, 0)
     m = d * d
-    alphabet = rotation_alphabet(d)
-    mixer = {
-        (p, j): (j * (d * p + d - 1)) % m for p in range(d) for j in alphabet
-    }
-    reference = {
-        word.letters: weight for word, weight in build_mermin(d, n_sites, 0).terms
-    }
-    mismatches = []
-    n_surviving = 0
-    n_vanishing = 0
-    n_words = 0
-    for letters in itertools.product(alphabet, repeat=n_sites):
-        n_words += 1
-        raw = [0] * m
-        for p in range(d):
-            raw[sum(mixer[p, j] for j in letters) % m] += 1
-        coeff = CycInt.from_coeffs(m, raw)
-        expected = reference.get(letters)
-        if expected is None:
-            if coeff.is_zero():
-                n_vanishing += 1
-            else:
-                mismatches.append(
-                    f"{SettingWord(d, letters)}: expected 0, got {coeff}"
-                )
-        else:
-            if coeff == expected * d:
-                n_surviving += 1
-            else:
-                mismatches.append(
-                    f"{SettingWord(d, letters)}: expected {expected * d}, got {coeff}"
-                )
+    words = _all_words(d, n_sites)
+    mixers = d * np.arange(d) + d - 1  # product p multiplies the letter sum by these
+    coeffs = root_sums(m, words.sum(axis=1, dtype=np.int64)[:, None] * mixers)
+    # the operator's words, scattered to their flat index in ``words``
+    flat = np.ravel_multi_index(tuple(op.letters.T + (d - 1) // 2), (d,) * n_sites)
+    expected = np.zeros_like(coeffs)
+    expected[flat] = d * root_sums(m, op.weight_exponents[:, None])
+    wrong = (coeffs != expected).any(axis=1)
+    listed = expected.any(axis=1)  # d times a root of unity is never 0
+    mismatches = tuple(
+        f"{SettingWord(d, tuple(words[w].tolist()))}: "
+        f"expected {CycInt(m, tuple(expected[w].tolist()))}, "
+        f"got {CycInt(m, tuple(coeffs[w].tolist()))}"
+        for w in np.flatnonzero(wrong).tolist()
+    )
     return IdentityReport(
         d=d,
         n_sites=n_sites,
-        n_words=n_words,
-        n_surviving=n_surviving,
-        n_vanishing=n_vanishing,
+        n_words=len(words),
+        n_surviving=int(np.count_nonzero(listed & ~wrong)),
+        n_vanishing=int(np.count_nonzero(~listed & ~wrong)),
         matches=not mismatches,
-        mismatches=tuple(mismatches),
+        mismatches=mismatches,
     )

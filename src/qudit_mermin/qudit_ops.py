@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycInt, PhaseExponent, root_of_unity
+from .cyclotomic import CycInt, PhaseExponent, _read_only, root_of_unity
 
 __all__ = [
     "LocalObservable",
@@ -85,8 +85,23 @@ class LocalObservable:
 
 
 @lru_cache(maxsize=None)
-def _phase_table(d: int, j: int) -> tuple[int, ...]:
-    return LocalObservable.rotated_shift(d, j).phase_table
+def _phase_array(d: int) -> np.ndarray:
+    """Read-only (d, d) int64 array; row j + (d-1)/2 is the phase table of W_j."""
+    alphabet = rotation_alphabet(d)
+    rows = [LocalObservable.rotated_shift(d, j).phase_table for j in alphabet]
+    return _read_only(rows, np.int64)
+
+
+def _all_words(d: int, n_sites: int) -> np.ndarray:
+    """The d**N words in ``itertools.product(rotation_alphabet(d), repeat=N)`` order.
+
+    A (d**N, N) int8 array, filled column by column with no int64 temporary.
+    """
+    alphabet = np.array(rotation_alphabet(d), dtype=np.int8)[:, None]
+    words = np.empty((d**n_sites, n_sites), dtype=np.int8)
+    for i in range(n_sites):
+        words.reshape(d**i, d, -1, n_sites)[..., i] = alphabet
+    return words
 
 
 def bloch_check(obs: LocalObservable) -> bool:
@@ -242,7 +257,7 @@ def apply_word(word: SettingWord, state: StateVector) -> StateVector:
             f"length mismatch: word has {word.n_sites} sites, state {state.n_sites}"
         )
     d = word.d
-    tables = [_phase_table(d, j) for j in word.letters]
+    tables = _phase_array(d)[np.add(word.letters, (d - 1) // 2, dtype=int)].tolist()
     powers = [d**i for i in range(word.n_sites)]
     out: dict[int, CycInt] = {}
     for label, amp in state.amplitudes.items():

@@ -278,7 +278,8 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["search", "--n", "99"]).exit_code == 2
     assert runner.invoke(cli, ["table1", "--n-min", "5", "--n-max", "3"]).exit_code == 2
     assert runner.invoke(cli, ["verify", "--n", "2", "--d", "4"]).exit_code == 2
-    assert runner.invoke(cli, ["identity", "--n", "9"]).exit_code == 2
+    assert runner.invoke(cli, ["identity", "--n", "10"]).exit_code == 2
+    assert runner.invoke(cli, ["witness", "--n", "9"]).exit_code == 2
     assert runner.invoke(cli, ["search", "--n", "3", "--workers", "0"]).exit_code == 2
     # a huge N is refused without raising the base to the N-th power
     huge = str(10**9)

@@ -29,6 +29,7 @@ from qudit_mermin.cyclotomic import (
     order_params,
     root_of_unity,
     root_sum,
+    root_sums,
 )
 
 ALPHA9 = cmath.exp(2j * math.pi / 9)
@@ -289,9 +290,58 @@ def test_ring_operations_match_sympy(m, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ORDERS, st.lists(st.integers(-10**4, 10**4), max_size=200))
-def test_root_sum_matches_sympy(m, exponents):
-    powers = {}
-    for e in exponents:
-        powers[e % m] = powers.get(e % m, 0) + 1
-    assert root_sum(m, exponents).coeffs == sympy_canonical(m, sympy_poly(powers))
+@given(
+    ORDERS, st.lists(st.integers(-10**4, 10**4), max_size=200), st.integers(1, 4)
+)
+def test_root_sum_matches_sympy(m, exponents, rows):
+    def canonical(values):
+        powers = {}
+        for e in values:
+            powers[e % m] = powers.get(e % m, 0) + 1
+        return sympy_canonical(m, sympy_poly(powers))
+
+    assert root_sum(m, exponents).coeffs == canonical(exponents)
+    # batched: the same exponents as ``rows`` rows of K terms, K = 0 included
+    k = len(exponents) // rows
+    batch = np.array(exponents[: rows * k], dtype=np.int64).reshape(rows, k)
+    sums = root_sums(m, batch)
+    assert sums.shape == (rows, order_params(m)[1]) and sums.dtype == np.int64
+    expected = [canonical(row) for row in batch.tolist()]
+    assert [tuple(row) for row in sums.tolist()] == expected
+    assert not root_sums(m, np.empty((rows, 0), dtype=np.int64)).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12)),
+       st.integers(0, 2**32 - 1))
+def test_root_sums_rows_equal_root_sum(m, shape, seed):
+    exponents = np.random.default_rng(seed).integers(-3 * m, 3 * m, size=shape)
+    sums = root_sums(m, exponents)
+    assert sums.shape == shape[:2] + (order_params(m)[1],)
+    for index in np.ndindex(*shape[:2]):
+        assert tuple(sums[index].tolist()) == root_sum(m, exponents[index]).coeffs
+
+
+def sympy_real_sign(m, coeffs):
+    """Sign of sum_j c_j cos(2*pi*j/m), decided by sympy."""
+    terms = [c * sympy.cos(2 * sympy.pi * j / m) for j, c in enumerate(coeffs) if c]
+    return int(sympy.sign(sympy.Add(*terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, st.data())
+def test_compare_real_coeffs_matches_sympy_sign(m, data):
+    # real values y + conj(y): an independent pair, or a pair that differs by
+    # t * (2*cos(2*pi*a/m))**k with a near m/4, which is tiny for large k
+    y = CycInt(m, tuple(element(m, data.draw, bound=100)))
+    x1 = y + y.conjugate()
+    if data.draw(st.booleans()):
+        z = CycInt(m, tuple(element(m, data.draw, bound=100)))
+        x2 = z + z.conjugate()
+    else:
+        a = round(m / 4)
+        small = root_of_unity(a, m) + root_of_unity(-a, m)  # |2cos(2*pi*a/m)| < 1
+        x2 = x1 + small ** data.draw(st.integers(0, 40)) * data.draw(st.integers(-2, 2))
+    expected = sympy_real_sign(m, [p - q for p, q in zip(x1.coeffs, x2.coeffs)])
+    assert compare_real_coeffs(m, x1.coeffs, x2.coeffs) == expected
+    assert compare_real_coeffs(m, x2.coeffs, x1.coeffs) == -expected

@@ -110,6 +110,24 @@ def test_tables_match_per_factor_matrices(space):
     assert np.array_equal(mats, reference)
 
 
+def test_products_past_int64_raise_overflow():
+    def integer(n):
+        return (CycInt.integer(n, 9),)
+
+    # 2**40 * 2**40 wraps to 0 in an int64 matmul; the guard refuses that
+    # product before it is computed
+    space = ProductSpace(order=9, n_sites=2, factors=(integer(1), integer(2**40)))
+    with pytest.raises(OverflowError):
+        run_search(space)
+    with pytest.raises(OverflowError):
+        full_space_scores(space)
+    # well inside the range, the largest product is found at its true index
+    space = ProductSpace(order=9, n_sites=2, factors=(integer(1), integer(2**20)))
+    raw = run_search(space)
+    assert (raw.best_sq_coeffs[0], raw.argmax_index, raw.num_maximizers) == (2**80, 3, 1)
+    assert np.argmax(full_space_scores(space)) == 3
+
+
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_full_space_scores_match_exact_sums(n_sites):
     space = _ratio_space(n_sites)

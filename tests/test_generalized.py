@@ -14,6 +14,7 @@ from qudit_mermin import _enumeration, generalized
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.generalized import (
     GeneralConfig,
+    _conjecture_space,
     _general_factor,
     _ratio_tuples,
     build_general_mermin,
@@ -189,6 +190,16 @@ def test_factors_match_per_root_sums():
                 assert _general_factor(d, p, ratio_exps) == per_root_factor(
                     d, p, ratio_exps
                 )
+
+
+def test_conjecture_space_rows_match_per_root_sums():
+    for d in (3, 5):
+        nonzero = [j for j in range(-(d // 2), d // 2 + 1) if j != 0]
+        rows = _conjecture_space(d, 1).factors
+        assert len(rows) == d ** (d - 1)
+        for tup, row in zip(_ratio_tuples(d), rows):
+            ratio_exps = dict(zip(nonzero, tup))
+            assert row == tuple(per_root_factor(d, p, ratio_exps) for p in range(d))
 
 
 def test_verify_budget_first_over_cap_n_per_dimension():

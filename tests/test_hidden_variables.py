@@ -575,17 +575,19 @@ def test_witness_arrays_equal_the_per_word_build():
 
 
 def test_witness_arrays_check_the_eigenphases(monkeypatch):
-    table = hidden_variables._phase_table
+    table = hidden_variables._phase_array(3)
 
     def tampered(letter, phases):
-        return lambda d, j: phases if j == letter else table(d, j)
+        rows = table.copy()
+        rows[letter + 1] = phases
+        return lambda d: rows
 
     # Y acting with one phase on every digit: YYYYV's labels disagree
-    monkeypatch.setattr(hidden_variables, "_phase_table", tampered(1, (1, 1, 1)))
+    monkeypatch.setattr(hidden_variables, "_phase_array", tampered(1, (1, 1, 1)))
     with pytest.raises(EigenstateError, match="proportional"):
         list(iter_contradiction_witnesses(5))
     # X picking up alpha: XYYY has the eigenphase alpha**4, not a power of omega
-    monkeypatch.setattr(hidden_variables, "_phase_table", tampered(0, (1, 1, 1)))
+    monkeypatch.setattr(hidden_variables, "_phase_array", tampered(0, (1, 1, 1)))
     with pytest.raises(EigenstateError, match="power of omega"):
         list(iter_contradiction_witnesses(4))
 

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qudit_mermin import mermin
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.hidden_variables import uniform_value
 from qudit_mermin.mermin import (
     VERIFY_TERM_CAP,
+    IdentityReport,
     MerminOperator,
     build_mermin,
     check_verify_budget,
@@ -195,6 +197,72 @@ def test_expand_identity_n1_survivors():
 def test_expand_identity_cap():
     with pytest.raises(ValueError):
         expand_identity(10)
+
+
+def per_word_identity(op, n_sites, d):
+    """Per-word oracle: expand every word with CycInt arithmetic, compare to ``op``."""
+    m = d * d
+    alphabet = range(-(d // 2), d // 2 + 1)
+    mixer = {(p, j): (j * (d * p + d - 1)) % m for p in range(d) for j in alphabet}
+    reference = {word.letters: weight for word, weight in op.terms}
+    mismatches = []
+    n_surviving = n_vanishing = n_words = 0
+    for letters in itertools.product(alphabet, repeat=n_sites):
+        n_words += 1
+        raw = [0] * m
+        for p in range(d):
+            raw[sum(mixer[p, j] for j in letters) % m] += 1
+        coeff = CycInt.from_coeffs(m, raw)
+        expected = reference.get(letters)
+        if expected is None:
+            if coeff.is_zero():
+                n_vanishing += 1
+            else:
+                mismatches.append(f"{SettingWord(d, letters)}: expected 0, got {coeff}")
+        elif coeff == expected * d:
+            n_surviving += 1
+        else:
+            mismatches.append(
+                f"{SettingWord(d, letters)}: expected {expected * d}, got {coeff}"
+            )
+    return IdentityReport(
+        d, n_sites, n_words, n_surviving, n_vanishing, not mismatches, tuple(mismatches)
+    )
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 7), (5, 3), (7, 2)])
+def test_expand_identity_equals_the_per_word_loop(d, n_max):
+    for n in range(1, n_max + 1):
+        assert expand_identity(n, d) == per_word_identity(build_mermin(d, n, 0), n, d)
+    # N = 0 has no operator, in the loop and in the array expansion alike
+    with pytest.raises(ValueError):
+        build_mermin(d, 0, 0)
+    with pytest.raises(ValueError):
+        expand_identity(0, d)
+
+
+def test_expand_identity_reports_tampered_operators(monkeypatch):
+    op = build_mermin(3, 4, 0)
+    weights = op.weight_exponents.copy()
+    weights[5] += 1
+    wrong_weight = MerminOperator(3, 4, 0, op.letters, weights)
+    dropped = MerminOperator(
+        3, 4, 0, np.delete(op.letters, 7, axis=0), np.delete(op.weight_exponents, 7)
+    )
+    # the same operator listed backwards: the expansion may not assume build order
+    reversed_op = MerminOperator(3, 4, 0, op.letters[::-1], op.weight_exponents[::-1])
+    reports = []
+    for tampered in (wrong_weight, dropped, reversed_op):
+        monkeypatch.setattr(mermin, "build_mermin", lambda d, n, variant=0: tampered)
+        report = expand_identity(4)
+        assert report == per_word_identity(tampered, 4, 3)
+        reports.append(report)
+    weight_report, dropped_report, reversed_report = reports
+    assert (weight_report.n_surviving, weight_report.n_vanishing) == (26, 54)
+    assert len(weight_report.mismatches) == 1
+    assert (dropped_report.n_surviving, dropped_report.n_vanishing) == (26, 54)
+    assert dropped_report.mismatches[0].split(": ")[1].startswith("expected 0, got")
+    assert reversed_report.matches and reversed_report.n_surviving == 27
 
 
 def test_bad_build_arguments():

@@ -13,6 +13,8 @@ import pytest
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.qudit_ops import (
     EigenstateError,
+    _all_words,
+    _phase_array,
     LocalObservable,
     SettingWord,
     StateVector,
@@ -199,3 +201,23 @@ def test_word_strings():
 def test_eigenstate_error_distinct_from_value_error():
     assert issubclass(EigenstateError, RuntimeError)
     assert not issubclass(EigenstateError, ValueError)
+
+
+def test_word_array_follows_product_order():
+    for d, n_max in ((3, 6), (5, 4), (7, 3)):
+        alphabet = rotation_alphabet(d)
+        for n in range(n_max + 1):
+            words = _all_words(d, n)
+            assert words.dtype == np.int8 and words.shape == (d**n, n)
+            assert [tuple(w) for w in words.tolist()] == list(
+                itertools.product(alphabet, repeat=n)
+            )
+
+
+def test_phase_array_rows_are_the_phase_tables():
+    for d in (3, 5, 7):
+        table = _phase_array(d)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        for j in rotation_alphabet(d):
+            expected = LocalObservable.rotated_shift(d, j).phase_table
+            assert tuple(table[j + (d - 1) // 2].tolist()) == expected
