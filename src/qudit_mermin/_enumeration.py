@@ -49,6 +49,7 @@ __all__ = [
     "run_search",
     "full_space_scores",
     "exact_sum",
+    "exact_letters_sum",
     "resolve_workers",
     "check_search_budget",
 ]
@@ -274,11 +275,16 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
 def exact_sum(space: ProductSpace, index: int) -> CycInt:
     """Pure-Python evaluation of the slot-product sum at one flat index."""
     digits = decode_index(index, space.alphabet, space.n_sites)
-    total = CycInt.zero(space.order)
-    for s in range(space.slots):
-        prod = CycInt.one(space.order)
-        for a in digits:
-            prod = prod * space.factors[a][s]
+    return exact_letters_sum(space.order, space.factors, digits)
+
+
+def exact_letters_sum(order: int, factors, letters) -> CycInt:
+    """sum_s prod_i factors[letters[i]][s], one ``CycInt`` product per site."""
+    total = CycInt.zero(order)
+    for s in range(len(factors[0])):
+        prod = CycInt.one(order)
+        for a in letters:
+            prod = prod * factors[a][s]
         total = total + prod
     return total
 

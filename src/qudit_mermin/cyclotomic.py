@@ -336,8 +336,8 @@ def root_sum(m: int, exponents) -> CycInt:
     return CycInt(m, tuple(root_sums(m, np.ravel(exponents)).tolist()))
 
 
-def mp_real_value(m: int, coeffs, dps: int = 80):
-    """High-precision real part of sum_j coeffs[j] * alpha**j."""
+def mp_real_value(m: int, coeffs, dps: int):
+    """Real part of sum_j coeffs[j] * alpha**j, to ``dps`` decimal digits."""
     import mpmath  # only the rare near-tie comparison needs it
 
     order_params(m)

@@ -9,21 +9,27 @@ this is the unique d-point combination that reproduces the qutrit identity
 at d = 3, and its term-survival rule is verified symbolically rather than
 assumed.
 
-The per-site sums at the all-ones hidden-variable point,
+A hidden-variable assignment enters the value only through the per-site
+ratio exponents t_j (the value of letter j over that of letter 0), and the
+per-site factor of product p is
 
-    F_p = sum_j alpha**(j*(d*p + d - 1)),
+    F_p = sum_j alpha**mixing_exponent(d, p, j) * omega**t_j.
 
-are the d uniform factor magnitudes; for d = 3 they are A, B, C, and for
-d = 5 the largest is about 4.6898.  Whether the all-ones point is the true
-classical optimum for d > 3 is probed by exhaustive search and reported,
-never asserted.
+This module keeps the one table of these factors.  Letter a of the ratio
+alphabet has d - 1 base-d digits, most significant first, which are t_j
+on the rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3 that
+is a = 3R + S, the qutrit ratio index of ``hidden_variables``.  Letter 0
+is the all-ones point, whose factors are the d uniform factor magnitudes:
+A, B, C for d = 3, and for d = 5 the largest is about 4.6898.  Whether the
+all-ones point is the true classical optimum for d > 3 is probed by
+exhaustive search over ``ratio_space`` and reported, never asserted.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,12 +40,13 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, root_sum, root_sums
+from .cyclotomic import CycInt, root_sums
 from .mermin import (
     IdentityReport,
     MerminOperator,
     build_mermin,
     expand_identity,
+    mixing_exponent,
     verify_eigenvalue,
 )
 from .qudit_ops import rotation_alphabet
@@ -52,6 +59,7 @@ __all__ = [
     "build_general_mermin",
     "verify_general_eigenvalue",
     "mixing_exponent",
+    "ratio_space",
     "uniform_factors",
     "general_uniform_sum",
     "general_uniform_value",
@@ -90,11 +98,6 @@ def verify_general_eigenvalue(cfg: GeneralConfig) -> int:
     return verify_eigenvalue(build_general_mermin(cfg))
 
 
-def mixing_exponent(d: int, p: int, j: int) -> int:
-    """Exponent of the coefficient on W_j in product p of the identity."""
-    return (j * (d * p + d - 1)) % (d * d)
-
-
 def expand_general_identity(cfg: GeneralConfig) -> IdentityReport:
     """Symbolic term-survival check of the generalized identity."""
     return expand_identity(cfg.n_sites, cfg.d)
@@ -122,14 +125,32 @@ class UniformFactorSet:
         return tuple(entry.magnitude for entry in self.entries)
 
 
-def _general_factor(d: int, p: int, ratio_exps=None) -> CycInt:
-    """Per-site factor of product p: sum_j alpha**(mix) * (j-th ratio)."""
-    exponents = [
-        mixing_exponent(d, p, j)
-        + (d * ratio_exps[j] if ratio_exps is not None and j != 0 else 0)
-        for j in rotation_alphabet(d)
-    ]
-    return root_sum(d * d, exponents)
+def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
+    """The d factors F_p of each row of a (K, d) array, from one ``root_sums``.
+
+    ``ratios[k, c]`` is the ratio exponent on the rotation letter j == c
+    (mod d); column 0, letter j = 0, is the reference and should be 0.
+    """
+    j = np.array(rotation_alphabet(d))
+    mix = mixing_exponent(d, np.arange(d)[:, None], j)  # (product p, letter j)
+    coeffs = root_sums(d * d, mix + d * np.asarray(ratios)[:, None, j % d])
+    return tuple(tuple(CycInt(d * d, tuple(c)) for c in row) for row in coeffs.tolist())
+
+
+@lru_cache(maxsize=None)
+def _ratio_factors(d: int) -> tuple[tuple[CycInt, ...], ...]:
+    """Factor row of every ratio letter a < d**(d-1), in letter order.
+
+    Written with d base-d digits, a is a ratio row with column 0 zero.
+    """
+    letters = np.arange(d ** (d - 1))[:, None]
+    return _factor_rows(d, letters // d ** np.arange(d - 1, -1, -1) % d)
+
+
+def ratio_space(d: int, n_sites: int) -> ProductSpace:
+    """The d**(d-1) ratio letters on N sites, budget-checked before it is built."""
+    check_search_budget(d ** (d - 1), d, d * d, n_sites)
+    return ProductSpace(order=d * d, n_sites=n_sites, factors=_ratio_factors(d))
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
@@ -137,9 +158,9 @@ def uniform_factors(d: int) -> UniformFactorSet:
         raise ValueError(
             f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {d}"
         )
-    values = [_general_factor(d, p) for p in range(d)]
     entries = [
-        FactorSetEntry(p, value.magnitude(), value) for p, value in enumerate(values)
+        FactorSetEntry(p, value.magnitude(), value)
+        for p, value in enumerate(_factor_rows(d, np.zeros((1, d), dtype=int))[0])
     ]
     entries.sort(key=lambda e: (-e.magnitude, e.product_index))
     return UniformFactorSet(d, tuple(entries))
@@ -148,8 +169,8 @@ def uniform_factors(d: int) -> UniformFactorSet:
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
     """Exact d*v at the all-ones point: sum_p F_p**N."""
     total = CycInt.zero(d * d)
-    for p in range(d):
-        total = total + _general_factor(d, p) ** n_sites
+    for factor in _factor_rows(d, np.zeros((1, d), dtype=int))[0]:
+        total = total + factor**n_sites
     return total
 
 
@@ -180,25 +201,6 @@ class ConjectureReport:
     uniform_sq_coeffs: tuple[int, ...]  # and at the all-ones point
 
 
-def _ratio_tuples(d: int) -> tuple[tuple[int, ...], ...]:
-    """All per-site ratio exponent tuples, ordered so all-zero comes first.
-
-    Order within a tuple follows the rotation alphabet with j = 0 skipped;
-    the first listed ratio is the most significant digit of the site index.
-    """
-    return tuple(itertools.product(range(d), repeat=d - 1))
-
-
-def _conjecture_space(d: int, n_sites: int) -> ProductSpace:
-    """Every ``_general_factor(d, p, ratios)``, from one ``root_sums``."""
-    # ratio exponent of each letter j per tuple, 0 for j = 0 (the middle letter)
-    ratios = np.insert(np.array(_ratio_tuples(d)), (d - 1) // 2, 0, axis=1)
-    mix = mixing_exponent(d, np.arange(d)[:, None], np.array(rotation_alphabet(d)))
-    coeffs = root_sums(d * d, mix + d * ratios[:, None, :])
-    factors = tuple(tuple(CycInt(d * d, tuple(c)) for c in r.tolist()) for r in coeffs)
-    return ProductSpace(order=d * d, n_sites=n_sites, factors=factors)
-
-
 def conjecture_search(
     d: int = 5, n_sites: int = 2, workers: int | None = None
 ) -> ConjectureReport:
@@ -207,22 +209,19 @@ def conjecture_search(
     The scan evaluates each multiset of per-site tuples once, in one
     process; ``workers`` is validated but does not change the work.  A
     space over the search budget raises ValueError before its d**(d-1)
-    factor rows are built.
+    factor rows are built.  The arg-max index and each site's ratio
+    exponents follow the letter order of ``ratio_space``.
     """
     cfg = GeneralConfig(d, n_sites)
     resolve_workers(workers)
-    check_search_budget(d ** (d - 1), d, d * d, n_sites)
-    raw = run_search(_conjecture_space(cfg.d, cfg.n_sites))
+    raw = run_search(ratio_space(cfg.d, cfg.n_sites))
     uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs
     uniform_is_max = uniform_sq == raw.best_sq_coeffs
     max_magnitude = math.sqrt(raw.best_sq_value) / cfg.d
     uniform_magnitude = uniform_sum.magnitude() / cfg.d
-    tuples = _ratio_tuples(cfg.d)
-    site_tuples = tuple(
-        tuples[digit]
-        for digit in decode_index(raw.argmax_index, len(tuples), cfg.n_sites)
-    )
+    letters = decode_index(raw.argmax_index, d ** (d - 1), cfg.n_sites)
+    site_tuples = tuple(decode_index(a, d, d - 1) for a in letters)
     return ConjectureReport(
         d=cfg.d,
         n_sites=cfg.n_sites,

@@ -13,9 +13,12 @@ the roots of x**3 - 3*x**2 + 3, and the classical maximum for N sites is
 (A**N + B**N +- C**N)/3, an exact integer computed here by the recurrence
 p_N = 3*p_{N-1} - 3*p_{N-3} on the power sums.
 
-The exhaustive searches are exact: ratio mode covers all 9**N ratio
-assignments by evaluating each of the C(N+8, 8) multisets of per-site
-ratios once (the factor products commute across sites); full mode assigns
+The per-site factors are the d = 3 rows of ``generalized``'s ratio factor
+table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
+1, 2) at R, S.  The exhaustive searches are exact: ratio mode covers all
+9**N ratio assignments by evaluating each of the C(N+8, 8) multisets of
+per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
+products commute across sites); full mode assigns
 the sites of the operator's own terms one at a time, exactly over Z[omega],
 and cross-checks the magnitude of each of the 27**N value assignments
 against its ratio reduction.  Both run in one process.
@@ -26,20 +29,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from ._enumeration import (
-    ProductSpace,
-    check_search_budget,
     decode_index,
+    exact_letters_sum,
     full_space_scores,
     resolve_workers,
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, root_of_unity, root_sum
-from .generalized import _general_factor
+from .generalized import _ratio_factors, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -92,14 +93,9 @@ _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 FULL_SEARCH_CAP = 10**8
 
 
-@lru_cache(maxsize=27)  # one entry per (p, r, s) in range(3)**3
-def _factor_by_slot(p: int, r_exp: int, s_exp: int) -> CycInt:
-    return _general_factor(3, p, {1: r_exp, -1: s_exp})
-
-
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
     """Exact per-site factor 1 + (.)R + (.)S for the given product letter."""
-    return _factor_by_slot(_LETTER_SLOT[letter], r_exp, s_exp)
+    return _ratio_factors(3)[3 * (r_exp % 3) + s_exp % 3][_LETTER_SLOT[letter]]
 
 
 @dataclass(frozen=True)
@@ -272,13 +268,8 @@ def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     s_exps = tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
-    total = CycInt.zero(9)
-    for p in range(3):
-        prod = CycInt.one(9)
-        for r, s in zip(r_exps, s_exps):
-            prod = prod * _factor_by_slot(p, r % 3, s % 3)
-        total = total + prod
-    return total
+    letters = [3 * (r % 3) + s % 3 for r, s in zip(r_exps, s_exps)]
+    return exact_letters_sum(9, _ratio_factors(3), letters)
 
 
 def hv_value_product(r_exps, s_exps) -> float:
@@ -301,7 +292,8 @@ def uniform_value(n_sites: int) -> int:
     if n_sites < 1:
         raise ValueError("need at least one site")
     q, r = divmod(power_sum(n_sites), 3)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"power sum p_{n_sites} is not divisible by 3")
     return q
 
 
@@ -319,14 +311,6 @@ class SearchResult:
     num_maximizers: int
     assignments_scanned: int
     details: dict = field(default_factory=dict)
-
-
-def _ratio_space(n_sites: int) -> ProductSpace:
-    rows = []
-    for r_exp in range(3):
-        for s_exp in range(3):
-            rows.append(tuple(_factor_by_slot(p, r_exp, s_exp) for p in range(3)))
-    return ProductSpace(order=9, n_sites=n_sites, factors=tuple(rows))
 
 
 def _argmax_labels(assignment: HVAssignment) -> dict[str, tuple[str, ...]]:
@@ -356,7 +340,7 @@ def exhaustive_search(
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
     form, one evaluation per multiset of per-site ratios, and its C(N+8, 8)
-    multisets are bounded by ``_enumeration.check_search_budget``.  Full
+    multisets are bounded by the budget of ``generalized.ratio_space``.  Full
     mode contracts the operator terms site by site into the exact value of
     each of the 27**N <= ``FULL_SEARCH_CAP`` value assignments and checks
     every magnitude against the ratio reduction.  An over-budget N raises
@@ -370,8 +354,7 @@ def exhaustive_search(
         raise ValueError("need at least one site")
     resolve_workers(workers)
     if mode == "ratio":
-        check_search_budget(9, 3, 9, n_sites)  # 9 ratio letters, 3 slots, Z[alpha_9]
-        raw = run_search(_ratio_space(n_sites))
+        raw = run_search(ratio_space(3, n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
         return SearchResult(
             mode="ratio",
@@ -476,7 +459,7 @@ def _full_search(n_sites: int) -> SearchResult:
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )
     weights, letters = _encode_terms(n_sites)
-    ratio_mag = np.sqrt(full_space_scores(_ratio_space(n_sites))) / 3.0
+    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
     streamed = min(n_sites, _STREAMED_SITES)
     prefix_ratio = _ratio_indices(n_sites - streamed) * 9**streamed
     tail_ratio = _ratio_indices(streamed)
@@ -540,10 +523,8 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
     slot_mags = {
-        sigma: tuple(
-            _factor_by_slot(p, *_SHIFT_RATIOS[sigma]).magnitude() for p in range(3)
-        )
-        for sigma in range(3)
+        sigma: tuple(f.magnitude() for f in _ratio_factors(3)[3 * r + s])
+        for sigma, (r, s) in _SHIFT_RATIOS.items()
     }
     best_bound = -1.0
     best_bound_pattern: tuple[int, ...] = ()
@@ -584,11 +565,13 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
 def ghz_contradiction_count(n_sites: int) -> int:
     """Words at circle points 3 and 6; equals (2/3)(M_Q - M_C) exactly."""
     counts = counts_by_position(3, n_sites).counts
-    assert counts[3] == counts[6]
+    if counts[3] != counts[6]:
+        raise ArithmeticError("points 3 and 6 hold different word counts")
     n_ghz = counts[3] + counts[6]
     m_q = 3 ** (n_sites - 1)
     m_c = uniform_value(n_sites)
-    assert 3 * n_ghz == 2 * (m_q - m_c)
+    if 3 * n_ghz != 2 * (m_q - m_c):
+        raise ArithmeticError(f"{n_ghz} GHZ words are not (2/3)(M_Q - M_C)")
     return n_ghz
 
 
@@ -614,7 +597,8 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
             f"word {word} sits at position {k}; witnesses exist at points 3 and 6"
         )
     phase = eigenphase(word, 0)
-    assert phase.exponent % 3 == 0
+    if phase.exponent % 3:
+        raise ArithmeticError(f"eigenphase of {word} is not a power of omega")
     omega_exp = phase.exponent // 3
     # Uniform prediction: the product of the assigned values, all omega**0.
     uniform = HVAssignment.uniform(word.n_sites)

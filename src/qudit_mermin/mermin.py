@@ -15,7 +15,6 @@ and turn the sums of roots into cyclotomic integers with ``root_sums``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +40,7 @@ __all__ = [
     "verify_eigenvalue",
     "counts_by_position",
     "expand_identity",
+    "mixing_exponent",
 ]
 
 # Terms one operator may hold, checked when it is built and when it is
@@ -240,41 +240,42 @@ def verify_eigenvalue(op: MerminOperator) -> int:
     return lam.as_integer()
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def counts_by_position(d: int, n_sites: int) -> PositionCounts:
-    """Closed-form multinomial count of words at each circle position."""
+    """Number of words at each circle position, one residue convolution per site.
+
+    Appending a site shifts every count by each letter j of the rotation
+    alphabet (mod d**2), so N sites take N convolutions over the d**2
+    positions, exact in Python integers.
+    """
     if n_sites < 1:
         raise ValueError("need at least one site")
     m = d * d
     alphabet = rotation_alphabet(d)
-    fact_n = math.factorial(n_sites)
-    counts = [0] * m
-    for comp in _compositions(n_sites, d):
-        k = sum(j * c for j, c in zip(alphabet, comp)) % m
-        weight = fact_n
-        for c in comp:
-            weight //= math.factorial(c)
-        counts[k] += weight
+    counts = [1] + [0] * (m - 1)
+    for _ in range(n_sites):
+        counts = [sum(counts[(k - j) % m] for j in alphabet) for k in range(m)]
     result = PositionCounts(d, n_sites, tuple(counts))
-    assert result.total == d**n_sites
+    if result.total != d**n_sites:
+        raise ArithmeticError(f"{result.total} words counted, not {d}**{n_sites}")
     return result
+
+
+def mixing_exponent(d: int, p, j):
+    """Exponent of the coefficient alpha**(j*(d*p + d - 1)) on W_j in product p.
+
+    Reduced mod d**2; ``p`` and ``j`` may be broadcasting integer arrays.
+    """
+    return (j * (d * p + d - 1)) % (d * d)
 
 
 def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     """Symbolically expand the product-form sum and compare term for term.
 
-    Expands sum_p tensor_i (sum_j alpha**(j*(d*p + d - 1)) W_j) over all
-    d**N <= 20000 words at once (product p gives a word alpha**((d*p + d - 1)*s),
-    s its letter sum).  Words in the variant-0 operator must come out with d
-    times their weight; every other word must come out exactly zero.
+    Expands sum_p tensor_i (sum_j alpha**mixing_exponent(d, p, j) W_j) over
+    all d**N <= 20000 words at once (product p gives a word the coefficient
+    alpha**mixing_exponent(d, p, s), s its letter sum).  Words in the
+    variant-0 operator must come out with d times their weight; every other
+    word must come out exactly zero.
     """
     if d ** min(n_sites, 15) > 20000:  # clamped: d**15 > 20000
         raise ValueError(
@@ -284,8 +285,8 @@ def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     op = build_mermin(d, n_sites, 0)
     m = d * d
     words = _all_words(d, n_sites)
-    mixers = d * np.arange(d) + d - 1  # product p multiplies the letter sum by these
-    coeffs = root_sums(m, words.sum(axis=1, dtype=np.int64)[:, None] * mixers)
+    letter_sums = words.sum(axis=1, dtype=np.int64)[:, None]
+    coeffs = root_sums(m, mixing_exponent(d, np.arange(d), letter_sums))
     # the operator's words, scattered to their flat index in ``words``
     flat = np.ravel_multi_index(tuple(op.letters.T + (d - 1) // 2), (d,) * n_sites)
     expected = np.zeros_like(coeffs)

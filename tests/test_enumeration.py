@@ -22,8 +22,7 @@ from qudit_mermin._enumeration import (
     run_search,
 )
 from qudit_mermin.cyclotomic import CycInt, compare_real_coeffs, root_of_unity
-from qudit_mermin.generalized import _conjecture_space
-from qudit_mermin.hidden_variables import _ratio_space
+from qudit_mermin.generalized import ratio_space
 
 
 def brute_force(space):
@@ -51,12 +50,12 @@ def assert_matches_brute_force(space):
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
 def test_ratio_space_matches_brute_force(n_sites):
-    assert_matches_brute_force(_ratio_space(n_sites))
+    assert_matches_brute_force(ratio_space(3, n_sites))
 
 
 @pytest.mark.parametrize("d, n_sites", [(3, 3), (5, 1)])
 def test_conjecture_space_matches_brute_force(d, n_sites):
-    assert_matches_brute_force(_conjecture_space(d, n_sites))
+    assert_matches_brute_force(ratio_space(d, n_sites))
 
 
 def _factor(terms):
@@ -97,7 +96,7 @@ def test_random_spaces_match_brute_force(space):
 
 @pytest.mark.parametrize(
     "space",
-    [_ratio_space(1), _conjecture_space(3, 2), _conjecture_space(5, 1)],
+    [ratio_space(3, 1), ratio_space(3, 2), ratio_space(5, 1)],
     ids=["ratio", "conjecture-d3", "conjecture-d5"],
 )
 def test_tables_match_per_factor_matrices(space):
@@ -130,7 +129,7 @@ def test_products_past_int64_raise_overflow():
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_full_space_scores_match_exact_sums(n_sites):
-    space = _ratio_space(n_sites)
+    space = ratio_space(3, n_sites)
     scores = full_space_scores(space)
     assert scores.shape == (space.size,)
     for flat in range(space.size):

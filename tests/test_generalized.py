@@ -5,23 +5,25 @@ independent float oracle before the exact route is trusted.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from qudit_mermin import _enumeration, generalized
+from qudit_mermin import _enumeration, generalized, mermin
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.generalized import (
     GeneralConfig,
-    _conjecture_space,
-    _general_factor,
-    _ratio_tuples,
+    _factor_rows,
+    _ratio_factors,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
     general_uniform_value,
     mixing_exponent,
+    ratio_space,
     uniform_factors,
     verify_general_eigenvalue,
 )
@@ -29,8 +31,8 @@ from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
     C_VALUE,
-    _factor_by_slot,
     exhaustive_search,
+    factor_value,
 )
 from qudit_mermin.mermin import build_mermin
 
@@ -125,13 +127,16 @@ def test_conjecture_search_d3_regression():
     assert report.gap == 0.0
     assert report.num_maximizers == 27
     assert report.assignments_scanned == 9**3
-    # at d = 3 the scan's letters are the ratio search's, with R and S swapped
-    for p, r, s in itertools.product(range(3), repeat=3):
-        assert _factor_by_slot(p, r, s) == _general_factor(3, p, {1: r, -1: s})
-    report = conjecture_search(3, 9)
-    ratio = exhaustive_search(9)
-    assert report.max_sq_coeffs == ratio.max_sq_coeffs
-    assert report.num_maximizers == ratio.num_maximizers
+    # the qutrit factors are the d = 3 rows of the one table, letter 3R + S
+    for (p, letter), r, s in itertools.product(enumerate("BCA"), range(3), range(3)):
+        assert factor_value(letter, r, s) == per_root_factor(3, p, {1: r, -1: s})
+    # so at d = 3 the scan is the qutrit ratio search, letter for letter
+    for n in range(1, 10):
+        report = conjecture_search(3, n)
+        ratio = exhaustive_search(n)
+        assert report.max_sq_coeffs == ratio.max_sq_coeffs
+        assert report.num_maximizers == ratio.num_maximizers
+        assert report.argmax_index == ratio.argmax_index
 
 
 def test_conjecture_search_d5_single_site():
@@ -160,7 +165,7 @@ def test_config_validation_and_caps(monkeypatch):
 
     # d = 7 is refused at N = 1 by the budget, before the factor alphabet
     # or the multiplication table is built
-    monkeypatch.setattr(generalized, "_conjecture_space", never)
+    monkeypatch.setattr(generalized, "_factor_rows", never)
     monkeypatch.setattr(_enumeration, "_tables", never)
     with pytest.raises(ValueError):
         conjecture_search(7, 1)
@@ -178,28 +183,69 @@ def per_root_factor(d, p, ratio_exps=None):
     return total
 
 
+def letter_ratios(d):
+    """Ratio exponents by rotation letter j of each ratio letter, in letter order.
+
+    Letter a's d - 1 base-d digits, most significant first, sit on the
+    letters j = 1, 2, ..., d - 1 taken mod d (j = d - 1 is j = -1).
+    """
+    letters = [c if c <= d // 2 else c - d for c in range(1, d)]
+    digits = itertools.product(range(d), repeat=d - 1)
+    return [dict(zip(letters, tup)) for tup in digits]
+
+
 def test_factors_match_per_root_sums():
     for d in (3, 5, 7):
+        row = _factor_rows(d, np.zeros((1, d), dtype=np.int64))[0]
         for p in range(d):
-            assert _general_factor(d, p) == per_root_factor(d, p)
+            assert row[p] == per_root_factor(d, p)
     for d in (3, 5):
-        nonzero = [j for j in range(-(d // 2), d // 2 + 1) if j != 0]
-        for tup in _ratio_tuples(d):
-            ratio_exps = dict(zip(nonzero, tup))
+        for ratio_exps, row in zip(letter_ratios(d), _ratio_factors(d), strict=True):
             for p in range(d):
-                assert _general_factor(d, p, ratio_exps) == per_root_factor(
-                    d, p, ratio_exps
-                )
+                assert row[p] == per_root_factor(d, p, ratio_exps)
 
 
 def test_conjecture_space_rows_match_per_root_sums():
     for d in (3, 5):
-        nonzero = [j for j in range(-(d // 2), d // 2 + 1) if j != 0]
-        rows = _conjecture_space(d, 1).factors
+        rows = ratio_space(d, 1).factors
         assert len(rows) == d ** (d - 1)
-        for tup, row in zip(_ratio_tuples(d), rows):
-            ratio_exps = dict(zip(nonzero, tup))
+        for ratio_exps, row in zip(letter_ratios(d), rows):
             assert row == tuple(per_root_factor(d, p, ratio_exps) for p in range(d))
+
+
+def test_argmax_ratio_exponents_are_the_digits_of_the_argmax_letters(monkeypatch):
+    # letter 389 = 3*125 + 0*25 + 2*5 + 4 carries exponents 3, 0, 2, 4 on
+    # the letters j = 1, 2, 3 (= -2) and 4 (= -1)
+    ratio_exps = {1: 3, 2: 0, -2: 2, -1: 4}
+    assert _ratio_factors(5)[389] == tuple(
+        per_root_factor(5, p, ratio_exps) for p in range(5)
+    )
+    # the all-ones point is a maximizer, so force an arg-max elsewhere
+    raw = _enumeration.run_search(ratio_space(5, 1))
+    fake = dataclasses.replace(raw, argmax_index=389 * 625 + 17)
+    monkeypatch.setattr(generalized, "run_search", lambda space: fake)
+    report = conjecture_search(5, 2)
+    assert report.argmax_index == 389 * 625 + 17
+    assert report.argmax_ratio_exponents == ((3, 0, 2, 4), (0, 0, 3, 2))
+
+
+def test_d7_uniform_values_build_only_the_all_zero_row(monkeypatch):
+    shapes = []
+
+    def recording(d, ratios):
+        shapes.append(np.shape(ratios))
+        return build(d, ratios)
+
+    build = generalized._factor_rows
+    monkeypatch.setattr(generalized, "_factor_rows", recording)
+    uniform_factors(7)
+    general_uniform_value(7, 5)
+    assert shapes == [(1, 7), (1, 7)]
+
+
+def test_mixing_exponent_lives_in_mermin():
+    assert generalized.mixing_exponent is mermin.mixing_exponent
+    assert "mixing_exponent" in generalized.__all__
 
 
 def test_verify_budget_first_over_cap_n_per_dimension():

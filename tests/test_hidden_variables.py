@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables
 from qudit_mermin._enumeration import full_space_scores
-from qudit_mermin.cyclotomic import CycInt, root_of_unity
+from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
+from qudit_mermin.generalized import ratio_space
 from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
@@ -34,7 +35,6 @@ from qudit_mermin.hidden_variables import (
     WitnessRecord,
     _contract_scores,
     _encode_terms,
-    _ratio_space,
     contradiction_witness,
     exhaustive_search,
     factor_table,
@@ -50,7 +50,7 @@ from qudit_mermin.hidden_variables import (
     uniform_value,
     violation_ratio,
 )
-from qudit_mermin.mermin import MerminOperator, build_mermin
+from qudit_mermin.mermin import MerminOperator, PositionCounts, build_mermin
 from qudit_mermin.qudit_ops import EigenstateError, SettingWord
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -411,7 +411,7 @@ def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
 def test_full_search_n4_equals_the_per_term_scan():
     n_sites = 4
     weights, letters = _encode_terms(n_sites)
-    ratio_mag = np.sqrt(full_space_scores(_ratio_space(n_sites))) / 3.0
+    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
     best, count, lexmin, scanned, max_dev = reference_scan(
         n_sites, weights, letters, ratio_mag, 0, 27**n_sites
     )
@@ -532,6 +532,29 @@ def test_ghz_contradiction_counts():
     ]
     assert ghz_contradiction_count(2) == 0
     assert ghz_contradiction_count(1) == 0
+
+
+def test_identity_checks_raise_on_tampered_counts(monkeypatch):
+    counts = list(hidden_variables.counts_by_position(3, 4).counts)  # 4 at 3 and 6
+
+    def tampered(three, six):
+        counts[3], counts[6] = three, six
+        return lambda d, n: PositionCounts(d, n, tuple(counts))
+
+    # 3 + 5 words pass the (2/3)(M_Q - M_C) check but break the 3 <-> 6 symmetry
+    monkeypatch.setattr(hidden_variables, "counts_by_position", tampered(3, 5))
+    with pytest.raises(ArithmeticError):
+        ghz_contradiction_count(4)
+    monkeypatch.setattr(hidden_variables, "counts_by_position", tampered(5, 5))
+    with pytest.raises(ArithmeticError):
+        ghz_contradiction_count(4)
+    monkeypatch.setattr(hidden_variables, "power_sum", lambda n: 10)
+    with pytest.raises(ArithmeticError):
+        uniform_value(3)
+    alpha = PhaseExponent(1, 9)  # not a power of omega
+    monkeypatch.setattr(hidden_variables, "eigenphase", lambda word, c: alpha)
+    with pytest.raises(ArithmeticError):
+        contradiction_witness(SettingWord.from_string("YYY"))
 
 
 def test_contradiction_witnesses():

@@ -21,6 +21,7 @@ from qudit_mermin.hidden_variables import uniform_value
 from qudit_mermin.mermin import (
     VERIFY_TERM_CAP,
     IdentityReport,
+    PositionCounts,
     MerminOperator,
     build_mermin,
     check_verify_budget,
@@ -28,7 +29,13 @@ from qudit_mermin.mermin import (
     expand_identity,
     verify_eigenvalue,
 )
-from qudit_mermin.qudit_ops import EigenstateError, SettingWord, apply_word, ghz_state
+from qudit_mermin.qudit_ops import (
+    EigenstateError,
+    SettingWord,
+    _all_words,
+    apply_word,
+    ghz_state,
+)
 
 from test_qudit_ops import dense_ghz, dense_word
 
@@ -155,6 +162,27 @@ def test_counts_against_enumeration():
         assert counts_by_position(3, n).counts == brute_force_counts(3, n)
     for n in (1, 2, 3):
         assert counts_by_position(5, n).counts == brute_force_counts(5, n)
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 9), (5, 5), (7, 4)])
+def test_counts_equal_the_word_array_tally(d, n_max):
+    for n in range(1, n_max + 1):
+        positions = _all_words(d, n).sum(axis=1, dtype=np.int64) % (d * d)
+        tally = np.bincount(positions, minlength=d * d)
+        assert counts_by_position(d, n) == PositionCounts(d, n, tuple(tally.tolist()))
+
+
+def test_counts_at_a_thousand_sites():
+    counts = counts_by_position(3, 1000)
+    assert counts.total == 3**1000
+    assert counts.counts[3] == counts.counts[6]
+
+
+def test_counts_check_their_total(monkeypatch):
+    # a wrong alphabet (four letters) cannot total 3**N words
+    monkeypatch.setattr(mermin, "rotation_alphabet", lambda d: (-1, 0, 1, 2))
+    with pytest.raises(ArithmeticError):
+        counts_by_position(3, 2)
 
 
 def test_counts_examples():
