@@ -1,14 +1,18 @@
 """Command-line interface: verification runs with human, JSON, or CSV output.
 
-Exit codes: 0 all checks pass, 1 a verification mismatch, 2 usage error.
-JSON and CSV payloads are deterministic: identical invocations produce
-byte-identical output for any worker count (timing and worker counts are
-diagnostic-only and go to stderr in human mode).
+Each command body takes only its own options and returns its parameters,
+results, CSV rows, human text and a failure note (None when every check
+passes).  One runner, ``_command``, does the rest for every command: it
+adds ``--format`` and ``--out``, times the call, writes the payload and
+picks the exit code: 0 all checks pass, 1 a verification mismatch (the
+note goes to stderr), 2 usage error, including any ValueError the library
+raises for bad or over-budget input.  JSON and CSV payloads are
+deterministic: identical invocations produce byte-identical output for any
+worker count (timing and worker counts are diagnostics, kept out of them).
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -50,27 +54,14 @@ TABLE1_CAP = 12
 SCALING_CAP = 40
 
 
-def _round6(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
 def _clean(obj):
     if isinstance(obj, float):
-        return _round6(obj)
+        return float(f"{obj:.6g}")
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     return obj
-
-
-def _payload(command: str, parameters: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "parameters": _clean(parameters),
-        "results": _clean(results),
-    }
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -89,61 +80,38 @@ def _csv_text(rows: list[dict]) -> str:
 # Every click.echo names sys.stdout or sys.stderr, looked up at call time.
 # Without a file, click caches each new sys.stdout/sys.stderr in a weak-key
 # map whose value is the stream itself, so an in-process call under
-# redirect_stdout would keep its output buffer alive for good.
-def _emit(fmt: str, out: str | None, payload: dict, rows: list[dict], human: str) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _csv_text([_clean(r) for r in rows])
-    else:
-        text = human if human.endswith("\n") else human + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        click.echo(f"wrote {out}", file=sys.stderr)
-    else:
-        click.echo(text, nl=False, file=sys.stdout)
+# redirect_stdout would keep its output buffer alive for good.  Hence the
+# help and version flags below replace click's own.
+def _eager_flag(names: list[str], help: str, text) -> click.Option:
+    """A flag that prints text(ctx) and exits before any other option is read."""
+
+    def show(ctx: click.Context, _param, value: bool) -> None:
+        if value and not ctx.resilient_parsing:
+            click.echo(text(ctx), file=sys.stdout, color=ctx.color)
+            ctx.exit()
+
+    return click.Option(names, is_flag=True, expose_value=False, is_eager=True,
+                        callback=show, help=help)
 
 
-def _finish(fmt, out, payload, rows, human, ok, mismatch_note, started):
-    if fmt == "human":
-        human += f"\nelapsed: {time.perf_counter() - started:.3f} s"
-    _emit(fmt, out, payload, rows, human)
-    if not ok:
-        click.echo(f"verification mismatch: {mismatch_note}", file=sys.stderr)
-        sys.exit(1)
+_help_option = _eager_flag(["-h", "--help"], "Show this message and exit.",
+                           click.Context.get_help)
+_version_option = _eager_flag(["--version"], "Show the version and exit.",
+                              lambda ctx: f"qudit-mermin, version {__version__}")
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """Report a ValueError from the library (bad or over-budget input) as exit 2."""
-    try:
-        yield
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+class _Command(click.Command):
+    # returned here rather than listed in params, so a usage error still
+    # says "Try '<command> --help' for help."
+    def get_help_option(self, ctx: click.Context) -> click.Option:
+        return _help_option
 
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "json", "csv"]),
-    default="human",
-    show_default=True,
-    help="Output format.",
-)
-_out_option = click.option(
-    "--out", type=click.Path(dir_okay=False, writable=True), default=None,
-    help="Write the payload to this file instead of stdout.",
-)
-_workers_option = click.option(
-    "--workers", type=int, default=None,
-    help="Accepted and validated for compatibility (default: QUDIT_MERMIN_WORKERS, "
-    "else CPU count); every search and scan runs in one process.",
-)
+class _Group(_Command, click.Group):
+    command_class = _Command
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="qudit-mermin")
+@click.group(cls=_Group, params=[_version_option])
 def cli() -> None:
     """Exact verification of many-qutrit Mermin operators.
 
@@ -153,26 +121,76 @@ def cli() -> None:
     """
 
 
-@cli.command("table1")
+_output_options = [
+    click.Option(["--format", "fmt"], type=click.Choice(["human", "json", "csv"]),
+                 default="human", show_default=True, help="Output format."),
+    click.Option(["--out"], type=click.Path(dir_okay=False, writable=True), default=None,
+                 help="Write the payload to this file instead of stdout."),
+]
+_workers_option = click.option(
+    "--workers", type=int, default=None,
+    help="Accepted and validated for compatibility (default: QUDIT_MERMIN_WORKERS, "
+    "else CPU count); every search and scan runs in one process.",
+)
+
+
+def _command(name: str):
+    """Register a command body that returns (parameters, results, rows, human, failure).
+
+    The body takes only its own options.  The runner adds ``--format`` and
+    ``--out``, turns a ValueError from the body (bad or over-budget input)
+    into a usage error (exit 2), writes the JSON payload, the CSV rows or
+    the human text plus its elapsed line, and exits 1 with the failure note
+    on stderr when ``failure`` is not None.
+    """
+
+    def register(body):
+        def run(fmt: str, out: str | None, **options) -> None:
+            started = time.perf_counter()
+            try:
+                parameters, results, rows, human, failure = body(**options)
+            except ValueError as exc:
+                raise click.UsageError(str(exc)) from exc
+            if fmt == "json":
+                payload = {"command": name, "version": __version__,
+                           "parameters": _clean(parameters), "results": _clean(results)}
+                text = json.dumps(payload, indent=2) + "\n"
+            elif fmt == "csv":
+                text = _csv_text([_clean(r) for r in rows])
+            else:
+                text = f"{human}\nelapsed: {time.perf_counter() - started:.3f} s\n"
+            if out:
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                click.echo(f"wrote {out}", file=sys.stderr)
+            else:
+                click.echo(text, nl=False, file=sys.stdout)
+            if failure is not None:
+                click.echo(f"verification mismatch: {failure}", file=sys.stderr)
+                sys.exit(1)
+
+        # the body's own options first, in the order click lists decorated ones
+        own = list(reversed(getattr(body, "__click_params__", [])))
+        return cli.command(name, help=body.__doc__, params=own + _output_options)(run)
+
+    return register
+
+
+@_command("table1")
 @click.option("--n-min", type=int, default=3, show_default=True)
 @click.option("--n-max", type=int, default=7, show_default=True)
-@_format_option
-@_out_option
-def cmd_table1(n_min: int, n_max: int, fmt: str, out: str | None) -> None:
+def cmd_table1(n_min: int, n_max: int):
     """Quantum vs classical values and contradiction counts per N."""
-    started = time.perf_counter()
     if not 1 <= n_min <= n_max <= TABLE1_CAP:
-        raise click.UsageError(f"need 1 <= n-min <= n-max <= {TABLE1_CAP}")
+        raise ValueError(f"need 1 <= n-min <= n-max <= {TABLE1_CAP}")
     rows = []
-    ok = True
-    note = ""
+    failure = None
     for n in range(n_min, n_max + 1):
         m_q = 3 ** (n - 1)
         m_c = uniform_value(n)
         counts = counts_by_position(3, n).counts
         if counts[0] - counts[3] != m_c:
-            ok = False
-            note = f"counts route disagrees with recurrence at N={n}"
+            failure = f"counts route disagrees with recurrence at N={n}"
         rows.append(
             {
                 "N": n,
@@ -182,70 +200,49 @@ def cmd_table1(n_min: int, n_max: int, fmt: str, out: str | None) -> None:
                 "N_GHZ": ghz_contradiction_count(n),
             }
         )
-    payload = _payload("table1", {"n_min": n_min, "n_max": n_max}, {"rows": rows})
     lines = [f"{'N':>3} {'M_Q':>8} {'M_C':>8} {'R':>6} {'N_GHZ':>7}"]
     for r in rows:
         lines.append(
             f"{r['N']:>3} {r['M_Q']:>8} {r['M_C']:>8} {r['ratio']:>6.3g} {r['N_GHZ']:>7}"
         )
-    _finish(fmt, out, payload, rows, "\n".join(lines), ok, note, started)
+    return {"n_min": n_min, "n_max": n_max}, {"rows": rows}, rows, "\n".join(lines), failure
 
 
-@cli.command("table2")
-@_format_option
-@_out_option
-def cmd_table2(fmt: str, out: str | None) -> None:
+@_command("table2")
+def cmd_table2():
     """Per-site factor magnitudes and phases for all nine ratio choices."""
-    started = time.perf_counter()
     expected_phases = {0.0, 20.0, -20.0, 40.0, -40.0, 80.0, -80.0, 180.0}
     rows = []
-    ok = True
-    note = ""
+    failure = None
     for row in factor_table():
         letters = sorted(e.letter for e in row.entries)
         if letters != ["A", "B", "C"]:
-            ok, note = False, f"factor multiset broken at ratios ({row.r_exp},{row.s_exp})"
+            failure = f"factor multiset broken at ratios ({row.r_exp},{row.s_exp})"
         for e in row.entries:
             if min(abs(e.phase_deg - p) for p in expected_phases) > 1e-9:
-                ok, note = False, f"unexpected phase {e.phase_deg}"
-        rows.append(
-            {
-                "R": SYMBOLS[row.r_exp],
-                "S": SYMBOLS[row.s_exp],
-                "A": row.entries[0].text,
-                "A_phase_deg": row.entries[0].phase_deg,
-                "A_magnitude": row.entries[0].magnitude,
-                "B": row.entries[1].text,
-                "B_phase_deg": row.entries[1].phase_deg,
-                "B_magnitude": row.entries[1].magnitude,
-                "C": row.entries[2].text,
-                "C_phase_deg": row.entries[2].phase_deg,
-                "C_magnitude": row.entries[2].magnitude,
-            }
-        )
-    payload = _payload("table2", {}, {"rows": rows})
+                failure = f"unexpected phase {e.phase_deg}"
+        cells = {"R": SYMBOLS[row.r_exp], "S": SYMBOLS[row.s_exp]}
+        for letter, e in zip("ABC", row.entries):
+            cells |= {letter: e.text, f"{letter}_phase_deg": e.phase_deg,
+                      f"{letter}_magnitude": e.magnitude}
+        rows.append(cells)
     lines = [f"{'R':>4} {'S':>4} {'A':>8} {'B':>8} {'C':>8}"]
     for r in rows:
         lines.append(f"{r['R']:>4} {r['S']:>4} {r['A']:>8} {r['B']:>8} {r['C']:>8}")
     lines.append("phases in degrees; A=2.53209, B=1.34730, C=0.879385")
-    _finish(fmt, out, payload, rows, "\n".join(lines), ok, note, started)
+    return {}, {"rows": rows}, rows, "\n".join(lines), failure
 
 
-@cli.command("verify")
+@_command("verify")
 @click.option("--n", type=int, required=True, help="Number of particles.")
 @click.option("--variant", type=int, default=0, show_default=True)
 @click.option("--d", type=int, default=3, show_default=True)
-@_format_option
-@_out_option
-def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
+def cmd_verify(n: int, variant: int, d: int):
     """Check the exact operator eigenvalue d**(N-1) on its GHZ state."""
-    started = time.perf_counter()
     if d != 3 and variant != 0:
-        raise click.UsageError("variants other than 0 are defined for d=3 only")
-    with _usage_errors():
-        GeneralConfig(d, n)
-        op = build_mermin(d, n, variant)
-    eigenvalue = verify_eigenvalue(op)
+        raise ValueError("variants other than 0 are defined for d=3 only")
+    GeneralConfig(d, n)
+    eigenvalue = verify_eigenvalue(build_mermin(d, n, variant))
     expected = d ** (n - 1)
     ok = eigenvalue == expected
     results = {
@@ -256,24 +253,19 @@ def cmd_verify(n: int, variant: int, d: int, fmt: str, out: str | None) -> None:
         "expected": expected,
         "match": ok,
     }
-    payload = _payload("verify", {"n": n, "variant": variant, "d": d}, results)
     human = (
         f"eigenvalue {eigenvalue} = {d}^{n - 1}, "
         f"{'PASS' if ok else 'FAIL'} (variant {variant}, d={d})"
     )
-    rows = [results]
-    _finish(fmt, out, payload, rows, human, ok, f"eigenvalue {eigenvalue} != {expected}", started)
+    failure = None if ok else f"eigenvalue {eigenvalue} != {expected}"
+    return {"n": n, "variant": variant, "d": d}, results, [results], human, failure
 
 
-@cli.command("identity")
+@_command("identity")
 @click.option("--n", type=int, required=True)
-@_format_option
-@_out_option
-def cmd_identity(n: int, fmt: str, out: str | None) -> None:
+def cmd_identity(n: int):
     """Term-for-term check of the product-form expansion of the operator."""
-    started = time.perf_counter()
-    with _usage_errors():
-        report = expand_identity(n)
+    report = expand_identity(n)
     results = {
         "n": n,
         "n_words": report.n_words,
@@ -281,35 +273,29 @@ def cmd_identity(n: int, fmt: str, out: str | None) -> None:
         "n_vanishing": report.n_vanishing,
         "matches": report.matches,
     }
-    payload = _payload("identity", {"n": n}, results)
     human = (
         f"{report.n_words} words: {report.n_surviving} surviving, "
         f"{report.n_vanishing} vanishing, "
         f"{'PASS' if report.matches else 'FAIL'}"
     )
-    _finish(fmt, out, payload, [results], human, report.matches,
-            "; ".join(report.mismatches[:3]), started)
+    failure = None if report.matches else "; ".join(report.mismatches[:3])
+    return {"n": n}, results, [results], human, failure
 
 
-@cli.command("search")
+@_command("search")
 @click.option("--n", type=int, required=True)
 @click.option(
     "--mode", type=click.Choice(["ratio", "full"]), default="ratio", show_default=True
 )
 @_workers_option
-@_format_option
-@_out_option
-def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None) -> None:
+def cmd_search(n: int, mode: str, workers: int | None):
     """Exhaustive hidden-variable search for the classical maximum."""
-    started = time.perf_counter()
-    with _usage_errors():
-        result = exhaustive_search(n, mode=mode, workers=workers)
+    result = exhaustive_search(n, mode=mode, workers=workers)
     uniform = uniform_value(n)
     equals_uniform = max_equals_uniform(result)
     ok = equals_uniform or n < 3
     if mode == "full":
-        dev = result.details["ratio_agreement_max_abs_dev"]
-        ok = ok and dev <= 1e-9
+        ok = ok and result.details["ratio_agreement_max_abs_dev"] <= 1e-9
     results = {
         "n": n,
         "mode": mode,
@@ -331,7 +317,6 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
         results["ratio_agreement_max_abs_dev"] = result.details[
             "ratio_agreement_max_abs_dev"
         ]
-    payload = _payload("search", {"n": n, "mode": mode}, results)
     human = (
         f"max |v| = {result.max_magnitude:.6g} over {result.assignments_scanned} "
         f"{mode} assignments; uniform value {uniform} "
@@ -339,23 +324,19 @@ def cmd_search(n: int, mode: str, workers: int | None, fmt: str, out: str | None
         f"{result.num_maximizers} maximizers"
     )
     click.echo("workers: 1", file=sys.stderr)
-    _finish(fmt, out, payload, [results], human, ok,
-            f"search max {result.max_magnitude} vs uniform {uniform}", started)
+    failure = None if ok else f"search max {result.max_magnitude} vs uniform {uniform}"
+    return {"n": n, "mode": mode}, results, [results], human, failure
 
 
-@cli.command("witness")
+@_command("witness")
 @click.option("--n", type=int, required=True)
 @click.option("--limit", type=int, default=20, show_default=True,
               help="Rows shown in human output (JSON/CSV always carry all rows).")
-@_format_option
-@_out_option
-def cmd_witness(n: int, limit: int, fmt: str, out: str | None) -> None:
+def cmd_witness(n: int, limit: int):
     """List GHZ contradictions: quantum eigenphase vs uniform prediction."""
-    started = time.perf_counter()
-    with _usage_errors():
-        witnesses = list(iter_contradiction_witnesses(n))
-        expected = ghz_contradiction_count(n)
-    ok = len(witnesses) == expected and all(w.contradicts for w in witnesses)
+    witnesses = list(iter_contradiction_witnesses(n))
+    expected = ghz_contradiction_count(n)
+    all_contradict = all(w.contradicts for w in witnesses)
     rows = [
         {
             "word": str(w.word),
@@ -370,10 +351,9 @@ def cmd_witness(n: int, limit: int, fmt: str, out: str | None) -> None:
         "n": n,
         "count": len(witnesses),
         "expected_count": expected,
-        "all_contradict": all(w.contradicts for w in witnesses),
+        "all_contradict": all_contradict,
         "rows": rows,
     }
-    payload = _payload("witness", {"n": n}, results)
     lines = [f"{len(witnesses)} contradictions (expected {expected})"]
     for row in rows[: max(0, limit)]:
         lines.append(
@@ -382,27 +362,24 @@ def cmd_witness(n: int, limit: int, fmt: str, out: str | None) -> None:
         )
     if len(rows) > limit:
         lines.append(f"  ... and {len(rows) - limit} more")
-    _finish(fmt, out, payload, rows, "\n".join(lines), ok,
-            f"{len(witnesses)} witnesses vs expected {expected}", started)
+    ok = len(witnesses) == expected and all_contradict
+    failure = None if ok else f"{len(witnesses)} witnesses vs expected {expected}"
+    return {"n": n}, results, rows, "\n".join(lines), failure
 
 
-@cli.command("general")
+@_command("general")
 @click.option("--d", type=int, default=5, show_default=True)
 @click.option("--n", type=int, required=True)
 @click.option("--conjecture", is_flag=True, help="Run the ratio-space scan too.")
 @_workers_option
-@_format_option
-@_out_option
-def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
-                fmt: str, out: str | None) -> None:
+def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
     """Eigenvalue and uniform factors for odd local dimension d."""
-    started = time.perf_counter()
-    with _usage_errors():
-        op = build_general_mermin(GeneralConfig(d, n))
-        eigenvalue = verify_eigenvalue(op)
+    op = build_general_mermin(GeneralConfig(d, n))
+    eigenvalue = verify_eigenvalue(op)
     term_count = op.term_count
     expected = d ** (n - 1)
     ok = eigenvalue == expected and term_count == expected
+    failure = None if ok else f"eigenvalue {eigenvalue} or term count {term_count} != {expected}"
     factors = uniform_factors(d)
     results = {
         "d": d,
@@ -415,10 +392,8 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
         "largest_factor": factors.largest,
         "uniform_value": general_uniform_value(d, n),
     }
-    note = f"eigenvalue {eigenvalue} or term count {term_count} != {expected}"
     if conjecture:
-        with _usage_errors():
-            report = conjecture_search(d, n, workers=workers)
+        report = conjecture_search(d, n, workers=workers)
         results["conjecture"] = {
             "max_magnitude": report.max_magnitude,
             "uniform_magnitude": report.uniform_magnitude,
@@ -428,13 +403,10 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
             "assignments_scanned": report.assignments_scanned,
         }
         if compare_real_coeffs(d * d, report.max_sq_coeffs, report.uniform_sq_coeffs) < 0:
-            ok, note = False, "scan maximum fell below the uniform value"
-    payload = _payload(
-        "general", {"d": d, "n": n, "conjecture": conjecture}, results
-    )
+            failure = "scan maximum fell below the uniform value"
     lines = [
         f"d={d}, N={n}: eigenvalue {eigenvalue} = {d}^{n - 1}, "
-        f"{term_count} terms, {'PASS' if ok else 'FAIL'}",
+        f"{term_count} terms, {'PASS' if failure is None else 'FAIL'}",
         "uniform factors: "
         + ", ".join(f"{m:.5g}" for m in factors.magnitudes()),
         f"uniform |v| = {results['uniform_value']:.6g}",
@@ -448,18 +420,16 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None,
             f"conjecture scan: max |v| = {c['max_magnitude']:.6g} over "
             f"{c['assignments_scanned']} assignments; {verdict}"
         )
-    _finish(fmt, out, payload, [results], "\n".join(lines), ok, note, started)
+    parameters = {"d": d, "n": n, "conjecture": conjecture}
+    return parameters, results, [results], "\n".join(lines), failure
 
 
-@cli.command("scaling")
+@_command("scaling")
 @click.option("--n-max", type=int, default=12, show_default=True)
-@_format_option
-@_out_option
-def cmd_scaling(n_max: int, fmt: str, out: str | None) -> None:
+def cmd_scaling(n_max: int):
     """Plot-ready growth data, with the two-setting reference columns."""
-    started = time.perf_counter()
     if not 1 <= n_max <= SCALING_CAP:
-        raise click.UsageError(f"need 1 <= n-max <= {SCALING_CAP}")
+        raise ValueError(f"need 1 <= n-max <= {SCALING_CAP}")
     rows = []
     for n in range(1, n_max + 1):
         m_q = 3 ** (n - 1)
@@ -477,7 +447,6 @@ def cmd_scaling(n_max: int, fmt: str, out: str | None) -> None:
                 "asymptote_two_setting": TWO_SETTING_ASYMPTOTE**n,
             }
         )
-    payload = _payload("scaling", {"n_max": n_max}, {"rows": rows})
     lines = [
         f"{'N':>3} {'M_Q':>10} {'M_C':>10} {'ratio':>9} {'2-setting M_Q':>14} {'ratio_prior':>12}"
     ]
@@ -490,7 +459,7 @@ def cmd_scaling(n_max: int, fmt: str, out: str | None) -> None:
         f"asymptotes: {THREE_SETTING_ASYMPTOTE}^N (three settings) vs "
         f"{TWO_SETTING_ASYMPTOTE}^N (two settings)"
     )
-    _finish(fmt, out, payload, rows, "\n".join(lines), True, "", started)
+    return {"n_max": n_max}, {"rows": rows}, rows, "\n".join(lines), None
 
 
 def main() -> None:

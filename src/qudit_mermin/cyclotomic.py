@@ -210,21 +210,12 @@ class CycInt:
 
     def times_root(self, j: int) -> CycInt:
         """Multiply by alpha**j (a signed permutation of coefficients)."""
-        m = self.order
-        tmp = [0] * m
-        for e, c in enumerate(self.coeffs):
-            if c:
-                tmp[(e + j) % m] += c
-        return CycInt(m, _reduce(m, tmp))
+        return CycInt.from_coeffs(self.order, (0,) * (j % self.order) + self.coeffs)
 
     def conjugate(self) -> CycInt:
         """Complex conjugation: alpha**j -> alpha**(m-j)."""
-        m = self.order
-        tmp = [0] * m
-        for e, c in enumerate(self.coeffs):
-            if c:
-                tmp[(-e) % m] += c
-        return CycInt(m, _reduce(m, tmp))
+        c = self.coeffs
+        return CycInt.from_coeffs(self.order, c[:1] + (0,) * (self.order - len(c)) + c[:0:-1])
 
     # ---- queries and the float shadow -------------------------------------
 

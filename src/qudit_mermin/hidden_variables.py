@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,28 +139,41 @@ class FactorTableRow:
     entries: tuple[FactorEntry, FactorEntry, FactorEntry]  # A, B, C columns
 
 
+@lru_cache(maxsize=None)
+def _factor_phases() -> dict[tuple[int, ...], tuple[str, float]]:
+    """(letter, phase in degrees) of each exact factor s * alpha**e * L.
+
+    L is one of the positive reals A, B, C (the R = S = 1 factors, with
+    -C negated), s = +-1 and e < 9, so the phase is 40e degrees, plus 180
+    when s = -1, taken into (-180, 180].  The 54 values are distinct.
+    """
+    table = {}
+    uniform = _ratio_factors(3)[0]
+    for letter, sign in (("A", 1), ("B", 1), ("C", -1)):
+        base = uniform[_LETTER_SLOT[letter]] * sign
+        for e in range(9):
+            for s, turn in ((1, 0), (-1, 180)):
+                phase = 180 - (180 - 40 * e - turn) % 360
+                table[(base * s).times_root(e).coeffs] = (letter, float(phase))
+    return table
+
+
 def _classify(value: CycInt) -> FactorEntry:
-    z = value.to_complex()
-    mag = abs(z)
-    for letter, ref in (("A", A_VALUE), ("B", B_VALUE), ("C", C_VALUE)):
-        if abs(mag - ref) < 1e-9:
-            break
-    else:
-        raise ArithmeticError(f"factor magnitude {mag} matches none of A, B, C")
-    phase = math.degrees(math.atan2(z.imag, z.real))
-    # every factor is a real constant times a root of unity, so the true
-    # phase is a multiple of 20 degrees; snap away the float noise
-    snapped = 20.0 * round(phase / 20.0)
-    if abs(phase - snapped) >= 1e-9:
-        raise ArithmeticError(f"factor phase {phase} is off the 20-degree grid")
-    phase = 180.0 if snapped == -180.0 else snapped
+    try:
+        letter, phase = _factor_phases()[value.coeffs]
+    except KeyError:
+        raise ArithmeticError(
+            f"factor {value} is not +-alpha**e times A, B or C"
+        ) from None
     if phase == 0.0:
         text = letter
     elif phase == 180.0:
         text = f"-{letter}"
     else:
         text = f"{letter}({phase:+.0f})"
-    return FactorEntry(letter=letter, phase_deg=phase, magnitude=mag, text=text)
+    return FactorEntry(
+        letter=letter, phase_deg=phase, magnitude=abs(value.to_complex()), text=text
+    )
 
 
 def factor_table() -> tuple[FactorTableRow, ...]:

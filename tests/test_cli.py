@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import itertools
 import json
+import re
 import weakref
 
 import pytest
@@ -191,6 +193,9 @@ def test_in_process_calls_release_their_output_buffers(tmp_path):
         ["table1"],
         ["search", "--n", "2"],  # writes "workers: 1" to stderr
         ["witness", "--n", "3", "--out", str(tmp_path / "w.json")],  # "wrote ..."
+        ["--version"],
+        ["--help"],
+        ["table1", "--help"],
     ]
     refs = []
     for argv in calls:
@@ -331,3 +336,78 @@ def test_workers_env_override_and_flag_precedence(runner, monkeypatch):
         cli, ["search", "--n", "2", "--workers", "1", "--format", "json"]
     )
     assert result.stdout.encode("utf-8") == baseline.stdout.encode("utf-8")
+
+
+ONE_RUN_PER_COMMAND = [
+    ["table1", "--n-max", "4"],
+    ["table2"],
+    ["verify", "--n", "3"],
+    ["identity", "--n", "3"],
+    ["search", "--n", "3"],
+    ["witness", "--n", "3"],
+    ["general", "--d", "5", "--n", "2"],
+    ["scaling", "--n-max", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_PER_COMMAND, ids=lambda argv: argv[0])
+def test_human_output_ends_with_the_elapsed_line(runner, argv):
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == 0
+    assert re.search(r"\S\nelapsed: \d+\.\d{3} s\n\Z", result.stdout)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [["witness", "--n", "4"], ["scaling", "--n-max", "6"]],
+                         ids=lambda argv: argv[0])
+def test_out_writes_the_stdout_bytes(runner, tmp_path, argv, fmt):
+    target = tmp_path / f"payload.{fmt}"
+    printed = runner.invoke(cli, argv + ["--format", fmt])
+    written = runner.invoke(cli, argv + ["--format", fmt, "--out", str(target)])
+    assert printed.exit_code == written.exit_code == 0
+    assert target.read_bytes() == printed.stdout.encode("utf-8")
+    assert written.stdout == ""
+    assert written.stderr == f"wrote {target}\n"
+
+
+MISMATCHES = {
+    # argv: (library call patched in cli, its replacement given the real one)
+    "identity": (["identity", "--n", "3"], "expand_identity",
+                 lambda real: lambda n: dataclasses.replace(
+                     real(n), matches=False, mismatches=("term 0 differs",))),
+    "witness": (["witness", "--n", "3"], "ghz_contradiction_count",
+                lambda real: lambda n: real(n) + 1),
+    "table1": (["table1", "--n-max", "4"], "uniform_value",
+               lambda real: lambda n: real(n) + 1),
+    "search": (["search", "--n", "3"], "max_equals_uniform",
+               lambda real: lambda result: False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISMATCHES))
+def test_verification_mismatch_exits_1(runner, monkeypatch, command):
+    argv, name, fake = MISMATCHES[command]
+    monkeypatch.setattr(cli_module, name, fake(getattr(cli_module, name)))
+    for fmt in ("human", "json"):
+        result = runner.invoke(cli, argv + ["--format", fmt])
+        assert result.exit_code == 1
+        assert result.stdout  # the payload is still written
+        assert result.stderr.splitlines()[-1].startswith("verification mismatch: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scaling", "--n-max", "41"], "need 1 <= n-max <= 40"),
+        (["table1", "--n-max", "13"], "need 1 <= n-min <= n-max <= 12"),
+        (["verify", "--d", "5", "--variant", "1", "--n", "3"],
+         "variants other than 0 are defined for d=3 only"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_usage_error_message_on_stderr(runner, argv, message):
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Try 'cli {argv[0]} --help' for help." in result.stderr
+    assert result.stderr.endswith(f"Error: {message}\n")

@@ -109,6 +109,35 @@ def test_factor_multiset_conserved():
         assert letters == ["A", "B", "C"]
 
 
+def test_factor_table_entries_are_exact_root_multiples():
+    # A, B, C as exact positive reals: the R = S = 1 factors, with -C negated
+    constants = {letter: factor_value(letter, 0, 0) for letter in "AB"}
+    constants["C"] = -factor_value("C", 0, 0)
+    for row in factor_table():
+        values = (row.triple.a_value, row.triple.b_value, row.triple.c_value)
+        for entry, value in zip(row.entries, values):
+            matches = [
+                (s, e)
+                for s in (1, -1)
+                for e in range(9)
+                if value == constants[entry.letter] * s * root_of_unity(e, 9)
+            ]
+            assert len(matches) == 1
+            s, e = matches[0]
+            assert (40 * e + (180 if s < 0 else 0) - entry.phase_deg) % 360 == 0
+            assert -180 < entry.phase_deg <= 180
+            assert entry.magnitude == abs(value.to_complex())
+    assert len(hidden_variables._factor_phases()) == 54  # all 2 * 9 * 3 distinct
+    # one unit off: no sign and root of unity times A, B or C gives it
+    with pytest.raises(ArithmeticError):
+        hidden_variables._classify(constants["A"] + 1)
+    tampered = mock.patch.object(
+        hidden_variables, "factor_value", lambda letter, r, s: constants["B"].times_root(1) + 1
+    )
+    with tampered, pytest.raises(ArithmeticError):
+        factor_table()
+
+
 def test_power_sum_recurrence_against_float_powers():
     for n in range(21):
         direct = A_VALUE**n + B_VALUE**n + (-C_VALUE) ** n
