@@ -8,12 +8,19 @@ alphabet of size A; its value is
 where every F[a, slot] is a cyclotomic integer.  The product over sites
 commutes, so the score depends only on the multiset of letters:
 ``run_search`` evaluates each of the C(N+A-1, N) classes (non-decreasing
-letter tuples) once instead of all A**N assignments.  Class products are
-built level by level, each prefix extended only by letters not below its
-last letter, and carried as exact int64 coefficient vectors
-(multiplication by a fixed factor is a linear map on coefficients).  A
-float shadow ranks the classes, and every near-tie is settled with exact
-coefficient arithmetic.
+letter tuples) once instead of all A**N assignments.
+
+The search ranks in floats and decides exactly.  Class products are
+complex128 rows, built level by level with each prefix extended only by
+letters not below its last letter, and a real row of magnitude bounds rides
+alongside.  The last level is scored one block per last letter with one
+mat-vec, and every score carries a proven rounding bound
+(``_scored_blocks``).  Only the band of classes that may reach the maximum
+is resolved exactly: one batched int64 cyclic convolution per site
+(``_cyclic_times``) folded once to canonical coefficients, then one squared
+magnitude per distinct value, ordered with ``compare_real_coeffs``.  One
+guard (``_factor_coeffs``), checked before any work, keeps every int64 value
+exact and every float finite.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -32,6 +39,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,16 +62,16 @@ __all__ = [
     "check_search_budget",
 ]
 
-_BAND_REL = 1e-6
-_COEFF_LIMIT = 2**52
-
 # One search may evaluate CLASS_CAP letter multisets (the qutrit ratio space
-# up to N = 15) after building a (A, slots, phi, phi) multiplication table of
-# TABLE_CAP int64 entries (80 MB; d = 5 needs 1.25e6 and d = 7 1.45e9).
+# up to N = 15) from a factor table of at most FACTOR_CAP int64 coefficients,
+# A x slots x phi (8 MB; d = 5 needs 62,500 and d = 7 34.6 million).
 CLASS_CAP = 500_000
-TABLE_CAP = 10**7
+FACTOR_CAP = 10**6
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
+
+# Unit roundoff of IEEE double precision.
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -97,26 +105,35 @@ class RawSearchResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit value, else env override, else CPU count."""
+    """Worker count: explicit value, else env override, else CPU count.
+
+    The value and the ``QUDIT_MERMIN_WORKERS`` override must both be
+    integers of at least 1; an empty override counts as unset.
+    """
     if workers is not None:
         workers = int(workers)
         if workers < 1:
             raise ValueError("worker count must be at least 1")
         return workers
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    workers = int(env) if env.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(
+            f"{WORKERS_ENV_VAR} must be an integer of at least 1, got {env!r}"
+        )
+    return workers
 
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
     """Raise ValueError for an over-budget space; call it before building factors."""
     _, phi = order_params(order)
-    entries = alphabet * slots * phi * phi
-    if entries > TABLE_CAP:
+    entries = alphabet * slots * phi
+    if entries > FACTOR_CAP:
         raise ValueError(
-            f"multiplication table of {alphabet} x {slots} x {phi}**2 = {entries} "
-            f"int64 entries exceeds the cap of {TABLE_CAP}"
+            f"factor table of {alphabet} x {slots} x {phi} = {entries} "
+            f"coefficients exceeds the cap of {FACTOR_CAP}"
         )
     if math.comb(n_sites + alphabet - 1, n_sites) > CLASS_CAP:
         raise ValueError(
@@ -125,55 +142,140 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
         )
 
 
-def _mult_matrix(factor: CycInt, phi: int) -> np.ndarray:
-    """Multiplication-by-``factor`` matrix, one ``times_root`` per column.
+def _factor_coeffs(space: ProductSpace) -> np.ndarray:
+    """(A, slots, phi) int64 factor coefficients, after the one range guard.
 
-    Reference for the vectorized ``_tables``.
+    Let L be the largest L1 norm of a factor's coefficients.  A product of
+    t factors has a representative modulo x**m - 1 (alpha**m = 1), the
+    cyclic convolution of their coefficient vectors, of L1 norm at most
+    L**t; each canonical coefficient is the difference of two of its
+    entries (alpha**(phi + r) = -sum_{j < d-1} alpha**(j*d + r)), so it is
+    at most L**t as well, and a sum of ``slots`` products is at most
+    slots * L**N.  Every partial sum formed on the way is bounded by one of
+    these, except in ``full_space_scores``, which multiplies canonical
+    vectors of L1 norm at most (d - 1) * L**t by a factor, (d - 1) * L**N in
+    all.  So max(2 * slots, d - 1) * L**N < 2**63 keeps every int64 value
+    exact and every float of the ranking finite; anything else raises
+    OverflowError before any product is formed.
     """
-    cols = [factor.times_root(j).coeffs for j in range(phi)]
-    return np.array(cols, dtype=np.int64).T
+    d, phi = order_params(space.order)
+    coeffs = np.fromiter(
+        chain.from_iterable(f.coeffs for row in space.factors for f in row),
+        dtype=np.int64,
+        count=space.alphabet * space.slots * phi,
+    ).reshape(space.alphabet, space.slots, phi)
+    # int64 row sums are exact while every |coefficient| < 2**63 // phi
+    wide = max(-int(coeffs.min()), int(coeffs.max())) >= 2**63 // phi
+    l1 = int(np.abs(coeffs.astype(object) if wide else coeffs).sum(axis=-1).max())
+    if max(2 * space.slots, d - 1) * l1**space.n_sites >= 2**63:
+        raise OverflowError("product coefficients may exceed the exact int64 range")
+    return coeffs
 
 
-def _shift_matrices(m: int) -> np.ndarray:
-    """``shifts[k]``: the matrix of multiplication by alpha**k, k < phi(m)."""
-    _, phi = order_params(m)
-    k = np.arange(phi)
-    # column j of shifts[k] holds alpha**(k + j), folded mod m (2*phi - 2 >= m)
-    return _root_coeffs(m)[np.add.outer(k, k) % m].transpose(0, 2, 1)
+def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
+    """``ends[t][b]``: the number of t-letter classes with last letter at most b.
 
-
-def _tables(space: ProductSpace):
-    """Exact multiplication matrices ``mats[a, s]`` and the float powers of alpha."""
-    coeffs = np.array(
-        [[f.coeffs for f in row] for row in space.factors], dtype=np.int64
-    )
-    mats = np.einsum("ask,kij->asij", coeffs, _shift_matrices(space.order))
-    powers = np.array(_alpha_powers(space.order), dtype=np.complex128)
-    return mats, powers
-
-
-def _unit_products(space: ProductSpace) -> np.ndarray:
-    """The empty product (1 = alpha**0 in every slot), shaped (1, slots, phi)."""
-    return np.tile(_root_coeffs(space.order)[0], (1, space.slots, 1))
-
-
-def _checked(p: np.ndarray, l1: int = 1) -> np.ndarray:
-    """Raise OverflowError unless max|p| < 2**52 and max|p| * l1 < 2**63.
-
-    With ``l1`` the largest L1 norm of a row of the letter matrices, the
-    second bound covers every partial sum of the next matmul of ``p``.
+    Classes of length t are stored in blocks by last letter b; block b
+    extends, by b, the first ends[t-1][b] classes of length t-1, which are
+    exactly those whose last letter is at most b (ends[0]: the empty class).
     """
-    if p.size:
-        peak = int(np.abs(p).max())
-        if peak >= _COEFF_LIMIT or peak * l1 >= 2**63:
-            raise OverflowError("product coefficients exceeded the exact int64 range")
-    return p
+    ends = [np.ones(alphabet, dtype=np.int64)]
+    for _ in range(n_sites - 1):
+        ends.append(np.cumsum(ends[-1]))
+    return ends
 
 
-def _extend(mat: np.ndarray, p: np.ndarray, l1: int = 1) -> np.ndarray:
-    """Multiply each (K, slots, phi) slot product by one letter's factors."""
-    out = np.matmul(p.transpose(1, 0, 2), mat.transpose(0, 2, 1))
-    return _checked(out.transpose(1, 0, 2), l1)
+def _scored_blocks(space: ProductSpace, coeffs: np.ndarray):
+    """Yield (b, lower, upper) for the N-letter classes ending in letter b.
+
+    The class that extends prefix k (in the order of ``_level_ends``) by b
+    has exact score s = |v|**2, v = sum_s prod_i F[a_i, s], within
+    [lower[k], upper[k]]: the float score s^ minus and plus a proven bound.
+
+    Proof of the bound.  Write u = 2**-53 and L1 for a factor's coefficient
+    L1 norm.  (1) Factors: F^ = fl(sum_j c_j alpha^_j), with each stored
+    power within 46u of alpha**j (real and imaginary parts within 32u, as
+    in ``compare_real_coeffs``); converting c_j and the complex dot product
+    of phi terms, in any order and with or without FMA, add at most
+    3 * (phi + 1) * u * L1, so |F^ - F| <= e_F = (3*phi + 51) * u * L1;
+    the code uses twice that, which only enlarges M, rho and the bound
+    below.  A zero factor has F^ = 0 exactly.
+    (2) Put M = |F^| + e_F (M = 0 for a zero factor), which bounds both |F|
+    and |F^|, and rho = max e_F / M < 1 over the nonzero factors.
+    Telescoping, |prod F - prod F^| <= sum_k e_k prod_{i != k} M_i
+    <= N * rho * prod M.  (3) A complex product rounds with relative error
+    at most mu = 4u, so the float prefix of N - 1 factors is within
+    ((1+mu)**(N-2) - 1) * prod |F^| of the exact product of the F^, and the
+    last-level mat-vec over the slots, a complex dot product, adds at most
+    nu = 4 * (slots + 2) * u times sum_s |p^_s| |F^_bs|.  So with
+    G = sum_s prod_i M(a_i, s) and k0 = (1+nu) * (1+mu)**(N-1) - 1, the
+    float sum v^ is within delta = (k0 + N * rho) * G of v, and
+    |v^| <= (1 + k0) * G.  (4) s^ = fl(Re^2 + Im^2) is within 3u |v^|**2
+    of |v^|**2, and ||v^|**2 - s| <= delta * (2|v^| + delta), so with
+    kappa = k0 + N * rho,
+    |s^ - s| <= (1 + k0)**2 * G**2 * (kappa * (2 + kappa) + 3u).
+    Each quantity here is computed with at most 4N + 2 * slots + 20
+    roundings of nonnegative numbers, and the bound used is twice this one,
+    which covers those roundings and the rounding of s^ - bound and
+    s^ + bound in the band test.
+    """
+    _, phi = order_params(space.order)
+    slots, n_sites = space.slots, space.n_sites
+    fhat = coeffs @ np.array(_alpha_powers(space.order))
+    err = (2 * (3 * phi + 51) * _U) * np.abs(coeffs).sum(axis=-1)
+    nonzero = coeffs.any(axis=-1)
+    mags = np.where(nonzero, np.abs(fhat) + err, 0.0)
+    k0 = math.expm1((n_sites - 1) * math.log1p(4 * _U) + math.log1p(4 * (slots + 2) * _U))
+    kappa = k0 + n_sites * float((err / np.where(nonzero, mags, 1.0)).max())
+    scale = 2.0 * (1.0 + k0) ** 2 * (kappa * (2.0 + kappa) + 3.0 * _U)
+    ends = _level_ends(space.alphabet, n_sites)
+    # prefixes of one letter are the factors themselves; N = 1 has the empty one
+    p, g = (fhat, mags) if n_sites > 1 else (np.ones((1, slots)), np.ones((1, slots)))
+    for t in range(2, n_sites):
+        p = np.concatenate([p[:n] * fhat[b] for b, n in enumerate(ends[t - 1].tolist())])
+        g = np.concatenate([g[:n] * mags[b] for b, n in enumerate(ends[t - 1].tolist())])
+    for b, n in enumerate(ends[-1].tolist()):
+        v = p[:n] @ fhat[b]
+        scores = v.real * v.real + v.imag * v.imag
+        bounds = g[:n] @ mags[b]
+        bounds *= scale * bounds
+        yield b, scores - bounds, scores + bounds
+
+
+def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """(K, N) sorted letters of the classes that extend ``parents`` by ``last``."""
+    letters = [last]
+    for t in range(len(ends) - 1, 0, -1):
+        # class ``parent`` of length t sits in the block of its last letter c
+        c = np.searchsorted(ends[t], parents, side="right")
+        parents = parents - (ends[t][c] - ends[t - 1][c])
+        letters.append(c)
+    return np.stack(letters[::-1], axis=1)
+
+
+def _cyclic_times(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Products p * f modulo x**m - 1, m the length of p's last axis.
+
+    ``f`` holds phi <= m coefficients per row of ``p``.
+    """
+    m, phi = p.shape[-1], f.shape[-1]
+    out = np.zeros(p.shape[:-1] + (m + phi - 1,), dtype=np.int64)
+    for j in range(phi):
+        out[..., j : j + m] += p * f[..., j, None]
+    out[..., : phi - 1] += out[..., m:]
+    return out[..., :m]
+
+
+def _mult_matrices(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """(..., phi, phi) exact matrices of multiplication by each factor.
+
+    Row i is the canonical alpha**i * F: the factor's coefficients gathered
+    cyclically (entry e is c[(e - i) mod m]) and folded by ``_root_coeffs``.
+    """
+    phi = coeffs.shape[-1]
+    padded = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.int64)
+    padded[..., :phi] = coeffs
+    return padded[..., (np.arange(m) - np.arange(phi)[:, None]) % m] @ _root_coeffs(m)
 
 
 def _scores(v: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -181,75 +283,54 @@ def _scores(v: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return vals.real * vals.real + vals.imag * vals.imag
 
 
-def _class_letters(ends: list[np.ndarray], last: int, parent: int) -> list[int]:
-    """Sorted letters of the final-level class ``parent`` extended by ``last``."""
-    letters = [last]
-    for t in range(len(ends) - 1, 0, -1):
-        # class ``parent`` of length t sits in the block of its last letter c
-        c = int(np.searchsorted(ends[t], parent, side="right"))
-        parent -= int(ends[t][c] - ends[t - 1][c])
-        letters.append(c)
-    letters.reverse()
-    return letters
-
-
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
-    mats, powers = _tables(space)
-    l1 = max(int(np.abs(mat).sum(axis=-1).max()) for mat in mats)
-    a_size, n_sites = space.alphabet, space.n_sites
-    # Classes of length t are stored in blocks by last letter b; block b
-    # extends, by b, the first ends[t-1][b] classes of length t-1, which are
-    # exactly those whose last letter is at most b (ends[0]: the empty class).
-    ends = [np.ones(a_size, dtype=np.int64)]
-    p = _unit_products(space)
-    for _ in range(n_sites - 1):
-        p = np.concatenate(
-            [_extend(mats[b], p[: ends[-1][b]], l1) for b in range(a_size)]
-        )
-        ends.append(np.cumsum(ends[-1]))
-    # The last level is streamed one block at a time; only the float band
-    # around the running maximum is kept.
-    best = -np.inf
-    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for b in range(a_size):
-        v = _extend(mats[b], p[: ends[-1][b]]).sum(axis=1)
-        scores = _scores(v, powers)
-        best = max(best, float(scores.max()))
-        keep = np.nonzero(scores >= best - _BAND_REL * max(1.0, best))[0]
-        if keep.size:
-            blocks.append((b, keep, v[keep]))
-    floor = best - _BAND_REL * max(1.0, best)
-    # Exact resolution of the candidate band.
-    n_fact = math.factorial(n_sites)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for b, parents, rows in blocks:
-        keep = _scores(rows, powers) >= floor
-        for parent, row in zip(parents[keep].tolist(), rows[keep]):
-            value = CycInt(space.order, tuple(row.tolist()))
-            sq = (value * value.conjugate()).coeffs
-            letters = _class_letters(ends, b, parent)
-            count = n_fact // math.prod(
-                math.factorial(m) for m in Counter(letters).values()
-            )
-            flat = 0
-            for a in letters:
-                flat = flat * a_size + a
-            entry = groups.get(sq)
-            if entry is None:
-                groups[sq] = [count, flat]
-            else:
-                entry[0] += count
-                entry[1] = min(entry[1], flat)
-    best_sq = None
-    for sq in groups:
-        if best_sq is None or compare_real_coeffs(space.order, sq, best_sq) > 0:
-            best_sq = sq
-    count, argmin = groups[best_sq]
-    powers_list = _alpha_powers(space.order)
-    best_value = sum(
-        c * powers_list[j].real for j, c in enumerate(best_sq) if c
+    coeffs = _factor_coeffs(space)
+    order, a_size, n_sites = space.order, space.alphabet, space.n_sites
+    # A class is kept while its upper bound reaches the floor, the largest
+    # lower bound seen so far; the floor only grows, so the kept set holds
+    # every maximizer, and one last pass re-filters with the final floor.
+    floor = -np.inf
+    band = []
+    for b, lower, upper in _scored_blocks(space, coeffs):
+        floor = max(floor, float(lower.max()))
+        keep = np.nonzero(upper >= floor)[0]
+        band.append((b, keep, upper[keep]))
+    last, parents, upper = zip(*band)
+    last = np.repeat(last, [len(k) for k in parents])
+    parents, upper = np.concatenate(parents), np.concatenate(upper)
+    final = upper >= floor
+    letters = _class_letters(
+        _level_ends(a_size, n_sites), last[final], parents[final]
     )
+    # Exact values of the band, in one batch: products modulo x**m - 1,
+    # summed over the slots and folded once to canonical coefficients.
+    prods = np.zeros((len(letters), space.slots, order), dtype=np.int64)
+    prods[..., : coeffs.shape[-1]] = coeffs[letters[:, 0]]
+    for site in letters[:, 1:].T:
+        prods = _cyclic_times(prods, coeffs[site])
+    values = prods.sum(axis=1) @ _root_coeffs(order)
+    distinct, which = np.unique(values, axis=0, return_inverse=True)
+    squares = []
+    for row in distinct.tolist():
+        value = CycInt(order, tuple(row))
+        squares.append((value * value.conjugate()).coeffs)
+    best_sq = squares[0]
+    for sq in squares[1:]:
+        if compare_real_coeffs(order, sq, best_sq) > 0:
+            best_sq = sq
+    n_fact = math.factorial(n_sites)
+    count, argmin = 0, None
+    for row, k in zip(letters.tolist(), which.ravel().tolist()):
+        if squares[k] != best_sq:
+            continue
+        count += n_fact // math.prod(math.factorial(c) for c in Counter(row).values())
+        flat = 0
+        for a in row:
+            flat = flat * a_size + a
+        argmin = flat if argmin is None else min(argmin, flat)
+    powers_list = _alpha_powers(order)
+    best_value = sum(c * powers_list[j].real for j, c in enumerate(best_sq) if c)
     return RawSearchResult(
         best_sq_coeffs=best_sq,
         best_sq_value=float(best_value),
@@ -260,16 +341,23 @@ def run_search(space: ProductSpace) -> RawSearchResult:
 
 
 def full_space_scores(space: ProductSpace) -> np.ndarray:
-    """Float |sum of products|**2 for every index (small spaces only)."""
+    """Float |sum of products|**2 for every index (small spaces only).
+
+    The scores are the float values of the exact sums, built breadth-first
+    with the int64 multiplication matrices of ``_mult_matrices``.
+    """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    mats, powers = _tables(space)
-    l1 = max(int(np.abs(mat).sum(axis=-1).max()) for mat in mats)
-    p = _unit_products(space)
+    coeffs = _factor_coeffs(space)
+    a_size, slots, phi = coeffs.shape
+    # (slots, phi, A * phi): letter a's matrices side by side, per slot
+    mats = _mult_matrices(coeffs, space.order).transpose(1, 2, 0, 3).reshape(slots, phi, -1)
+    p = np.tile(_root_coeffs(space.order)[0], (1, slots, 1))
     # breadth-first: each step appends one site as the least significant digit
     for _ in range(space.n_sites):
-        p = _checked(np.einsum("asij,ksj->kasi", mats, p).reshape(-1, *p.shape[1:]), l1)
-    return _scores(p.sum(axis=1), powers)
+        p = np.matmul(p.transpose(1, 0, 2), mats).reshape(slots, -1, a_size, phi)
+        p = p.transpose(1, 2, 0, 3).reshape(-1, slots, phi)
+    return _scores(p.sum(axis=1), np.array(_alpha_powers(space.order)))
 
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:

@@ -336,6 +336,16 @@ def test_workers_env_override_and_flag_precedence(runner, monkeypatch):
         cli, ["search", "--n", "2", "--workers", "1", "--format", "json"]
     )
     assert result.stdout.encode("utf-8") == baseline.stdout.encode("utf-8")
+    # the override obeys the flag's rule, and an error names the variable
+    for bad in ("-4", "0", "abc"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            resolve_workers(None)
+        assert resolve_workers(2) == 2
+        result = runner.invoke(cli, ["search", "--n", "2", "--format", "json"])
+        assert result.exit_code == 2
+        assert WORKERS_ENV_VAR in result.stderr
+        assert repr(bad) in result.stderr
 
 
 ONE_RUN_PER_COMMAND = [

@@ -1,13 +1,18 @@
-"""Site-permutation class engine against brute force over every flat index.
+"""Site-permutation class engine against brute force and the int64 engine.
 
-The oracle evaluates each assignment on its own with pure-Python ``CycInt``
-arithmetic (``exact_sum``) and orders squared magnitudes with
-``compare_real_coeffs``; it shares no code with the class enumeration,
-the int64 tables or the float ranking band.
+The brute-force oracle evaluates each assignment on its own with
+pure-Python ``CycInt`` arithmetic (``exact_sum``) and orders squared
+magnitudes with ``compare_real_coeffs``; it shares no code with the class
+enumeration or the float ranking band.  ``int64_class_search`` is the
+earlier engine, kept here as a second oracle: it carries every class
+product as exact int64 coefficients (one multiplication matrix per factor)
+and resolves a 1e-6 relative band around the float maximum exactly.
 """
 
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +20,118 @@ from hypothesis import strategies as st
 
 from qudit_mermin._enumeration import (
     ProductSpace,
-    _mult_matrix,
-    _tables,
+    _class_letters,
+    _factor_coeffs,
+    _level_ends,
+    _mult_matrices,
+    _scored_blocks,
+    exact_letters_sum,
     exact_sum,
     full_space_scores,
     run_search,
 )
-from qudit_mermin.cyclotomic import CycInt, compare_real_coeffs, root_of_unity
+from qudit_mermin.cyclotomic import (
+    CycInt,
+    _alpha_powers,
+    _root_coeffs,
+    compare_real_coeffs,
+    mp_real_value,
+    order_params,
+    root_of_unity,
+)
 from qudit_mermin.generalized import ratio_space
+
+_BAND_REL = 1e-6
+
+
+def _mult_matrix(factor, phi):
+    """Multiplication-by-``factor`` matrix, one ``times_root`` per column."""
+    cols = [factor.times_root(j).coeffs for j in range(phi)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def _tables(space):
+    """Exact multiplication matrices ``mats[a, s]`` and the float powers of alpha."""
+    _, phi = order_params(space.order)
+    k = np.arange(phi)
+    # column j of shifts[k] holds alpha**(k + j), folded mod m (2*phi - 2 >= m)
+    shifts = _root_coeffs(space.order)[np.add.outer(k, k) % space.order]
+    shifts = shifts.transpose(0, 2, 1)
+    coeffs = np.array(
+        [[f.coeffs for f in row] for row in space.factors], dtype=np.int64
+    )
+    mats = np.einsum("ask,kij->asij", coeffs, shifts)
+    return mats, np.array(_alpha_powers(space.order), dtype=np.complex128)
+
+
+def _extend(mat, p, l1=1):
+    """Multiply each (K, slots, phi) slot product by one letter's factors."""
+    out = np.matmul(p.transpose(1, 0, 2), mat.transpose(0, 2, 1)).transpose(1, 0, 2)
+    if out.size:
+        peak = int(np.abs(out).max())
+        if peak >= 2**52 or peak * l1 >= 2**63:
+            raise OverflowError("product coefficients exceeded the exact int64 range")
+    return out
+
+
+def _float_scores(v, powers):
+    vals = v.astype(np.float64) @ powers
+    return vals.real * vals.real + vals.imag * vals.imag
+
+
+def _oracle_letters(ends, last, parent):
+    """Sorted letters of the final-level class ``parent`` extended by ``last``."""
+    letters = [last]
+    for t in range(len(ends) - 1, 0, -1):
+        c = int(np.searchsorted(ends[t], parent, side="right"))
+        parent -= int(ends[t][c] - ends[t - 1][c])
+        letters.append(c)
+    return letters[::-1]
+
+
+def int64_class_search(space):
+    """(best |sum|**2 coeffs, tie count, smallest maximizing flat index)."""
+    mats, powers = _tables(space)
+    l1 = max(int(np.abs(mat).sum(axis=-1).max()) for mat in mats)
+    a_size, n_sites = space.alphabet, space.n_sites
+    # classes of length t sit in blocks by last letter b; block b extends
+    # the first ends[t-1][b] classes of length t-1
+    ends = [np.ones(a_size, dtype=np.int64)]
+    p = np.tile(_root_coeffs(space.order)[0], (1, space.slots, 1))
+    for _ in range(n_sites - 1):
+        p = np.concatenate(
+            [_extend(mats[b], p[: ends[-1][b]], l1) for b in range(a_size)]
+        )
+        ends.append(np.cumsum(ends[-1]))
+    best, blocks = -np.inf, []
+    for b in range(a_size):
+        v = _extend(mats[b], p[: ends[-1][b]]).sum(axis=1)
+        scores = _float_scores(v, powers)
+        best = max(best, float(scores.max()))
+        keep = np.nonzero(scores >= best - _BAND_REL * max(1.0, best))[0]
+        blocks.append((b, keep, v[keep]))
+    floor = best - _BAND_REL * max(1.0, best)
+    groups = {}
+    for b, parents, rows in blocks:
+        keep = _float_scores(rows, powers) >= floor
+        for row, parent in zip(rows[keep], parents[keep].tolist()):
+            letter_row = _oracle_letters(ends, b, parent)
+            value = CycInt(space.order, tuple(row.tolist()))
+            sq = (value * value.conjugate()).coeffs
+            count = math.factorial(n_sites) // math.prod(
+                math.factorial(m) for m in Counter(letter_row).values()
+            )
+            flat = 0
+            for a in letter_row:
+                flat = flat * a_size + a
+            entry = groups.setdefault(sq, [0, flat])
+            entry[0] += count
+            entry[1] = min(entry[1], flat)
+    best_sq = None
+    for sq in groups:
+        if best_sq is None or compare_real_coeffs(space.order, sq, best_sq) > 0:
+            best_sq = sq
+    return (best_sq, *groups[best_sq])
 
 
 def brute_force(space):
@@ -107,6 +216,100 @@ def test_tables_match_per_factor_matrices(space):
     )
     assert mats.dtype == np.int64
     assert np.array_equal(mats, reference)
+    # the gathered and folded matrices of ``full_space_scores`` act on rows
+    gathered = _mult_matrices(_factor_coeffs(space), space.order)
+    assert gathered.dtype == np.int64
+    assert np.array_equal(gathered.swapaxes(-1, -2), reference)
+
+
+@pytest.mark.parametrize(
+    "d, n_sites", [(3, n) for n in range(1, 11)] + [(5, 1), (5, 2)]
+)
+def test_run_search_matches_int64_engine(d, n_sites):
+    space = ratio_space(d, n_sites)
+    raw = run_search(space)
+    assert (raw.best_sq_coeffs, raw.num_maximizers, raw.argmax_index) == (
+        int64_class_search(space)
+    )
+
+
+def _eisenstein(x, y):
+    """x + y*omega in Z[alpha_9], omega = alpha**3; |x + y*omega|**2 = x*x - x*y + y*y."""
+    return CycInt(9, (x, 0, 0, y, 0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(2**18, 2**20),
+    n_sites=st.integers(1, 2),
+    order=st.permutations(range(4)),
+    slots=st.integers(1, 2),
+)
+def test_near_ties_inside_the_old_band_resolve_exactly(a, n_sites, order, slots):
+    # |a + 2a*omega|**2 = 3a**2 and |(a+1) + 2a*omega|**2 = 3a**2 + 1: near
+    # 2**40 they differ by about 1e-12 relative, far inside a 1e-6 band;
+    # alpha * the second letter ties it exactly, and 1 stays far below
+    near, above = _eisenstein(a, 2 * a), _eisenstein(a + 1, 2 * a)
+    assert 0 < (3 * a * a + 1) / (3 * a * a) - 1 < _BAND_REL
+    letters = [near, above, above.times_root(1), CycInt.one(9)]
+    pad = (CycInt.zero(9),) * (slots - 1)
+    factors = tuple((letters[k],) + pad for k in order)
+    space = ProductSpace(order=9, n_sites=n_sites, factors=factors)
+    raw = run_search(space)
+    best, count, argmin = brute_force(space)
+    assert (raw.best_sq_coeffs, raw.num_maximizers, raw.argmax_index) == (
+        best,
+        count,
+        argmin,
+    )
+    assert raw.best_sq_coeffs[0] == (3 * a * a + 1) ** n_sites
+    assert raw.num_maximizers == 2**n_sites
+
+
+def _cancelling(q):
+    """round(q * c) - q * (alpha + alpha**8), c = 2cos(2 pi/9): |F| <= 1/2 at L1 ~ 4q."""
+    twice_cos = 2 * math.cos(2 * math.pi / 9)
+    return CycInt.integer(round(q * twice_cos), 9) - q * (
+        root_of_unity(1, 9) + root_of_unity(8, 9)
+    )
+
+
+_scaled_factors = st.one_of(
+    st.tuples(_factors, st.integers(-(2**12), 2**12)).map(lambda pair: pair[0] * pair[1]),
+    st.integers(2**8, 2**12).map(_cancelling),
+)
+
+
+@st.composite
+def scaled_spaces(draw):
+    """Product spaces with factors up to 2**12 times a small root sum, or
+    nearly cancelling ones whose float values carry large relative errors."""
+    alphabet = draw(st.integers(1, 4))
+    slots = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(_scaled_factors, min_size=slots, max_size=slots).map(tuple),
+            min_size=alphabet,
+            max_size=alphabet,
+        )
+    )
+    return ProductSpace(order=9, n_sites=draw(st.integers(1, 4)), factors=tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(product_spaces(), scaled_spaces()))
+def test_score_bounds_hold_for_every_class(space):
+    ends = _level_ends(space.alphabet, space.n_sites)
+    for b, lower, upper in _scored_blocks(space, _factor_coeffs(space)):
+        assert np.all(lower <= upper)
+        parents = np.arange(len(lower))
+        letters = _class_letters(ends, np.full(len(lower), b), parents)
+        for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
+            value = exact_letters_sum(space.order, space.factors, row)
+            sq = (value * value.conjugate()).coeffs
+            exact = mp_real_value(space.order, sq, 60)
+            with mpmath.workdps(60):
+                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
 def test_products_past_int64_raise_overflow():

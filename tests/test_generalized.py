@@ -164,9 +164,9 @@ def test_config_validation_and_caps(monkeypatch):
         raise AssertionError("an over-budget space reached its build")
 
     # d = 7 is refused at N = 1 by the budget, before the factor alphabet
-    # or the multiplication table is built
+    # or its coefficient table is built
     monkeypatch.setattr(generalized, "_factor_rows", never)
-    monkeypatch.setattr(_enumeration, "_tables", never)
+    monkeypatch.setattr(_enumeration, "_factor_coeffs", never)
     with pytest.raises(ValueError):
         conjecture_search(7, 1)
     assert GeneralConfig(5, 2).settings == 5
