@@ -19,15 +19,18 @@ table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
 9**N ratio assignments by evaluating each of the C(N+8, 8) multisets of
 per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
 products commute across sites); full mode assigns
-the sites of the operator's own terms one at a time, exactly over Z[omega],
-and cross-checks the magnitude of each of the 27**N value assignments
-against its ratio reduction.  Both run in one process.
+the sites of the operator's own terms one at a time, exactly over Z[omega]
+(int16 pairs, int32 scores, in ranges proven from the term count), and
+checks the integer |v|**2 of each of the 27**N value assignments for
+equality with its ratio reduction's score, rounded to an integer.  Both run
+in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -197,14 +200,20 @@ class HVAssignment:
 
     ``values[i] = (x, y, v)`` gives v(X_i) = omega**x and so on; ratio form
     R_i = omega**((y - x) % 3), S_i = omega**((v - x) % 3).  Assignments
-    built from ratios are lifted with v(X_i) = 1.
+    built from ratios are lifted with v(X_i) = 1.  Each exponent must be an
+    integer (anything ``operator.index`` accepts, numpy integers included)
+    in {0, 1, 2}; floats are refused rather than truncated.
     """
 
     values: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
         for triple in self.values:
-            if len(triple) != 3 or any(not 0 <= e < 3 for e in triple):
+            try:
+                ok = len(triple) == 3 and all(0 <= operator.index(e) < 3 for e in triple)
+            except TypeError:
+                ok = False
+            if not ok:
                 raise ValueError(f"bad value exponents {triple}")
 
     @classmethod
@@ -397,8 +406,8 @@ def _encode_terms(n_sites: int):
     return weights, letters
 
 
-# Z[omega] values are int64 pairs (a, b) meaning a + b*omega; row e is omega**e.
-_OMEGA_PAIRS = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int64)
+# Z[omega] values are int16 pairs (a, b) meaning a + b*omega; row e is omega**e.
+_OMEGA_PAIRS = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16)
 # Full-index digit 9x + 3y + v of one site -> its ratio digit 3r + s.
 _X, _Y, _V = np.indices((3, 3, 3)).reshape(3, -1)
 _RATIO_DIGIT = 3 * ((_Y - _X) % 3) + (_V - _X) % 3
@@ -433,16 +442,24 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
     The terms are scattered into a table over letter columns and the sites
     are assigned one at a time; the first N - s sites are materialized and
     the last s = min(N, _STREAMED_SITES) are streamed in blocks.  Yields
-    ``(first, scores)`` where ``scores[j, i]`` belongs to the assignment
-    with flat index (first + i) * 27**s + j.
+    ``(first, scores)`` where ``scores[j, i]`` (int32) belongs to the
+    assignment with flat index (first + i) * 27**s + j.
+
+    Ranges.  Every table entry, rotated column and partial column sum is a
+    sum of at most n = n_terms roots of unity; with n_k of them equal to
+    omega**k it is the pair (a, b) = (n_0 - n_2, n_1 - n_2), so |a|, |b| and
+    |a - b| = |n_0 - n_1| are at most n, and so are the rotations -b, a - b,
+    b - a and -a.  The pairs are therefore exact in int16 while n < 2**15.
+    The score is formed in int32 as a*(a - b) + b*b: |a*(a - b)| <= n**2,
+    b*b <= n**2 and the sum is |value|**2 in [0, n**2], so no intermediate
+    exceeds n**2 < 2**30 < 2**31.  The one guard n < 2**15 thus proves both
+    ranges and is checked before anything is allocated.
     """
     n_terms, n_sites = letters.shape
+    if n_terms >= 2**15:
+        raise OverflowError("term count exceeds the exact int16 pair range")
     streamed = min(n_sites, _STREAMED_SITES)
-    # Entries are sums of at most n_terms roots of unity, so |a|, |b| <= n_terms
-    # and the partial sums of a*a - a*b + b*b stay within 3 * n_terms**2.
-    if 3 * n_terms**2 >= 2**63:
-        raise OverflowError("term count exceeds the exact int64 score range")
-    f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int64)
+    f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int16)
     flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
     np.add.at(f[:, :, 0, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
     for _ in range(n_sites - streamed):
@@ -454,8 +471,8 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
         g = f[..., first : first + step]
         for _ in range(streamed):
             g = _site(g)
-        a, b = g[0, 0], g[1, 0]
-        yield first, a * a - a * b + b * b
+        a, b = g[0, 0].astype(np.int32), g[1, 0].astype(np.int32)
+        yield first, a * (a - b) + b * b
 
 
 def _ratio_indices(n_sites: int) -> np.ndarray:
@@ -467,23 +484,49 @@ def _ratio_indices(n_sites: int) -> np.ndarray:
 
 
 def _full_search(n_sites: int) -> SearchResult:
+    """Exact full scan, each score checked on integers against the ratio one.
+
+    ``ref[r]`` is the ratio reduction's float |3v|**2 at ratio index r,
+    divided by 9 and rounded; every full score must equal ``ref`` at its
+    ratio index.  The reported ``ratio_agreement_max_abs_dev`` is the
+    largest |sqrt(score) - ratio |v|| over all 27**N assignments: a
+    mismatched entry contributes its own deviation, and every matching
+    entry of ratio index r has the score ``ref[r]``, so the matching ones
+    contribute the deviation of ``ref[r]``, taken once per r that has at
+    least one of its 3**N entries matching.  So it is the all-entry float
+    maximum bit for bit, found with float work only on mismatches and on
+    the 9**N entries of ``ref``.  A mismatched score s <= n**2 (n the term
+    count) is at least 1/2 from the ratio score q = |v|**2, so its
+    deviation |s - q| / (sqrt(s) + sqrt(q)) is about 1/(4n) or more, far
+    above 1e-9.
+    """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
         raise ValueError(
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )
     weights, letters = _encode_terms(n_sites)
-    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
+    ratio_sq = full_space_scores(ratio_space(3, n_sites))
+    ratio_mag = np.sqrt(ratio_sq) / 3.0
+    ref = np.rint(ratio_sq / 9.0).astype(np.int32)
     streamed = min(n_sites, _STREAMED_SITES)
-    prefix_ratio = _ratio_indices(n_sites - streamed) * 9**streamed
+    prefix_ratio = _ratio_indices(n_sites - streamed)
     tail_ratio = _ratio_indices(streamed)
+    # ref_by_tail[t, p] = ref[p * 9**streamed + t]
+    ref_by_tail = ref.reshape(-1, 9**streamed).T.copy()
+    misses = np.zeros(ref.size, dtype=np.int64)  # mismatched entries per r
     best = lexmin = -1
     count = scanned = 0
     max_dev = 0.0
     for first, score in _contract_scores(weights, letters):
-        ridx = tail_ratio[:, None] + prefix_ratio[first : first + score.shape[1]]
-        dev = np.abs(np.sqrt(score.astype(np.float64)) - ratio_mag[ridx])
-        max_dev = max(max_dev, float(dev.max()))
+        prefix = prefix_ratio[first : first + score.shape[1]]
+        bad = score != ref_by_tail.take(prefix, axis=1).take(tail_ratio, axis=0)
+        if bad.any():
+            j, i = np.nonzero(bad)
+            r = prefix[i] * 9**streamed + tail_ratio[j]
+            dev = np.abs(np.sqrt(score[j, i].astype(np.float64)) - ratio_mag[r])
+            max_dev = max(max_dev, float(dev.max()))
+            misses += np.bincount(r, minlength=ref.size)
         scanned += score.size
         cmax = int(score.max())
         if cmax > best:
@@ -494,6 +537,9 @@ def _full_search(n_sites: int) -> SearchResult:
             if lexmin < 0:  # blocks arrive in increasing index order
                 i, j = np.argwhere(hits.T)[0]
                 lexmin = int((first + i) * len(score) + j)
+    matched = misses < 3**n_sites
+    dev = np.abs(np.sqrt(ref[matched].astype(np.float64)) - ratio_mag[matched])
+    max_dev = max(max_dev, float(dev.max(initial=0.0)))
     return SearchResult(
         mode="full",
         n_sites=n_sites,

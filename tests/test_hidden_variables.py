@@ -19,11 +19,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables
 from qudit_mermin._enumeration import full_space_scores
+from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
 from qudit_mermin.generalized import ratio_space
 from qudit_mermin.hidden_variables import (
@@ -433,18 +435,13 @@ def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
     )
     for streamed in range(n_sites + 1):
         scores = contracted_scores(weights, letters, streamed)
-        assert scores.dtype == np.int64
+        assert scores.dtype == np.int32
         assert np.array_equal(scores, reference)
 
 
-def test_full_search_n4_equals_the_per_term_scan():
-    n_sites = 4
-    weights, letters = _encode_terms(n_sites)
-    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
-    best, count, lexmin, scanned, max_dev = reference_scan(
-        n_sites, weights, letters, ratio_mag, 0, 27**n_sites
-    )
-    reference = SearchResult(
+def full_result(n_sites, best, count, lexmin, scanned, max_dev):
+    """The full-mode ``SearchResult`` a reference scan's tallies stand for."""
+    return SearchResult(
         mode="full",
         n_sites=n_sites,
         max_magnitude=math.sqrt(best),
@@ -456,10 +453,141 @@ def test_full_search_n4_equals_the_per_term_scan():
         assignments_scanned=scanned,
         details={"max_sq_int": best, "ratio_agreement_max_abs_dev": max_dev},
     )
-    result = exhaustive_search(n_sites, mode="full")
+
+
+def assert_same_full_result(result, reference):
     assert result == reference
     # the deviation is the same float, bit for bit
-    assert result.details["ratio_agreement_max_abs_dev"].hex() == max_dev.hex()
+    dev, ref_dev = (
+        r.details["ratio_agreement_max_abs_dev"] for r in (result, reference)
+    )
+    assert dev.hex() == ref_dev.hex()
+
+
+def test_full_search_n4_equals_the_per_term_scan():
+    n_sites = 4
+    weights, letters = _encode_terms(n_sites)
+    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
+    reference = full_result(
+        n_sites, *reference_scan(n_sites, weights, letters, ratio_mag, 0, 27**n_sites)
+    )
+    assert_same_full_result(exhaustive_search(n_sites, mode="full"), reference)
+
+
+def float_checked_site(f):
+    """One site of the int64 contraction the int16 one replaced."""
+    _, rows, assigned, prefixes = f.shape
+    f = f.reshape(2, 3, rows // 3, assigned, prefixes)
+    a, b = f[0], f[1]
+    rot = np.stack([f, np.stack([-b, a - b]), np.stack([b - a, -a])], axis=-2)
+    x, y, v = rot.swapaxes(0, 1)
+    out = x[..., :, None, None, :] + y[..., None, :, None, :] + v[..., None, None, :, :]
+    return out.reshape(2, rows // 3, 27 * assigned, prefixes)
+
+
+def float_checked_full_scan(n_sites, ratio_sq):
+    """The full scan with int64 pairs and scores and a float deviation per entry.
+
+    This is the loop full mode ran before the exact integer check: every
+    one of the 27**N scores is compared in float with the ratio magnitude
+    ``sqrt(ratio_sq) / 3`` at its ratio index.
+    """
+    weights, letters = _encode_terms(n_sites)
+    ratio_mag = np.sqrt(ratio_sq) / 3.0
+    x, y, v = np.indices((3, 3, 3)).reshape(3, -1)
+    ratio_digit = 3 * ((y - x) % 3) + (v - x) % 3
+
+    def ratio_indices(k):
+        r = np.zeros(1, dtype=np.int64)
+        for _ in range(k):
+            r = (9 * r[:, None] + ratio_digit).ravel()
+        return r
+
+    streamed = min(n_sites, 2)
+    f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
+    pairs = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int64)
+    np.add.at(f[:, :, 0, 0], (slice(None), flat), pairs[weights % 3].T)
+    for _ in range(n_sites - streamed):
+        f = float_checked_site(f)
+    f = f.reshape(2, 3**streamed, 1, -1)
+    prefix_ratio = ratio_indices(n_sites - streamed) * 9**streamed
+    tail_ratio = ratio_indices(streamed)
+    step = max(1, 3**11 // 27**streamed)
+    best = lexmin = -1
+    count = scanned = 0
+    max_dev = 0.0
+    for first in range(0, f.shape[3], step):
+        g = f[..., first : first + step]
+        for _ in range(streamed):
+            g = float_checked_site(g)
+        a, b = g[0, 0], g[1, 0]
+        score = a * a - a * b + b * b
+        ridx = tail_ratio[:, None] + prefix_ratio[first : first + score.shape[1]]
+        dev = np.abs(np.sqrt(score.astype(np.float64)) - ratio_mag[ridx])
+        max_dev = max(max_dev, float(dev.max()))
+        scanned += score.size
+        cmax = int(score.max())
+        if cmax > best:
+            best, count, lexmin = cmax, 0, -1
+        if cmax == best:
+            hits = score == best
+            count += int(np.count_nonzero(hits))
+            if lexmin < 0:
+                i, j = np.argwhere(hits.T)[0]
+                lexmin = int((first + i) * len(score) + j)
+    return full_result(n_sites, best, count, lexmin, scanned, max_dev)
+
+
+def test_full_search_n5_equals_the_float_checked_int64_scan():
+    n_sites = 5
+    reference = float_checked_full_scan(
+        n_sites, full_space_scores(ratio_space(3, n_sites))
+    )
+    result = exhaustive_search(n_sites, mode="full")
+    assert_same_full_result(result, reference)
+    assert result.details["ratio_agreement_max_abs_dev"] == 7.105427357601002e-15
+
+
+def shifted_ratio_scores(index, shift):
+    """``full_space_scores`` with ``shift(score)`` in place of one score."""
+
+    def scores(space):
+        out = full_space_scores(space)
+        out[index] = shift(out[index])
+        return out
+
+    return scores
+
+
+# (ratio index, shift of its score |3v|**2, whether the check still agrees);
+# at N = 3 index 0 is a maximizer (|v|**2 = 36) and index 100 has |v|**2 = 9
+RATIO_SHIFTS = {
+    "one-unit-at-max": (0, lambda s: s + 9, False),
+    "one-unit": (100, lambda s: s + 9, False),
+    "relative-1e-12-at-max": (0, lambda s: s * (1 + 1e-12), True),
+    "relative-1e-12": (100, lambda s: s * (1 + 1e-12), True),
+    # 8.5 rounds to 8: every entry of the index mismatches, and sqrt(8) is
+    # farther from sqrt(8.5) than the true sqrt(9) is, so a deviation taken
+    # from the rounded reference would overstate the all-entry maximum
+    "half-unit-down": (100, lambda s: s - 4.5, False),
+}
+
+
+@pytest.mark.parametrize("case", RATIO_SHIFTS)
+def test_exact_cross_check_catches_a_ratio_disagreement(monkeypatch, case):
+    index, shift, agrees = RATIO_SHIFTS[case]
+    n_sites = 3
+    scores = shifted_ratio_scores(index, shift)
+    reference = float_checked_full_scan(n_sites, scores(ratio_space(3, n_sites)))
+    monkeypatch.setattr(hidden_variables, "full_space_scores", scores)
+    result = exhaustive_search(n_sites, mode="full")
+    assert_same_full_result(result, reference)
+    dev = result.details["ratio_agreement_max_abs_dev"]
+    assert (dev <= 1e-9) == agrees
+    assert dev > 1e-13  # the shifted score shows in the deviation
+    cli_result = CliRunner().invoke(cli, ["search", "--n", "3", "--mode", "full"])
+    assert cli_result.exit_code == (0 if agrees else 1)
 
 
 @st.composite
@@ -497,6 +625,49 @@ def test_contraction_refuses_term_counts_beyond_int64():
     letters = np.empty((2**31, 0), dtype=np.int8)
     with pytest.raises(OverflowError):
         next(_contract_scores(np.zeros(1, dtype=np.int16), letters))
+
+
+def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
+    # 2**15 terms could push a pair entry past the int16 range
+    letters = np.empty((2**15, 0), dtype=np.int8)
+    weights = np.zeros(1, dtype=np.int16)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(OverflowError, match="int16"):
+            next(_contract_scores(weights, letters))
+
+
+@st.composite
+def one_site_tables_near_the_int16_limit(draw):
+    """2**15 - k terms on one site: a short (letter, weight) cycle repeated."""
+    n_terms = 2**15 - draw(st.integers(1, 64))
+    cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    pattern = np.array(draw(st.lists(cell, min_size=1, max_size=5)), dtype=np.int16)
+    rows = np.resize(pattern, (n_terms, 2))
+    letters = rows[:, :1].astype(np.int8)
+    streamed = draw(st.integers(0, 1))
+    block = draw(st.sampled_from([1, 27]))
+    return rows[:, 1], letters, streamed, block
+
+
+# every term alike: one entry reaches 2**15 - 1 and its score (2**15 - 1)**2
+_ALIKE_TERMS = (
+    np.zeros(2**15 - 1, dtype=np.int16),
+    np.zeros((2**15 - 1, 1), dtype=np.int8),
+    1,
+    27,
+)
+
+
+@settings(max_examples=6, deadline=None)
+@given(one_site_tables_near_the_int16_limit())
+@example(_ALIKE_TERMS)
+def test_contraction_is_exact_near_the_int16_limit(table):
+    weights, letters, streamed, block = table
+    _, _, reference = reference_chunk_scores(1, weights, letters, 0, 27)
+    scores = contracted_scores(weights, letters, streamed, block)
+    assert np.array_equal(scores, reference)
+    if table is _ALIKE_TERMS:
+        assert scores.max() == (2**15 - 1) ** 2
 
 
 def test_full_search_n3_against_independent_evaluation():
@@ -666,6 +837,21 @@ def test_contradiction_fraction_converges_slowly():
     ]
     assert all(b > a for a, b in zip(fractions, fractions[1:]))
     assert abs(fractions[-2] - 2 / 3) < 0.01  # N = 25
+
+
+def test_assignment_refuses_non_integer_exponents():
+    op = build_mermin(3, 1, 0)
+    for bad in (1.5, 1.0, np.float64(1.5), np.float32(1.0), "1", None):
+        with pytest.raises(ValueError, match="bad value exponents"):
+            HVAssignment(((0, bad, 0),))
+    for bad in ((0, 3, 0), (0, -1, 0), (0, 1), (0, np.int64(3), 0)):
+        with pytest.raises(ValueError, match="bad value exponents"):
+            HVAssignment((bad,))
+    numpy_ints = HVAssignment(((np.int64(0), np.int8(1), np.uint8(2)),))
+    plain = HVAssignment(((0, 1, 2),))
+    assert numpy_ints == plain
+    assert numpy_ints.full_index() == plain.full_index() == 5
+    assert hv_value_direct(numpy_ints, op) == hv_value_direct(plain, op)
 
 
 def test_assignment_encodings_round_trip():
