@@ -50,7 +50,7 @@ from .qudit_ops import (
     EigenstateError,
     SettingWord,
     _all_words,
-    _phase_array,
+    _ghz_phase,
     eigenphase,
 )
 
@@ -95,6 +95,9 @@ _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 
 # Full mode covers 27**N value assignments; this allows N <= 5.
 FULL_SEARCH_CAP = 10**8
+
+# permutation_class_max evaluates 3**N shift patterns; this allows N <= 8.
+PERMUTATION_CLASS_CAP = 3**8
 
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
@@ -304,10 +307,10 @@ def power_sum(n: int) -> int:
     """p_n = A**n + B**n + (-C)**n exactly, via p = 3*p' - 3*p'''."""
     if n < 0:
         raise ValueError("power sums are defined for n >= 0")
-    p = [3, 3, 9]
-    while len(p) <= n:
-        p.append(3 * p[-1] - 3 * p[-3])
-    return p[n]
+    a, b, c = 3, 3, 9  # p_i, p_(i+1), p_(i+2) from i = 0
+    for _ in range(n):
+        a, b, c = b, c, 3 * c - 3 * a
+    return a
 
 
 def uniform_value(n_sites: int) -> int:
@@ -580,8 +583,14 @@ _SHIFT_RATIOS = {0: (0, 0), 1: (1, 2), 2: (2, 1)}
 
 
 def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
+    """Scan the 3**N <= ``PERMUTATION_CLASS_CAP`` shift patterns (else ValueError)."""
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
+    # clamped: 3**k is over the cap for every k past its bit length
+    if 3 ** min(n_sites, PERMUTATION_CLASS_CAP.bit_length()) > PERMUTATION_CLASS_CAP:
+        raise ValueError(
+            f"3**{n_sites} shift patterns exceed the cap of {PERMUTATION_CLASS_CAP}"
+        )
     slot_mags = {
         sigma: tuple(f.magnitude() for f in _ratio_factors(3)[3 * r + s])
         for sigma, (r, s) in _SHIFT_RATIOS.items()
@@ -681,10 +690,10 @@ def iter_contradiction_witnesses(n_sites: int):
 
     The 3**N <= 3**8 words come from ``_all_words`` (N > 8 raises ValueError
     on first use).  A kept word's eigenphase on the GHZ state of index 0 is
-    alpha**e, e the sum of its letters' ``_phase_array`` entries on any GHZ
-    label (every digit r); the three labels must agree and e must be a
-    multiple of 3, else EigenstateError, as in ``eigenphase``.  The records
-    equal those of ``contradiction_witness``.
+    alpha**e, e read by ``qudit_ops._ghz_phase`` at each GHZ label; the
+    three readings must agree and e must be a multiple of 3, else
+    EigenstateError, as in ``eigenphase``.  The records equal those of
+    ``contradiction_witness``.
     """
     if not 0 <= n_sites <= 8:
         raise ValueError(f"witness scans need 0 <= N <= 8 (3**8 words), got {n_sites}")
@@ -692,18 +701,14 @@ def iter_contradiction_witnesses(n_sites: int):
     positions = letters.sum(axis=1, dtype=np.int64) % 9
     kept = (positions == 3) | (positions == 6)
     letters, positions = letters[kept], positions[kept]
-    table = _phase_array(3)  # table[j + 1, r]: letter j acting on digit r
-    phases = np.zeros((len(letters), 3), dtype=np.int64)  # (words, label r)
-    for column in letters.T:  # site by site
-        phases += table[column + 1]
-    phases %= 9
-    if (phases != phases[:, :1]).any():
+    phases = _ghz_phase(3, letters, 0, 0)
+    if any((_ghz_phase(3, letters, 0, r) != phases).any() for r in (1, 2)):
         raise EigenstateError("a word is not proportional to the GHZ state")
-    if (phases[:, 0] % 3).any():
+    if (phases % 3).any():
         raise EigenstateError("a witness eigenphase is not a power of omega")
     quantum = [PhaseExponent(e, 9).to_complex() for e in range(9)]
     # the uniform assignment predicts 1 for every word
-    for row, k, e in zip(letters.tolist(), positions.tolist(), phases[:, 0].tolist()):
+    for row, k, e in zip(letters.tolist(), positions.tolist(), phases.tolist()):
         yield WitnessRecord(
             word=SettingWord(3, tuple(row)),
             position=k,

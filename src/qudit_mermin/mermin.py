@@ -25,8 +25,7 @@ from .qudit_ops import (
     EigenstateError,
     SettingWord,
     _all_words,
-    _phase_array,
-    ghz_state,
+    _ghz_phase,
     rotation_alphabet,
 )
 
@@ -201,40 +200,23 @@ def check_verify_budget(d: int, n_sites: int) -> None:
 def verify_eigenvalue(op: MerminOperator) -> int:
     """Apply the operator to its GHZ state exactly and return the eigenvalue.
 
-    Each GHZ label r (every digit r) maps to the label with every digit
-    r + 1, picking up alpha**(weight + sum_i table_i[r]) per term; those
-    exponents are summed as integer arrays and reduced by one ``root_sum``
-    per label.  Raises EigenstateError if the result is not an integer
-    multiple of the state (which would indicate a construction bug), as
-    distinct from the ValueError raised on malformed or over-cap input.
+    At each GHZ label r (every digit r) term t reads the eigenvalue
+    alpha**(weight_t + e_t), e_t from ``qudit_ops._ghz_phase``; one
+    ``root_sum`` per label adds them and the d sums must agree.  Raises
+    EigenstateError if the result is not an integer multiple of the state
+    (which would indicate a construction bug), as distinct from the
+    ValueError raised on malformed or over-cap input.
     """
     d, n = op.d, op.n_sites
     check_verify_budget(d, n)
     m = d * d
-    half = (d - 1) // 2
-    psi = ghz_state(op.variant, d, n)
-    table = _phase_array(d)  # table[j + half, digit]
-    powers = [d**i for i in range(n)]
-    totals = {label: CycInt.zero(m) for label in psi.amplitudes}
-    for label, amp in psi.amplitudes.items():
-        digits = [(label // p) % d for p in powers]
-        phases = op.weight_exponents.copy()
-        for i, digit in enumerate(digits):
-            phases += table[:, digit][op.letters[:, i] + half]
-        mapped = sum(((digit + 1) % d) * p for digit, p in zip(digits, powers))
-        if mapped not in totals:
-            raise EigenstateError("a term left the GHZ support")
-        totals[mapped] = totals[mapped] + root_sum(m, phases) * amp
-    lam: CycInt | None = None
-    for label, amp in psi.amplitudes.items():
-        ratio = totals[label] * amp.conjugate()
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            raise EigenstateError(
-                f"variant {op.variant} operator is not proportional to its GHZ state"
-            )
-    assert lam is not None
+    sums = {root_sum(m, op.weight_exponents + _ghz_phase(d, op.letters, op.variant, r))
+            for r in range(d)}
+    if len(sums) != 1:
+        raise EigenstateError(
+            f"variant {op.variant} operator is not proportional to its GHZ state"
+        )
+    (lam,) = sums
     if not lam.is_integer():
         raise EigenstateError(f"eigenvalue {lam} is not a rational integer")
     return lam.as_integer()

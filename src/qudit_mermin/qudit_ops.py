@@ -274,37 +274,49 @@ def apply_word(word: SettingWord, state: StateVector) -> StateVector:
     return StateVector(d, word.n_sites, out)
 
 
+def _ghz_phase(d: int, letters: np.ndarray, k: int, r: int) -> np.ndarray:
+    """Alpha-exponents (mod d**2) of K words' eigenvalues read at one GHZ label.
+
+    ``letters`` is a (K, N) array of rotation indices.  A word maps the GHZ
+    label r (every digit r) to the label r + 1 (mod d), picking up alpha**e
+    with e the sum over sites of the phase-table column r; on the GHZ state
+    of index k, amplitude alpha**(k*r) on label r, it is an eigenoperator
+    with eigenvalue alpha**(e + k*r - k*((r + 1) % d)) if that exponent is
+    the same at every label.  Returns the (K,) int64 exponents at label r;
+    callers compare the d labels.  This is the one place that reads how a
+    word acts on a GHZ label.
+    """
+    m, half = d * d, (d - 1) // 2
+    column = _phase_array(d)[:, r]  # column[j + half]: letter j on digit r
+    phase = np.full(len(letters), (k * r - k * ((r + 1) % d)) % m, dtype=np.int64)
+    # blocks of 2**14 rows keep a block's letters in cache over its N sites
+    for start in range(0, len(letters), 2**14):
+        block = phase[start : start + 2**14]
+        for site in letters[start : start + 2**14].T:
+            block += np.take(column, site + half)
+    return np.remainder(phase, m, out=phase)
+
+
 def eigenphase(word: SettingWord, ghz_index: int = 0) -> PhaseExponent:
     """Exact eigenphase of a word on the GHZ state it stabilizes.
 
     Only words whose circle position is congruent to the GHZ index mod d are
-    eigenoperators of that state; any other word raises ValueError.  The
-    phase is extracted from the computed action, never assumed.
+    eigenoperators of that state; any other word, or a word with no sites,
+    raises ValueError.  The phase is read at each of the d GHZ labels by
+    ``_ghz_phase`` and the readings must agree, never assumed.
     """
     d = word.d
-    m = d * d
     if (word.position - ghz_index) % d != 0:
         raise ValueError(
             f"word {word} at position {word.position} is not an eigenoperator "
             f"of the GHZ state with index {ghz_index} (need position == index mod {d})"
         )
-    psi = ghz_state(ghz_index, d, word.n_sites)
-    result = apply_word(word, psi)
-    if set(result.amplitudes) != set(psi.amplitudes):
-        raise EigenstateError(f"word {word} left the GHZ support")
-    lam: CycInt | None = None
-    for label, amp in psi.amplitudes.items():
-        # amp is a root of unity, so its inverse is its conjugate
-        ratio = result.amplitude(label) * amp.conjugate()
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            raise EigenstateError(
-                f"word {word} is not proportional to the GHZ state with "
-                f"index {ghz_index}"
-            )
-    assert lam is not None
-    exponent = lam.as_root_exponent()
-    if exponent is None:
-        raise EigenstateError(f"eigenvalue of {word} is not a root of unity")
-    return PhaseExponent(exponent, m)
+    if word.n_sites < 1:
+        raise ValueError("need at least one site")
+    letters = np.array([word.letters], dtype=np.int64)
+    readings = {int(_ghz_phase(d, letters, ghz_index, r)[0]) for r in range(d)}
+    if len(readings) != 1:
+        raise EigenstateError(
+            f"word {word} is not proportional to the GHZ state with index {ghz_index}"
+        )
+    return PhaseExponent(readings.pop(), d * d)

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
-from qudit_mermin import hidden_variables
+from qudit_mermin import hidden_variables, qudit_ops
 from qudit_mermin._enumeration import full_space_scores
 from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
@@ -144,6 +144,15 @@ def test_power_sum_recurrence_against_float_powers():
     for n in range(21):
         direct = A_VALUE**n + B_VALUE**n + (-C_VALUE) ** n
         assert abs(power_sum(n) - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+def test_power_sum_keeps_the_list_recurrence():
+    p = [3, 3, 9]
+    while len(p) <= 300:
+        p.append(3 * p[-1] - 3 * p[-3])
+    assert [power_sum(n) for n in range(301)] == p
+    u = uniform_value(1000)
+    assert len(str(u)) == 404 and u % 10**12 == 944483504782
 
 
 def test_uniform_values():
@@ -697,6 +706,21 @@ def test_search_caps_and_bad_mode():
         exhaustive_search(3, mode="annealed")
 
 
+def test_permutation_class_budget_refuses_before_any_pattern(monkeypatch):
+    class Evaluated(Exception):
+        pass
+
+    def evaluate(*args):
+        raise Evaluated
+
+    monkeypatch.setattr(hidden_variables, "hv_value_product", evaluate)
+    with pytest.raises(ValueError, match="exceed the cap of 6561"):
+        permutation_class_max(9)
+    # N = 8 is within the cap and reaches the pattern loop
+    with pytest.raises(Evaluated):
+        permutation_class_max(8)
+
+
 def test_permutation_class_report():
     report = permutation_class_max(3)
     expected_bound = (
@@ -798,7 +822,7 @@ def test_witness_arrays_equal_the_per_word_build():
 
 
 def test_witness_arrays_check_the_eigenphases(monkeypatch):
-    table = hidden_variables._phase_array(3)
+    table = qudit_ops._phase_array(3)
 
     def tampered(letter, phases):
         rows = table.copy()
@@ -806,11 +830,11 @@ def test_witness_arrays_check_the_eigenphases(monkeypatch):
         return lambda d: rows
 
     # Y acting with one phase on every digit: YYYYV's labels disagree
-    monkeypatch.setattr(hidden_variables, "_phase_array", tampered(1, (1, 1, 1)))
+    monkeypatch.setattr(qudit_ops, "_phase_array", tampered(1, (1, 1, 1)))
     with pytest.raises(EigenstateError, match="proportional"):
         list(iter_contradiction_witnesses(5))
     # X picking up alpha: XYYY has the eigenphase alpha**4, not a power of omega
-    monkeypatch.setattr(hidden_variables, "_phase_array", tampered(0, (1, 1, 1)))
+    monkeypatch.setattr(qudit_ops, "_phase_array", tampered(0, (1, 1, 1)))
     with pytest.raises(EigenstateError, match="power of omega"):
         list(iter_contradiction_witnesses(4))
 

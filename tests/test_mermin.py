@@ -403,3 +403,14 @@ def test_verify_budget_first_over_cap_n():
         check_verify_budget(d, last)
         with pytest.raises(ValueError):
             check_verify_budget(d, last + 1)
+
+
+def test_off_position_word_is_not_proportional():
+    # XY sits at position 1, so it maps the variant-0 GHZ state off itself
+    op = MerminOperator.from_terms(
+        3, 2, 0, [(SettingWord.from_string("XY"), root_of_unity(0, 9))]
+    )
+    with pytest.raises(EigenstateError, match="proportional"):
+        reference_eigenvalue(op)
+    with pytest.raises(EigenstateError, match="proportional"):
+        verify_eigenvalue(op)

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qudit_mermin import qudit_ops
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.qudit_ops import (
     EigenstateError,
@@ -221,3 +222,50 @@ def test_phase_array_rows_are_the_phase_tables():
         for j in rotation_alphabet(d):
             expected = LocalObservable.rotated_shift(d, j).phase_table
             assert tuple(table[j + (d - 1) // 2].tolist()) == expected
+
+
+def reference_eigenphase(word, ghz_index):
+    """The eigenphase read off ``apply_word`` on the sparse GHZ state."""
+    psi = ghz_state(ghz_index, word.d, word.n_sites)
+    result = apply_word(word, psi)
+    assert set(result.amplitudes) == set(psi.amplitudes)
+    ratios = {result.amplitude(label) * amp.conjugate()
+              for label, amp in psi.amplitudes.items()}
+    if len(ratios) != 1:
+        raise EigenstateError("not proportional")
+    (lam,) = ratios
+    return lam.as_root_exponent()
+
+
+def test_eigenphase_matches_the_state_vector_action():
+    for d, n_max in ((3, 4), (5, 3), (7, 2)):
+        m = d * d
+        for n in range(1, n_max + 1):
+            for letters in itertools.product(rotation_alphabet(d), repeat=n):
+                word = SettingWord(d, letters)
+                for k in range(m):
+                    if (word.position - k) % d:
+                        with pytest.raises(ValueError):
+                            eigenphase(word, k)
+                        continue
+                    phase = eigenphase(word, k)
+                    assert phase.order == m
+                    assert phase.exponent == reference_eigenphase(word, k), (word, k)
+                    assert phase.exponent == (word.position - k) % m
+
+
+def test_eigenphase_requires_the_labels_to_agree(monkeypatch):
+    rows = _phase_array(3).copy()
+    rows[2] = (1, 1, 1)  # Y acting with one phase on every digit
+    monkeypatch.setattr(qudit_ops, "_phase_array", lambda d: rows)
+    with pytest.raises(EigenstateError, match="proportional"):
+        eigenphase(SettingWord.from_string("YV"), 0)
+
+
+def test_eigenphase_refuses_off_position_and_empty_words():
+    with pytest.raises(ValueError, match="not an eigenoperator"):
+        eigenphase(SettingWord.from_string("Y"), 0)
+    with pytest.raises(ValueError, match="at least one site"):
+        eigenphase(SettingWord(3, ()), 0)
+    with pytest.raises(ValueError, match="at least one site"):
+        eigenphase(SettingWord(5, ()), 5)
