@@ -40,7 +40,7 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, root_sums
+from .cyclotomic import CycInt, _read_only, _root_coeffs, root_sums
 from .mermin import (
     IdentityReport,
     MerminOperator,
@@ -125,16 +125,69 @@ class UniformFactorSet:
         return tuple(entry.magnitude for entry in self.entries)
 
 
-def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
-    """The d factors F_p of each row of a (K, d) array, from one ``root_sums``.
+def _factor_exponents(d: int, ratios) -> np.ndarray:
+    """(K, d, d) root exponents: F_p of row k is the sum of alpha**e[k, p, :].
 
     ``ratios[k, c]`` is the ratio exponent on the rotation letter j == c
     (mod d); column 0, letter j = 0, is the reference and should be 0.
+    The exponents are not reduced mod d**2.
     """
+    mix, columns = _mixing_table(d)
+    return mix + d * np.asarray(ratios)[:, None, columns]
+
+
+@lru_cache(maxsize=None)
+def _mixing_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (product p, letter j) mixing exponents and the columns j mod d."""
     j = np.array(rotation_alphabet(d))
-    mix = mixing_exponent(d, np.arange(d)[:, None], j)  # (product p, letter j)
-    coeffs = root_sums(d * d, mix + d * np.asarray(ratios)[:, None, j % d])
+    mix = mixing_exponent(d, np.arange(d)[:, None], j)
+    return _read_only(mix, np.int64), _read_only(j % d, np.intp)
+
+
+def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
+    """The d factors F_p of each row of a (K, d) ratio array, from one ``root_sums``."""
+    coeffs = root_sums(d * d, _factor_exponents(d, ratios))
     return tuple(tuple(CycInt(d * d, tuple(c)) for c in row) for row in coeffs.tolist())
+
+
+def _product_sum(d: int, ratios) -> CycInt:
+    """Exact sum over p of prod_i F_p(ratios[i]) for an (N, d) ratio array.
+
+    Works on exponent histograms, with no ring multiply: h[i, p, e] counts
+    the letters j whose term of F_p at site i is alpha**e (one ``bincount``
+    over the (N, d, d) exponents of ``_factor_exponents``).  Multiplying
+    two sums of roots is the cyclic convolution of their histograms mod
+    m = d**2, here a product with the m x m circulant of the site's
+    histogram; the d slots are then added and ``_root_coeffs(m)`` reduces
+    the one histogram to canonical coefficients.
+
+    Range.  After k sites, entry [p, e] counts the d**k letter tuples whose
+    product term in slot p is alpha**e, so every entry and every partial
+    sum of the convolutions is a non-negative count of at most d**k, and
+    the slot sum holds d**(N+1) tuples in all.  Each column of
+    ``_root_coeffs(m)`` has at most two nonzero entries, both +-1 (alpha**j
+    itself and -alpha**(phi + j mod d)), so every coefficient and every
+    partial sum of the reduction is at most d**(N+1) in absolute value.
+    The histograms are int64 when d**(N+1) < 2**63 and Python integers
+    (``dtype=object``) otherwise, so the value is exact for every N.
+    """
+    m = d * d
+    exponents = _factor_exponents(d, ratios)
+    n_sites = exponents.shape[0]
+    offsets = m * np.arange(n_sites * d).reshape(n_sites, d, 1)
+    hist = np.bincount((exponents % m + offsets).ravel(), minlength=n_sites * d * m)
+    table = _root_coeffs(m)
+    if d ** (n_sites + 1) >= 2**63:
+        hist, table = hist.astype(object), table.astype(object)
+    # circulants[i, p, e, f] = h[i, p, (f - e) mod m]: acc @ it convolves acc with h
+    shift = (np.arange(m) - np.arange(m)[:, None]) % m
+    circulants = hist.reshape(n_sites, d, m)[:, :, shift]
+    acc = np.zeros((d, 1, m), dtype=hist.dtype)
+    acc[:, 0, 0] = 1
+    for circulant in circulants:
+        acc = acc @ circulant
+    coeffs = acc.sum(axis=(0, 1)) @ table
+    return CycInt(m, tuple(coeffs.tolist()))
 
 
 @lru_cache(maxsize=None)

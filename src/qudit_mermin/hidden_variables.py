@@ -24,6 +24,12 @@ the sites of the operator's own terms one at a time, exactly over Z[omega]
 checks the integer |v|**2 of each of the 27**N value assignments for
 equality with its ratio reduction's score, rounded to an integer.  Both run
 in one process.
+
+The value at one assignment is computed two independent ways, neither with
+a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
+and predicted value exponent in one ``bincount``, and
+``hv_value_product_exact`` convolves the exponent histograms of the
+per-site factors (``generalized._product_sum``); |3v|**2 = |P|**2 links them.
 """
 
 from __future__ import annotations
@@ -38,13 +44,12 @@ import numpy as np
 
 from ._enumeration import (
     decode_index,
-    exact_letters_sum,
     full_space_scores,
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, PhaseExponent, root_of_unity, root_sum
-from .generalized import _ratio_factors, ratio_space
+from .cyclotomic import CycInt, PhaseExponent, _root_coeffs, root_of_unity
+from .generalized import _product_sum, _ratio_factors, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -96,7 +101,8 @@ _J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
 # Full mode covers 27**N value assignments; this allows N <= 5.
 FULL_SEARCH_CAP = 10**8
 
-# permutation_class_max evaluates 3**N shift patterns; this allows N <= 8.
+# permutation_class_max covers 3**N shift patterns (one evaluation per
+# multiset of shifts); this allows N <= 8.
 PERMUTATION_CLASS_CAP = 3**8
 
 
@@ -270,32 +276,39 @@ def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
     """Exact classical operator value: sum of weight * product of values.
 
     Term t predicts the value product omega**e_t with e_t = sum_i
-    values[i][col], col the value column of its letter at site i
-    (``letters % 3``, as in ``_J_TO_COLUMN``).  The terms are grouped by
-    e_t mod 3 and each group's weights are summed by one ``root_sum``, so
-    the value is W_0 + omega*W_1 + omega**2*W_2 for any root-of-unity
-    weights, with no per-term ring arithmetic.
+    values[i][col], col the value column of its letter at site i (read
+    through the operator's cached ``value_columns``).  One ``bincount`` over
+    the 27 bins 9*(e_t mod 3) + w_t (w_t the weight's alpha exponent) tallies
+    the terms; row k of the tally, reduced by ``_root_coeffs(9)``, is the
+    weight sum W_k of the terms with e_t = k (mod 3), so the value is
+    W_0 + omega*W_1 + omega**2*W_2 for any root-of-unity weights, with no
+    per-term ring arithmetic.
     """
     if op.d != 3:
         raise ValueError("direct hidden-variable evaluation is defined for d=3")
     if assignment.n_sites != op.n_sites:
         raise ValueError("assignment and operator have different site counts")
-    values = np.array(assignment.values, dtype=np.int64).reshape(op.n_sites, 3)
-    e = values[np.arange(op.n_sites), op.letters % 3].sum(axis=1) % 3
-    total = CycInt.zero(9)
-    for k in range(3):
-        total = total + root_sum(9, op.weight_exponents[e == k]).times_root(3 * k)
-    return total
+    values = np.array(assignment.values, dtype=np.int64).ravel()
+    e = values.take(op.value_columns).sum(axis=0) % 3
+    tally = np.bincount(9 * e + op.weight_exponents, minlength=27).reshape(3, 9)
+    w0, w1, w2 = (CycInt(9, tuple(row)) for row in (tally @ _root_coeffs(9)).tolist())
+    return w0 + w1.times_root(3) + w2.times_root(6)
 
 
 def hv_value_product_exact(r_exps, s_exps) -> CycInt:
-    """Exact 3*v from the per-site factor products (sum over B, C, A)."""
+    """Exact 3*v from the per-site factor products (sum over B, C, A).
+
+    ``generalized._product_sum`` on the (N, 3) ratio rows (0, R_i, S_i):
+    exponent histograms convolved site by site, exact for every N (int64
+    only below its proven bound d**(N+1) < 2**63, Python integers above),
+    with no ``CycInt`` multiply.
+    """
     r_exps = tuple(r_exps)
     s_exps = tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
-    letters = [3 * (r % 3) + s % 3 for r, s in zip(r_exps, s_exps)]
-    return exact_letters_sum(9, _ratio_factors(3), letters)
+    ratios = np.array([(0, r % 3, s % 3) for r, s in zip(r_exps, s_exps)], dtype=np.int64)
+    return _product_sum(3, ratios.reshape(len(r_exps), 3))
 
 
 def hv_value_product(r_exps, s_exps) -> float:
@@ -583,7 +596,15 @@ _SHIFT_RATIOS = {0: (0, 0), 1: (1, 2), 2: (2, 1)}
 
 
 def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
-    """Scan the 3**N <= ``PERMUTATION_CLASS_CAP`` shift patterns (else ValueError)."""
+    """Best bound and attained value over the proper shift patterns.
+
+    Both depend only on how many sites carry each shift (the per-site
+    factors commute), so each of the C(N+2, 2) shift multisets is evaluated
+    once, at its sorted pattern, which is also its lexicographically first;
+    ``combinations_with_replacement`` yields these in lexicographic order,
+    so the reported patterns are the first maximizing ones of all 3**N.
+    N is limited by ``PERMUTATION_CLASS_CAP`` on 3**N (else ValueError).
+    """
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
     # clamped: 3**k is over the cap for every k past its bit length
@@ -599,9 +620,8 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     best_bound_pattern: tuple[int, ...] = ()
     best_attained = -1.0
     best_attained_pattern: tuple[int, ...] = ()
-    for pattern in itertools.product(range(3), repeat=n_sites):
-        n_shifted = sum(1 for sigma in pattern if sigma)
-        if not 0 < n_shifted < n_sites:
+    for pattern in itertools.combinations_with_replacement(range(3), n_sites):
+        if pattern[0] != 0 or pattern[-1] == 0:  # every site shifted, or none
             continue
         bound = 0.0
         for p in range(3):

@@ -114,6 +114,21 @@ class MerminOperator:
             for row, e in zip(self.letters.tolist(), self.weight_exponents.tolist())
         )
 
+    @cached_property
+    def value_columns(self) -> np.ndarray:
+        """Read-only (N, T) index 3*i + letters[t, i] % 3 into N flat value triples.
+
+        Column c = j % 3 of site i is the value of its letter j at d = 3
+        (X, Y, V for j = 0, 1, -1), so ``values.take(value_columns)`` reads
+        the value exponent of every (site, term) pair.  Stored in the
+        narrowest integer type that holds 3N - 1.
+        """
+        sites = 3 * np.arange(self.n_sites)
+        columns = (self.letters.T % 3 + sites[:, None]).astype(
+            np.min_scalar_type(max(3 * self.n_sites - 1, 0))
+        )
+        return _read_only(columns, columns.dtype)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MerminOperator):
             return NotImplemented

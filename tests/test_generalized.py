@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from qudit_mermin import _enumeration, generalized, mermin
-from qudit_mermin.cyclotomic import CycInt, root_of_unity
+from qudit_mermin.cyclotomic import CycInt, _root_coeffs, root_of_unity
+from qudit_mermin._enumeration import exact_letters_sum
 from qudit_mermin.generalized import (
     GeneralConfig,
     _factor_rows,
+    _product_sum,
     _ratio_factors,
     build_general_mermin,
     conjecture_search,
@@ -33,6 +35,7 @@ from qudit_mermin.hidden_variables import (
     C_VALUE,
     exhaustive_search,
     factor_value,
+    uniform_value,
 )
 from qudit_mermin.mermin import build_mermin
 
@@ -253,3 +256,59 @@ def test_verify_budget_first_over_cap_n_per_dimension():
         with pytest.raises(ValueError):
             verify_general_eigenvalue(GeneralConfig(d, last + 1))
     assert verify_general_eigenvalue(GeneralConfig(5, 8)) == 5**7
+
+
+def letter_rows(d, letters):
+    """(N, d) ratio rows of ratio letters: column 0 is 0, then the base-d digits."""
+    letters = np.asarray(letters, dtype=np.int64).reshape(-1, 1)
+    return letters // d ** np.arange(d - 1, -1, -1) % d
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 10), (5, 3), (7, 2)])
+def test_histogram_product_equals_the_ring_loop(d, n_max):
+    # oracle: per-root factors multiplied one CycInt at a time (exact_letters_sum)
+    rng = np.random.default_rng(1400 + d)
+    letter = [c if c <= d // 2 else c - d for c in range(d)]  # column -> j
+    # no sites: d empty products
+    assert _product_sum(d, np.zeros((0, d), dtype=np.int64)) == CycInt.integer(d, d * d)
+    for n_sites in range(1, n_max + 1):
+        for _ in range(12):
+            rows = letter_rows(d, rng.integers(0, d ** (d - 1), size=n_sites))
+            factors = [
+                tuple(
+                    per_root_factor(d, p, {letter[c]: t for c, t in enumerate(row)})
+                    for p in range(d)
+                )
+                for row in rows.tolist()
+            ]
+            assert _product_sum(d, rows) == exact_letters_sum(
+                d * d, factors, range(n_sites)
+            ), (d, rows)
+
+
+def test_root_coefficient_columns_hold_at_most_two_units():
+    # the range proof of _product_sum: column j of the reduction table is
+    # +1 at alpha**j and -1 at alpha**(phi + j mod d), and zero elsewhere
+    for d in (3, 5, 7):
+        table = _root_coeffs(d * d)
+        phi = d * (d - 1)
+        expected = np.zeros_like(table)
+        expected[np.arange(phi), np.arange(phi)] = 1
+        expected[phi + np.arange(phi) % d, np.arange(phi)] = -1
+        assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("n_sites", [38, 39, 40, 60])
+def test_histogram_product_is_exact_past_the_int64_switch(n_sites):
+    # 3**(N+1) < 2**63 up to N = 38; N = 39 and 40 take Python integers, and
+    # at N = 60 the histogram counts themselves pass 2**63
+    rng = np.random.default_rng(n_sites)
+    factors = _ratio_factors(3)
+    uniform = [0] * n_sites
+    mixed = uniform[: n_sites // 2] + rng.integers(0, 9, size=n_sites - n_sites // 2).tolist()
+    for letters in (uniform, mixed):
+        assert _product_sum(3, letter_rows(3, letters)) == exact_letters_sum(
+            9, factors, letters
+        )
+    total = _product_sum(3, letter_rows(3, uniform))
+    assert total == CycInt.integer(3 * uniform_value(n_sites), 9)

@@ -13,8 +13,10 @@ exponent-array replacements.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -24,10 +26,10 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables, qudit_ops
-from qudit_mermin._enumeration import full_space_scores
+from qudit_mermin._enumeration import exact_letters_sum, full_space_scores
 from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
-from qudit_mermin.generalized import ratio_space
+from qudit_mermin.generalized import _ratio_factors, ratio_space
 from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
@@ -239,6 +241,68 @@ def test_hv_value_direct_on_arbitrary_root_weights(data):
     value, calls = direct_counting_times_root(assignment, op)
     assert value == reference_hv_value_direct(assignment, op)
     assert calls <= 3
+
+
+def test_value_columns_are_a_read_only_cache_on_the_operator():
+    op = build_mermin(3, 4, 1)
+    columns = op.value_columns
+    assert columns is op.value_columns  # computed once per operator
+    assert columns.shape == (4, op.term_count) and columns.dtype.itemsize == 1
+    expected = 3 * np.arange(4)[:, None] + np.array(
+        [[_COLUMN[j] for j in row] for row in op.letters.tolist()]
+    ).T
+    assert np.array_equal(columns, expected)
+    with pytest.raises(ValueError):
+        columns[0, 0] = 0
+    # the cache takes no part in equality or hashing
+    fresh = build_mermin(3, 4, 1)
+    assert op == fresh and hash(op) == hash(fresh)
+    assert "value_columns" in vars(op) and "value_columns" not in vars(fresh)
+    assert op != build_mermin(3, 4, 2)
+
+
+def test_value_columns_are_freed_with_their_operator():
+    op = build_mermin(3, 5, 0)
+    hv_value_direct(HVAssignment.uniform(5), op)
+    columns = weakref.ref(op.value_columns)
+    owner = weakref.ref(op)
+    del op
+    gc.collect()
+    assert columns() is None and owner() is None
+
+
+def test_value_columns_of_from_terms_operators():
+    rng = np.random.default_rng(14)
+    for n_sites in (1, 3, 6):
+        for n_terms in (0, 1, 7, 50):
+            words = rng.integers(-1, 2, size=(n_terms, n_sites))
+            terms = [
+                (SettingWord(3, tuple(w)), root_of_unity(int(e), 9))
+                for w, e in zip(words.tolist(), rng.integers(0, 9, size=n_terms))
+            ]
+            op = MerminOperator.from_terms(3, n_sites, 0, terms)
+            assert op.value_columns.shape == (n_sites, n_terms)
+            assignment = HVAssignment(
+                tuple(map(tuple, rng.integers(0, 3, size=(n_sites, 3)).tolist()))
+            )
+            assert hv_value_direct(assignment, op) == reference_hv_value_direct(
+                assignment, op
+            )
+
+
+def test_hv_value_product_exact_makes_no_ring_multiplies():
+    rng = np.random.default_rng(9)
+    for n_sites in (1, 8, 40):
+        letters = rng.integers(0, 9, size=n_sites).tolist()
+        expected = exact_letters_sum(9, _ratio_factors(3), letters)
+        with mock.patch.object(
+            CycInt, "__mul__", autospec=True, side_effect=CycInt.__mul__
+        ) as spy:
+            value = hv_value_product_exact(
+                [a // 3 for a in letters], [a % 3 for a in letters]
+            )
+        assert spy.call_count == 0
+        assert value == expected
 
 
 def test_hv_value_direct_rejects_other_d_and_site_counts():
@@ -719,6 +783,65 @@ def test_permutation_class_budget_refuses_before_any_pattern(monkeypatch):
     # N = 8 is within the cap and reaches the pattern loop
     with pytest.raises(Evaluated):
         permutation_class_max(8)
+
+
+def permutation_class_loop(n_sites):
+    """The per-pattern scan ``permutation_class_max`` replaced: all 3**N patterns."""
+    slot_mags = {
+        sigma: tuple(f.magnitude() for f in _ratio_factors(3)[3 * r + s])
+        for sigma, (r, s) in {0: (0, 0), 1: (1, 2), 2: (2, 1)}.items()
+    }
+    best_bound, best_bound_pattern = -1.0, ()
+    best_attained, best_attained_pattern = -1.0, ()
+    for pattern in itertools.product(range(3), repeat=n_sites):
+        if not 0 < sum(1 for sigma in pattern if sigma) < n_sites:
+            continue
+        bound = 0.0
+        for p in range(3):
+            prod = 1.0
+            for sigma in pattern:
+                prod *= slot_mags[sigma][p]
+            bound += prod
+        bound /= 3.0
+        r = [(0, 1, 2)[sigma] for sigma in pattern]
+        s = [(0, 2, 1)[sigma] for sigma in pattern]
+        attained = hv_value_product(r, s)
+        if bound > best_bound:
+            best_bound, best_bound_pattern = bound, pattern
+        if attained > best_attained:
+            best_attained, best_attained_pattern = attained, pattern
+    return hidden_variables.PermutationClassReport(
+        n_sites=n_sites,
+        bound=best_bound,
+        bound_pattern=best_bound_pattern,
+        attained=best_attained,
+        attained_pattern=best_attained_pattern,
+        full_shift_value=hv_value_product((1,) * n_sites, (2,) * n_sites),
+    )
+
+
+@pytest.mark.parametrize("n_sites", range(2, 9))
+def test_permutation_classes_equal_the_per_pattern_loop(n_sites):
+    report = permutation_class_max(n_sites)
+    oracle = permutation_class_loop(n_sites)
+    # field for field, floats to the last bit
+    assert report == oracle
+    assert report.bound.hex() == oracle.bound.hex()
+
+
+def test_permutation_classes_evaluate_each_multiset_once(monkeypatch):
+    calls = []
+
+    def counting(r_exps, s_exps):
+        calls.append(tuple(r_exps))
+        return evaluate(r_exps, s_exps)
+
+    evaluate = hidden_variables.hv_value_product
+    monkeypatch.setattr(hidden_variables, "hv_value_product", counting)
+    permutation_class_max(8)
+    # C(N+2, 2) multisets less the one that shifts no site and the N + 1
+    # that shift every site, plus the full-shift value
+    assert len(calls) == math.comb(10, 2) - 1 - 9 + 1
 
 
 def test_permutation_class_report():
