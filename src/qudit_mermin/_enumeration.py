@@ -5,10 +5,11 @@ alphabet of size A; its value is
 
     score(a) = | sum_slots  prod_sites  F[a_i, slot] |**2,
 
-where every F[a, slot] is a cyclotomic integer.  The product over sites
-commutes, so the score depends only on the multiset of letters:
-``run_search`` evaluates each of the C(N+A-1, N) classes (non-decreasing
-letter tuples) once instead of all A**N assignments.
+where F[a, slot] = sum_e h[a, slot, e] * alpha**e, e < m, is stored as its
+root counts h >= 0.  The product over sites commutes, so the score depends
+only on the multiset of letters: ``run_search`` evaluates each of the
+C(N+A-1, N) classes (non-decreasing letter tuples) once instead of all
+A**N assignments.
 
 The search ranks in floats and decides exactly.  Class products are
 complex128 rows, built level by level with each prefix extended only by
@@ -16,11 +17,11 @@ letters not below its last letter, and a real row of magnitude bounds rides
 alongside.  The last level is scored one block per last letter with one
 mat-vec, and every score carries a proven rounding bound
 (``_scored_blocks``).  Only the band of classes that may reach the maximum
-is resolved exactly: one batched int64 cyclic convolution per site
-(``_cyclic_times``) folded once to canonical coefficients, then one squared
-magnitude per distinct value, ordered with ``compare_real_coeffs``.  One
-guard (``_factor_coeffs``), checked before any work, keeps every int64 value
-exact and every float finite.
+is resolved exactly: one batched int64 cyclic convolution of the counts
+per site (``_cyclic_times``) folded once to canonical coefficients, then
+one squared magnitude per distinct value, ordered with
+``compare_real_coeffs``.  One guard (``_check_range``), checked before any
+work, keeps every int64 value exact and every float finite.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -39,13 +40,14 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import cmp_to_key, partial
 
 import numpy as np
 
 from .cyclotomic import (
     CycInt,
     _alpha_powers,
+    _read_only,
     _root_coeffs,
     compare_real_coeffs,
     order_params,
@@ -63,8 +65,8 @@ __all__ = [
 ]
 
 # One search may evaluate CLASS_CAP letter multisets (the qutrit ratio space
-# up to N = 15) from a factor table of at most FACTOR_CAP int64 coefficients,
-# A x slots x phi (8 MB; d = 5 needs 62,500 and d = 7 34.6 million).
+# up to N = 15) from a factor table of at most FACTOR_CAP int64 root counts,
+# A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
 
@@ -74,21 +76,33 @@ WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 _U = 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSpace:
     """Search-space description: per-letter slot factors over one ring."""
 
     order: int
     n_sites: int
-    factors: tuple[tuple[CycInt, ...], ...]  # (alphabet, slots)
+    counts: np.ndarray  # read-only (alphabet, slots, order) int64, all >= 0
+
+    def __post_init__(self) -> None:
+        counts = _read_only(self.counts, np.int64)
+        if counts.ndim != 3 or counts.shape[-1] != self.order or (counts < 0).any():
+            raise ValueError(f"counts must be non-negative of shape (A, S, {self.order})")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def alphabet(self) -> int:
-        return len(self.factors)
+        return self.counts.shape[0]
 
     @property
     def slots(self) -> int:
-        return len(self.factors[0])
+        return self.counts.shape[1]
+
+    @property
+    def factors(self) -> tuple[tuple[CycInt, ...], ...]:
+        """The factors as ``CycInt`` rows, derived on every read (for oracles)."""
+        rows = (self.counts @ _root_coeffs(self.order)).tolist()
+        return tuple(tuple(CycInt(self.order, tuple(c)) for c in row) for row in rows)
 
     @property
     def size(self) -> int:
@@ -128,12 +142,11 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
     """Raise ValueError for an over-budget space; call it before building factors."""
-    _, phi = order_params(order)
-    entries = alphabet * slots * phi
+    entries = alphabet * slots * order
     if entries > FACTOR_CAP:
         raise ValueError(
-            f"factor table of {alphabet} x {slots} x {phi} = {entries} "
-            f"coefficients exceeds the cap of {FACTOR_CAP}"
+            f"factor table of {alphabet} x {slots} x {order} = {entries} "
+            f"root counts exceeds the cap of {FACTOR_CAP}"
         )
     if math.comb(n_sites + alphabet - 1, n_sites) > CLASS_CAP:
         raise ValueError(
@@ -142,34 +155,27 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
         )
 
 
-def _factor_coeffs(space: ProductSpace) -> np.ndarray:
-    """(A, slots, phi) int64 factor coefficients, after the one range guard.
+def _check_range(space: ProductSpace) -> None:
+    """The one range guard: raise OverflowError before any product is formed.
 
-    Let L be the largest L1 norm of a factor's coefficients.  A product of
-    t factors has a representative modulo x**m - 1 (alpha**m = 1), the
-    cyclic convolution of their coefficient vectors, of L1 norm at most
-    L**t; each canonical coefficient is the difference of two of its
-    entries (alpha**(phi + r) = -sum_{j < d-1} alpha**(j*d + r)), so it is
-    at most L**t as well, and a sum of ``slots`` products is at most
-    slots * L**N.  Every partial sum formed on the way is bounded by one of
-    these, except in ``full_space_scores``, which multiplies canonical
-    vectors of L1 norm at most (d - 1) * L**t by a factor, (d - 1) * L**N in
-    all.  So max(2 * slots, d - 1) * L**N < 2**63 keeps every int64 value
-    exact and every float of the ranking finite; anything else raises
-    OverflowError before any product is formed.
+    Let M be the largest mass (sum of counts) of a factor.  Convolving
+    non-negative counts gives non-negative counts of mass the product of
+    theirs, so a product of t factors, and each partial sum on the way, is
+    represented modulo x**m - 1 by counts of at most M**t, and a sum of
+    ``slots`` products by counts of at most slots * M**N.  A canonical
+    coefficient is one count minus another (alpha**(phi + r) =
+    -sum_{j < d-1} alpha**(j*d + r)), so at most slots * M**N in size.
+    ``full_space_scores`` multiplies canonical vectors of L1 norm at most
+    (d - 1) * M**t by matrices of coefficients of alpha**i * F, each at
+    most M: (d - 1) * M**N in all.  So max(2 * slots, d - 1) * M**N < 2**63
+    keeps every int64 value exact and every float of the ranking finite.
     """
-    d, phi = order_params(space.order)
-    coeffs = np.fromiter(
-        chain.from_iterable(f.coeffs for row in space.factors for f in row),
-        dtype=np.int64,
-        count=space.alphabet * space.slots * phi,
-    ).reshape(space.alphabet, space.slots, phi)
-    # int64 row sums are exact while every |coefficient| < 2**63 // phi
-    wide = max(-int(coeffs.min()), int(coeffs.max())) >= 2**63 // phi
-    l1 = int(np.abs(coeffs.astype(object) if wide else coeffs).sum(axis=-1).max())
-    if max(2 * space.slots, d - 1) * l1**space.n_sites >= 2**63:
+    d, _ = order_params(space.order)
+    counts = space.counts  # int64 row sums are exact while every count < 2**63 // m
+    wide = counts.max() >= 2**63 // space.order
+    mass = int((counts.astype(object) if wide else counts).sum(axis=-1).max())
+    if max(2 * space.slots, d - 1) * mass**space.n_sites >= 2**63:
         raise OverflowError("product coefficients may exceed the exact int64 range")
-    return coeffs
 
 
 def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
@@ -185,23 +191,23 @@ def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
     return ends
 
 
-def _scored_blocks(space: ProductSpace, coeffs: np.ndarray):
+def _scored_blocks(space: ProductSpace):
     """Yield (b, lower, upper) for the N-letter classes ending in letter b.
 
     The class that extends prefix k (in the order of ``_level_ends``) by b
     has exact score s = |v|**2, v = sum_s prod_i F[a_i, s], within
     [lower[k], upper[k]]: the float score s^ minus and plus a proven bound.
 
-    Proof of the bound.  Write u = 2**-53 and L1 for a factor's coefficient
-    L1 norm.  (1) Factors: F^ = fl(sum_j c_j alpha^_j), with each stored
-    power within 46u of alpha**j (real and imaginary parts within 32u, as
-    in ``compare_real_coeffs``); converting c_j and the complex dot product
-    of phi terms, in any order and with or without FMA, add at most
-    3 * (phi + 1) * u * L1, so |F^ - F| <= e_F = (3*phi + 51) * u * L1;
-    the code uses twice that, which only enlarges M, rho and the bound
-    below.  A zero factor has F^ = 0 exactly.
-    (2) Put M = |F^| + e_F (M = 0 for a zero factor), which bounds both |F|
-    and |F^|, and rho = max e_F / M < 1 over the nonzero factors.
+    Proof of the bound.  Write u = 2**-53 and M_F for a factor's mass, the
+    sum of its counts h_e >= 0.  (1) Factors: F^ = fl(sum_e h_e alpha^_e),
+    with each of the m stored powers within 46u of alpha**e (real and
+    imaginary parts within 32u, as in ``compare_real_coeffs``); converting
+    h_e and the complex dot product of m terms, in any order and with or
+    without FMA, add at most 3 * (m + 1) * u * M_F, so |F^ - F| <= e_F / 2
+    with e_F = 2 * (3*m + 51) * u * M_F, the bound the code uses.  A factor
+    with no counts has F^ = 0 exactly.
+    (2) Put M = |F^| + e_F (M = 0 for a factor with no counts), which
+    bounds both |F| and |F^|, and rho = max e_F / M <= 1 over the others.
     Telescoping, |prod F - prod F^| <= sum_k e_k prod_{i != k} M_i
     <= N * rho * prod M.  (3) A complex product rounds with relative error
     at most mu = 4u, so the float prefix of N - 1 factors is within
@@ -219,11 +225,11 @@ def _scored_blocks(space: ProductSpace, coeffs: np.ndarray):
     which covers those roundings and the rounding of s^ - bound and
     s^ + bound in the band test.
     """
-    _, phi = order_params(space.order)
+    m, counts = space.order, space.counts
     slots, n_sites = space.slots, space.n_sites
-    fhat = coeffs @ np.array(_alpha_powers(space.order))
-    err = (2 * (3 * phi + 51) * _U) * np.abs(coeffs).sum(axis=-1)
-    nonzero = coeffs.any(axis=-1)
+    fhat = counts @ np.array(_alpha_powers(m))
+    err = (2 * (3 * m + 51) * _U) * counts.sum(axis=-1)
+    nonzero = counts.any(axis=-1)
     mags = np.where(nonzero, np.abs(fhat) + err, 0.0)
     k0 = math.expm1((n_sites - 1) * math.log1p(4 * _U) + math.log1p(4 * (slots + 2) * _U))
     kappa = k0 + n_sites * float((err / np.where(nonzero, mags, 1.0)).max())
@@ -254,45 +260,36 @@ def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray
 
 
 def _cyclic_times(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Products p * f modulo x**m - 1, m the length of p's last axis.
-
-    ``f`` holds phi <= m coefficients per row of ``p``.
-    """
-    m, phi = p.shape[-1], f.shape[-1]
-    out = np.zeros(p.shape[:-1] + (m + phi - 1,), dtype=np.int64)
-    for j in range(phi):
+    """Products p * f modulo x**m - 1 of count rows, m the length of the last axis."""
+    m = p.shape[-1]
+    out = np.zeros(p.shape[:-1] + (2 * m - 1,), dtype=np.int64)
+    for j in range(m):
         out[..., j : j + m] += p * f[..., j, None]
-    out[..., : phi - 1] += out[..., m:]
+    out[..., : m - 1] += out[..., m:]
     return out[..., :m]
 
 
-def _mult_matrices(coeffs: np.ndarray, m: int) -> np.ndarray:
+def _mult_matrices(counts: np.ndarray) -> np.ndarray:
     """(..., phi, phi) exact matrices of multiplication by each factor.
 
-    Row i is the canonical alpha**i * F: the factor's coefficients gathered
-    cyclically (entry e is c[(e - i) mod m]) and folded by ``_root_coeffs``.
+    Row i is the canonical alpha**i * F: the factor's counts gathered
+    cyclically (entry e is h[(e - i) mod m]) and folded by ``_root_coeffs``.
     """
-    phi = coeffs.shape[-1]
-    padded = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.int64)
-    padded[..., :phi] = coeffs
-    return padded[..., (np.arange(m) - np.arange(phi)[:, None]) % m] @ _root_coeffs(m)
-
-
-def _scores(v: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    vals = v.astype(np.float64) @ powers
-    return vals.real * vals.real + vals.imag * vals.imag
+    m = counts.shape[-1]
+    _, phi = order_params(m)
+    return counts[..., (np.arange(m) - np.arange(phi)[:, None]) % m] @ _root_coeffs(m)
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
-    coeffs = _factor_coeffs(space)
+    _check_range(space)
     order, a_size, n_sites = space.order, space.alphabet, space.n_sites
     # A class is kept while its upper bound reaches the floor, the largest
     # lower bound seen so far; the floor only grows, so the kept set holds
     # every maximizer, and one last pass re-filters with the final floor.
     floor = -np.inf
     band = []
-    for b, lower, upper in _scored_blocks(space, coeffs):
+    for b, lower, upper in _scored_blocks(space):
         floor = max(floor, float(lower.max()))
         keep = np.nonzero(upper >= floor)[0]
         band.append((b, keep, upper[keep]))
@@ -305,20 +302,14 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     )
     # Exact values of the band, in one batch: products modulo x**m - 1,
     # summed over the slots and folded once to canonical coefficients.
-    prods = np.zeros((len(letters), space.slots, order), dtype=np.int64)
-    prods[..., : coeffs.shape[-1]] = coeffs[letters[:, 0]]
+    prods = space.counts[letters[:, 0]]
     for site in letters[:, 1:].T:
-        prods = _cyclic_times(prods, coeffs[site])
+        prods = _cyclic_times(prods, space.counts[site])
     values = prods.sum(axis=1) @ _root_coeffs(order)
     distinct, which = np.unique(values, axis=0, return_inverse=True)
-    squares = []
-    for row in distinct.tolist():
-        value = CycInt(order, tuple(row))
-        squares.append((value * value.conjugate()).coeffs)
-    best_sq = squares[0]
-    for sq in squares[1:]:
-        if compare_real_coeffs(order, sq, best_sq) > 0:
-            best_sq = sq
+    exact = [CycInt(order, tuple(row)) for row in distinct.tolist()]
+    squares = [(value * value.conjugate()).coeffs for value in exact]
+    best_sq = max(squares, key=cmp_to_key(partial(compare_real_coeffs, order)))
     n_fact = math.factorial(n_sites)
     count, argmin = 0, None
     for row, k in zip(letters.tolist(), which.ravel().tolist()):
@@ -348,22 +339,25 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    coeffs = _factor_coeffs(space)
-    a_size, slots, phi = coeffs.shape
+    _check_range(space)
+    a_size, slots, m = space.counts.shape
+    _, phi = order_params(m)
     # (slots, phi, A * phi): letter a's matrices side by side, per slot
-    mats = _mult_matrices(coeffs, space.order).transpose(1, 2, 0, 3).reshape(slots, phi, -1)
+    mats = _mult_matrices(space.counts).transpose(1, 2, 0, 3).reshape(slots, phi, -1)
     p = np.tile(_root_coeffs(space.order)[0], (1, slots, 1))
     # breadth-first: each step appends one site as the least significant digit
     for _ in range(space.n_sites):
         p = np.matmul(p.transpose(1, 0, 2), mats).reshape(slots, -1, a_size, phi)
         p = p.transpose(1, 2, 0, 3).reshape(-1, slots, phi)
-    return _scores(p.sum(axis=1), np.array(_alpha_powers(space.order)))
+    vals = p.sum(axis=1).astype(np.float64) @ np.array(_alpha_powers(space.order)[:phi])
+    return vals.real * vals.real + vals.imag * vals.imag
 
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:
     """Pure-Python evaluation of the slot-product sum at one flat index."""
     digits = decode_index(index, space.alphabet, space.n_sites)
-    return exact_letters_sum(space.order, space.factors, digits)
+    sites = ProductSpace(space.order, space.n_sites, space.counts[list(digits)])
+    return exact_letters_sum(space.order, sites.factors, range(space.n_sites))
 
 
 def exact_letters_sum(order: int, factors, letters) -> CycInt:

@@ -78,8 +78,9 @@ def _reduce(m: int, raw) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _alpha_powers(m: int) -> tuple[complex, ...]:
-    _, phi = order_params(m)
-    return tuple(cmath.exp(2j * math.pi * j / m) for j in range(phi))
+    """alpha**j for every j < m, one ``cmath.exp`` each."""
+    order_params(m)
+    return tuple(cmath.exp(2j * math.pi * j / m) for j in range(m))
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -308,18 +309,23 @@ def root_of_unity(j: int, m: int) -> CycInt:
     return CycInt(m, tuple(_root_coeffs(m)[j % m].tolist()))
 
 
-def root_sums(m: int, exponents) -> np.ndarray:
-    """Canonical int64 coeffs (..., phi) of the alpha**e sums over an (..., K) array.
+def root_counts(m: int, exponents) -> np.ndarray:
+    """Counts h (..., m) of the roots alpha**e in each row of an (..., K) array.
 
-    Every sum of roots of unity goes through here: one ``bincount`` of each row
-    mod m, reduced exactly (linearly) by ``_root_coeffs(m)``.  K = 0 gives 0.
+    Every sum of roots of unity goes through here: one ``bincount`` of each
+    row mod m.  h >= 0 has mass (row sum) K and represents the sum modulo
+    x**m - 1; ``_root_coeffs(m)`` folds it to canonical coefficients.
     """
-    table = _root_coeffs(m)
     exponents = np.asarray(exponents, dtype=np.int64)
     shape = exponents.shape[:-1]
     offsets = m * np.arange(math.prod(shape), dtype=np.int64).reshape(*shape, 1)
     tally = np.bincount((exponents % m + offsets).ravel(), minlength=m * offsets.size)
-    return tally.reshape(*shape, m) @ table
+    return tally.reshape(*shape, m)
+
+
+def root_sums(m: int, exponents) -> np.ndarray:
+    """Canonical int64 coeffs (..., phi) of the alpha**e sums over an (..., K) array."""
+    return root_counts(m, exponents) @ _root_coeffs(m)
 
 
 def root_sum(m: int, exponents) -> CycInt:

@@ -15,10 +15,12 @@ per-site factor of product p is
 
     F_p = sum_j alpha**mixing_exponent(d, p, j) * omega**t_j.
 
-This module keeps the one table of these factors.  Letter a of the ratio
-alphabet has d - 1 base-d digits, most significant first, which are t_j
-on the rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3 that
-is a = 3R + S, the qutrit ratio index of ``hidden_variables``.  Letter 0
+This module keeps the one table of these factors, as root counts built
+once per d (``_ratio_counts``); point values (``_product_sum``) and the
+search engine read the same counts.  Letter a of the ratio alphabet has
+d - 1 base-d digits, most significant first, which are t_j on the
+rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3 that is
+a = 3R + S, the qutrit ratio index of ``hidden_variables``.  Letter 0
 is the all-ones point, whose factors are the d uniform factor magnitudes:
 A, B, C for d = 3, and for d = 5 the largest is about 4.6898.  Whether the
 all-ones point is the true classical optimum for d > 3 is probed by
@@ -40,7 +42,7 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, _read_only, _root_coeffs, root_sums
+from .cyclotomic import CycInt, _read_only, _root_coeffs, root_counts
 from .mermin import (
     IdentityReport,
     MerminOperator,
@@ -145,21 +147,20 @@ def _mixing_table(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
-    """The d factors F_p of each row of a (K, d) ratio array, from one ``root_sums``."""
-    coeffs = root_sums(d * d, _factor_exponents(d, ratios))
-    return tuple(tuple(CycInt(d * d, tuple(c)) for c in row) for row in coeffs.tolist())
+    """The d factors F_p of each row of a (K, d) ratio array, as ``CycInt`` rows."""
+    counts = root_counts(d * d, _factor_exponents(d, ratios))
+    return ProductSpace(order=d * d, n_sites=1, counts=counts).factors
 
 
 def _product_sum(d: int, ratios) -> CycInt:
     """Exact sum over p of prod_i F_p(ratios[i]) for an (N, d) ratio array.
 
-    Works on exponent histograms, with no ring multiply: h[i, p, e] counts
-    the letters j whose term of F_p at site i is alpha**e (one ``bincount``
-    over the (N, d, d) exponents of ``_factor_exponents``).  Multiplying
-    two sums of roots is the cyclic convolution of their histograms mod
-    m = d**2, here a product with the m x m circulant of the site's
-    histogram; the d slots are then added and ``_root_coeffs(m)`` reduces
-    the one histogram to canonical coefficients.
+    Works on root counts, with no ring multiply: h[i, p, e] counts the
+    letters j whose term of F_p at site i is alpha**e.  Multiplying two
+    sums of roots is the cyclic convolution of their counts mod m = d**2,
+    here a product with the m x m circulant of the site's counts; the d
+    slots are then added and ``_root_coeffs(m)`` reduces the one count
+    vector to canonical coefficients.
 
     Range.  After k sites, entry [p, e] counts the d**k letter tuples whose
     product term in slot p is alpha**e, so every entry and every partial
@@ -168,20 +169,18 @@ def _product_sum(d: int, ratios) -> CycInt:
     ``_root_coeffs(m)`` has at most two nonzero entries, both +-1 (alpha**j
     itself and -alpha**(phi + j mod d)), so every coefficient and every
     partial sum of the reduction is at most d**(N+1) in absolute value.
-    The histograms are int64 when d**(N+1) < 2**63 and Python integers
+    The counts are int64 when d**(N+1) < 2**63 and Python integers
     (``dtype=object``) otherwise, so the value is exact for every N.
     """
     m = d * d
-    exponents = _factor_exponents(d, ratios)
-    n_sites = exponents.shape[0]
-    offsets = m * np.arange(n_sites * d).reshape(n_sites, d, 1)
-    hist = np.bincount((exponents % m + offsets).ravel(), minlength=n_sites * d * m)
+    hist = root_counts(m, _factor_exponents(d, ratios))
+    n_sites = hist.shape[0]
     table = _root_coeffs(m)
     if d ** (n_sites + 1) >= 2**63:
         hist, table = hist.astype(object), table.astype(object)
     # circulants[i, p, e, f] = h[i, p, (f - e) mod m]: acc @ it convolves acc with h
     shift = (np.arange(m) - np.arange(m)[:, None]) % m
-    circulants = hist.reshape(n_sites, d, m)[:, :, shift]
+    circulants = hist[:, :, shift]
     acc = np.zeros((d, 1, m), dtype=hist.dtype)
     acc[:, 0, 0] = 1
     for circulant in circulants:
@@ -191,19 +190,20 @@ def _product_sum(d: int, ratios) -> CycInt:
 
 
 @lru_cache(maxsize=None)
-def _ratio_factors(d: int) -> tuple[tuple[CycInt, ...], ...]:
-    """Factor row of every ratio letter a < d**(d-1), in letter order.
+def _ratio_counts(d: int) -> np.ndarray:
+    """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1).
 
     Written with d base-d digits, a is a ratio row with column 0 zero.
     """
     letters = np.arange(d ** (d - 1))[:, None]
-    return _factor_rows(d, letters // d ** np.arange(d - 1, -1, -1) % d)
+    ratios = letters // d ** np.arange(d - 1, -1, -1) % d
+    return _read_only(root_counts(d * d, _factor_exponents(d, ratios)), np.int64)
 
 
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
     """The d**(d-1) ratio letters on N sites, budget-checked before it is built."""
     check_search_budget(d ** (d - 1), d, d * d, n_sites)
-    return ProductSpace(order=d * d, n_sites=n_sites, factors=_ratio_factors(d))
+    return ProductSpace(order=d * d, n_sites=n_sites, counts=_ratio_counts(d))
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
@@ -220,11 +220,8 @@ def uniform_factors(d: int) -> UniformFactorSet:
 
 
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
-    """Exact d*v at the all-ones point: sum_p F_p**N."""
-    total = CycInt.zero(d * d)
-    for factor in _factor_rows(d, np.zeros((1, d), dtype=int))[0]:
-        total = total + factor**n_sites
-    return total
+    """Exact d*v at the all-ones point: sum_p F_p**N, from ``_product_sum``."""
+    return _product_sum(d, np.zeros((n_sites, d), dtype=np.int64))
 
 
 def general_uniform_value(d: int, n_sites: int) -> float:
@@ -262,7 +259,7 @@ def conjecture_search(
     The scan evaluates each multiset of per-site tuples once, in one
     process; ``workers`` is validated but does not change the work.  A
     space over the search budget raises ValueError before its d**(d-1)
-    factor rows are built.  The arg-max index and each site's ratio
+    letters' root counts are built.  The arg-max index and each site's ratio
     exponents follow the letter order of ``ratio_space``.
     """
     cfg = GeneralConfig(d, n_sites)

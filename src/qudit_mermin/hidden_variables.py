@@ -49,7 +49,7 @@ from ._enumeration import (
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, _root_coeffs, root_of_unity
-from .generalized import _product_sum, _ratio_factors, ratio_space
+from .generalized import _factor_rows, _product_sum, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -108,7 +108,8 @@ PERMUTATION_CLASS_CAP = 3**8
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
     """Exact per-site factor 1 + (.)R + (.)S for the given product letter."""
-    return _ratio_factors(3)[3 * (r_exp % 3) + s_exp % 3][_LETTER_SLOT[letter]]
+    ratios = (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
+    return _factor_rows(3, [ratios])[0][_LETTER_SLOT[letter]]
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def _factor_phases() -> dict[tuple[int, ...], tuple[str, float]]:
     when s = -1, taken into (-180, 180].  The 54 values are distinct.
     """
     table = {}
-    uniform = _ratio_factors(3)[0]
+    uniform = _factor_rows(3, [(0, 0, 0)])[0]
     for letter, sign in (("A", 1), ("B", 1), ("C", -1)):
         base = uniform[_LETTER_SLOT[letter]] * sign
         for e in range(9):
@@ -298,17 +299,20 @@ def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
 def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     """Exact 3*v from the per-site factor products (sum over B, C, A).
 
-    ``generalized._product_sum`` on the (N, 3) ratio rows (0, R_i, S_i):
-    exponent histograms convolved site by site, exact for every N (int64
-    only below its proven bound d**(N+1) < 2**63, Python integers above),
-    with no ``CycInt`` multiply.
+    ``generalized._product_sum`` on the (N, 3) integer ratio rows
+    (0, R_i, S_i), floats refused: root counts convolved site by site, exact
+    for every N (int64 only below its proven bound d**(N+1) < 2**63, Python
+    integers above), with no ``CycInt`` multiply.
     """
-    r_exps = tuple(r_exps)
-    s_exps = tuple(s_exps)
+    r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
-    ratios = np.array([(0, r % 3, s % 3) for r, s in zip(r_exps, s_exps)], dtype=np.int64)
-    return _product_sum(3, ratios.reshape(len(r_exps), 3))
+    try:
+        ratios = [(0, operator.index(r) % 3, operator.index(s) % 3)
+                  for r, s in zip(r_exps, s_exps)]
+    except TypeError:
+        raise ValueError(f"ratio exponents must be integers, got {r_exps}, {s_exps}") from None
+    return _product_sum(3, np.array(ratios, dtype=np.int64).reshape(len(r_exps), 3))
 
 
 def hv_value_product(r_exps, s_exps) -> float:
@@ -353,13 +357,11 @@ class SearchResult:
 
 
 def _argmax_labels(assignment: HVAssignment) -> dict[str, tuple[str, ...]]:
-    labels: dict[str, tuple[str, ...]] = {}
-    for letter in ("A", "B", "C"):
-        labels[letter] = tuple(
-            _classify(factor_value(letter, r, s)).letter
-            for r, s in assignment.ratios
-        )
-    return labels
+    rows = _factor_rows(3, [(0, r, s) for r, s in assignment.ratios])
+    return {
+        letter: tuple(_classify(row[_LETTER_SLOT[letter]]).letter for row in rows)
+        for letter in ("A", "B", "C")
+    }
 
 
 def max_equals_uniform(result: SearchResult) -> bool:
@@ -612,9 +614,9 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
         raise ValueError(
             f"3**{n_sites} shift patterns exceed the cap of {PERMUTATION_CLASS_CAP}"
         )
+    rows = _factor_rows(3, [(0, r, s) for r, s in _SHIFT_RATIOS.values()])
     slot_mags = {
-        sigma: tuple(f.magnitude() for f in _ratio_factors(3)[3 * r + s])
-        for sigma, (r, s) in _SHIFT_RATIOS.items()
+        sigma: tuple(f.magnitude() for f in row) for sigma, row in zip(_SHIFT_RATIOS, rows)
     }
     best_bound = -1.0
     best_bound_pattern: tuple[int, ...] = ()

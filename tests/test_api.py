@@ -19,6 +19,7 @@ from qudit_mermin import (
     counts_by_position,
     exhaustive_search,
     ghz_state,
+    hv_value_product_exact,
     permutation_class_max,
     power_sum,
     uniform_factors,
@@ -100,13 +101,15 @@ def _letters(shape):
          r"letters must have shape \(terms, 2\), got \(4, 3\)"),
         (lambda: MerminOperator(3, 2, 0, _letters((4, 2)), np.zeros(3)),
          "need one weight exponent per word"),
+        (lambda: hv_value_product_exact([1.5, 0], [0, 2.7]),
+         "ratio exponents must be integers"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
         "contradiction_witness", "uniform_factors", "ghz_state",
         "counts_by_position", "apply_word", "rotation_alphabet", "rotated_shift",
         "from_string", "full_space_scores", "operator_letters_shape",
-        "operator_weights_shape",
+        "operator_weights_shape", "hv_value_product_exact",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

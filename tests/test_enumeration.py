@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from qudit_mermin._enumeration import (
     ProductSpace,
+    _check_range,
     _class_letters,
-    _factor_coeffs,
     _level_ends,
     _mult_matrices,
     _scored_blocks,
@@ -44,6 +44,25 @@ from qudit_mermin.generalized import ratio_space
 _BAND_REL = 1e-6
 
 
+def space_of(n_sites, rows):
+    """Order-9 ``ProductSpace`` of ``CycInt`` factor rows, through root counts.
+
+    A coefficient c > 0 of alpha**j is c counts at j; c < 0 is |c| counts
+    at each j + 3k, k = 1, 2, since sum_k alpha**(j + 3k) = 0.  Each
+    residue class mod 3 keeps only its excess over its smallest entry,
+    which is the representative of least mass.
+    """
+    coeffs = np.array([[f.coeffs for f in row] for row in rows], dtype=np.int64)
+    shape = coeffs.shape[:-1]
+    full = np.zeros(shape + (9,), dtype=np.int64)
+    full[..., :6] = coeffs
+    classes = full.reshape(shape + (3, 3))  # [k, r]: exponent 3k + r
+    counts = (classes - classes.min(axis=-2, keepdims=True)).reshape(shape + (9,))
+    space = ProductSpace(9, n_sites, counts)
+    assert space.factors == tuple(map(tuple, rows))
+    return space
+
+
 def _mult_matrix(factor, phi):
     """Multiplication-by-``factor`` matrix, one ``times_root`` per column."""
     cols = [factor.times_root(j).coeffs for j in range(phi)]
@@ -61,7 +80,7 @@ def _tables(space):
         [[f.coeffs for f in row] for row in space.factors], dtype=np.int64
     )
     mats = np.einsum("ask,kij->asij", coeffs, shifts)
-    return mats, np.array(_alpha_powers(space.order), dtype=np.complex128)
+    return mats, np.array(_alpha_powers(space.order)[:phi], dtype=np.complex128)
 
 
 def _extend(mat, p, l1=1):
@@ -192,7 +211,7 @@ def product_spaces(draw):
             max_size=alphabet,
         )
     )
-    return ProductSpace(order=9, n_sites=n_sites, factors=tuple(rows))
+    return space_of(n_sites, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,7 +236,7 @@ def test_tables_match_per_factor_matrices(space):
     assert mats.dtype == np.int64
     assert np.array_equal(mats, reference)
     # the gathered and folded matrices of ``full_space_scores`` act on rows
-    gathered = _mult_matrices(_factor_coeffs(space), space.order)
+    gathered = _mult_matrices(space.counts)
     assert gathered.dtype == np.int64
     assert np.array_equal(gathered.swapaxes(-1, -2), reference)
 
@@ -254,7 +273,7 @@ def test_near_ties_inside_the_old_band_resolve_exactly(a, n_sites, order, slots)
     letters = [near, above, above.times_root(1), CycInt.one(9)]
     pad = (CycInt.zero(9),) * (slots - 1)
     factors = tuple((letters[k],) + pad for k in order)
-    space = ProductSpace(order=9, n_sites=n_sites, factors=factors)
+    space = space_of(n_sites, factors)
     raw = run_search(space)
     best, count, argmin = brute_force(space)
     assert (raw.best_sq_coeffs, raw.num_maximizers, raw.argmax_index) == (
@@ -293,14 +312,15 @@ def scaled_spaces(draw):
             max_size=alphabet,
         )
     )
-    return ProductSpace(order=9, n_sites=draw(st.integers(1, 4)), factors=tuple(rows))
+    return space_of(draw(st.integers(1, 4)), rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(product_spaces(), scaled_spaces()))
 def test_score_bounds_hold_for_every_class(space):
     ends = _level_ends(space.alphabet, space.n_sites)
-    for b, lower, upper in _scored_blocks(space, _factor_coeffs(space)):
+    _check_range(space)
+    for b, lower, upper in _scored_blocks(space):
         assert np.all(lower <= upper)
         parents = np.arange(len(lower))
         letters = _class_letters(ends, np.full(len(lower), b), parents)
@@ -318,13 +338,13 @@ def test_products_past_int64_raise_overflow():
 
     # 2**40 * 2**40 wraps to 0 in an int64 matmul; the guard refuses that
     # product before it is computed
-    space = ProductSpace(order=9, n_sites=2, factors=(integer(1), integer(2**40)))
+    space = space_of(2, (integer(1), integer(2**40)))
     with pytest.raises(OverflowError):
         run_search(space)
     with pytest.raises(OverflowError):
         full_space_scores(space)
     # well inside the range, the largest product is found at its true index
-    space = ProductSpace(order=9, n_sites=2, factors=(integer(1), integer(2**20)))
+    space = space_of(2, (integer(1), integer(2**20)))
     raw = run_search(space)
     assert (raw.best_sq_coeffs[0], raw.argmax_index, raw.num_maximizers) == (2**80, 3, 1)
     assert np.argmax(full_space_scores(space)) == 3

@@ -19,10 +19,10 @@ from qudit_mermin.generalized import (
     GeneralConfig,
     _factor_rows,
     _product_sum,
-    _ratio_factors,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
+    general_uniform_sum,
     general_uniform_value,
     mixing_exponent,
     ratio_space,
@@ -166,10 +166,10 @@ def test_config_validation_and_caps(monkeypatch):
     def never(*args):
         raise AssertionError("an over-budget space reached its build")
 
-    # d = 7 is refused at N = 1 by the budget, before the factor alphabet
-    # or its coefficient table is built
-    monkeypatch.setattr(generalized, "_factor_rows", never)
-    monkeypatch.setattr(_enumeration, "_factor_coeffs", never)
+    # d = 7 is refused at N = 1 by the budget, before its root-count table
+    # is built or range-checked
+    monkeypatch.setattr(generalized, "_ratio_counts", never)
+    monkeypatch.setattr(_enumeration, "_check_range", never)
     with pytest.raises(ValueError):
         conjecture_search(7, 1)
     assert GeneralConfig(5, 2).settings == 5
@@ -203,7 +203,7 @@ def test_factors_match_per_root_sums():
         for p in range(d):
             assert row[p] == per_root_factor(d, p)
     for d in (3, 5):
-        for ratio_exps, row in zip(letter_ratios(d), _ratio_factors(d), strict=True):
+        for ratio_exps, row in zip(letter_ratios(d), ratio_space(d, 1).factors, strict=True):
             for p in range(d):
                 assert row[p] == per_root_factor(d, p, ratio_exps)
 
@@ -220,7 +220,7 @@ def test_argmax_ratio_exponents_are_the_digits_of_the_argmax_letters(monkeypatch
     # letter 389 = 3*125 + 0*25 + 2*5 + 4 carries exponents 3, 0, 2, 4 on
     # the letters j = 1, 2, 3 (= -2) and 4 (= -1)
     ratio_exps = {1: 3, 2: 0, -2: 2, -1: 4}
-    assert _ratio_factors(5)[389] == tuple(
+    assert ratio_space(5, 1).factors[389] == tuple(
         per_root_factor(5, p, ratio_exps) for p in range(5)
     )
     # the all-ones point is a maximizer, so force an arg-max elsewhere
@@ -239,11 +239,12 @@ def test_d7_uniform_values_build_only_the_all_zero_row(monkeypatch):
         shapes.append(np.shape(ratios))
         return build(d, ratios)
 
-    build = generalized._factor_rows
-    monkeypatch.setattr(generalized, "_factor_rows", recording)
+    build = generalized._factor_exponents
+    monkeypatch.setattr(generalized, "_factor_exponents", recording)
     uniform_factors(7)
     general_uniform_value(7, 5)
-    assert shapes == [(1, 7), (1, 7)]
+    # one all-zero row for the factors, one per site for the N = 5 product
+    assert shapes == [(1, 7), (5, 7)]
 
 
 def test_mixing_exponent_lives_in_mermin():
@@ -303,7 +304,7 @@ def test_histogram_product_is_exact_past_the_int64_switch(n_sites):
     # 3**(N+1) < 2**63 up to N = 38; N = 39 and 40 take Python integers, and
     # at N = 60 the histogram counts themselves pass 2**63
     rng = np.random.default_rng(n_sites)
-    factors = _ratio_factors(3)
+    factors = ratio_space(3, 1).factors
     uniform = [0] * n_sites
     mixed = uniform[: n_sites // 2] + rng.integers(0, 9, size=n_sites - n_sites // 2).tolist()
     for letters in (uniform, mixed):
@@ -312,3 +313,28 @@ def test_histogram_product_is_exact_past_the_int64_switch(n_sites):
         )
     total = _product_sum(3, letter_rows(3, uniform))
     assert total == CycInt.integer(3 * uniform_value(n_sites), 9)
+
+
+def test_uniform_sum_equals_the_power_loop():
+    # oracle: sum_p F_p**N by repeated CycInt squaring
+    for d in (3, 5, 7):
+        row = _factor_rows(d, np.zeros((1, d), dtype=np.int64))[0]
+        for n_sites in range(1, 10):
+            expected = sum((f**n_sites for f in row), CycInt.zero(d * d))
+            assert general_uniform_sum(d, n_sites) == expected, (d, n_sites)
+
+
+def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
+    built = []
+    post_init = CycInt.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    generalized._ratio_counts.cache_clear()
+    monkeypatch.setattr(CycInt, "__post_init__", counting)
+    raw = _enumeration.run_search(ratio_space(5, 2))
+    assert raw.assignments_scanned == 625**2
+    # one value per distinct band value and its square, not one per factor
+    assert len(built) <= 10

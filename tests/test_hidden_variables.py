@@ -29,7 +29,7 @@ from qudit_mermin import hidden_variables, qudit_ops
 from qudit_mermin._enumeration import exact_letters_sum, full_space_scores
 from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
-from qudit_mermin.generalized import _ratio_factors, ratio_space
+from qudit_mermin.generalized import ratio_space
 from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
@@ -294,7 +294,7 @@ def test_hv_value_product_exact_makes_no_ring_multiplies():
     rng = np.random.default_rng(9)
     for n_sites in (1, 8, 40):
         letters = rng.integers(0, 9, size=n_sites).tolist()
-        expected = exact_letters_sum(9, _ratio_factors(3), letters)
+        expected = exact_letters_sum(9, ratio_space(3, 1).factors, letters)
         with mock.patch.object(
             CycInt, "__mul__", autospec=True, side_effect=CycInt.__mul__
         ) as spy:
@@ -310,6 +310,18 @@ def test_hv_value_direct_rejects_other_d_and_site_counts():
         hv_value_direct(HVAssignment.uniform(2), build_mermin(5, 2, 0))
     with pytest.raises(ValueError, match="site counts"):
         hv_value_direct(HVAssignment.uniform(3), build_mermin(3, 4, 0))
+
+
+def test_hv_value_product_refuses_non_integer_exponents():
+    # truncating would give the value at ([1, 0], [0, 2])
+    for r_exps, s_exps in (([1.5, 0], [0, 2.7]), (["1", 0], [0, 2])):
+        for evaluate in (hv_value_product_exact, hv_value_product):
+            with pytest.raises(ValueError, match="ratio exponents must be integers"):
+                evaluate(r_exps, s_exps)
+    # numpy integers are integers
+    assert hv_value_product_exact(np.array([1, 0]), np.array([0, 2])) == (
+        hv_value_product_exact([1, 0], [0, 2])
+    )
 
 
 def test_hv_value_product_examples():
@@ -788,7 +800,7 @@ def test_permutation_class_budget_refuses_before_any_pattern(monkeypatch):
 def permutation_class_loop(n_sites):
     """The per-pattern scan ``permutation_class_max`` replaced: all 3**N patterns."""
     slot_mags = {
-        sigma: tuple(f.magnitude() for f in _ratio_factors(3)[3 * r + s])
+        sigma: tuple(f.magnitude() for f in ratio_space(3, 1).factors[3 * r + s])
         for sigma, (r, s) in {0: (0, 0), 1: (1, 2), 2: (2, 1)}.items()
     }
     best_bound, best_bound_pattern = -1.0, ()
