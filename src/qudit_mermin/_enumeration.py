@@ -46,7 +46,9 @@ import numpy as np
 
 from .cyclotomic import (
     CycInt,
+    _UNIT_ROUNDOFF,
     _alpha_powers,
+    _circulant_index,
     _read_only,
     _root_coeffs,
     compare_real_coeffs,
@@ -71,9 +73,6 @@ CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
-
-# Unit roundoff of IEEE double precision.
-_U = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +226,14 @@ def _scored_blocks(space: ProductSpace):
     """
     m, counts = space.order, space.counts
     slots, n_sites = space.slots, space.n_sites
+    u = _UNIT_ROUNDOFF
     fhat = counts @ np.array(_alpha_powers(m))
-    err = (2 * (3 * m + 51) * _U) * counts.sum(axis=-1)
+    err = (2 * (3 * m + 51) * u) * counts.sum(axis=-1)
     nonzero = counts.any(axis=-1)
     mags = np.where(nonzero, np.abs(fhat) + err, 0.0)
-    k0 = math.expm1((n_sites - 1) * math.log1p(4 * _U) + math.log1p(4 * (slots + 2) * _U))
+    k0 = math.expm1((n_sites - 1) * math.log1p(4 * u) + math.log1p(4 * (slots + 2) * u))
     kappa = k0 + n_sites * float((err / np.where(nonzero, mags, 1.0)).max())
-    scale = 2.0 * (1.0 + k0) ** 2 * (kappa * (2.0 + kappa) + 3.0 * _U)
+    scale = 2.0 * (1.0 + k0) ** 2 * (kappa * (2.0 + kappa) + 3.0 * u)
     ends = _level_ends(space.alphabet, n_sites)
     # prefixes of one letter are the factors themselves; N = 1 has the empty one
     p, g = (fhat, mags) if n_sites > 1 else (np.ones((1, slots)), np.ones((1, slots)))
@@ -273,11 +273,11 @@ def _mult_matrices(counts: np.ndarray) -> np.ndarray:
     """(..., phi, phi) exact matrices of multiplication by each factor.
 
     Row i is the canonical alpha**i * F: the factor's counts gathered
-    cyclically (entry e is h[(e - i) mod m]) and folded by ``_root_coeffs``.
+    cyclically (row i of ``_circulant_index``) and folded by ``_root_coeffs``.
     """
     m = counts.shape[-1]
     _, phi = order_params(m)
-    return counts[..., (np.arange(m) - np.arange(phi)[:, None]) % m] @ _root_coeffs(m)
+    return counts[..., _circulant_index(m)[:phi]] @ _root_coeffs(m)
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:

@@ -323,6 +323,39 @@ def root_counts(m: int, exponents) -> np.ndarray:
     return tally.reshape(*shape, m)
 
 
+@lru_cache(maxsize=None)
+def _circulant_index(m: int) -> np.ndarray:
+    """Read-only (m, m) index (f - e) mod m: row e of h[..., index] counts alpha**e * h."""
+    return _read_only((np.arange(m) - np.arange(m)[:, None]) % m, np.intp)
+
+
+def _site_product(counts) -> np.ndarray:
+    """Counts (S, m) of the products over the sites of (N, S, m) root counts.
+
+    Slot s holds prod_i h[i, s] modulo x**m - 1, starting from alpha**0
+    (N = 0 gives 1 in every slot): one product per site with the m x m
+    circulant whose row e is alpha**e * h[i, s] (``_circulant_index``).
+
+    Range.  Counts are non-negative, so a product's counts have a mass (sum
+    over e) equal to the product of the factor masses.  With M_i the largest
+    row mass at site i, every entry and every partial sum of the chain is at
+    most prod_i M_i, and of a sum over the S slots at most S * prod_i M_i.
+    Each column of ``_root_coeffs(m)`` has at most two entries, both +-1
+    (alpha**j itself and -alpha**(phi + j mod d)), so folding such a sum to
+    canonical coefficients stays within its mass.  The counts are int64 when
+    S * prod_i M_i < 2**63 and Python integers (``dtype=object``) otherwise.
+    """
+    counts = np.asarray(counts)
+    _, slots, m = counts.shape
+    if slots * math.prod(counts.sum(axis=-1).max(axis=-1).tolist()) >= 2**63:
+        counts = counts.astype(object)
+    acc = np.zeros((slots, 1, m), dtype=counts.dtype)
+    acc[:, 0, 0] = 1
+    for circulant in counts[..., _circulant_index(m)]:
+        acc = acc @ circulant
+    return acc[:, 0]
+
+
 def root_sums(m: int, exponents) -> np.ndarray:
     """Canonical int64 coeffs (..., phi) of the alpha**e sums over an (..., K) array."""
     return root_counts(m, exponents) @ _root_coeffs(m)

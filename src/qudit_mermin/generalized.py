@@ -42,7 +42,7 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, _read_only, _root_coeffs, root_counts
+from .cyclotomic import CycInt, _read_only, _root_coeffs, _site_product, root_counts
 from .mermin import (
     IdentityReport,
     MerminOperator,
@@ -156,37 +156,15 @@ def _product_sum(d: int, ratios) -> CycInt:
     """Exact sum over p of prod_i F_p(ratios[i]) for an (N, d) ratio array.
 
     Works on root counts, with no ring multiply: h[i, p, e] counts the
-    letters j whose term of F_p at site i is alpha**e.  Multiplying two
-    sums of roots is the cyclic convolution of their counts mod m = d**2,
-    here a product with the m x m circulant of the site's counts; the d
-    slots are then added and ``_root_coeffs(m)`` reduces the one count
-    vector to canonical coefficients.
-
-    Range.  After k sites, entry [p, e] counts the d**k letter tuples whose
-    product term in slot p is alpha**e, so every entry and every partial
-    sum of the convolutions is a non-negative count of at most d**k, and
-    the slot sum holds d**(N+1) tuples in all.  Each column of
-    ``_root_coeffs(m)`` has at most two nonzero entries, both +-1 (alpha**j
-    itself and -alpha**(phi + j mod d)), so every coefficient and every
-    partial sum of the reduction is at most d**(N+1) in absolute value.
-    The counts are int64 when d**(N+1) < 2**63 and Python integers
-    (``dtype=object``) otherwise, so the value is exact for every N.
+    letters j whose term of F_p at site i is alpha**e.  ``_site_product``
+    multiplies each slot's counts over the sites; the d slots are then
+    added and ``_root_coeffs(m)`` folds the one count vector to canonical
+    coefficients, in Python integers when the chain's range rule
+    (d**(N+1) >= 2**63 here) made the counts ``object``.
     """
     m = d * d
-    hist = root_counts(m, _factor_exponents(d, ratios))
-    n_sites = hist.shape[0]
-    table = _root_coeffs(m)
-    if d ** (n_sites + 1) >= 2**63:
-        hist, table = hist.astype(object), table.astype(object)
-    # circulants[i, p, e, f] = h[i, p, (f - e) mod m]: acc @ it convolves acc with h
-    shift = (np.arange(m) - np.arange(m)[:, None]) % m
-    circulants = hist[:, :, shift]
-    acc = np.zeros((d, 1, m), dtype=hist.dtype)
-    acc[:, 0, 0] = 1
-    for circulant in circulants:
-        acc = acc @ circulant
-    coeffs = acc.sum(axis=(0, 1)) @ table
-    return CycInt(m, tuple(coeffs.tolist()))
+    product = _site_product(root_counts(m, _factor_exponents(d, ratios)))
+    return CycInt(m, tuple((product.sum(axis=0) @ _root_coeffs(m)).tolist()))
 
 
 @lru_cache(maxsize=None)

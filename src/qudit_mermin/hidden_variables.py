@@ -48,7 +48,7 @@ from ._enumeration import (
     resolve_workers,
     run_search,
 )
-from .cyclotomic import CycInt, PhaseExponent, _root_coeffs, root_of_unity
+from .cyclotomic import CycInt, PhaseExponent, _root_coeffs
 from .generalized import _factor_rows, _product_sum, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
@@ -95,9 +95,6 @@ SYMBOLS = ("1", "w", "w^2")
 # expansion are the B, C, A products in that order.
 _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 
-# Rotation index of a qutrit letter -> column in the (X, Y, V) value triple.
-_J_TO_COLUMN = {0: 0, 1: 1, -1: 2}
-
 # Full mode covers 27**N value assignments; this allows N <= 5.
 FULL_SEARCH_CAP = 10**8
 
@@ -122,11 +119,8 @@ class FactorTriple:
 
     @classmethod
     def at(cls, r_exp: int, s_exp: int) -> FactorTriple:
-        return cls(
-            a_value=factor_value("A", r_exp, s_exp),
-            b_value=factor_value("B", r_exp, s_exp),
-            c_value=factor_value("C", r_exp, s_exp),
-        )
+        ratios = (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
+        return _triple(_factor_rows(3, [ratios])[0])
 
     def magnitudes(self) -> tuple[float, float, float]:
         return (
@@ -134,6 +128,11 @@ class FactorTriple:
             self.b_value.magnitude(),
             self.c_value.magnitude(),
         )
+
+
+def _triple(row) -> FactorTriple:
+    """The A, B, C factors of one ``_factor_rows`` row, whose slots hold B, C, A."""
+    return FactorTriple(*(row[_LETTER_SLOT[letter]] for letter in "ABC"))
 
 
 @dataclass(frozen=True)
@@ -191,16 +190,12 @@ def _classify(value: CycInt) -> FactorEntry:
 
 def factor_table() -> tuple[FactorTableRow, ...]:
     """All nine ratio choices with their classified A, B, C factors."""
+    pairs = [(r_exp, s_exp) for r_exp in range(3) for s_exp in range(3)]
     rows = []
-    for r_exp in range(3):
-        for s_exp in range(3):
-            triple = FactorTriple.at(r_exp, s_exp)
-            entries = (
-                _classify(triple.a_value),
-                _classify(triple.b_value),
-                _classify(triple.c_value),
-            )
-            rows.append(FactorTableRow(r_exp, s_exp, triple, entries))
+    for (r_exp, s_exp), row in zip(pairs, _factor_rows(3, [(0, r, s) for r, s in pairs])):
+        triple = _triple(row)
+        entries = tuple(map(_classify, (triple.a_value, triple.b_value, triple.c_value)))
+        rows.append(FactorTableRow(r_exp, s_exp, triple, entries))
     return tuple(rows)
 
 
@@ -300,9 +295,8 @@ def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     """Exact 3*v from the per-site factor products (sum over B, C, A).
 
     ``generalized._product_sum`` on the (N, 3) integer ratio rows
-    (0, R_i, S_i), floats refused: root counts convolved site by site, exact
-    for every N (int64 only below its proven bound d**(N+1) < 2**63, Python
-    integers above), with no ``CycInt`` multiply.
+    (0, R_i, S_i), floats refused: root counts multiplied site by site,
+    exact for every N, with no ``CycInt`` multiply.
     """
     r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
@@ -420,7 +414,7 @@ def _encode_terms(n_sites: int):
     if (op.weight_exponents % 3).any():
         raise ArithmeticError("a variant-0 weight is not a power of omega")
     weights = (op.weight_exponents // 3).astype(np.int16)
-    letters = (op.letters % 3).astype(np.int8)  # j -> j % 3, as in _J_TO_COLUMN
+    letters = (op.letters % 3).astype(np.int8)  # j -> j % 3: X, Y, V for j = 0, 1, -1
     return weights, letters
 
 
@@ -690,20 +684,14 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
     phase = eigenphase(word, 0)
     if phase.exponent % 3:
         raise ArithmeticError(f"eigenphase of {word} is not a power of omega")
-    omega_exp = phase.exponent // 3
-    # Uniform prediction: the product of the assigned values, all omega**0.
-    uniform = HVAssignment.uniform(word.n_sites)
-    hv_exp = sum(
-        uniform.values[i][_J_TO_COLUMN[j]] for i, j in enumerate(word.letters)
-    ) % 3
-    contradicts = not (phase.cyc() == root_of_unity(3 * hv_exp, 9))
+    # the uniform assignment predicts 1 for every word
     return WitnessRecord(
         word=word,
         position=k,
-        quantum_omega_exponent=omega_exp,
+        quantum_omega_exponent=phase.exponent // 3,
         quantum_value=phase.to_complex(),
         hv_value=1,
-        contradicts=contradicts,
+        contradicts=phase.exponent != 0,
     )
 
 

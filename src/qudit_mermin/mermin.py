@@ -20,7 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import CycInt, _read_only, root_of_unity, root_sum, root_sums
+from .cyclotomic import (
+    CycInt, _read_only, _site_product, root_counts, root_of_unity, root_sum, root_sums
+)
 from .qudit_ops import (
     EigenstateError,
     SettingWord,
@@ -238,20 +240,18 @@ def verify_eigenvalue(op: MerminOperator) -> int:
 
 
 def counts_by_position(d: int, n_sites: int) -> PositionCounts:
-    """Number of words at each circle position, one residue convolution per site.
+    """Number of words at each circle position: (sum_j x**j)**N mod x**(d**2) - 1.
 
     Appending a site shifts every count by each letter j of the rotation
-    alphabet (mod d**2), so N sites take N convolutions over the d**2
-    positions, exact in Python integers.
+    alphabet, so the counts are ``_site_product`` over N copies of the
+    alphabet's root counts: exact for every N, in int64 while d**N < 2**63.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     m = d * d
-    alphabet = rotation_alphabet(d)
-    counts = [1] + [0] * (m - 1)
-    for _ in range(n_sites):
-        counts = [sum(counts[(k - j) % m] for j in alphabet) for k in range(m)]
-    result = PositionCounts(d, n_sites, tuple(counts))
+    site = root_counts(m, [rotation_alphabet(d)])
+    counts = _site_product(np.broadcast_to(site, (n_sites, 1, m)))[0]
+    result = PositionCounts(d, n_sites, tuple(counts.tolist()))
     if result.total != d**n_sites:
         raise ArithmeticError(f"{result.total} words counted, not {d}**{n_sites}")
     return result
@@ -282,8 +282,9 @@ def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     op = build_mermin(d, n_sites, 0)
     m = d * d
     words = _all_words(d, n_sites)
-    letter_sums = words.sum(axis=1, dtype=np.int64)[:, None]
-    coeffs = root_sums(m, mixing_exponent(d, np.arange(d), letter_sums))
+    # a word's coefficient depends only on its letter sum mod m: one row per residue
+    residues = root_sums(m, mixing_exponent(d, np.arange(d), np.arange(m)[:, None]))
+    coeffs = residues[words.sum(axis=1, dtype=np.int64) % m]
     # the operator's words, scattered to their flat index in ``words``
     flat = np.ravel_multi_index(tuple(op.letters.T + (d - 1) // 2), (d,) * n_sites)
     expected = np.zeros_like(coeffs)

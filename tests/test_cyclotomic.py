@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qudit_mermin
@@ -216,15 +216,16 @@ def test_compare_real_coeffs_orders_values(monkeypatch):
 
 
 def test_package_import_leaves_mpmath_unloaded():
-    # mpmath is imported only by the high-precision comparison fallback
+    # mpmath is imported only by the high-precision comparison fallback, and
+    # click only by the command line
     src = str(Path(qudit_mermin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, qudit_mermin; print('mpmath' in sys.modules)"
+    code = "import sys, qudit_mermin; print('mpmath' in sys.modules, 'click' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("k", [160, 200])
@@ -320,6 +321,43 @@ def test_root_sums_rows_equal_root_sum(m, shape, seed):
     assert sums.shape == shape[:2] + (order_params(m)[1],)
     for index in np.ndindex(*shape[:2]):
         assert tuple(sums[index].tolist()) == root_sum(m, exponents[index]).coeffs
+
+
+def cyclic_product(m, rows):
+    """Pure-Python product of count rows modulo x**m - 1, starting from x**0."""
+    acc = [1] + [0] * (m - 1)
+    for row in rows:
+        out = [0] * m
+        for e, a in enumerate(acc):
+            for f, b in enumerate(row):
+                out[(e + f) % m] += a * b
+        acc = out
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, st.integers(0, 4), st.integers(1, 3), st.sampled_from([1, 2**40]),
+       st.integers(0, 2**32 - 1))
+@example(9, 2, 1, 2**40, 0)  # mass bound far above 2**63: Python integers
+def test_site_product_matches_the_python_polynomial_product(m, n_sites, slots, scale, seed):
+    counts = scale * np.random.default_rng(seed).integers(0, 4, size=(n_sites, slots, m))
+    product = cyclotomic._site_product(counts)
+    bound = slots * math.prod(int(site.sum(axis=-1).max()) for site in counts)
+    assert product.shape == (slots, m)
+    assert product.dtype == (np.int64 if bound < 2**63 else object)
+    for s in range(slots):
+        assert product[s].tolist() == cyclic_product(m, counts[:, s].tolist())
+
+
+def test_site_product_switches_to_python_integers_at_its_bound():
+    # one site of mass 2**63 - 1 stays int64; two slots of it reach the bound
+    row = [2**62, 2**62 - 1] + [0] * 7
+    assert cyclotomic._site_product([[row]]).dtype == np.int64
+    product = cyclotomic._site_product([[row, row]])
+    assert product.dtype == object and product.tolist() == [row, row]
+    # the fold of a Python-integer slot sum stays exact
+    total = product.sum(axis=0) @ cyclotomic._root_coeffs(9)
+    assert tuple(total.tolist()) == CycInt.from_coeffs(9, [2**63, 2**63 - 2]).coeffs
 
 
 def sympy_real_sign(m, coeffs):

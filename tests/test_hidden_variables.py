@@ -34,6 +34,7 @@ from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
     C_VALUE,
+    FactorTriple,
     HVAssignment,
     SearchResult,
     WitnessRecord,
@@ -107,6 +108,18 @@ def test_factor_table_matches_reference():
             assert abs(entry.magnitude - magnitudes[letter]) < 1e-9
 
 
+def test_factor_triples_are_the_table_rows():
+    # FactorTriple.at builds one row, factor_table all nine in one call
+    for row in factor_table():
+        triple = FactorTriple.at(row.r_exp, row.s_exp)
+        assert triple == row.triple == FactorTriple.at(row.r_exp + 3, row.s_exp - 3)
+        assert triple.a_value == factor_value("A", row.r_exp, row.s_exp)
+        assert triple.b_value == factor_value("B", row.r_exp, row.s_exp)
+        assert triple.c_value == factor_value("C", row.r_exp, row.s_exp)
+    with pytest.raises(TypeError):
+        FactorTriple.at(0.5, 0)
+
+
 def test_factor_multiset_conserved():
     for row in factor_table():
         letters = sorted(entry.letter for entry in row.entries)
@@ -135,8 +148,9 @@ def test_factor_table_entries_are_exact_root_multiples():
     # one unit off: no sign and root of unity times A, B or C gives it
     with pytest.raises(ArithmeticError):
         hidden_variables._classify(constants["A"] + 1)
+    bad = constants["B"].times_root(1) + 1
     tampered = mock.patch.object(
-        hidden_variables, "factor_value", lambda letter, r, s: constants["B"].times_root(1) + 1
+        hidden_variables, "_factor_rows", lambda d, ratios: [(bad,) * 3 for _ in ratios]
     )
     with tampered, pytest.raises(ArithmeticError):
         factor_table()

@@ -178,6 +178,23 @@ def test_counts_at_a_thousand_sites():
     assert counts.counts[3] == counts.counts[6]
 
 
+def residue_loop_counts(d, n_sites):
+    """Residue-loop oracle: one pure-Python convolution over the d**2 positions per site."""
+    m = d * d
+    alphabet = range(-(d // 2), d // 2 + 1)
+    counts = [1] + [0] * (m - 1)
+    for _ in range(n_sites):
+        counts = [sum(counts[(k - j) % m] for j in alphabet) for k in range(m)]
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("d, n", [(3, 39), (3, 40), (5, 27), (5, 28), (7, 22), (7, 23)])
+def test_counts_on_both_sides_of_the_int64_bound(d, n):
+    # d**N < 2**63 at the first N of each pair (int64), not at the second (Python ints)
+    assert (d**n < 2**63) == (n in (39, 27, 22))
+    assert counts_by_position(d, n).counts == residue_loop_counts(d, n)
+
+
 def test_counts_check_their_total(monkeypatch):
     # a wrong alphabet (four letters) cannot total 3**N words
     monkeypatch.setattr(mermin, "rotation_alphabet", lambda d: (-1, 0, 1, 2))
