@@ -17,9 +17,9 @@ letters not below its last letter, and a real row of magnitude bounds rides
 alongside.  The last level is scored one block per last letter with one
 mat-vec, and every score carries a proven rounding bound
 (``_scored_blocks``).  Only the band of classes that may reach the maximum
-is resolved exactly: one batched int64 cyclic convolution of the counts
-per site (``_cyclic_times``) folded once to canonical coefficients, then
-one squared magnitude per distinct value, ordered with
+is resolved exactly, by the multiset evaluator that ``full_space_scores``
+shares (``_class_values``: int64 cyclic convolutions of the counts, folded
+once), then one squared magnitude per distinct value, ordered with
 ``compare_real_coeffs``.  One guard (``_check_range``), checked before any
 work, keeps every int64 value exact and every float finite.
 
@@ -48,11 +48,9 @@ from .cyclotomic import (
     CycInt,
     _UNIT_ROUNDOFF,
     _alpha_powers,
-    _circulant_index,
     _read_only,
     _root_coeffs,
     compare_real_coeffs,
-    order_params,
 )
 
 __all__ = [
@@ -71,6 +69,8 @@ __all__ = [
 # A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
+# Classes per exact block: a d = 5 block convolves in 2**10 x 5 x 49 int64 (2 MB).
+_CLASS_BLOCK = 2**10
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
@@ -84,6 +84,8 @@ class ProductSpace:
     counts: np.ndarray  # read-only (alphabet, slots, order) int64, all >= 0
 
     def __post_init__(self) -> None:
+        if self.n_sites < 1:
+            raise ValueError("need at least one site")
         counts = _read_only(self.counts, np.int64)
         if counts.ndim != 3 or counts.shape[-1] != self.order or (counts < 0).any():
             raise ValueError(f"counts must be non-negative of shape (A, S, {self.order})")
@@ -141,6 +143,8 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
     """Raise ValueError for an over-budget space; call it before building factors."""
+    if n_sites < 1:
+        raise ValueError("need at least one site")
     entries = alphabet * slots * order
     if entries > FACTOR_CAP:
         raise ValueError(
@@ -157,23 +161,19 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
 def _check_range(space: ProductSpace) -> None:
     """The one range guard: raise OverflowError before any product is formed.
 
-    Let M be the largest mass (sum of counts) of a factor.  Convolving
-    non-negative counts gives non-negative counts of mass the product of
-    theirs, so a product of t factors, and each partial sum on the way, is
-    represented modulo x**m - 1 by counts of at most M**t, and a sum of
-    ``slots`` products by counts of at most slots * M**N.  A canonical
-    coefficient is one count minus another (alpha**(phi + r) =
-    -sum_{j < d-1} alpha**(j*d + r)), so at most slots * M**N in size.
-    ``full_space_scores`` multiplies canonical vectors of L1 norm at most
-    (d - 1) * M**t by matrices of coefficients of alpha**i * F, each at
-    most M: (d - 1) * M**N in all.  So max(2 * slots, d - 1) * M**N < 2**63
-    keeps every int64 value exact and every float of the ranking finite.
+    Let M be the largest mass (sum of counts) of a factor.  Counts are
+    non-negative, so a product's mass is the product of the factor masses:
+    each entry and partial sum of the ``_cyclic_times`` chain is at most
+    M**t after t sites, and of the sum over the slots at most
+    slots * M**N.  Each column of ``_root_coeffs(m)`` has at most two
+    entries, both +-1, so the fold to canonical coefficients stays within
+    that mass.  So 2 * slots * M**N < 2**63 (a factor 2 to spare) keeps
+    every int64 value exact and every float of the ranking finite.
     """
-    d, _ = order_params(space.order)
     counts = space.counts  # int64 row sums are exact while every count < 2**63 // m
     wide = counts.max() >= 2**63 // space.order
     mass = int((counts.astype(object) if wide else counts).sum(axis=-1).max())
-    if max(2 * space.slots, d - 1) * mass**space.n_sites >= 2**63:
+    if 2 * space.slots * mass**space.n_sites >= 2**63:
         raise OverflowError("product coefficients may exceed the exact int64 range")
 
 
@@ -269,15 +269,21 @@ def _cyclic_times(p: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out[..., :m]
 
 
-def _mult_matrices(counts: np.ndarray) -> np.ndarray:
-    """(..., phi, phi) exact matrices of multiplication by each factor.
+def _class_values(space: ProductSpace, letters: np.ndarray) -> np.ndarray:
+    """(K, phi) canonical coefficients of sum_s prod_i F[letters[k, i], s].
 
-    Row i is the canonical alpha**i * F: the factor's counts gathered
-    cyclically (row i of ``_circulant_index``) and folded by ``_root_coeffs``.
+    One batched cyclic convolution of the counts per site, summed over the
+    slots and folded once, in blocks of ``_CLASS_BLOCK`` classes.
     """
-    m = counts.shape[-1]
-    _, phi = order_params(m)
-    return counts[..., _circulant_index(m)[:phi]] @ _root_coeffs(m)
+    fold = _root_coeffs(space.order)
+    values = np.empty((len(letters), fold.shape[1]), dtype=np.int64)
+    for start in range(0, len(letters), _CLASS_BLOCK):
+        block = letters[start : start + _CLASS_BLOCK]
+        prods = space.counts[block[:, 0]]
+        for site in block[:, 1:].T:
+            prods = _cyclic_times(prods, space.counts[site])
+        values[start : start + len(block)] = prods.sum(axis=1) @ fold
+    return values
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:
@@ -300,12 +306,7 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     letters = _class_letters(
         _level_ends(a_size, n_sites), last[final], parents[final]
     )
-    # Exact values of the band, in one batch: products modulo x**m - 1,
-    # summed over the slots and folded once to canonical coefficients.
-    prods = space.counts[letters[:, 0]]
-    for site in letters[:, 1:].T:
-        prods = _cyclic_times(prods, space.counts[site])
-    values = prods.sum(axis=1) @ _root_coeffs(order)
+    values = _class_values(space, letters)
     distinct, which = np.unique(values, axis=0, return_inverse=True)
     exact = [CycInt(order, tuple(row)) for row in distinct.tolist()]
     squares = [(value * value.conjugate()).coeffs for value in exact]
@@ -334,23 +335,21 @@ def run_search(space: ProductSpace) -> RawSearchResult:
 def full_space_scores(space: ProductSpace) -> np.ndarray:
     """Float |sum of products|**2 for every index (small spaces only).
 
-    The scores are the float values of the exact sums, built breadth-first
-    with the int64 multiplication matrices of ``_mult_matrices``.
+    Each index is scored through its letter multiset: the exact value at
+    the sorted index of each multiset (``_class_values``), converted to
+    float and gathered back to every index that sorts to it.
     """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
     _check_range(space)
-    a_size, slots, m = space.counts.shape
-    _, phi = order_params(m)
-    # (slots, phi, A * phi): letter a's matrices side by side, per slot
-    mats = _mult_matrices(space.counts).transpose(1, 2, 0, 3).reshape(slots, phi, -1)
-    p = np.tile(_root_coeffs(space.order)[0], (1, slots, 1))
-    # breadth-first: each step appends one site as the least significant digit
-    for _ in range(space.n_sites):
-        p = np.matmul(p.transpose(1, 0, 2), mats).reshape(slots, -1, a_size, phi)
-        p = p.transpose(1, 2, 0, 3).reshape(-1, slots, phi)
-    vals = p.sum(axis=1).astype(np.float64) @ np.array(_alpha_powers(space.order)[:phi])
-    return vals.real * vals.real + vals.imag * vals.imag
+    shape = (space.alphabet,) * space.n_sites
+    digits = np.indices(shape).reshape(space.n_sites, -1)
+    sorted_at = np.ravel_multi_index(np.sort(digits, axis=0), shape)
+    reps = np.flatnonzero(sorted_at == np.arange(space.size))  # the sorted indices
+    values = _class_values(space, digits[:, reps].T).astype(np.float64)
+    vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
+    which = np.searchsorted(reps, sorted_at)
+    return (vals.real * vals.real + vals.imag * vals.imag)[which]
 
 
 def exact_sum(space: ProductSpace, index: int) -> CycInt:
@@ -372,11 +371,11 @@ def exact_letters_sum(order: int, factors, letters) -> CycInt:
 
 
 def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:
-    """Digits of a flat assignment index, site 1 first."""
+    """Digits of a flat assignment index in [0, alphabet**n_sites), site 1 first."""
+    if not 0 <= index < alphabet**n_sites:
+        raise ValueError(f"index {index} is outside [0, {alphabet}**{n_sites})")
     digits = []
-    rem = index
     for _ in range(n_sites):
-        digits.append(rem % alphabet)
-        rem //= alphabet
-    digits.reverse()
-    return tuple(digits)
+        index, digit = divmod(index, alphabet)
+        digits.append(digit)
+    return tuple(reversed(digits))

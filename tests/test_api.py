@@ -25,7 +25,7 @@ from qudit_mermin import (
     uniform_factors,
     uniform_value,
 )
-from qudit_mermin._enumeration import full_space_scores
+from qudit_mermin._enumeration import ProductSpace, full_space_scores
 from qudit_mermin.generalized import ratio_space
 from qudit_mermin.qudit_ops import rotation_alphabet
 
@@ -97,6 +97,9 @@ def _letters(shape):
          "letter strings are defined for d=3 only"),
         (lambda: full_space_scores(ratio_space(3, 7)),
          "full score table is limited to 1e6 assignments"),
+        (lambda: ProductSpace(9, 0, ratio_space(3, 1).counts), "need at least one site"),
+        (lambda: ratio_space(3, 0), "need at least one site"),
+        (lambda: ratio_space(3, -1), "need at least one site"),
         (lambda: MerminOperator(3, 2, 0, _letters((4, 3)), np.zeros(4)),
          r"letters must have shape \(terms, 2\), got \(4, 3\)"),
         (lambda: MerminOperator(3, 2, 0, _letters((4, 2)), np.zeros(3)),
@@ -108,7 +111,8 @@ def _letters(shape):
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
         "contradiction_witness", "uniform_factors", "ghz_state",
         "counts_by_position", "apply_word", "rotation_alphabet", "rotated_shift",
-        "from_string", "full_space_scores", "operator_letters_shape",
+        "from_string", "full_space_scores", "product_space_sites",
+        "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",
         "operator_weights_shape", "hv_value_product_exact",
     ],
 )

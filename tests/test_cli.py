@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -123,6 +124,33 @@ def test_search_full_mode(runner):
     res = json.loads(result.stdout)["results"]
     assert res["assignments_scanned"] == 27**3
     assert res["ratio_agreement_max_abs_dev"] <= 1e-9
+
+
+# sha256 of the `search` JSON bytes: a change of engine must keep every byte
+SEARCH_SHA256 = {
+    ("1", "full"): "226b6d26fa80ca968bf93556fa83ec66c6e401db6778935f694ae63db76e08ec",
+    ("2", "full"): "b49c3c42c437d69bb49c6b0fa5ca4ea0f0affbb613c93069cb97b0fc1c293277",
+    ("3", "full"): "f797b76051cd5437c7260b276aca5e118e09b0b19d54aa9cc9c256e62d99f27e",
+    ("4", "full"): "33205e5ef15c691b764287d248ad770f0935f4de7754897c1364e67c7daa4cb8",
+    ("5", "full"): "bb0c52d88c0c761c09c0378a1419934e9cc77fc70d99be1ea776938a555dd032",
+    ("1", "ratio"): "6a03e0792b16b8a1bb351536898a0d1415025a39b6565f472c33c867069f16a1",
+    ("2", "ratio"): "3de9c31db9bf936cd7ace686936c592fb8b3e80df6c3a47e647fa8b68ab80bde",
+    ("3", "ratio"): "712e6616c063ab665816c348e0fe389bd9bcfec6b9d5b650fee661ebd48a902e",
+    ("4", "ratio"): "bcf0cebfb383f7a381df4be6cc68ed9075f95cfb6e5d4a0bd254d0f065768211",
+    ("5", "ratio"): "2079db5eea5b0cf7b52d5bd200f7a7304cc5d726be5b3e5e56e6aecb3376b190",
+    ("6", "ratio"): "b65ab8a7b6985afb23049b6585bb6adc4250055d275555778035fc07c5699ed2",
+    ("7", "ratio"): "b37d239cf22cde5587e9721b120d18cccf3ea29e81164b85b9744ce5102b87d8",
+}
+
+
+@pytest.mark.parametrize("n, mode", sorted(SEARCH_SHA256))
+def test_search_json_bytes_are_pinned(runner, n, mode):
+    result = runner.invoke(
+        cli, ["search", "--n", n, "--mode", mode, "--format", "json"]
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == SEARCH_SHA256[n, mode]
 
 
 def test_search_worker_count_does_not_change_bytes(runner):

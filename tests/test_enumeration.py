@@ -1,4 +1,4 @@
-"""Site-permutation class engine against brute force and the int64 engine.
+"""Site-permutation class engine against brute force and the int64 engines.
 
 The brute-force oracle evaluates each assignment on its own with
 pure-Python ``CycInt`` arithmetic (``exact_sum``) and orders squared
@@ -7,6 +7,9 @@ enumeration or the float ranking band.  ``int64_class_search`` is the
 earlier engine, kept here as a second oracle: it carries every class
 product as exact int64 coefficients (one multiplication matrix per factor)
 and resolves a 1e-6 relative band around the float maximum exactly.
+``breadth_first_scores`` is the earlier full score table, kept as the
+oracle of ``full_space_scores``: it multiplies canonical coefficients of
+every index, site by site, by the phi x phi matrices of ``_mult_matrices``.
 """
 
 import math
@@ -23,7 +26,6 @@ from qudit_mermin._enumeration import (
     _check_range,
     _class_letters,
     _level_ends,
-    _mult_matrices,
     _scored_blocks,
     exact_letters_sum,
     exact_sum,
@@ -33,6 +35,7 @@ from qudit_mermin._enumeration import (
 from qudit_mermin.cyclotomic import (
     CycInt,
     _alpha_powers,
+    _circulant_index,
     _root_coeffs,
     compare_real_coeffs,
     mp_real_value,
@@ -91,6 +94,32 @@ def _extend(mat, p, l1=1):
         if peak >= 2**52 or peak * l1 >= 2**63:
             raise OverflowError("product coefficients exceeded the exact int64 range")
     return out
+
+
+def _mult_matrices(counts):
+    """(..., phi, phi) exact matrices of multiplication by each factor.
+
+    Row i is the canonical alpha**i * F: the factor's counts gathered
+    cyclically (row i of ``_circulant_index``) and folded by ``_root_coeffs``.
+    """
+    m = counts.shape[-1]
+    _, phi = order_params(m)
+    return counts[..., _circulant_index(m)[:phi]] @ _root_coeffs(m)
+
+
+def breadth_first_scores(space):
+    """Float |sum of products|**2 for every index, built site by site."""
+    a_size, slots, m = space.counts.shape
+    _, phi = order_params(m)
+    # (slots, phi, A * phi): letter a's matrices side by side, per slot
+    mats = _mult_matrices(space.counts).transpose(1, 2, 0, 3).reshape(slots, phi, -1)
+    p = np.tile(_root_coeffs(space.order)[0], (1, slots, 1))
+    # breadth-first: each step appends one site as the least significant digit
+    for _ in range(space.n_sites):
+        p = np.matmul(p.transpose(1, 0, 2), mats).reshape(slots, -1, a_size, phi)
+        p = p.transpose(1, 2, 0, 3).reshape(-1, slots, phi)
+    vals = p.sum(axis=1).astype(np.float64) @ np.array(_alpha_powers(space.order)[:phi])
+    return vals.real * vals.real + vals.imag * vals.imag
 
 
 def _float_scores(v, powers):
@@ -235,7 +264,7 @@ def test_tables_match_per_factor_matrices(space):
     )
     assert mats.dtype == np.int64
     assert np.array_equal(mats, reference)
-    # the gathered and folded matrices of ``full_space_scores`` act on rows
+    # the gathered and folded matrices of ``breadth_first_scores`` act on rows
     gathered = _mult_matrices(space.counts)
     assert gathered.dtype == np.int64
     assert np.array_equal(gathered.swapaxes(-1, -2), reference)
@@ -359,3 +388,24 @@ def test_full_space_scores_match_exact_sums(n_sites):
         value = exact_sum(space, flat)
         sq = (value * value.conjugate()).to_complex()
         assert math.isclose(scores[flat], sq.real, rel_tol=1e-12, abs_tol=1e-9)
+
+
+def assert_matches_breadth_first(space):
+    scores = full_space_scores(space)
+    reference = breadth_first_scores(space)
+    assert scores.dtype == reference.dtype == np.float64
+    assert np.array_equal(scores.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "d, n_sites", [(3, n) for n in range(1, 6)] + [(5, 1)]
+)
+def test_full_space_scores_match_breadth_first_bit_for_bit(d, n_sites):
+    assert_matches_breadth_first(ratio_space(d, n_sites))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(product_spaces(), scaled_spaces()))
+def test_random_full_tables_match_breadth_first_bit_for_bit(space):
+    assert_matches_breadth_first(space)
+

@@ -1038,3 +1038,16 @@ def test_assignment_encodings_round_trip():
         assert HVAssignment.from_full_index(n, assignment.full_index()) == assignment
         lifted = HVAssignment.from_ratios(assignment.ratios)
         assert HVAssignment.from_ratio_index(n, assignment.ratio_index()) == lifted
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_assignment_indices_outside_the_space_raise(n_sites):
+    for build, size in (
+        (HVAssignment.from_ratio_index, 9**n_sites),
+        (HVAssignment.from_full_index, 27**n_sites),
+    ):
+        for index in (0, size - 1):
+            assert build(n_sites, index).n_sites == n_sites
+        for index in (-1, size):
+            with pytest.raises(ValueError, match="outside"):
+                build(n_sites, index)
