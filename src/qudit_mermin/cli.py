@@ -25,7 +25,6 @@ from . import __version__
 from .cyclotomic import compare_real_coeffs
 from .generalized import (
     GeneralConfig,
-    build_general_mermin,
     conjecture_search,
     general_uniform_value,
     uniform_factors,
@@ -40,12 +39,7 @@ from .hidden_variables import (
     uniform_value,
     violation_ratio,
 )
-from .mermin import (
-    build_mermin,
-    counts_by_position,
-    expand_identity,
-    verify_eigenvalue,
-)
+from .mermin import _position_eigenvalue, counts_by_position, expand_identity
 
 TWO_SETTING_ASYMPTOTE = 1.064
 THREE_SETTING_ASYMPTOTE = 1.185
@@ -242,7 +236,7 @@ def cmd_verify(n: int, variant: int, d: int):
     if d != 3 and variant != 0:
         raise ValueError("variants other than 0 are defined for d=3 only")
     GeneralConfig(d, n)
-    eigenvalue = verify_eigenvalue(build_mermin(d, n, variant))
+    eigenvalue, _ = _position_eigenvalue(d, n, variant)
     expected = d ** (n - 1)
     ok = eigenvalue == expected
     results = {
@@ -374,9 +368,8 @@ def cmd_witness(n: int, limit: int):
 @_workers_option
 def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
     """Eigenvalue and uniform factors for odd local dimension d."""
-    op = build_general_mermin(GeneralConfig(d, n))
-    eigenvalue = verify_eigenvalue(op)
-    term_count = op.term_count
+    GeneralConfig(d, n)
+    eigenvalue, term_count = _position_eigenvalue(d, n)
     expected = d ** (n - 1)
     ok = eigenvalue == expected and term_count == expected
     failure = None if ok else f"eigenvalue {eigenvalue} or term count {term_count} != {expected}"

@@ -46,10 +46,10 @@ from .cyclotomic import CycInt, _read_only, _root_coeffs, _site_product, root_co
 from .mermin import (
     IdentityReport,
     MerminOperator,
+    _position_eigenvalue,
     build_mermin,
     expand_identity,
     mixing_exponent,
-    verify_eigenvalue,
 )
 from .qudit_ops import rotation_alphabet
 
@@ -97,7 +97,8 @@ def build_general_mermin(cfg: GeneralConfig) -> MerminOperator:
 
 
 def verify_general_eigenvalue(cfg: GeneralConfig) -> int:
-    return verify_eigenvalue(build_general_mermin(cfg))
+    """Exact eigenvalue of the variant-0 operator, from ``_position_eigenvalue``."""
+    return _position_eigenvalue(cfg.d, cfg.n_sites)[0]
 
 
 def expand_general_identity(cfg: GeneralConfig) -> IdentityReport:

@@ -9,8 +9,14 @@ eigenvalue is the term count d**(N-1).
 Operators are stored as exponent arrays, never as dense matrices or term
 lists: one row of rotation indices per word and one weight exponent mod
 d**2 per row.  Every weight and every GHZ phase is a root of unity, so the
-eigenvalue check and the identity expansion add integer exponents in numpy
-and turn the sums of roots into cyclotomic integers with ``root_sums``.
+eigenvalue check of an explicit operator (``verify_eigenvalue``) and the
+identity expansion add integer exponents in numpy and turn the sums of
+roots into cyclotomic integers with ``root_sums``.
+
+The position-rule operator itself needs no word array: a term's exponent
+at a GHZ label is a sum over its sites, so ``_position_eigenvalue`` carries
+one histogram of (letter-sum residue mod d, exponent mod d**2) per label
+through the N sites and reads the eigenvalue off the variant's residue.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, _read_only, _site_product, root_counts, root_of_unity, root_sum, root_sums
+    CycInt,
+    _read_only,
+    _root_coeffs,
+    _site_product,
+    root_counts,
+    root_of_unity,
+    root_sum,
+    root_sums,
 )
 from .qudit_ops import (
     EigenstateError,
@@ -46,6 +59,8 @@ __all__ = [
 
 # Terms one operator may hold, checked when it is built and when it is
 # verified: d**(N-1) <= 3**13 admits N <= 14, 9 and 8 for d = 3, 5 and 7.
+# ``_position_eigenvalue`` builds no terms but keeps the cap, so ``verify``
+# and ``general`` admit the same N with the same exit codes.
 VERIFY_TERM_CAP = 3**13
 
 
@@ -203,8 +218,9 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 def check_verify_budget(d: int, n_sites: int) -> None:
     """Raise ValueError when an operator of d**(N-1) terms exceeds VERIFY_TERM_CAP.
 
-    ``build_mermin`` and ``verify_eigenvalue`` both call it, the latter
-    because it also takes operators built by ``MerminOperator.from_terms``.
+    ``build_mermin``, ``verify_eigenvalue`` and ``_position_eigenvalue``
+    call it; ``verify_eigenvalue`` because it also takes operators built by
+    ``MerminOperator.from_terms``.
     """
     # clamped: d**k is over the cap for every k past its bit length
     if d ** min(n_sites - 1, VERIFY_TERM_CAP.bit_length()) > VERIFY_TERM_CAP:
@@ -239,19 +255,77 @@ def verify_eigenvalue(op: MerminOperator) -> int:
     return lam.as_integer()
 
 
+def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, int]:
+    """Eigenvalue and term count of ``build_mermin(d, n_sites, variant)``, with no words.
+
+    At GHZ label r the word w at position k == variant (mod d) reads
+    alpha**(variant - k + e_r(w)), and both k = sum_i w_i and the GHZ phase
+    e_r(w) = c_r + sum_i col_r[w_i] are sums over the sites.  So one grid
+    h[r, s, e] counts the words of letter sum s (mod d) and exponent e (mod
+    d**2), starting from alpha**(variant + c_r) at s = 0: each site moves
+    the counts of letter j by j in s and by col_r[j] - j in e, in one
+    gather over the d letters.  Row s = variant holds the operator's terms
+    (their total is the term count returned).  It is folded once per label
+    by ``_root_coeffs`` and, as in ``verify_eigenvalue``, the d sums must
+    agree and be a rational integer, else EigenstateError.  ``_ghz_phase``
+    gives c_r on the zero-site word and c_r + col_r[j] on the one-site words.
+
+    Range: a label's grid counts d**N words in all and ``check_verify_budget``
+    admits d**(N-1) <= 3**13, so every count and every folded coefficient is
+    at most d**N <= 7 * 3**13 < 2**63, exact in int64.
+    """
+    if n_sites < 1:
+        raise ValueError("need at least one site")
+    if not 0 <= variant < d:
+        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    check_verify_budget(d, n_sites)
+    m = d * d
+    letters = np.array(rotation_alphabet(d))
+    labels = np.arange(d)
+    no_sites = np.empty((1, 0), dtype=np.int8)
+    constant = np.stack([_ghz_phase(d, no_sites, variant, r) for r in labels])
+    read = np.stack([_ghz_phase(d, letters[:, None], variant, r) for r in labels])
+    step = read - constant - letters  # (label r, letter j): col_r[j] - j
+    # source[r, j, s * m + e]: the flat cell (r, s - j, e - col_r[j] + j) that
+    # letter j moves onto (r, s, e)
+    residues = (np.arange(d)[:, None] - letters[:, None, None]) % d  # (j, s, 1)
+    exponents = (np.arange(m) - step[..., None, None]) % m  # (r, j, 1, e)
+    source = ((labels[:, None, None, None] * d + residues) * m + exponents).reshape(d, d, d * m)
+    grid = np.zeros((d, d, m), dtype=np.int64)
+    grid[labels, 0, (variant + constant[:, 0]) % m] = 1
+    for _ in range(n_sites):
+        grid = grid.take(source).sum(axis=1)
+    terms = grid.reshape(d, d, m)[:, variant]
+    sums = terms @ _root_coeffs(m)
+    if (sums != sums[0]).any():
+        raise EigenstateError(
+            f"variant {variant} operator is not proportional to its GHZ state"
+        )
+    lam = CycInt(m, tuple(sums[0].tolist()))
+    if not lam.is_integer():
+        raise EigenstateError(f"eigenvalue {lam} is not a rational integer")
+    return lam.as_integer(), int(terms[0].sum())
+
+
 def counts_by_position(d: int, n_sites: int) -> PositionCounts:
     """Number of words at each circle position: (sum_j x**j)**N mod x**(d**2) - 1.
 
     Appending a site shifts every count by each letter j of the rotation
-    alphabet, so the counts are ``_site_product`` over N copies of the
-    alphabet's root counts: exact for every N, in int64 while d**N < 2**63.
+    alphabet, so the counts are the N-th power of the alphabet's root
+    counts, by square-and-multiply: ``_site_product`` squares the counts
+    floor(log2(N)) times and multiplies the squares at the set bits of N in
+    one chain, under 2 * log2(N) products in all.  Exact for every N; each
+    product is in int64 while its d**k words are below 2**63.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     m = d * d
     site = root_counts(m, [rotation_alphabet(d)])
-    counts = _site_product(np.broadcast_to(site, (n_sites, 1, m)))[0]
-    result = PositionCounts(d, n_sites, tuple(counts.tolist()))
+    squares = [site]  # site**(2**k)
+    while 2 ** len(squares) <= n_sites:
+        squares.append(_site_product(np.broadcast_to(squares[-1], (2, 1, m))))
+    counts = _site_product(np.stack([q for k, q in enumerate(squares) if n_sites >> k & 1]))
+    result = PositionCounts(d, n_sites, tuple(counts[0].tolist()))
     if result.total != d**n_sites:
         raise ArithmeticError(f"{result.total} words counted, not {d}**{n_sites}")
     return result

@@ -93,8 +93,19 @@ def test_verify_d5(runner):
 
 
 def test_verify_mismatch_exit_code(runner, monkeypatch):
-    monkeypatch.setattr(cli_module, "verify_eigenvalue", lambda op: 17)
+    monkeypatch.setattr(
+        cli_module, "_position_eigenvalue", lambda d, n, variant=0: (17, d ** (n - 1))
+    )
     result = runner.invoke(cli, ["verify", "--n", "3"])
+    assert result.exit_code == 1
+    assert "mismatch" in result.stderr
+
+
+@pytest.mark.parametrize("reading", [(17, 25), (25, 24)])
+def test_general_mismatch_exit_code(runner, monkeypatch, reading):
+    # a wrong eigenvalue or a wrong term count each fail the check
+    monkeypatch.setattr(cli_module, "_position_eigenvalue", lambda d, n, variant=0: reading)
+    result = runner.invoke(cli, ["general", "--d", "5", "--n", "3"])
     assert result.exit_code == 1
     assert "mismatch" in result.stderr
 
@@ -247,21 +258,32 @@ def test_general_command(runner):
     assert abs(res["largest_factor"] - 4.6898) < 1e-3
 
 
-def test_general_builds_the_operator_once(runner, monkeypatch):
-    from qudit_mermin import generalized
+def test_verify_and_general_build_no_word_array(runner, monkeypatch):
+    from qudit_mermin import generalized, mermin, qudit_ops
 
-    built = []
-    real_build = generalized.build_mermin
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word array was built")
 
-    def counting_build(*args):
-        built.append(args)
-        return real_build(*args)
+    for module in (cli_module, mermin, generalized, qudit_ops):
+        for name in ("build_mermin", "_all_words"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    result = runner.invoke(cli, ["verify", "--n", "14", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["results"]["eigenvalue"] == 3**13
+    result = runner.invoke(cli, ["general", "--d", "7", "--n", "8", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    results = json.loads(result.stdout)["results"]
+    assert results["eigenvalue"] == results["term_count"] == 7**7
 
-    monkeypatch.setattr(generalized, "build_mermin", counting_build)
-    result = runner.invoke(cli, ["general", "--d", "5", "--n", "3", "--format", "json"])
+
+@pytest.mark.parametrize("d, n", [(3, 5), (5, 4), (7, 3)])
+def test_general_term_count_is_the_operator_size(runner, d, n):
+    from qudit_mermin.mermin import build_mermin
+
+    result = runner.invoke(cli, ["general", "--d", str(d), "--n", str(n), "--format", "json"])
     assert result.exit_code == 0
-    assert built == [(5, 3, 0)]
-    assert json.loads(result.stdout)["results"]["term_count"] == 25
+    assert json.loads(result.stdout)["results"]["term_count"] == build_mermin(d, n).term_count
 
 
 def test_general_conjecture_check_is_exact(runner, monkeypatch):

@@ -8,6 +8,7 @@ eigenvalue checks, and a per-term ``apply_word`` loop over exact
 """
 
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudit_mermin import mermin
+from qudit_mermin import mermin, qudit_ops
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.hidden_variables import uniform_value
 from qudit_mermin.mermin import (
@@ -23,6 +24,7 @@ from qudit_mermin.mermin import (
     IdentityReport,
     PositionCounts,
     MerminOperator,
+    _position_eigenvalue,
     build_mermin,
     check_verify_budget,
     counts_by_position,
@@ -188,11 +190,23 @@ def residue_loop_counts(d, n_sites):
     return tuple(counts)
 
 
-@pytest.mark.parametrize("d, n", [(3, 39), (3, 40), (5, 27), (5, 28), (7, 22), (7, 23)])
+@pytest.mark.parametrize(
+    "d, n", [(3, 39), (3, 40), (5, 27), (5, 28), (7, 22), (7, 23), (3, 1000)]
+)
 def test_counts_on_both_sides_of_the_int64_bound(d, n):
     # d**N < 2**63 at the first N of each pair (int64), not at the second (Python ints)
     assert (d**n < 2**63) == (n in (39, 27, 22))
     assert counts_by_position(d, n).counts == residue_loop_counts(d, n)
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 70), (5, 45), (7, 35)])
+def test_counts_match_the_residue_loop_at_every_n(d, n_max):
+    # every bit pattern of N up to past the int64 switch of the squares and the chain
+    counts = [1] + [0] * (d * d - 1)
+    for n in range(1, n_max + 1):
+        counts = [sum(counts[(k - j) % (d * d)] for j in range(-(d // 2), d // 2 + 1))
+                  for k in range(d * d)]
+        assert counts_by_position(d, n).counts == tuple(counts), n
 
 
 def test_counts_check_their_total(monkeypatch):
@@ -431,3 +445,53 @@ def test_off_position_word_is_not_proportional():
         reference_eigenvalue(op)
     with pytest.raises(EigenstateError, match="proportional"):
         verify_eigenvalue(op)
+
+
+@pytest.mark.parametrize("d, n_max", [(3, 10), (5, 6), (7, 5)])
+def test_position_eigenvalue_equals_the_term_path(d, n_max):
+    for n in range(1, n_max + 1):
+        for c in range(d):
+            op = build_mermin(d, n, c)
+            assert _position_eigenvalue(d, n, c) == (verify_eigenvalue(op), op.term_count)
+
+
+def test_position_eigenvalue_at_the_term_budget():
+    # the last admitted N per d, where every count is at most d**N < 7 * 3**13 < 2**63
+    for d, last in ((3, 14), (5, 9), (7, 8)):
+        for c in range(d):
+            assert _position_eigenvalue(d, last, c) == (d ** (last - 1), d ** (last - 1))
+
+
+def test_position_eigenvalue_refuses_what_build_mermin_refuses():
+    for d, n, c in ((3, 0, 0), (3, 3, 3), (3, 3, -1), (3, 15, 0), (5, 10, 0), (7, 9, 0)):
+        with pytest.raises(ValueError) as built:
+            build_mermin(d, n, c)
+        with pytest.raises(ValueError, match=re.escape(str(built.value))):
+            _position_eigenvalue(d, n, c)
+
+
+def shift_x_on_digit_0(table):
+    """Letter X (row (d-1)/2) on digit 0 only: the label-0 sum leaves the others."""
+    table = table.copy()
+    table[len(table) // 2, 0] += 1
+    return table
+
+
+def shift_every_entry(table):
+    """Each word gains alpha**N at every label: the sums agree but are not integers."""
+    return table + 1
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(shift_x_on_digit_0, "proportional"), (shift_every_entry, "rational integer")],
+)
+def test_tampered_phase_table_raises_eigenstate_error(monkeypatch, shift, message):
+    real = qudit_ops._phase_array
+    monkeypatch.setattr(qudit_ops, "_phase_array", lambda d: shift(real(d)))
+    for d, n, c in ((3, 2, 0), (3, 4, 1), (5, 2, 0)):
+        with pytest.raises(EigenstateError, match=message):
+            _position_eigenvalue(d, n, c)
+        # the term path reads the same tampered action and refuses it the same way
+        with pytest.raises(EigenstateError, match=message):
+            verify_eigenvalue(build_mermin(d, n, c))
