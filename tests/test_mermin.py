@@ -202,11 +202,8 @@ def test_counts_on_both_sides_of_the_int64_bound(d, n):
 @pytest.mark.parametrize("d, n_max", [(3, 70), (5, 45), (7, 35)])
 def test_counts_match_the_residue_loop_at_every_n(d, n_max):
     # every bit pattern of N up to past the int64 switch of the squares and the chain
-    counts = [1] + [0] * (d * d - 1)
     for n in range(1, n_max + 1):
-        counts = [sum(counts[(k - j) % (d * d)] for j in range(-(d // 2), d // 2 + 1))
-                  for k in range(d * d)]
-        assert counts_by_position(d, n).counts == tuple(counts), n
+        assert counts_by_position(d, n).counts == residue_loop_counts(d, n), n
 
 
 def test_counts_check_their_total(monkeypatch):
