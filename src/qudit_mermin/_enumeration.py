@@ -18,10 +18,10 @@ alongside.  The last level is scored one block per last letter with one
 mat-vec, and every score carries a proven rounding bound
 (``_scored_blocks``).  Only the band of classes that may reach the maximum
 is resolved exactly, by the multiset evaluator that ``full_space_scores``
-shares (``_class_values``: int64 cyclic convolutions of the counts, folded
-once), then one squared magnitude per distinct value, ordered with
-``compare_real_coeffs``.  One guard (``_check_range``), checked before any
-work, keeps every int64 value exact and every float finite.
+shares (``_class_values``: one batched ``_site_product`` of the counts per
+block, folded once), then one squared magnitude per distinct value, ordered
+with ``compare_real_coeffs``.  One guard (``_check_range``), checked before
+any work, keeps every int64 value exact and every float finite.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -50,6 +50,7 @@ from .cyclotomic import (
     _alpha_powers,
     _read_only,
     _root_coeffs,
+    _site_product,
     compare_real_coeffs,
 )
 
@@ -69,8 +70,9 @@ __all__ = [
 # A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
-# Classes per exact block: a d = 5 block convolves in 2**10 x 5 x 49 int64 (2 MB).
-_CLASS_BLOCK = 2**10
+# Classes per exact block: 2**6 x (N - 1) x slots x m**2 int64 circulants (1.6 MB
+# at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 7 MB to a d = 5 search.
+_CLASS_BLOCK = 2**6
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
@@ -161,14 +163,11 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
 def _check_range(space: ProductSpace) -> None:
     """The one range guard: raise OverflowError before any product is formed.
 
-    Let M be the largest mass (sum of counts) of a factor.  Counts are
-    non-negative, so a product's mass is the product of the factor masses:
-    each entry and partial sum of the ``_cyclic_times`` chain is at most
-    M**t after t sites, and of the sum over the slots at most
-    slots * M**N.  Each column of ``_root_coeffs(m)`` has at most two
-    entries, both +-1, so the fold to canonical coefficients stays within
-    that mass.  So 2 * slots * M**N < 2**63 (a factor 2 to spare) keeps
-    every int64 value exact and every float of the ranking finite.
+    Let M be the largest mass (sum of counts) of a factor.  By the range
+    rule of ``_site_product``, each entry and partial sum of a block's
+    chain, of its sum over the slots and of the fold is at most
+    slots * M**N.  So 2 * slots * M**N < 2**63 (a factor 2 to spare) keeps
+    the chain in int64 and exact, and every float of the ranking finite.
     """
     counts = space.counts  # int64 row sums are exact while every count < 2**63 // m
     wide = counts.max() >= 2**63 // space.order
@@ -259,30 +258,17 @@ def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray
     return np.stack(letters[::-1], axis=1)
 
 
-def _cyclic_times(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Products p * f modulo x**m - 1 of count rows, m the length of the last axis."""
-    m = p.shape[-1]
-    out = np.zeros(p.shape[:-1] + (2 * m - 1,), dtype=np.int64)
-    for j in range(m):
-        out[..., j : j + m] += p * f[..., j, None]
-    out[..., : m - 1] += out[..., m:]
-    return out[..., :m]
-
-
 def _class_values(space: ProductSpace, letters: np.ndarray) -> np.ndarray:
     """(K, phi) canonical coefficients of sum_s prod_i F[letters[k, i], s].
 
-    One batched cyclic convolution of the counts per site, summed over the
-    slots and folded once, in blocks of ``_CLASS_BLOCK`` classes.
+    One batched ``_site_product`` per block of ``_CLASS_BLOCK`` classes,
+    summed over the slots and folded once.
     """
     fold = _root_coeffs(space.order)
     values = np.empty((len(letters), fold.shape[1]), dtype=np.int64)
     for start in range(0, len(letters), _CLASS_BLOCK):
-        block = letters[start : start + _CLASS_BLOCK]
-        prods = space.counts[block[:, 0]]
-        for site in block[:, 1:].T:
-            prods = _cyclic_times(prods, space.counts[site])
-        values[start : start + len(block)] = prods.sum(axis=1) @ fold
+        products = _site_product(space.counts[letters[start : start + _CLASS_BLOCK]])
+        values[start : start + len(products)] = products.sum(axis=-2) @ fold
     return values
 
 

@@ -324,7 +324,7 @@ def cmd_search(n: int, mode: str, workers: int | None):
 
 @_command("witness")
 @click.option("--n", type=int, required=True)
-@click.option("--limit", type=int, default=20, show_default=True,
+@click.option("--limit", type=click.IntRange(min=0), default=20, show_default=True,
               help="Rows shown in human output (JSON/CSV always carry all rows).")
 def cmd_witness(n: int, limit: int):
     """List GHZ contradictions: quantum eigenphase vs uniform prediction."""
@@ -349,7 +349,7 @@ def cmd_witness(n: int, limit: int):
         "rows": rows,
     }
     lines = [f"{len(witnesses)} contradictions (expected {expected})"]
-    for row in rows[: max(0, limit)]:
+    for row in rows[:limit]:
         lines.append(
             f"  {row['word']} at k={row['position']}: quantum {row['quantum']}, "
             f"uniform prediction {row['hv_prediction']} -> contradiction"

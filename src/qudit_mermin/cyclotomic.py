@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,7 +284,13 @@ class PhaseExponent:
 
     def __post_init__(self) -> None:
         order_params(self.order)
-        object.__setattr__(self, "exponent", self.exponent % self.order)
+        try:  # any integer operator.index accepts, numpy's included; floats raise
+            exponent = operator.index(self.exponent) % self.order
+        except TypeError:
+            raise ValueError(
+                f"root exponents must be integers, got {self.exponent!r}"
+            ) from None
+        object.__setattr__(self, "exponent", exponent)
 
     def __mul__(self, other: PhaseExponent) -> PhaseExponent:
         if not isinstance(other, PhaseExponent):
@@ -306,7 +313,7 @@ class PhaseExponent:
 
 def root_of_unity(j: int, m: int) -> CycInt:
     """Canonical representative of alpha**j, alpha = exp(2*pi*i/m)."""
-    return CycInt(m, tuple(_root_coeffs(m)[j % m].tolist()))
+    return CycInt(m, tuple(_root_coeffs(m)[PhaseExponent(j, m).exponent].tolist()))
 
 
 def root_counts(m: int, exponents) -> np.ndarray:
@@ -330,30 +337,35 @@ def _circulant_index(m: int) -> np.ndarray:
 
 
 def _site_product(counts) -> np.ndarray:
-    """Counts (S, m) of the products over the sites of (N, S, m) root counts.
+    """Counts (..., S, m) of the products over the sites of (..., N, S, m) root counts.
 
-    Slot s holds prod_i h[i, s] modulo x**m - 1, starting from alpha**0
-    (N = 0 gives 1 in every slot): one product per site with the m x m
-    circulant whose row e is alpha**e * h[i, s] (``_circulant_index``).
+    Slot s of each batch element holds prod_i h[..., i, s] modulo x**m - 1
+    (N = 0 gives 1 in every slot).  The chain starts from the first site's
+    counts and multiplies by one m x m circulant per further site, whose row
+    e is alpha**e * h[..., i, s] (``_circulant_index``; all gathered at once).
 
     Range.  Counts are non-negative, so a product's counts have a mass (sum
     over e) equal to the product of the factor masses.  With M_i the largest
-    row mass at site i, every entry and every partial sum of the chain is at
-    most prod_i M_i, and of a sum over the S slots at most S * prod_i M_i.
-    Each column of ``_root_coeffs(m)`` has at most two entries, both +-1
-    (alpha**j itself and -alpha**(phi + j mod d)), so folding such a sum to
-    canonical coefficients stays within its mass.  The counts are int64 when
-    S * prod_i M_i < 2**63 and Python integers (``dtype=object``) otherwise.
+    row mass at site i over the whole batch, every entry and every partial
+    sum of the chain is at most prod_i M_i, and of a sum over the S slots at
+    most S * prod_i M_i.  Each column of ``_root_coeffs(m)`` has at most two
+    entries, both +-1 (alpha**j itself and -alpha**(phi + j mod d)), so
+    folding such a sum to canonical coefficients stays within its mass.  The
+    counts are int64 when S * prod_i M_i < 2**63 and Python integers
+    (``dtype=object``) otherwise.
     """
     counts = np.asarray(counts)
-    _, slots, m = counts.shape
-    if slots * math.prod(counts.sum(axis=-1).max(axis=-1).tolist()) >= 2**63:
+    *batch, n_sites, slots, m = counts.shape
+    masses = counts.sum(axis=-1).max(axis=(*range(len(batch)), -1))  # (N,)
+    if slots * math.prod(masses.tolist()) >= 2**63:
         counts = counts.astype(object)
-    acc = np.zeros((slots, 1, m), dtype=counts.dtype)
-    acc[:, 0, 0] = 1
-    for circulant in counts[..., _circulant_index(m)]:
-        acc = acc @ circulant
-    return acc[:, 0]
+    if not n_sites:
+        return np.tile(np.eye(1, m, dtype=counts.dtype), (*batch, slots, 1))
+    acc = counts[..., 0, :, None, :]
+    circulants = counts[..., 1:, :, :][..., _circulant_index(m)]
+    for site in range(n_sites - 1):
+        acc = acc @ circulants[..., site, :, :, :]
+    return acc[..., 0, :]
 
 
 def root_sums(m: int, exponents) -> np.ndarray:

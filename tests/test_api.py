@@ -13,6 +13,7 @@ import qudit_mermin
 from qudit_mermin import (
     LocalObservable,
     MerminOperator,
+    PhaseExponent,
     SettingWord,
     apply_word,
     contradiction_witness,
@@ -22,6 +23,7 @@ from qudit_mermin import (
     hv_value_product_exact,
     permutation_class_max,
     power_sum,
+    root_of_unity,
     uniform_factors,
     uniform_value,
 )
@@ -106,6 +108,8 @@ def _letters(shape):
          "need one weight exponent per word"),
         (lambda: hv_value_product_exact([1.5, 0], [0, 2.7]),
          "ratio exponents must be integers"),
+        (lambda: PhaseExponent(1.5, 9), "root exponents must be integers"),
+        (lambda: root_of_unity(1.5, 9), "root exponents must be integers"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -113,7 +117,8 @@ def _letters(shape):
         "counts_by_position", "apply_word", "rotation_alphabet", "rotated_shift",
         "from_string", "full_space_scores", "product_space_sites",
         "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",
-        "operator_weights_shape", "hv_value_product_exact",
+        "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
+        "root_of_unity",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

@@ -328,6 +328,14 @@ def test_scaling_csv(runner):
     }
 
 
+def test_witness_limit_is_refused_below_zero(runner):
+    result = runner.invoke(cli, ["witness", "--n", "3", "--limit", "-2"])
+    assert result.exit_code == 2 and "contradictions" not in result.output
+    result = runner.invoke(cli, ["witness", "--n", "3", "--limit", "0"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[:2] == ["2 contradictions (expected 2)", "  ... and 2 more"]
+
+
 def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["search", "--n", "3", "--mode", "greedy"]).exit_code == 2
     assert runner.invoke(cli, ["search", "--n", "99"]).exit_code == 2

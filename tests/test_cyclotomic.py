@@ -360,6 +360,37 @@ def test_site_product_switches_to_python_integers_at_its_bound():
     assert tuple(total.tolist()) == CycInt.from_coeffs(9, [2**63, 2**63 - 2]).coeffs
 
 
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, st.integers(1, 3), st.integers(0, 4), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@example(9, 2, 0, 2, 0)  # no sites: 1 in every slot of every element
+@example(25, 3, 1, 2, 0)  # one site: the counts themselves
+def test_site_product_batches_match_one_call_per_element(m, batch, n_sites, slots, seed):
+    counts = np.random.default_rng(seed).integers(0, 4, size=(batch, 2, n_sites, slots, m))
+    product = cyclotomic._site_product(counts)
+    assert product.shape == (batch, 2, slots, m) and product.dtype == np.int64
+    for index in np.ndindex(batch, 2):
+        assert np.array_equal(product[index], cyclotomic._site_product(counts[index]))
+        for s in range(slots):
+            assert product[index][s].tolist() == cyclic_product(m, counts[index][:, s].tolist())
+
+
+def test_site_product_batch_switches_to_python_integers_as_a_whole():
+    # only element 1 crosses the bound: 2 * (9 * 2**41)**2 >= 2**63
+    counts = np.random.default_rng(19).integers(1, 3, size=(3, 2, 2, 9))
+    counts[1] *= 2**40
+    assert cyclotomic._site_product(counts[0]).dtype == np.int64
+    product = cyclotomic._site_product(counts)
+    assert product.dtype == object
+    for k, s in np.ndindex(3, 2):
+        assert product[k, s].tolist() == cyclic_product(9, counts[k, :, s].tolist())
+
+
+def test_root_exponents_accept_numpy_integers():
+    assert PhaseExponent(np.int64(10), 9) == PhaseExponent(1, 9)
+    assert root_of_unity(np.int8(3), 9) == root_of_unity(3, 9) == PhaseExponent(3, 9).cyc()
+
+
 def sympy_real_sign(m, coeffs):
     """Sign of sum_j c_j cos(2*pi*j/m), decided by sympy."""
     terms = [c * sympy.cos(2 * sympy.pi * j / m) for j, c in enumerate(coeffs) if c]

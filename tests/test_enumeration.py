@@ -22,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_mermin._enumeration import (
+    _CLASS_BLOCK,
     ProductSpace,
     _check_range,
     _class_letters,
+    _class_values,
     _level_ends,
     _scored_blocks,
     exact_letters_sum,
@@ -359,6 +361,21 @@ def test_score_bounds_hold_for_every_class(space):
             exact = mp_real_value(space.order, sq, 60)
             with mpmath.workdps(60):
                 assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+
+
+@pytest.mark.parametrize("d, n_sites", [(3, 4), (5, 2)])
+def test_class_values_equal_the_ring_loop_across_blocks(d, n_sites):
+    # more classes than one block, and a last block that is not full
+    space = ratio_space(d, n_sites)
+    k = 2 * _CLASS_BLOCK + 3
+    letters = np.sort(
+        np.random.default_rng(1900 + d).integers(0, space.alphabet, size=(k, n_sites)), axis=1
+    )
+    values = _class_values(space, letters)
+    assert values.shape == (k, order_params(space.order)[1]) and values.dtype == np.int64
+    factors = space.factors
+    for row, value in zip(letters.tolist(), values.tolist()):
+        assert tuple(value) == exact_letters_sum(space.order, factors, row).coeffs
 
 
 def test_products_past_int64_raise_overflow():
