@@ -70,9 +70,9 @@ __all__ = [
 # A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
-# Classes per exact block: 2**6 x (N - 1) x slots x m**2 int64 circulants (1.6 MB
-# at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 7 MB to a d = 5 search.
-_CLASS_BLOCK = 2**6
+# Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
+# at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 8 MB to a d = 5 search.
+_CLASS_BLOCK = 2**5
 
 WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
