@@ -20,7 +20,7 @@ table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
 per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
 products commute across sites); full mode assigns
 the sites of the operator's own terms one at a time, exactly over Z[omega]
-(int16 pairs, int32 scores, in ranges proven from the term count), and
+(int16 pairs, uint16 scores, in ranges proven from the term count), and
 checks the integer |v|**2 of each of the 27**N value assignments for
 equality with its ratio reduction's score, rounded to an integer.  Both run
 in one process.
@@ -95,18 +95,27 @@ SYMBOLS = ("1", "w", "w^2")
 # expansion are the B, C, A products in that order.
 _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 
-# Full mode covers 27**N value assignments; this allows N <= 5.
-FULL_SEARCH_CAP = 10**8
+# Full mode covers 27**N value assignments; this allows N <= 6.
+FULL_SEARCH_CAP = 27**6
 
 # permutation_class_max covers 3**N shift patterns (one evaluation per
 # multiset of shifts); this allows N <= 8.
 PERMUTATION_CLASS_CAP = 3**8
 
 
+def _ratio_row(r_exp: int, s_exp: int) -> tuple[int, int, int]:
+    """The ratio row (0, R, S) of integer exponents; floats raise ValueError."""
+    try:
+        return (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
+    except TypeError:
+        raise ValueError(
+            f"ratio exponents must be integers, got {r_exp}, {s_exp}"
+        ) from None
+
+
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
     """Exact per-site factor 1 + (.)R + (.)S for the given product letter."""
-    ratios = (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
-    return _factor_rows(3, [ratios])[0][_LETTER_SLOT[letter]]
+    return _factor_rows(3, [_ratio_row(r_exp, s_exp)])[0][_LETTER_SLOT[letter]]
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,7 @@ class FactorTriple:
 
     @classmethod
     def at(cls, r_exp: int, s_exp: int) -> FactorTriple:
-        ratios = (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
-        return _triple(_factor_rows(3, [ratios])[0])
+        return _triple(_factor_rows(3, [_ratio_row(r_exp, s_exp)])[0])
 
     def magnitudes(self) -> tuple[float, float, float]:
         return (
@@ -301,11 +309,7 @@ def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
-    try:
-        ratios = [(0, operator.index(r) % 3, operator.index(s) % 3)
-                  for r, s in zip(r_exps, s_exps)]
-    except TypeError:
-        raise ValueError(f"ratio exponents must be integers, got {r_exps}, {s_exps}") from None
+    ratios = [_ratio_row(r, s) for r, s in zip(r_exps, s_exps)]
     return _product_sum(3, np.array(ratios, dtype=np.int64).reshape(len(r_exps), 3))
 
 
@@ -377,13 +381,14 @@ def exhaustive_search(
     form, one evaluation per multiset of per-site ratios, and its C(N+8, 8)
     multisets are bounded by the budget of ``generalized.ratio_space``.  Full
     mode contracts the operator terms site by site into the exact value of
-    each of the 27**N <= ``FULL_SEARCH_CAP`` value assignments and checks
-    every magnitude against the ratio reduction.  An over-budget N raises
-    ValueError before anything is built.  Both run in one process
-    (``workers`` is validated only).  Ties are counted exactly and the
-    arg-max reported is the lexicographically smallest maximizer (encoding
-    R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,... for full mode, with
-    1 < w < w^2).
+    each of the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments, as
+    a uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every
+    admitted N), and checks every score against the ratio reduction.  An
+    over-budget N raises ValueError before anything is built.  Both run in
+    one process (``workers`` is validated only).  Ties are counted exactly
+    and the arg-max reported is the lexicographically smallest maximizer
+    (encoding R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,... for full
+    mode, with 1 < w < w^2).
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
@@ -443,7 +448,9 @@ def _site(f: np.ndarray) -> np.ndarray:
     # rot[:, c, ..., e, :] = omega**e f[:, c]; omega*(a + b*omega) = -b + (a-b)*omega
     rot = np.stack([f, np.stack([-b, a - b]), np.stack([b - a, -a])], axis=-2)
     x, y, v = rot.swapaxes(0, 1)  # the rotated X, Y and V columns
-    out = x[..., :, None, None, :] + y[..., None, :, None, :] + v[..., None, None, :, :]
+    out = np.empty((2, rows // 3, assigned, 3, 3, 3, prefixes), dtype=f.dtype)
+    np.add(x[..., :, None, None, :], y[..., None, :, None, :], out=out)
+    out += v[..., None, None, :, :]
     return out.reshape(2, rows // 3, 27 * assigned, prefixes)
 
 
@@ -454,7 +461,7 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
     The terms are scattered into a table over letter columns and the sites
     are assigned one at a time; the first N - s sites are materialized and
     the last s = min(N, _STREAMED_SITES) are streamed in blocks.  Yields
-    ``(first, scores)`` where ``scores[j, i]`` (int32) belongs to the
+    ``(first, scores)`` where ``scores[j, i]`` (uint16) belongs to the
     assignment with flat index (first + i) * 27**s + j.
 
     Ranges.  Every table entry, rotated column and partial column sum is a
@@ -462,14 +469,17 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
     omega**k it is the pair (a, b) = (n_0 - n_2, n_1 - n_2), so |a|, |b| and
     |a - b| = |n_0 - n_1| are at most n, and so are the rotations -b, a - b,
     b - a and -a.  The pairs are therefore exact in int16 while n < 2**15.
-    The score is formed in int32 as a*(a - b) + b*b: |a*(a - b)| <= n**2,
-    b*b <= n**2 and the sum is |value|**2 in [0, n**2], so no intermediate
-    exceeds n**2 < 2**30 < 2**31.  The one guard n < 2**15 thus proves both
-    ranges and is checked before anything is allocated.
+    The score a*(a - b) + b*b is formed in place in int16, whose array
+    arithmetic wraps mod 2**16, and read through a uint16 view: that is
+    exact because the true score |value|**2 lies in [0, n**2], and n**2 <
+    2**16 while n < 2**8.  The one guard n < 2**8 thus proves both ranges
+    and is checked before anything is allocated.
     """
     n_terms, n_sites = letters.shape
-    if n_terms >= 2**15:
-        raise OverflowError("term count exceeds the exact int16 pair range")
+    if n_terms >= 2**8:
+        raise OverflowError(
+            "term count exceeds the exact int16 pair and uint16 score range"
+        )
     streamed = min(n_sites, _STREAMED_SITES)
     f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int16)
     flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
@@ -483,8 +493,13 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
         g = f[..., first : first + step]
         for _ in range(streamed):
             g = _site(g)
-        a, b = g[0, 0].astype(np.int32), g[1, 0].astype(np.int32)
-        yield first, a * (a - b) + b * b
+        # g is this block's own array (or a slice of f no later block reads)
+        a, b = g[0, 0], g[1, 0]
+        score = a - b
+        score *= a
+        b *= b
+        score += b
+        yield first, score.view(np.uint16)
 
 
 def _ratio_indices(n_sites: int) -> np.ndarray:
@@ -499,18 +514,20 @@ def _full_search(n_sites: int) -> SearchResult:
     """Exact full scan, each score checked on integers against the ratio one.
 
     ``ref[r]`` is the ratio reduction's float |3v|**2 at ratio index r,
-    divided by 9 and rounded; every full score must equal ``ref`` at its
-    ratio index.  The reported ``ratio_agreement_max_abs_dev`` is the
-    largest |sqrt(score) - ratio |v|| over all 27**N assignments: a
-    mismatched entry contributes its own deviation, and every matching
-    entry of ratio index r has the score ``ref[r]``, so the matching ones
-    contribute the deviation of ``ref[r]``, taken once per r that has at
-    least one of its 3**N entries matching.  So it is the all-entry float
-    maximum bit for bit, found with float work only on mismatches and on
-    the 9**N entries of ``ref``.  A mismatched score s <= n**2 (n the term
-    count) is at least 1/2 from the ratio score q = |v|**2, so its
-    deviation |s - q| / (sqrt(s) + sqrt(q)) is about 1/(4n) or more, far
-    above 1e-9.
+    divided by 9, rounded and taken mod 2**16 (uint16, like the scores);
+    every full score must equal ``ref`` at its ratio index.  The reported
+    ``ratio_agreement_max_abs_dev`` is the largest |sqrt(score) - ratio |v||
+    over all 27**N assignments: a mismatched entry contributes its own
+    deviation, and every matching entry of ratio index r has the score
+    ``ref[r]``, so the matching ones contribute the deviation of ``ref[r]``,
+    taken once per r that has at least one of its 3**N entries matching.
+    So it is the all-entry float maximum bit for bit, found with float work
+    only on mismatches and on the 9**N entries of ``ref``.  A mismatched
+    score s <= n**2 (n the term count) is at least 1/2 from the ratio score
+    q = |v|**2, so its deviation |s - q| / (sqrt(s) + sqrt(q)) is about
+    1/(4n) or more, far above 1e-9; a ratio score of 2**16 or more matches
+    only after the wrap, and its deviation, read from the same uint16
+    ``ref``, shows the whole offset.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -520,7 +537,9 @@ def _full_search(n_sites: int) -> SearchResult:
     weights, letters = _encode_terms(n_sites)
     ratio_sq = full_space_scores(ratio_space(3, n_sites))
     ratio_mag = np.sqrt(ratio_sq) / 3.0
-    ref = np.rint(ratio_sq / 9.0).astype(np.int32)
+    # mod 2**16 like the scores: a reference that matches only by wrapping
+    # shows its offset in the deviation, which is read from this same ref
+    ref = np.rint(ratio_sq / 9.0).astype(np.int64).astype(np.uint16)
     streamed = min(n_sites, _STREAMED_SITES)
     prefix_ratio = _ratio_indices(n_sites - streamed)
     tail_ratio = _ratio_indices(streamed)

@@ -11,6 +11,7 @@ import pytest
 
 import qudit_mermin
 from qudit_mermin import (
+    FactorTriple,
     LocalObservable,
     MerminOperator,
     PhaseExponent,
@@ -19,6 +20,7 @@ from qudit_mermin import (
     contradiction_witness,
     counts_by_position,
     exhaustive_search,
+    factor_value,
     ghz_state,
     hv_value_product_exact,
     permutation_class_max,
@@ -110,6 +112,8 @@ def _letters(shape):
          "ratio exponents must be integers"),
         (lambda: PhaseExponent(1.5, 9), "root exponents must be integers"),
         (lambda: root_of_unity(1.5, 9), "root exponents must be integers"),
+        (lambda: factor_value("A", 1.5, 0), "ratio exponents must be integers"),
+        (lambda: FactorTriple.at(1.5, 0), "ratio exponents must be integers"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -118,7 +122,7 @@ def _letters(shape):
         "from_string", "full_space_scores", "product_space_sites",
         "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",
         "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
-        "root_of_unity",
+        "root_of_unity", "factor_value", "factor_triple_at",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

@@ -26,7 +26,7 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables, qudit_ops
-from qudit_mermin._enumeration import exact_letters_sum, full_space_scores
+from qudit_mermin._enumeration import exact_letters_sum, full_space_scores, run_search
 from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
 from qudit_mermin.generalized import ratio_space
@@ -116,7 +116,7 @@ def test_factor_triples_are_the_table_rows():
         assert triple.a_value == factor_value("A", row.r_exp, row.s_exp)
         assert triple.b_value == factor_value("B", row.r_exp, row.s_exp)
         assert triple.c_value == factor_value("C", row.r_exp, row.s_exp)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="ratio exponents must be integers"):
         FactorTriple.at(0.5, 0)
 
 
@@ -534,7 +534,7 @@ def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
     )
     for streamed in range(n_sites + 1):
         scores = contracted_scores(weights, letters, streamed)
-        assert scores.dtype == np.int32
+        assert scores.dtype == np.uint16
         assert np.array_equal(scores, reference)
 
 
@@ -670,6 +670,9 @@ RATIO_SHIFTS = {
     # farther from sqrt(8.5) than the true sqrt(9) is, so a deviation taken
     # from the rounded reference would overstate the all-entry maximum
     "half-unit-down": (100, lambda s: s - 4.5, False),
+    # 36 + 2**16 wraps to the true 36 in uint16: every entry matches, so
+    # only a deviation read from the compared reference shows the shift
+    "wraps-to-the-true-score-at-max": (0, lambda s: s + 9 * 2**16, False),
 }
 
 
@@ -726,6 +729,15 @@ def test_contraction_refuses_term_counts_beyond_int64():
         next(_contract_scores(np.zeros(1, dtype=np.int16), letters))
 
 
+def test_contraction_refuses_2_to_the_8_terms_before_allocating():
+    # 2**8 terms could score (2**8)**2 = 2**16, past the uint16 range
+    letters = np.empty((2**8, 0), dtype=np.int8)
+    weights = np.zeros(1, dtype=np.int16)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(OverflowError, match="uint16 score range"):
+            next(_contract_scores(weights, letters))
+
+
 def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
     # 2**15 terms could push a pair entry past the int16 range
     letters = np.empty((2**15, 0), dtype=np.int8)
@@ -737,8 +749,8 @@ def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
 
 @st.composite
 def one_site_tables_near_the_int16_limit(draw):
-    """2**15 - k terms on one site: a short (letter, weight) cycle repeated."""
-    n_terms = 2**15 - draw(st.integers(1, 64))
+    """2**8 - k terms on one site: a short (letter, weight) cycle repeated."""
+    n_terms = 2**8 - draw(st.integers(1, 64))
     cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
     pattern = np.array(draw(st.lists(cell, min_size=1, max_size=5)), dtype=np.int16)
     rows = np.resize(pattern, (n_terms, 2))
@@ -748,10 +760,11 @@ def one_site_tables_near_the_int16_limit(draw):
     return rows[:, 1], letters, streamed, block
 
 
-# every term alike: one entry reaches 2**15 - 1 and its score (2**15 - 1)**2
+# every term alike: one entry reaches 2**8 - 1 and its score 255**2 = 65025,
+# which reads as -511 in int16
 _ALIKE_TERMS = (
-    np.zeros(2**15 - 1, dtype=np.int16),
-    np.zeros((2**15 - 1, 1), dtype=np.int8),
+    np.zeros(2**8 - 1, dtype=np.int16),
+    np.zeros((2**8 - 1, 1), dtype=np.int8),
     1,
     27,
 )
@@ -766,7 +779,7 @@ def test_contraction_is_exact_near_the_int16_limit(table):
     scores = contracted_scores(weights, letters, streamed, block)
     assert np.array_equal(scores, reference)
     if table is _ALIKE_TERMS:
-        assert scores.max() == (2**15 - 1) ** 2
+        assert scores.max() == (2**8 - 1) ** 2
 
 
 def test_full_search_n3_against_independent_evaluation():
@@ -782,6 +795,18 @@ def test_full_search_n3_against_independent_evaluation():
     assert max_equals_uniform(result)
 
 
+def test_full_search_n6_reaches_the_uniform_value():
+    result = exhaustive_search(6, mode="full")
+    best = uniform_value(6) ** 2
+    assert result.details["max_sq_int"] == best == 8100
+    assert result.num_maximizers == 3**12
+    assert result.argmax_index == 0
+    assert result.assignments_scanned == 27**6
+    assert result.details["ratio_agreement_max_abs_dev"] <= 1e-9
+    # the ratio search's |3v|**2 at its maximum is 9 times the full |v|**2
+    assert 9 * best == run_search(ratio_space(3, 6)).best_sq_coeffs[0] == 72900
+
+
 def test_full_search_worker_determinism():
     results = [exhaustive_search(3, mode="full", workers=w) for w in (1, 3)]
     assert results[0] == results[1]
@@ -791,7 +816,7 @@ def test_search_caps_and_bad_mode():
     with pytest.raises(ValueError):
         exhaustive_search(16, mode="ratio")
     with pytest.raises(ValueError):
-        exhaustive_search(6, mode="full")
+        exhaustive_search(7, mode="full")
     with pytest.raises(ValueError):
         exhaustive_search(3, mode="annealed")
 
