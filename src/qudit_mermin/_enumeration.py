@@ -28,7 +28,7 @@ assignments, so the tie count is the sum of these multinomials over the
 maximizing classes.  The lexicographically smallest arrangement of a class
 is its sorted tuple, so the arg-max is the smallest sorted arrangement
 among the maximizing classes.  The reported maximum, tie count and
-lexicographic arg-min are exact and do not depend on any worker count.
+lexicographic arg-min are exact.
 
 Assignment indices are base-A integers with site 1 as the most significant
 digit, so the flat index order is the lexicographic order of assignments.
@@ -37,7 +37,6 @@ digit, so the flat index order is the lexicographic order of assignments.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key, partial
@@ -73,8 +72,6 @@ FACTOR_CAP = 10**6
 # Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
 # at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 8 MB to a d = 5 search.
 _CLASS_BLOCK = 2**5
-
-WORKERS_ENV_VAR = "QUDIT_MERMIN_WORKERS"
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,25 +119,13 @@ class RawSearchResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit value, else env override, else CPU count.
+    """Check a ``--workers`` value (None or at least 1); return the effective count, 1.
 
-    The value and the ``QUDIT_MERMIN_WORKERS`` override must both be
-    integers of at least 1; an empty override counts as unset.
+    Every search and scan runs in one process, so the value never changes the work.
     """
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError("worker count must be at least 1")
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return os.cpu_count() or 1
-    workers = int(env) if env.strip().isdecimal() else 0
-    if workers < 1:
-        raise ValueError(
-            f"{WORKERS_ENV_VAR} must be an integer of at least 1, got {env!r}"
-        )
-    return workers
+    if workers is not None and workers < 1:
+        raise ValueError("worker count must be at least 1")
+    return 1
 
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:

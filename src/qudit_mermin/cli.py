@@ -7,8 +7,8 @@ adds ``--format`` and ``--out``, times the call, writes the payload and
 picks the exit code: 0 all checks pass, 1 a verification mismatch (the
 note goes to stderr), 2 usage error, including any ValueError the library
 raises for bad or over-budget input.  JSON and CSV payloads are
-deterministic: identical invocations produce byte-identical output for any
-worker count (timing and worker counts are diagnostics, kept out of them).
+deterministic: identical invocations produce byte-identical output (timing
+is a diagnostic, kept out of them).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 import click
 
 from . import __version__
+from ._enumeration import resolve_workers
 from .cyclotomic import compare_real_coeffs
 from .generalized import (
     GeneralConfig,
@@ -123,8 +124,8 @@ _output_options = [
 ]
 _workers_option = click.option(
     "--workers", type=int, default=None,
-    help="Accepted and validated for compatibility (default: QUDIT_MERMIN_WORKERS, "
-    "else CPU count); every search and scan runs in one process.",
+    help="Accepted for compatibility and ignored (a value below 1 is refused); "
+    "every search and scan runs in one process.",
 )
 
 
@@ -284,7 +285,8 @@ def cmd_identity(n: int):
 @_workers_option
 def cmd_search(n: int, mode: str, workers: int | None):
     """Exhaustive hidden-variable search for the classical maximum."""
-    result = exhaustive_search(n, mode=mode, workers=workers)
+    workers = resolve_workers(workers)
+    result = exhaustive_search(n, mode=mode)
     uniform = uniform_value(n)
     equals_uniform = max_equals_uniform(result)
     ok = equals_uniform or n < 3
@@ -317,7 +319,7 @@ def cmd_search(n: int, mode: str, workers: int | None):
         f"({'attained' if equals_uniform else 'NOT attained'}); "
         f"{result.num_maximizers} maximizers"
     )
-    click.echo("workers: 1", file=sys.stderr)
+    click.echo(f"workers: {workers}", file=sys.stderr)
     failure = None if ok else f"search max {result.max_magnitude} vs uniform {uniform}"
     return {"n": n, "mode": mode}, results, [results], human, failure
 
@@ -368,6 +370,7 @@ def cmd_witness(n: int, limit: int):
 @_workers_option
 def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
     """Eigenvalue and uniform factors for odd local dimension d."""
+    resolve_workers(workers)
     GeneralConfig(d, n)
     eigenvalue, term_count = _position_eigenvalue(d, n)
     expected = d ** (n - 1)
@@ -386,7 +389,7 @@ def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
         "uniform_value": general_uniform_value(d, n),
     }
     if conjecture:
-        report = conjecture_search(d, n, workers=workers)
+        report = conjecture_search(d, n)
         results["conjecture"] = {
             "max_magnitude": report.max_magnitude,
             "uniform_magnitude": report.uniform_magnitude,

@@ -39,7 +39,6 @@ from ._enumeration import (
     ProductSpace,
     check_search_budget,
     decode_index,
-    resolve_workers,
     run_search,
 )
 from .cyclotomic import CycInt, _read_only, _root_coeffs, _site_product, root_counts
@@ -200,6 +199,7 @@ def uniform_factors(d: int) -> UniformFactorSet:
 
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
     """Exact d*v at the all-ones point: sum_p F_p**N, from ``_product_sum``."""
+    GeneralConfig(d, n_sites)
     return _product_sum(d, np.zeros((n_sites, d), dtype=np.int64))
 
 
@@ -230,19 +230,15 @@ class ConjectureReport:
     uniform_sq_coeffs: tuple[int, ...]  # and at the all-ones point
 
 
-def conjecture_search(
-    d: int = 5, n_sites: int = 2, workers: int | None = None
-) -> ConjectureReport:
+def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
     """Scan every per-site ratio tuple and compare against the all-ones point.
 
-    The scan evaluates each multiset of per-site tuples once, in one
-    process; ``workers`` is validated but does not change the work.  A
+    The scan evaluates each multiset of per-site tuples once.  A
     space over the search budget raises ValueError before its d**(d-1)
     letters' root counts are built.  The arg-max index and each site's ratio
     exponents follow the letter order of ``ratio_space``.
     """
     cfg = GeneralConfig(d, n_sites)
-    resolve_workers(workers)
     raw = run_search(ratio_space(cfg.d, cfg.n_sites))
     uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs

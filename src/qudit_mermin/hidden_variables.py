@@ -22,8 +22,7 @@ products commute across sites); full mode assigns
 the sites of the operator's own terms one at a time, exactly over Z[omega]
 (int16 pairs, uint16 scores, in ranges proven from the term count), and
 checks the integer |v|**2 of each of the 27**N value assignments for
-equality with its ratio reduction's score, rounded to an integer.  Both run
-in one process.
+equality with its ratio reduction's score, rounded to an integer.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -45,7 +44,6 @@ import numpy as np
 from ._enumeration import (
     decode_index,
     full_space_scores,
-    resolve_workers,
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, _root_coeffs
@@ -340,7 +338,7 @@ def uniform_value(n_sites: int) -> int:
 
 @dataclass(frozen=True, eq=True)
 class SearchResult:
-    """Outcome of an exhaustive scan, exact and partition-invariant."""
+    """Outcome of an exhaustive scan, exact."""
 
     mode: str
     n_sites: int
@@ -372,9 +370,7 @@ def max_equals_uniform(result: SearchResult) -> bool:
     return result.max_sq_coeffs == target.coeffs
 
 
-def exhaustive_search(
-    n_sites: int, mode: str = "ratio", workers: int | None = None
-) -> SearchResult:
+def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
@@ -384,15 +380,13 @@ def exhaustive_search(
     each of the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments, as
     a uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every
     admitted N), and checks every score against the ratio reduction.  An
-    over-budget N raises ValueError before anything is built.  Both run in
-    one process (``workers`` is validated only).  Ties are counted exactly
-    and the arg-max reported is the lexicographically smallest maximizer
-    (encoding R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,... for full
-    mode, with 1 < w < w^2).
+    over-budget N raises ValueError before anything is built.  Ties are
+    counted exactly and the arg-max reported is the lexicographically
+    smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
+    X1,Y1,V1,... for full mode, with 1 < w < w^2).
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
-    resolve_workers(workers)
     if mode == "ratio":
         raw = run_search(ratio_space(3, n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)

@@ -21,6 +21,7 @@ from qudit_mermin import (
     counts_by_position,
     exhaustive_search,
     factor_value,
+    general_uniform_value,
     ghz_state,
     hv_value_product_exact,
     permutation_class_max,
@@ -30,7 +31,7 @@ from qudit_mermin import (
     uniform_value,
 )
 from qudit_mermin._enumeration import ProductSpace, full_space_scores
-from qudit_mermin.generalized import ratio_space
+from qudit_mermin.generalized import general_uniform_sum, ratio_space
 from qudit_mermin.qudit_ops import rotation_alphabet
 
 PUBLIC_NAMES = [
@@ -90,6 +91,9 @@ def _letters(shape):
         (lambda: contradiction_witness(SettingWord(5, (2, 2, 1))),
          "witnesses are defined for d=3"),
         (lambda: uniform_factors(4), "supported local dimensions are"),
+        (lambda: general_uniform_value(5, 0), "need at least one site"),
+        (lambda: general_uniform_value(11, 2), "supported local dimensions are"),
+        (lambda: general_uniform_sum(5, -1), "need at least one site"),
         (lambda: ghz_state(0, 3, 0), "need at least one site"),
         (lambda: counts_by_position(3, 0), "need at least one site"),
         (lambda: apply_word(SettingWord(5, (0, 0)), ghz_state(0, 3, 2)),
@@ -117,7 +121,8 @@ def _letters(shape):
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
-        "contradiction_witness", "uniform_factors", "ghz_state",
+        "contradiction_witness", "uniform_factors", "general_uniform_value_zero_sites",
+        "general_uniform_value_d11", "general_uniform_sum_negative_sites", "ghz_state",
         "counts_by_position", "apply_word", "rotation_alphabet", "rotated_shift",
         "from_string", "full_space_scores", "product_space_sites",
         "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",

@@ -165,15 +165,14 @@ def test_search_json_bytes_are_pinned(runner, n, mode):
 
 
 def test_search_worker_count_does_not_change_bytes(runner):
-    outputs = []
-    for workers in ("1", "2", "8"):
-        result = runner.invoke(
-            cli,
-            ["search", "--n", "3", "--workers", workers, "--format", "json"],
-        )
-        assert result.exit_code == 0
-        outputs.append(result.stdout.encode("utf-8"))
-    assert outputs[0] == outputs[1] == outputs[2]
+    for argv in (["search", "--n", "3"], ["search", "--n", "3", "--mode", "full"],
+                 ["general", "--d", "5", "--n", "1", "--conjecture"]):
+        outputs = []
+        for workers in ("1", "2", "8"):
+            result = runner.invoke(cli, [*argv, "--workers", workers, "--format", "json"])
+            assert result.exit_code == 0, (argv, workers)
+            outputs.append(result.stdout.encode("utf-8"))
+        assert outputs[0] == outputs[1] == outputs[2], argv
 
 
 def test_search_reports_effective_workers_on_stderr(runner):
@@ -344,6 +343,9 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["identity", "--n", "10"]).exit_code == 2
     assert runner.invoke(cli, ["witness", "--n", "9"]).exit_code == 2
     assert runner.invoke(cli, ["search", "--n", "3", "--workers", "0"]).exit_code == 2
+    for extra in ([], ["--conjecture"]):
+        argv = ["general", "--d", "5", "--n", "2", "--workers", "0", *extra]
+        assert runner.invoke(cli, argv).exit_code == 2, extra
     # a huge N is refused without raising the base to the N-th power
     huge = str(10**9)
     assert runner.invoke(cli, ["search", "--n", huge, "--mode", "full"]).exit_code == 2
@@ -382,28 +384,15 @@ def test_repeated_invocations_identical(runner):
     assert first.stdout.encode("utf-8") == second.stdout.encode("utf-8")
 
 
-def test_workers_env_override_and_flag_precedence(runner, monkeypatch):
-    from qudit_mermin._enumeration import WORKERS_ENV_VAR, resolve_workers
-
-    monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(5) == 5  # explicit flag wins over the environment
-    result = runner.invoke(cli, ["search", "--n", "2", "--format", "json"])
-    assert result.exit_code == 0
-    baseline = runner.invoke(
-        cli, ["search", "--n", "2", "--workers", "1", "--format", "json"]
-    )
-    assert result.stdout.encode("utf-8") == baseline.stdout.encode("utf-8")
-    # the override obeys the flag's rule, and an error names the variable
-    for bad in ("-4", "0", "abc"):
-        monkeypatch.setenv(WORKERS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            resolve_workers(None)
-        assert resolve_workers(2) == 2
+def test_workers_env_var_is_ignored(runner, monkeypatch):
+    baseline = runner.invoke(cli, ["search", "--n", "2", "--format", "json"])
+    assert baseline.exit_code == 0
+    for value in ("abc", "0", "3"):
+        monkeypatch.setenv("QUDIT_MERMIN_WORKERS", value)
         result = runner.invoke(cli, ["search", "--n", "2", "--format", "json"])
-        assert result.exit_code == 2
-        assert WORKERS_ENV_VAR in result.stderr
-        assert repr(bad) in result.stderr
+        assert result.exit_code == 0, value
+        assert result.stderr.splitlines() == ["workers: 1"]
+        assert result.stdout.encode("utf-8") == baseline.stdout.encode("utf-8")
 
 
 ONE_RUN_PER_COMMAND = [

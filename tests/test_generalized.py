@@ -124,7 +124,7 @@ def test_general_uniform_value_d5():
 
 
 def test_conjecture_search_d3_regression():
-    report = conjecture_search(3, 3, workers=1)
+    report = conjecture_search(3, 3)
     assert abs(report.max_magnitude - 6.0) < 1e-9
     assert report.uniform_is_max
     assert report.gap == 0.0
@@ -143,7 +143,7 @@ def test_conjecture_search_d3_regression():
 
 
 def test_conjecture_search_d5_single_site():
-    report = conjecture_search(5, 1, workers=1)
+    report = conjecture_search(5, 1)
     # a single site always evaluates to magnitude 1 (every assignment ties)
     assert abs(report.max_magnitude - 1.0) < 1e-9
     assert report.uniform_is_max

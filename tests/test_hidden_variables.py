@@ -403,11 +403,10 @@ def test_search_n3_against_brute_force():
     assert result.assignments_scanned == 729
 
 
-def test_search_worker_determinism():
-    results = [exhaustive_search(4, workers=w) for w in (1, 2, 5)]
-    assert results[0] == results[1] == results[2]
-    assert max_equals_uniform(results[0])
-    assert results[0].num_maximizers == 81
+def test_search_n4_maximizers():
+    result = exhaustive_search(4)
+    assert max_equals_uniform(result)
+    assert result.num_maximizers == 81
 
 
 def test_ratio_search_n10_beyond_the_old_cap():
@@ -805,11 +804,6 @@ def test_full_search_n6_reaches_the_uniform_value():
     assert result.details["ratio_agreement_max_abs_dev"] <= 1e-9
     # the ratio search's |3v|**2 at its maximum is 9 times the full |v|**2
     assert 9 * best == run_search(ratio_space(3, 6)).best_sq_coeffs[0] == 72900
-
-
-def test_full_search_worker_determinism():
-    results = [exhaustive_search(3, mode="full", workers=w) for w in (1, 3)]
-    assert results[0] == results[1]
 
 
 def test_search_caps_and_bad_mode():
