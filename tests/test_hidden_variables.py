@@ -806,6 +806,12 @@ def test_full_search_n6_reaches_the_uniform_value():
     assert 9 * best == run_search(ratio_space(3, 6)).best_sq_coeffs[0] == 72900
 
 
+def test_full_search_worker_determinism():
+    # one process scans every chunk, so repeated full searches agree exactly
+    results = [exhaustive_search(3, mode="full") for _ in range(2)]
+    assert results[0] == results[1]
+
+
 def test_search_caps_and_bad_mode():
     with pytest.raises(ValueError):
         exhaustive_search(16, mode="ratio")
