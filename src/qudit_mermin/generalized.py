@@ -30,6 +30,7 @@ exhaustive search over ``ratio_space`` and reported, never asserted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,11 +80,17 @@ class GeneralConfig:
     n_sites: int
 
     def __post_init__(self) -> None:
-        if self.d not in SUPPORTED_DIMENSIONS:
+        try:
+            d, n_sites = operator.index(self.d), operator.index(self.n_sites)
+        except TypeError:
+            raise ValueError(
+                f"d and n_sites must be integers, got {self.d!r}, {self.n_sites!r}"
+            ) from None
+        if d not in SUPPORTED_DIMENSIONS:
             raise ValueError(
                 f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {self.d}"
             )
-        if self.n_sites < 1:
+        if n_sites < 1:
             raise ValueError("need at least one site")
 
     @property
@@ -185,10 +192,7 @@ def ratio_space(d: int, n_sites: int) -> ProductSpace:
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
-    if d not in SUPPORTED_DIMENSIONS:
-        raise ValueError(
-            f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {d}"
-        )
+    GeneralConfig(d, 1)
     entries = [
         FactorSetEntry(p, value.magnitude(), value)
         for p, value in enumerate(_factor_rows(d, np.zeros((1, d), dtype=int))[0])

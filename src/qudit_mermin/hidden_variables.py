@@ -42,6 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._enumeration import (
+    ProductSpace,
+    _check_range,
+    _class_values,
     decode_index,
     full_space_scores,
     run_search,
@@ -96,9 +99,9 @@ _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 # Full mode covers 27**N value assignments; this allows N <= 6.
 FULL_SEARCH_CAP = 27**6
 
-# permutation_class_max covers 3**N shift patterns (one evaluation per
-# multiset of shifts); this allows N <= 8.
-PERMUTATION_CLASS_CAP = 3**8
+# permutation_class_max evaluates the C(N+2, 2) multisets of N shifts;
+# this allows N <= 8.
+PERMUTATION_CLASS_CAP = math.comb(8 + 2, 2)
 
 
 def _ratio_row(r_exp: int, s_exp: int) -> tuple[int, int, int]:
@@ -601,62 +604,49 @@ class PermutationClassReport:
     full_shift_value: float
 
 
-_SHIFT_RATIOS = {0: (0, 0), 1: (1, 2), 2: (2, 1)}
-
-
 def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     """Best bound and attained value over the proper shift patterns.
 
-    Both depend only on how many sites carry each shift (the per-site
-    factors commute), so each of the C(N+2, 2) shift multisets is evaluated
-    once, at its sorted pattern, which is also its lexicographically first;
-    ``combinations_with_replacement`` yields these in lexicographic order,
-    so the reported patterns are the first maximizing ones of all 3**N.
-    N is limited by ``PERMUTATION_CLASS_CAP`` on 3**N (else ValueError).
+    Shifts 0, 1, 2 are the ratio letters 0, 5, 7 of ``ratio_space(3, 1)``,
+    the rows (1, 1), (w, w^2), (w^2, w).  Both values depend only on how
+    many sites carry each shift (the per-site factors commute), so one
+    ``_class_values`` call evaluates each proper multiset once, at its
+    sorted pattern, and the all-shift-1 pattern of ``full_shift_value``.
+    The sorted patterns come in the lexicographic order of
+    ``combinations_with_replacement``, each its multiset's first, so the
+    first maximum (``argmax``) is the first maximizing pattern of all
+    3**N.  N is limited by ``PERMUTATION_CLASS_CAP`` on the C(N+2, 2)
+    shift multisets (else ValueError).
     """
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
-    # clamped: 3**k is over the cap for every k past its bit length
-    if 3 ** min(n_sites, PERMUTATION_CLASS_CAP.bit_length()) > PERMUTATION_CLASS_CAP:
+    if math.comb(n_sites + 2, 2) > PERMUTATION_CLASS_CAP:
         raise ValueError(
-            f"3**{n_sites} shift patterns exceed the cap of {PERMUTATION_CLASS_CAP}"
+            f"the C({n_sites}+2, 2) shift multisets exceed the cap of "
+            f"{PERMUTATION_CLASS_CAP}"
         )
-    rows = _factor_rows(3, [(0, r, s) for r, s in _SHIFT_RATIOS.values()])
-    slot_mags = {
-        sigma: tuple(f.magnitude() for f in row) for sigma, row in zip(_SHIFT_RATIOS, rows)
-    }
-    best_bound = -1.0
-    best_bound_pattern: tuple[int, ...] = ()
-    best_attained = -1.0
-    best_attained_pattern: tuple[int, ...] = ()
-    for pattern in itertools.combinations_with_replacement(range(3), n_sites):
-        if pattern[0] != 0 or pattern[-1] == 0:  # every site shifted, or none
-            continue
-        bound = 0.0
-        for p in range(3):
-            prod = 1.0
-            for sigma in pattern:
-                prod *= slot_mags[sigma][p]
-            bound += prod
-        bound /= 3.0
-        ratios = [_SHIFT_RATIOS[sigma] for sigma in pattern]
-        attained = hv_value_product(
-            [r for r, _ in ratios], [s for _, s in ratios]
-        )
-        if bound > best_bound:
-            best_bound = bound
-            best_bound_pattern = pattern
-        if attained > best_attained:
-            best_attained = attained
-            best_attained_pattern = pattern
-    full_shift = hv_value_product((1,) * n_sites, (2,) * n_sites)
+    space = ProductSpace(9, n_sites, ratio_space(3, 1).counts[[0, 5, 7]])
+    _check_range(space)
+    patterns = [
+        p
+        for p in itertools.combinations_with_replacement(range(3), n_sites)
+        if p[0] == 0 and p[-1] != 0  # some sites shifted, not all
+    ]
+    letters = np.array(patterns + [(1,) * n_sites])
+    mags = np.array([[f.magnitude() for f in row] for row in space.factors])
+    bounds = mags[letters[:-1]].prod(axis=1).sum(axis=1) / 3.0
+    attained = [
+        CycInt(9, tuple(row)).magnitude() / 3.0
+        for row in _class_values(space, letters).tolist()
+    ]
+    b, a = int(np.argmax(bounds)), int(np.argmax(attained[:-1]))
     return PermutationClassReport(
         n_sites=n_sites,
-        bound=best_bound,
-        bound_pattern=best_bound_pattern,
-        attained=best_attained,
-        attained_pattern=best_attained_pattern,
-        full_shift_value=full_shift,
+        bound=float(bounds[b]),
+        bound_pattern=patterns[b],
+        attained=attained[a],
+        attained_pattern=patterns[a],
+        full_shift_value=attained[-1],
     )
 
 

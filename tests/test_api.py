@@ -12,6 +12,7 @@ import pytest
 import qudit_mermin
 from qudit_mermin import (
     FactorTriple,
+    GeneralConfig,
     LocalObservable,
     MerminOperator,
     PhaseExponent,
@@ -118,6 +119,9 @@ def _letters(shape):
         (lambda: root_of_unity(1.5, 9), "root exponents must be integers"),
         (lambda: factor_value("A", 1.5, 0), "ratio exponents must be integers"),
         (lambda: FactorTriple.at(1.5, 0), "ratio exponents must be integers"),
+        (lambda: GeneralConfig(3.0, 2), "d and n_sites must be integers"),
+        (lambda: general_uniform_value(5, 2.0), "d and n_sites must be integers"),
+        (lambda: uniform_factors(5.0), "d and n_sites must be integers"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -127,7 +131,8 @@ def _letters(shape):
         "from_string", "full_space_scores", "product_space_sites",
         "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",
         "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
-        "root_of_unity", "factor_value", "factor_triple_at",
+        "root_of_unity", "factor_value", "factor_triple_at", "general_config_float_d",
+        "general_uniform_value_float_sites", "uniform_factors_float_d",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

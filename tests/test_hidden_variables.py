@@ -828,10 +828,10 @@ def test_permutation_class_budget_refuses_before_any_pattern(monkeypatch):
     def evaluate(*args):
         raise Evaluated
 
-    monkeypatch.setattr(hidden_variables, "hv_value_product", evaluate)
-    with pytest.raises(ValueError, match="exceed the cap of 6561"):
+    monkeypatch.setattr(hidden_variables, "_class_values", evaluate)
+    with pytest.raises(ValueError, match="multisets exceed the cap of 45"):
         permutation_class_max(9)
-    # N = 8 is within the cap and reaches the pattern loop
+    # N = 8 is within the cap and reaches the evaluation
     with pytest.raises(Evaluated):
         permutation_class_max(8)
 
@@ -883,16 +883,21 @@ def test_permutation_classes_equal_the_per_pattern_loop(n_sites):
 def test_permutation_classes_evaluate_each_multiset_once(monkeypatch):
     calls = []
 
-    def counting(r_exps, s_exps):
-        calls.append(tuple(r_exps))
-        return evaluate(r_exps, s_exps)
+    def counting(space, letters):
+        calls.append(letters.tolist())
+        return evaluate(space, letters)
 
-    evaluate = hidden_variables.hv_value_product
-    monkeypatch.setattr(hidden_variables, "hv_value_product", counting)
+    evaluate = hidden_variables._class_values
+    monkeypatch.setattr(hidden_variables, "_class_values", counting)
     permutation_class_max(8)
+    assert len(calls) == 1
+    rows = calls[0]
     # C(N+2, 2) multisets less the one that shifts no site and the N + 1
-    # that shift every site, plus the full-shift value
-    assert len(calls) == math.comb(10, 2) - 1 - 9 + 1
+    # that shift every site, plus the full shift
+    assert len(rows) == math.comb(10, 2) - 1 - 9 + 1
+    assert rows[-1] == [1] * 8
+    assert all(row == sorted(row) for row in rows)
+    assert len({tuple(row) for row in rows}) == len(rows)
 
 
 def test_permutation_class_report():
