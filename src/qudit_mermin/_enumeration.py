@@ -47,8 +47,10 @@ from .cyclotomic import (
     CycInt,
     _UNIT_ROUNDOFF,
     _alpha_powers,
+    _integer,
     _read_only,
     _root_coeffs,
+    _site_count,
     _site_product,
     compare_real_coeffs,
 )
@@ -83,12 +85,11 @@ class ProductSpace:
     counts: np.ndarray  # read-only (alphabet, slots, order) int64, all >= 0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise ValueError("need at least one site")
-        counts = _read_only(self.counts, np.int64)
+        object.__setattr__(self, "n_sites", _site_count(self.n_sites))
+        counts = np.asarray(self.counts)
         if counts.ndim != 3 or counts.shape[-1] != self.order or (counts < 0).any():
             raise ValueError(f"counts must be non-negative of shape (A, S, {self.order})")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _read_only(counts, np.int64))
 
     @property
     def alphabet(self) -> int:
@@ -130,8 +131,7 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
     """Raise ValueError for an over-budget space; call it before building factors."""
-    if n_sites < 1:
-        raise ValueError("need at least one site")
+    n_sites = _site_count(n_sites)
     entries = alphabet * slots * order
     if entries > FACTOR_CAP:
         raise ValueError(
@@ -288,9 +288,7 @@ def run_search(space: ProductSpace) -> RawSearchResult:
         if squares[k] != best_sq:
             continue
         count += n_fact // math.prod(math.factorial(c) for c in Counter(row).values())
-        flat = 0
-        for a in row:
-            flat = flat * a_size + a
+        flat = encode_index(row, a_size)
         argmin = flat if argmin is None else min(argmin, flat)
     powers_list = _alpha_powers(order)
     best_value = sum(c * powers_list[j].real for j, c in enumerate(best_sq) if c)
@@ -343,6 +341,7 @@ def exact_letters_sum(order: int, factors, letters) -> CycInt:
 
 def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:
     """Digits of a flat assignment index in [0, alphabet**n_sites), site 1 first."""
+    index, n_sites = _integer(index, "assignment indices"), _site_count(n_sites)
     if not 0 <= index < alphabet**n_sites:
         raise ValueError(f"index {index} is outside [0, {alphabet}**{n_sites})")
     digits = []
@@ -350,3 +349,11 @@ def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:
         index, digit = divmod(index, alphabet)
         digits.append(digit)
     return tuple(reversed(digits))
+
+
+def encode_index(digits, base: int) -> int:
+    """Flat index of base-``base`` digits, site 1 first; ``decode_index`` inverts it."""
+    index = 0
+    for digit in digits:
+        index = index * base + digit
+    return index

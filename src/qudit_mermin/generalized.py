@@ -30,7 +30,6 @@ exhaustive search over ``ratio_space`` and reported, never asserted.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +41,15 @@ from ._enumeration import (
     decode_index,
     run_search,
 )
-from .cyclotomic import CycInt, _read_only, _root_coeffs, _site_product, root_counts
+from .cyclotomic import (
+    CycInt,
+    _integer,
+    _read_only,
+    _root_coeffs,
+    _site_count,
+    _site_product,
+    root_counts,
+)
 from .mermin import (
     IdentityReport,
     MerminOperator,
@@ -80,18 +87,13 @@ class GeneralConfig:
     n_sites: int
 
     def __post_init__(self) -> None:
-        try:
-            d, n_sites = operator.index(self.d), operator.index(self.n_sites)
-        except TypeError:
-            raise ValueError(
-                f"d and n_sites must be integers, got {self.d!r}, {self.n_sites!r}"
-            ) from None
+        d, n_sites = _integer(self.d, "d and n_sites"), _integer(self.n_sites, "d and n_sites")
         if d not in SUPPORTED_DIMENSIONS:
             raise ValueError(
                 f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {self.d}"
             )
-        if n_sites < 1:
-            raise ValueError("need at least one site")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n_sites", _site_count(n_sites))
 
     @property
     def settings(self) -> int:
@@ -187,12 +189,13 @@ def _ratio_counts(d: int) -> np.ndarray:
 
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
     """The d**(d-1) ratio letters on N sites, budget-checked before it is built."""
+    d = _integer(d, "local dimensions")
     check_search_budget(d ** (d - 1), d, d * d, n_sites)
     return ProductSpace(order=d * d, n_sites=n_sites, counts=_ratio_counts(d))
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
-    GeneralConfig(d, 1)
+    d = GeneralConfig(d, 1).d
     entries = [
         FactorSetEntry(p, value.magnitude(), value)
         for p, value in enumerate(_factor_rows(d, np.zeros((1, d), dtype=int))[0])
@@ -203,8 +206,8 @@ def uniform_factors(d: int) -> UniformFactorSet:
 
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
     """Exact d*v at the all-ones point: sum_p F_p**N, from ``_product_sum``."""
-    GeneralConfig(d, n_sites)
-    return _product_sum(d, np.zeros((n_sites, d), dtype=np.int64))
+    cfg = GeneralConfig(d, n_sites)
+    return _product_sum(cfg.d, np.zeros((cfg.n_sites, cfg.d), dtype=np.int64))
 
 
 def general_uniform_value(d: int, n_sites: int) -> float:
@@ -249,8 +252,8 @@ def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
     uniform_is_max = uniform_sq == raw.best_sq_coeffs
     max_magnitude = math.sqrt(raw.best_sq_value) / cfg.d
     uniform_magnitude = uniform_sum.magnitude() / cfg.d
-    letters = decode_index(raw.argmax_index, d ** (d - 1), cfg.n_sites)
-    site_tuples = tuple(decode_index(a, d, d - 1) for a in letters)
+    letters = decode_index(raw.argmax_index, cfg.d ** (cfg.d - 1), cfg.n_sites)
+    site_tuples = tuple(decode_index(a, cfg.d, cfg.d - 1) for a in letters)
     return ConjectureReport(
         d=cfg.d,
         n_sites=cfg.n_sites,

@@ -46,10 +46,11 @@ from ._enumeration import (
     _check_range,
     _class_values,
     decode_index,
+    encode_index,
     full_space_scores,
     run_search,
 )
-from .cyclotomic import CycInt, PhaseExponent, _root_coeffs
+from .cyclotomic import CycInt, PhaseExponent, _integer, _root_coeffs, _site_count
 from .generalized import _factor_rows, _product_sum, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
@@ -106,12 +107,7 @@ PERMUTATION_CLASS_CAP = math.comb(8 + 2, 2)
 
 def _ratio_row(r_exp: int, s_exp: int) -> tuple[int, int, int]:
     """The ratio row (0, R, S) of integer exponents; floats raise ValueError."""
-    try:
-        return (0, operator.index(r_exp) % 3, operator.index(s_exp) % 3)
-    except TypeError:
-        raise ValueError(
-            f"ratio exponents must be integers, got {r_exp}, {s_exp}"
-        ) from None
+    return (0, _integer(r_exp, "ratio exponents") % 3, _integer(s_exp, "ratio exponents") % 3)
 
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
@@ -232,7 +228,7 @@ class HVAssignment:
 
     @classmethod
     def uniform(cls, n_sites: int) -> HVAssignment:
-        return cls(((0, 0, 0),) * n_sites)
+        return cls(((0, 0, 0),) * _site_count(n_sites))
 
     @classmethod
     def from_ratios(cls, pairs) -> HVAssignment:
@@ -257,16 +253,10 @@ class HVAssignment:
         return tuple(((y - x) % 3, (v - x) % 3) for x, y, v in self.values)
 
     def ratio_index(self) -> int:
-        index = 0
-        for r, s in self.ratios:
-            index = index * 9 + 3 * r + s
-        return index
+        return encode_index((3 * r + s for r, s in self.ratios), 9)
 
     def full_index(self) -> int:
-        index = 0
-        for x, y, v in self.values:
-            index = index * 27 + 9 * x + 3 * y + v
-        return index
+        return encode_index((9 * x + 3 * y + v for x, y, v in self.values), 27)
 
     def ratio_symbols(self) -> tuple[tuple[str, str], ...]:
         return tuple((SYMBOLS[r], SYMBOLS[s]) for r, s in self.ratios)
@@ -321,6 +311,7 @@ def hv_value_product(r_exps, s_exps) -> float:
 
 def power_sum(n: int) -> int:
     """p_n = A**n + B**n + (-C)**n exactly, via p = 3*p' - 3*p'''."""
+    n = _integer(n, "power sum indices")
     if n < 0:
         raise ValueError("power sums are defined for n >= 0")
     a, b, c = 3, 3, 9  # p_i, p_(i+1), p_(i+2) from i = 0
@@ -331,8 +322,7 @@ def power_sum(n: int) -> int:
 
 def uniform_value(n_sites: int) -> int:
     """Classical value at the all-ones point: (A**N + B**N +- C**N)/3."""
-    if n_sites < 1:
-        raise ValueError("need at least one site")
+    n_sites = _site_count(n_sites)
     q, r = divmod(power_sum(n_sites), 3)
     if r:
         raise ArithmeticError(f"power sum p_{n_sites} is not divisible by 3")
@@ -388,8 +378,7 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
     X1,Y1,V1,... for full mode, with 1 < w < w^2).
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
+    n_sites = _site_count(n_sites)
     if mode == "ratio":
         raw = run_search(ratio_space(3, n_sites))
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
@@ -618,6 +607,7 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     3**N.  N is limited by ``PERMUTATION_CLASS_CAP`` on the C(N+2, 2)
     shift multisets (else ValueError).
     """
+    n_sites = _integer(n_sites, "site counts")
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
     if math.comb(n_sites + 2, 2) > PERMUTATION_CLASS_CAP:
@@ -652,6 +642,7 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
 
 def ghz_contradiction_count(n_sites: int) -> int:
     """Words at circle points 3 and 6; equals (2/3)(M_Q - M_C) exactly."""
+    n_sites = _site_count(n_sites)
     counts = counts_by_position(3, n_sites).counts
     if counts[3] != counts[6]:
         raise ArithmeticError("points 3 and 6 hold different word counts")
@@ -708,6 +699,7 @@ def iter_contradiction_witnesses(n_sites: int):
     EigenstateError, as in ``eigenphase``.  The records equal those of
     ``contradiction_witness``.
     """
+    n_sites = _integer(n_sites, "site counts")
     if not 0 <= n_sites <= 8:
         raise ValueError(f"witness scans need 0 <= N <= 8 (3**8 words), got {n_sites}")
     letters = _all_words(3, n_sites)
@@ -734,4 +726,5 @@ def iter_contradiction_witnesses(n_sites: int):
 
 def violation_ratio(n_sites: int) -> float:
     """Quantum over classical value, 3**(N-1) / uniform_value(N)."""
+    n_sites = _site_count(n_sites)
     return 3 ** (n_sites - 1) / uniform_value(n_sites)

@@ -28,8 +28,10 @@ import numpy as np
 
 from .cyclotomic import (
     CycInt,
+    _integer,
     _read_only,
     _root_coeffs,
+    _site_count,
     _site_product,
     root_counts,
     root_of_unity,
@@ -82,29 +84,26 @@ class MerminOperator:
     weight_exponents: np.ndarray
 
     def __post_init__(self) -> None:
-        half = len(rotation_alphabet(self.d)) // 2
-        letters = _read_only(self.letters, np.int8)
-        exponents = _read_only(
-            np.asarray(self.weight_exponents, dtype=np.int64) % (self.d * self.d),
-            np.int64,
-        )
-        if letters.ndim != 2 or letters.shape[1] != self.n_sites:
-            raise ValueError(
-                f"letters must have shape (terms, {self.n_sites}), got {letters.shape}"
-            )
-        if letters.size and int(np.abs(letters).max()) > half:
-            raise ValueError(f"a rotation index is out of range for d={self.d}")
+        d, n_sites, variant = _operator_args(self.d, self.n_sites, self.variant)
+        half = len(rotation_alphabet(d)) // 2
+        letters, exponents = np.asarray(self.letters), np.asarray(self.weight_exponents)
+        if letters.ndim != 2 or letters.shape[1] != n_sites:
+            raise ValueError(f"letters must have shape (terms, {n_sites}), got {letters.shape}")
         if exponents.shape != letters.shape[:1]:
             raise ValueError("need one weight exponent per word")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "weight_exponents", exponents)
+        if ((letters < -half) | (letters > half)).any():
+            raise ValueError(f"a rotation index is out of range for d={d}")
+        letters = _read_only(letters, np.int8)
+        exponents = _read_only(exponents % (d * d), np.int64)
+        for name, value in zip(("d", "n_sites", "variant", "letters", "weight_exponents"),
+                               (d, n_sites, variant, letters, exponents)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_terms(cls, d: int, n_sites: int, variant: int, terms) -> MerminOperator:
         """Build from (SettingWord, CycInt) pairs whose weights are roots of unity."""
+        d, n_sites, variant = _operator_args(d, n_sites, variant)
         m = d * d
-        if not 0 <= variant < d:
-            raise ValueError(f"variant must lie in [0, {d}), got {variant}")
         letters = []
         exponents = []
         for word, weight in terms:
@@ -115,8 +114,7 @@ class MerminOperator:
                 raise ValueError(f"weight {weight} of {word} is not a root of unity")
             letters.append(SettingWord(d, tuple(word.letters)).letters)
             exponents.append(exponent)
-        shape = (len(letters), n_sites)
-        return cls(d, n_sites, variant, np.array(letters, dtype=np.int8).reshape(shape),
+        return cls(d, n_sites, variant, np.array(letters, dtype=np.int8).reshape(-1, n_sites),
                    np.array(exponents, dtype=np.int64))
 
     @property
@@ -200,10 +198,7 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
     Raises ValueError before allocating anything when the term count is
     over ``VERIFY_TERM_CAP``.
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
-    if not 0 <= variant < d:
-        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    d, n_sites, variant = _operator_args(d, n_sites, variant)
     check_verify_budget(d, n_sites)
     m = d * d
     half = (d - 1) // 2
@@ -215,6 +210,15 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
     return MerminOperator(d, n_sites, variant, letters, (variant - k) % m)
 
 
+def _operator_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
+    """An operator's d, N and variant as Python ints; N < 1 or variant not in [0, d) raise."""
+    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
+    variant = _integer(variant, "variants")
+    if not 0 <= variant < d:
+        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    return d, n_sites, variant
+
+
 def check_verify_budget(d: int, n_sites: int) -> None:
     """Raise ValueError when an operator of d**(N-1) terms exceeds VERIFY_TERM_CAP.
 
@@ -222,6 +226,7 @@ def check_verify_budget(d: int, n_sites: int) -> None:
     call it; ``verify_eigenvalue`` because it also takes operators built by
     ``MerminOperator.from_terms``.
     """
+    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
     # clamped: d**k is over the cap for every k past its bit length
     if d ** min(n_sites - 1, VERIFY_TERM_CAP.bit_length()) > VERIFY_TERM_CAP:
         raise ValueError(
@@ -274,10 +279,7 @@ def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, i
     admits d**(N-1) <= 3**13, so every count and every folded coefficient is
     at most d**N <= 7 * 3**13 < 2**63, exact in int64.
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
-    if not 0 <= variant < d:
-        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    d, n_sites, variant = _operator_args(d, n_sites, variant)
     check_verify_budget(d, n_sites)
     m = d * d
     letters = np.array(rotation_alphabet(d))
@@ -317,8 +319,7 @@ def counts_by_position(d: int, n_sites: int) -> PositionCounts:
     one chain, under 2 * log2(N) products in all.  Exact for every N; each
     product is in int64 while its d**k words are below 2**63.
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
+    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
     m = d * d
     site = root_counts(m, [rotation_alphabet(d)])
     squares = [site]  # site**(2**k)
@@ -336,6 +337,7 @@ def mixing_exponent(d: int, p, j):
 
     Reduced mod d**2; ``p`` and ``j`` may be broadcasting integer arrays.
     """
+    d = _integer(d, "local dimensions")
     return (j * (d * p + d - 1)) % (d * d)
 
 
@@ -348,6 +350,7 @@ def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     variant-0 operator must come out with d times their weight; every other
     word must come out exactly zero.
     """
+    n_sites, d = _site_count(n_sites), _integer(d, "local dimensions")
     if d ** min(n_sites, 15) > 20000:  # clamped: d**15 > 20000
         raise ValueError(
             f"symbolic expansion covers {d}**{n_sites} words; "

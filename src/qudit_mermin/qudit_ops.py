@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycInt, PhaseExponent, _read_only, root_of_unity
+from .cyclotomic import CycInt, PhaseExponent, _integer, _read_only, _site_count, root_of_unity
 
 __all__ = [
     "LocalObservable",
@@ -44,6 +44,7 @@ class EigenstateError(RuntimeError):
 
 def rotation_alphabet(d: int) -> tuple[int, ...]:
     """Rotation indices of the d local settings: -(d-1)/2 ... +(d-1)/2."""
+    d = _integer(d, "local dimensions")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"local dimension must be odd and >= 3, got {d}")
     half = (d - 1) // 2
@@ -239,8 +240,8 @@ def ghz_state(k: int, d: int, n_sites: int) -> StateVector:
     The 1/sqrt(d) normalization is deliberately omitted; all eigenvalue
     relations are homogeneous, so exact integer amplitudes suffice.
     """
-    if n_sites < 1:
-        raise ValueError("need at least one site")
+    k, d = _integer(k, "GHZ indices"), _integer(d, "local dimensions")
+    n_sites = _site_count(n_sites)
     m = d * d
     rep = (d**n_sites - 1) // (d - 1)  # label whose digits are all 1
     return StateVector(
@@ -305,14 +306,13 @@ def eigenphase(word: SettingWord, ghz_index: int = 0) -> PhaseExponent:
     raises ValueError.  The phase is read at each of the d GHZ labels by
     ``_ghz_phase`` and the readings must agree, never assumed.
     """
-    d = word.d
+    d, ghz_index = word.d, _integer(ghz_index, "GHZ indices")
     if (word.position - ghz_index) % d != 0:
         raise ValueError(
             f"word {word} at position {word.position} is not an eigenoperator "
             f"of the GHZ state with index {ghz_index} (need position == index mod {d})"
         )
-    if word.n_sites < 1:
-        raise ValueError("need at least one site")
+    _site_count(word.n_sites)
     letters = np.array([word.letters], dtype=np.int64)
     readings = {int(_ghz_phase(d, letters, ghz_index, r)[0]) for r in range(d)}
     if len(readings) != 1:

@@ -5,34 +5,54 @@ that means to do so updates the snapshot and records it in CHANGES.md.
 """
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 
 import qudit_mermin
 from qudit_mermin import (
+    EigenstateError,
     FactorTriple,
     GeneralConfig,
+    HVAssignment,
     LocalObservable,
     MerminOperator,
     PhaseExponent,
     SettingWord,
     apply_word,
+    build_mermin,
+    conjecture_search,
     contradiction_witness,
     counts_by_position,
     exhaustive_search,
+    expand_identity,
     factor_value,
     general_uniform_value,
+    ghz_contradiction_count,
     ghz_state,
     hv_value_product_exact,
+    iter_contradiction_witnesses,
     permutation_class_max,
     power_sum,
     root_of_unity,
     uniform_factors,
     uniform_value,
+    violation_ratio,
 )
-from qudit_mermin._enumeration import ProductSpace, full_space_scores
+from qudit_mermin._enumeration import (
+    ProductSpace,
+    check_search_budget,
+    decode_index,
+    full_space_scores,
+)
+from qudit_mermin.cyclotomic import order_params
 from qudit_mermin.generalized import general_uniform_sum, ratio_space
+from qudit_mermin.mermin import (
+    _position_eigenvalue,
+    check_verify_budget,
+    mixing_exponent,
+)
 from qudit_mermin.qudit_ops import rotation_alphabet
 
 PUBLIC_NAMES = [
@@ -138,3 +158,118 @@ def _letters(shape):
 def test_invalid_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# One float per integer argument, each entry point at least once; 3.0 and
+# 2.0 are refused like 0.5, never truncated.  The first field names the
+# public callable that ``test_every_integer_entry_point_has_a_float_case``
+# looks up.
+FLOAT_CASES = [
+    ("ProductSpace", lambda: ProductSpace(9, 2.0, ratio_space(3, 1).counts)),
+    ("check_search_budget", lambda: check_search_budget(9, 3, 9, 2.0)),
+    ("build_mermin", lambda: build_mermin(3.0, 3)),
+    ("build_mermin", lambda: build_mermin(3, 3.0)),
+    ("build_mermin", lambda: build_mermin(3, 3, 1.0)),
+    ("check_verify_budget", lambda: check_verify_budget(3.0, 2)),
+    ("check_verify_budget", lambda: check_verify_budget(3, 2.0)),
+    ("_position_eigenvalue", lambda: _position_eigenvalue(3, 3.0)),
+    ("_position_eigenvalue", lambda: _position_eigenvalue(3, 3, 1.0)),
+    ("counts_by_position", lambda: counts_by_position(3.0, 3)),
+    ("counts_by_position", lambda: counts_by_position(3, 3.0)),
+    ("expand_identity", lambda: expand_identity(3.0)),
+    ("expand_identity", lambda: expand_identity(2, 3.0)),
+    ("mixing_exponent", lambda: mixing_exponent(3.0, 1, 1)),
+    ("ghz_state", lambda: ghz_state(0, 3, 3.0)),
+    ("ghz_state", lambda: ghz_state(0, 3.0, 3)),
+    ("uniform_value", lambda: uniform_value(3.0)),
+    ("power_sum", lambda: power_sum(3.0)),
+    ("exhaustive_search", lambda: exhaustive_search(3.0)),
+    ("exhaustive_search", lambda: exhaustive_search(3.0, mode="full")),
+    ("permutation_class_max", lambda: permutation_class_max(3.0)),
+    ("ghz_contradiction_count", lambda: ghz_contradiction_count(3.0)),
+    ("iter_contradiction_witnesses", lambda: next(iter_contradiction_witnesses(3.0))),
+    ("violation_ratio", lambda: violation_ratio(3.0)),
+    ("HVAssignment.uniform", lambda: HVAssignment.uniform(3.0)),
+    ("HVAssignment.from_ratio_index", lambda: HVAssignment.from_ratio_index(2.0, 0)),
+    ("decode_index", lambda: decode_index(0, 9, 3.0)),
+    ("decode_index", lambda: decode_index(3.0, 9, 3)),
+    ("GeneralConfig", lambda: GeneralConfig(3, 2.0)),
+    ("ratio_space", lambda: ratio_space(3.0, 2)),
+    ("ratio_space", lambda: ratio_space(3, 2.0)),
+    ("uniform_factors", lambda: uniform_factors(3.0)),
+    ("general_uniform_sum", lambda: general_uniform_sum(3, 2.0)),
+    ("general_uniform_value", lambda: general_uniform_value(3.0, 2)),
+    ("conjecture_search", lambda: conjecture_search(3.0, 2)),
+    ("conjecture_search", lambda: conjecture_search(3, 2.0)),
+    ("rotation_alphabet", lambda: rotation_alphabet(3.0)),
+    ("order_params", lambda: order_params(9.0)),
+    ("SettingWord", lambda: SettingWord(3.0, (0, 1))),
+    ("LocalObservable.rotated_shift", lambda: LocalObservable.rotated_shift(3.0, 0)),
+    ("MerminOperator", lambda: MerminOperator(3.0, 1, 0, _letters((1, 1)), [0])),
+    ("MerminOperator", lambda: MerminOperator(3, 1.0, 0, _letters((1, 1)), [0])),
+    ("MerminOperator", lambda: MerminOperator(3, 1, 1.0, _letters((1, 1)), [0])),
+    ("MerminOperator.from_terms", lambda: MerminOperator.from_terms(3, 2, 1.0, ())),
+    ("MerminOperator.from_terms", lambda: MerminOperator.from_terms(3, 2.0, 0, ())),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [case[1] for case in FLOAT_CASES], ids=[case[0] for case in FLOAT_CASES]
+)
+def test_float_arguments_raise_value_error(call):
+    with pytest.raises(ValueError, match=r"must be integers, got \d+\.0"):
+        call()
+
+
+def test_float_ghz_index_names_its_own_value():
+    # the index itself is checked, not the exponent k * r of an amplitude (0.0 at r = 0)
+    with pytest.raises(ValueError, match=r"GHZ indices must be integers, got 0\.5"):
+        ghz_state(0.5, 3, 3)
+
+
+def test_float_arrays_are_refused_not_truncated():
+    # truncated, [[0.7]] would read as the letter X and [0.2] as the weight alpha**0
+    with pytest.raises(ValueError, match="must be integers, got a float64 array"):
+        MerminOperator(3, 1, 0, [[0.7]], [0])
+    with pytest.raises(ValueError, match="must be integers, got a float64 array"):
+        MerminOperator(3, 1, 0, [[0]], [0.2])
+    with pytest.raises(ValueError, match="must be integers, got a float64 array"):
+        ProductSpace(9, 1, ratio_space(3, 1).counts.astype(np.float64))
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    n = np.int64(45)  # 3**44 wraps in int64
+    assert violation_ratio(np.int64(50)) == violation_ratio(50)
+    assert ghz_state(0, 3, n) == ghz_state(0, 3, 45)
+    assert counts_by_position(3, n) == counts_by_position(3, 45)
+    assert ghz_contradiction_count(n) == ghz_contradiction_count(45)
+    assert power_sum(np.int64(60)) == power_sum(60)
+    op = build_mermin(np.int64(3), np.int8(2), np.uint8(1))
+    assert op == build_mermin(3, 2, 1)
+    cfg = GeneralConfig(np.int64(5), np.int32(2))
+    for value in (op.d, op.n_sites, op.variant, cfg.d, cfg.n_sites):
+        assert type(value) is int
+
+
+# Result records hold what the library computed from checked arguments and
+# check nothing themselves; ``LocalObservable`` is built by ``rotated_shift``
+# and checked by ``bloch_check``.
+RECORDS = {
+    "ConjectureReport", "IdentityReport", "LocalObservable", "PermutationClassReport",
+    "PositionCounts", "SearchResult", "StateVector", "UniformFactorSet",
+}
+
+
+def test_every_integer_entry_point_has_a_float_case():
+    covered = {case[0] for case in FLOAT_CASES} | RECORDS
+    missing = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if not callable(obj) or obj is EigenstateError:  # no signature to read
+                continue
+            params = set(inspect.signature(obj).parameters)
+            if params & {"n_sites", "n", "d", "variant"} and attr not in covered:
+                missing.append(f"{name}.{attr}")
+    assert missing == []

@@ -12,6 +12,7 @@ oracle of ``full_space_scores``: it multiplies canonical coefficients of
 every index, site by site, by the phi x phi matrices of ``_mult_matrices``.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -29,6 +30,8 @@ from qudit_mermin._enumeration import (
     _class_values,
     _level_ends,
     _scored_blocks,
+    decode_index,
+    encode_index,
     exact_letters_sum,
     exact_sum,
     full_space_scores,
@@ -426,3 +429,11 @@ def test_full_space_scores_match_breadth_first_bit_for_bit(d, n_sites):
 def test_random_full_tables_match_breadth_first_bit_for_bit(space):
     assert_matches_breadth_first(space)
 
+
+
+@pytest.mark.parametrize("alphabet, n_sites", [(2, 1), (9, 3), (27, 2)])
+def test_flat_index_is_the_lexicographic_order(alphabet, n_sites):
+    words = itertools.product(range(alphabet), repeat=n_sites)
+    for index, word in enumerate(words):
+        assert decode_index(index, alphabet, n_sites) == word
+        assert encode_index(word, alphabet) == index
