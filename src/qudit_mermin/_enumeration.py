@@ -17,11 +17,11 @@ letters not below its last letter, and a real row of magnitude bounds rides
 alongside.  The last level is scored one block per last letter with one
 mat-vec, and every score carries a proven rounding bound
 (``_scored_blocks``).  Only the band of classes that may reach the maximum
-is resolved exactly, by the multiset evaluator that ``full_space_scores``
-shares (``_class_values``: one batched ``_site_product`` of the counts per
-block, folded once), then one squared magnitude per distinct value, ordered
-with ``compare_real_coeffs``.  One guard (``_check_range``), checked before
-any work, keeps every int64 value exact and every float finite.
+is resolved exactly, by the package's one exact multiset evaluator
+(``_class_values``: one batched ``_site_product`` per block, folded once),
+then one squared magnitude per distinct value, ordered with
+``compare_real_coeffs``.  One guard (``_check_range``), checked before the
+ranking, keeps its int64 sums exact and its floats finite.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -146,13 +146,13 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
 
 
 def _check_range(space: ProductSpace) -> None:
-    """The one range guard: raise OverflowError before any product is formed.
+    """The ranking's range guard: raise OverflowError before any score is formed.
 
     Let M be the largest mass (sum of counts) of a factor.  By the range
-    rule of ``_site_product``, each entry and partial sum of a block's
-    chain, of its sum over the slots and of the fold is at most
-    slots * M**N.  So 2 * slots * M**N < 2**63 (a factor 2 to spare) keeps
-    the chain in int64 and exact, and every float of the ranking finite.
+    rule of ``_site_product``, the entries of a class value and the bounds
+    G of ``_scored_blocks`` are at most slots * M**N, so
+    2 * slots * M**N < 2**63 (a factor 2 to spare) keeps the int64 mass
+    sums exact and every float of the ranking finite.
     """
     counts = space.counts  # int64 row sums are exact while every count < 2**63 // m
     wide = counts.max() >= 2**63 // space.order
@@ -243,18 +243,19 @@ def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray
     return np.stack(letters[::-1], axis=1)
 
 
-def _class_values(space: ProductSpace, letters: np.ndarray) -> np.ndarray:
+def _class_values(counts: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """(K, phi) canonical coefficients of sum_s prod_i F[letters[k, i], s].
 
-    One batched ``_site_product`` per block of ``_CLASS_BLOCK`` classes,
-    summed over the slots and folded once.
+    The one exact evaluator, over (A, S, m) root counts: one batched
+    ``_site_product`` per block of ``_CLASS_BLOCK`` classes, summed over the
+    slots and folded, in the dtype it picked (int64 or Python integers).
     """
-    fold = _root_coeffs(space.order)
-    values = np.empty((len(letters), fold.shape[1]), dtype=np.int64)
-    for start in range(0, len(letters), _CLASS_BLOCK):
-        products = _site_product(space.counts[letters[start : start + _CLASS_BLOCK]])
-        values[start : start + len(products)] = products.sum(axis=-2) @ fold
-    return values
+    fold = _root_coeffs(counts.shape[-1])
+    blocks = [
+        _site_product(counts[letters[start : start + _CLASS_BLOCK]]).sum(axis=-2) @ fold
+        for start in range(0, len(letters), _CLASS_BLOCK)
+    ]
+    return np.concatenate(blocks)
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:
@@ -277,15 +278,14 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     letters = _class_letters(
         _level_ends(a_size, n_sites), last[final], parents[final]
     )
-    values = _class_values(space, letters)
-    distinct, which = np.unique(values, axis=0, return_inverse=True)
-    exact = [CycInt(order, tuple(row)) for row in distinct.tolist()]
-    squares = [(value * value.conjugate()).coeffs for value in exact]
-    best_sq = max(squares, key=cmp_to_key(partial(compare_real_coeffs, order)))
+    values = [tuple(row) for row in _class_values(space.counts, letters).tolist()]
+    exact = {value: CycInt(order, value) for value in set(values)}
+    squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}
+    best_sq = max(squares.values(), key=cmp_to_key(partial(compare_real_coeffs, order)))
     n_fact = math.factorial(n_sites)
     count, argmin = 0, None
-    for row, k in zip(letters.tolist(), which.ravel().tolist()):
-        if squares[k] != best_sq:
+    for row, value in zip(letters.tolist(), values):
+        if squares[value] != best_sq:
             continue
         count += n_fact // math.prod(math.factorial(c) for c in Counter(row).values())
         flat = encode_index(row, a_size)
@@ -315,7 +315,7 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     digits = np.indices(shape).reshape(space.n_sites, -1)
     sorted_at = np.ravel_multi_index(np.sort(digits, axis=0), shape)
     reps = np.flatnonzero(sorted_at == np.arange(space.size))  # the sorted indices
-    values = _class_values(space, digits[:, reps].T).astype(np.float64)
+    values = _class_values(space.counts, digits[:, reps].T).astype(np.float64)
     vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
     which = np.searchsorted(reps, sorted_at)
     return (vals.real * vals.real + vals.imag * vals.imag)[which]

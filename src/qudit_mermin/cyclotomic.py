@@ -220,6 +220,7 @@ class CycInt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> CycInt:
+        k = _integer(k, "ring exponents")
         if k < 0:
             raise ValueError("negative powers are not defined in the ring")
         result = CycInt.one(self.order)

@@ -16,15 +16,16 @@ per-site factor of product p is
     F_p = sum_j alpha**mixing_exponent(d, p, j) * omega**t_j.
 
 This module keeps the one table of these factors, as root counts built
-once per d (``_ratio_counts``); point values (``_product_sum``) and the
-search engine read the same counts.  Letter a of the ratio alphabet has
-d - 1 base-d digits, most significant first, which are t_j on the
-rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3 that is
-a = 3R + S, the qutrit ratio index of ``hidden_variables``.  Letter 0
-is the all-ones point, whose factors are the d uniform factor magnitudes:
-A, B, C for d = 3, and for d = 5 the largest is about 4.6898.  Whether the
-all-ones point is the true classical optimum for d > 3 is probed by
-exhaustive search over ``ratio_space`` and reported, never asserted.
+once per d (``_ratio_counts``); the search engine and the qutrit point
+values read them through ``_enumeration._class_values``.  Letter a of the
+ratio alphabet has d - 1 base-d digits, most significant first, which are
+t_j on the rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3
+that is a = 3R + S, the qutrit ratio index of ``hidden_variables``.
+Letter 0 is the all-ones point, whose factors are the d uniform factor
+magnitudes: A, B, C for d = 3, and for d = 5 the largest is about 4.6898.
+Whether the all-ones point is the true classical optimum for d > 3 is
+probed by exhaustive search over ``ratio_space`` and reported, never
+asserted.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
+    _class_values,
     check_search_budget,
     decode_index,
     run_search,
@@ -47,7 +49,6 @@ from .cyclotomic import (
     _read_only,
     _root_coeffs,
     _site_count,
-    _site_product,
     root_counts,
 )
 from .mermin import (
@@ -161,21 +162,6 @@ def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
     return ProductSpace(order=d * d, n_sites=1, counts=counts).factors
 
 
-def _product_sum(d: int, ratios) -> CycInt:
-    """Exact sum over p of prod_i F_p(ratios[i]) for an (N, d) ratio array.
-
-    Works on root counts, with no ring multiply: h[i, p, e] counts the
-    letters j whose term of F_p at site i is alpha**e.  ``_site_product``
-    multiplies each slot's counts over the sites; the d slots are then
-    added and ``_root_coeffs(m)`` folds the one count vector to canonical
-    coefficients, in Python integers when the chain's range rule
-    (d**(N+1) >= 2**63 here) made the counts ``object``.
-    """
-    m = d * d
-    product = _site_product(root_counts(m, _factor_exponents(d, ratios)))
-    return CycInt(m, tuple((product.sum(axis=0) @ _root_coeffs(m)).tolist()))
-
-
 @lru_cache(maxsize=None)
 def _ratio_counts(d: int) -> np.ndarray:
     """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1).
@@ -205,9 +191,12 @@ def uniform_factors(d: int) -> UniformFactorSet:
 
 
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
-    """Exact d*v at the all-ones point: sum_p F_p**N, from ``_product_sum``."""
+    """Exact d*v at the all-ones point, sum_p F_p**N: N copies of the all-zero row."""
     cfg = GeneralConfig(d, n_sites)
-    return _product_sum(cfg.d, np.zeros((cfg.n_sites, cfg.d), dtype=np.int64))
+    m = cfg.d * cfg.d
+    counts = root_counts(m, _factor_exponents(cfg.d, np.zeros((1, cfg.d), dtype=np.int64)))
+    values = _class_values(counts, np.zeros((1, cfg.n_sites), dtype=np.intp))
+    return CycInt(m, tuple(values[0].tolist()))
 
 
 def general_uniform_value(d: int, n_sites: int) -> float:

@@ -27,8 +27,9 @@ equality with its ratio reduction's score, rounded to an integer.
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
 and predicted value exponent in one ``bincount``, and
-``hv_value_product_exact`` convolves the exponent histograms of the
-per-site factors (``generalized._product_sum``); |3v|**2 = |P|**2 links them.
+``hv_value_product_exact`` multiplies the root counts of the per-site
+factors (``_enumeration._class_values`` on the ratio letters);
+|3v|**2 = |P|**2 links them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
-    _check_range,
     _class_values,
     decode_index,
     encode_index,
@@ -51,7 +51,7 @@ from ._enumeration import (
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, _integer, _root_coeffs, _site_count
-from .generalized import _factor_rows, _product_sum, ratio_space
+from .generalized import _factor_rows, _ratio_counts, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -212,19 +212,22 @@ class HVAssignment:
     R_i = omega**((y - x) % 3), S_i = omega**((v - x) % 3).  Assignments
     built from ratios are lifted with v(X_i) = 1.  Each exponent must be an
     integer (anything ``operator.index`` accepts, numpy integers included)
-    in {0, 1, 2}; floats are refused rather than truncated.
+    in {0, 1, 2}, stored as a Python int; floats are refused, not truncated.
     """
 
     values: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        values = []
         for triple in self.values:
             try:
-                ok = len(triple) == 3 and all(0 <= operator.index(e) < 3 for e in triple)
+                exponents = tuple(map(operator.index, triple))
             except TypeError:
-                ok = False
-            if not ok:
+                exponents = ()
+            if len(exponents) != 3 or not all(0 <= e < 3 for e in exponents):
                 raise ValueError(f"bad value exponents {triple}")
+            values.append(exponents)
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def uniform(cls, n_sites: int) -> HVAssignment:
@@ -293,15 +296,16 @@ def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
 def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     """Exact 3*v from the per-site factor products (sum over B, C, A).
 
-    ``generalized._product_sum`` on the (N, 3) integer ratio rows
-    (0, R_i, S_i), floats refused: root counts multiplied site by site,
+    ``_class_values`` on the ratio letters 3*R_i + S_i (floats refused) of
+    ``generalized._ratio_counts(3)``: root counts multiplied site by site,
     exact for every N, with no ``CycInt`` multiply.
     """
     r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
-    ratios = [_ratio_row(r, s) for r, s in zip(r_exps, s_exps)]
-    return _product_sum(3, np.array(ratios, dtype=np.int64).reshape(len(r_exps), 3))
+    letters = [[3 * r + s for _, r, s in map(_ratio_row, r_exps, s_exps)]]
+    values = _class_values(_ratio_counts(3), np.array(letters, dtype=np.intp))
+    return CycInt(9, tuple(values[0].tolist()))
 
 
 def hv_value_product(r_exps, s_exps) -> float:
@@ -616,7 +620,6 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
             f"{PERMUTATION_CLASS_CAP}"
         )
     space = ProductSpace(9, n_sites, ratio_space(3, 1).counts[[0, 5, 7]])
-    _check_range(space)
     patterns = [
         p
         for p in itertools.combinations_with_replacement(range(3), n_sites)
@@ -627,7 +630,7 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     bounds = mags[letters[:-1]].prod(axis=1).sum(axis=1) / 3.0
     attained = [
         CycInt(9, tuple(row)).magnitude() / 3.0
-        for row in _class_values(space, letters).tolist()
+        for row in _class_values(space.counts, letters).tolist()
     ]
     b, a = int(np.argmax(bounds)), int(np.argmax(attained[:-1]))
     return PermutationClassReport(

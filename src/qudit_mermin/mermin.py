@@ -33,6 +33,7 @@ from .cyclotomic import (
     _root_coeffs,
     _site_count,
     _site_product,
+    order_params,
     root_counts,
     root_of_unity,
     root_sum,
@@ -85,7 +86,7 @@ class MerminOperator:
 
     def __post_init__(self) -> None:
         d, n_sites, variant = _operator_args(self.d, self.n_sites, self.variant)
-        half = len(rotation_alphabet(d)) // 2
+        half = (d - 1) // 2
         letters, exponents = np.asarray(self.letters), np.asarray(self.weight_exponents)
         if letters.ndim != 2 or letters.shape[1] != n_sites:
             raise ValueError(f"letters must have shape (terms, {n_sites}), got {letters.shape}")
@@ -211,11 +212,13 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 
 
 def _operator_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
-    """An operator's d, N and variant as Python ints; N < 1 or variant not in [0, d) raise."""
+    """d, N and variant as Python ints; a bad N or variant, or a d with no ring (4, 9), raises."""
     d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
     variant = _integer(variant, "variants")
     if not 0 <= variant < d:
         raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    rotation_alphabet(d)
+    order_params(d * d)
     return d, n_sites, variant
 
 

@@ -65,6 +65,7 @@ class LocalObservable:
 
     @classmethod
     def rotated_shift(cls, d: int, j: int) -> LocalObservable:
+        j = _integer(j, "rotation indices")
         if j not in rotation_alphabet(d):
             raise ValueError(f"rotation index {j} out of range for d={d}")
         m = d * d

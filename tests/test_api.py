@@ -4,14 +4,20 @@ Dropping or renaming an exported name fails the snapshot at once; a change
 that means to do so updates the snapshot and records it in CHANGES.md.
 """
 
+import ast
+import functools
 import importlib
 import inspect
+import pathlib
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 
 import qudit_mermin
 from qudit_mermin import (
+    CycInt,
     EigenstateError,
     FactorTriple,
     GeneralConfig,
@@ -142,6 +148,9 @@ def _letters(shape):
         (lambda: GeneralConfig(3.0, 2), "d and n_sites must be integers"),
         (lambda: general_uniform_value(5, 2.0), "d and n_sites must be integers"),
         (lambda: uniform_factors(5.0), "d and n_sites must be integers"),
+        (lambda: build_mermin(9, 2), "invalid cyclotomic order 81"),
+        (lambda: MerminOperator(9, 1, 0, [[0]], [0]), "invalid cyclotomic order 81"),
+        (lambda: MerminOperator.from_terms(9, 1, 0, ()), "invalid cyclotomic order 81"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -153,6 +162,7 @@ def _letters(shape):
         "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
         "root_of_unity", "factor_value", "factor_triple_at", "general_config_float_d",
         "general_uniform_value_float_sites", "uniform_factors_float_d",
+        "build_mermin_d9", "operator_d9", "from_terms_d9",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
@@ -163,7 +173,7 @@ def test_invalid_input_raises_value_error(call, message):
 # One float per integer argument, each entry point at least once; 3.0 and
 # 2.0 are refused like 0.5, never truncated.  The first field names the
 # public callable that ``test_every_integer_entry_point_has_a_float_case``
-# looks up.
+# looks up; ``name.arg`` labels one more case of a callable named already.
 FLOAT_CASES = [
     ("ProductSpace", lambda: ProductSpace(9, 2.0, ratio_space(3, 1).counts)),
     ("check_search_budget", lambda: check_search_budget(9, 3, 9, 2.0)),
@@ -205,6 +215,8 @@ FLOAT_CASES = [
     ("order_params", lambda: order_params(9.0)),
     ("SettingWord", lambda: SettingWord(3.0, (0, 1))),
     ("LocalObservable.rotated_shift", lambda: LocalObservable.rotated_shift(3.0, 0)),
+    ("LocalObservable.rotated_shift.j", lambda: LocalObservable.rotated_shift(3, 1.0)),
+    ("CycInt.__pow__", lambda: CycInt.one(9) ** 2.0),
     ("MerminOperator", lambda: MerminOperator(3.0, 1, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1.0, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1, 1.0, _letters((1, 1)), [0])),
@@ -237,6 +249,14 @@ def test_float_arrays_are_refused_not_truncated():
         ProductSpace(9, 1, ratio_space(3, 1).counts.astype(np.float64))
 
 
+def test_numpy_value_exponents_are_read_as_python_ints():
+    # 27**14 > 2**63: int64 digits would wrap the flat index
+    numpy_values = HVAssignment(((np.int64(1), np.int8(0), np.uint8(0)),) * 14)
+    assert numpy_values.full_index() == HVAssignment(((1, 0, 0),) * 14).full_index()
+    assert numpy_values.full_index() == 37875803930138893572
+    assert all(type(e) is int for triple in numpy_values.values for e in triple)
+
+
 def test_numpy_integers_are_read_as_python_ints():
     n = np.int64(45)  # 3**44 wraps in int64
     assert violation_ratio(np.int64(50)) == violation_ratio(50)
@@ -246,6 +266,8 @@ def test_numpy_integers_are_read_as_python_ints():
     assert power_sum(np.int64(60)) == power_sum(60)
     op = build_mermin(np.int64(3), np.int8(2), np.uint8(1))
     assert op == build_mermin(3, 2, 1)
+    assert root_of_unity(1, 9) ** np.int64(2) == root_of_unity(2, 9)
+    assert LocalObservable.rotated_shift(3, np.int64(1)) == LocalObservable.rotated_shift(3, 1)
     cfg = GeneralConfig(np.int64(5), np.int32(2))
     for value in (op.d, op.n_sites, op.variant, cfg.d, cfg.n_sites):
         assert type(value) is int
@@ -272,4 +294,62 @@ def test_every_integer_entry_point_has_a_float_case():
             params = set(inspect.signature(obj).parameters)
             if params & {"n_sites", "n", "d", "variant"} and attr not in covered:
                 missing.append(f"{name}.{attr}")
+    assert missing == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_MODULES = {
+    info.name: importlib.import_module(f"qudit_mermin.{info.name}")
+    for info in pkgutil.iter_modules(qudit_mermin.__path__)
+}
+
+
+def _doc_texts():
+    """README.md and every docstring in the package source."""
+    yield "README.md", (ROOT / "README.md").read_text()
+    for path in sorted((ROOT / "src" / "qudit_mermin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                yield f"{path.name}:{getattr(node, 'name', '')}", ast.get_docstring(node) or ""
+
+
+def _resolves(dotted):
+    """Whether a dotted name is a package module, or an attribute path from one.
+
+    A name with no module prefix may start at any module or at any class
+    defined in the package.
+    """
+    parts = dotted.removeprefix("qudit_mermin.").split(".")
+    if parts[0] in PACKAGE_MODULES:
+        starts = [PACKAGE_MODULES[parts[0]]]
+    else:
+        classes = {
+            obj
+            for module in PACKAGE_MODULES.values()
+            for obj in vars(module).values()
+            if inspect.isclass(obj) and obj.__module__.startswith("qudit_mermin")
+        }
+        starts = [
+            getattr(space, parts[0])
+            for space in [*PACKAGE_MODULES.values(), *classes]
+            if hasattr(space, parts[0])
+        ]
+    for obj in starts:
+        try:
+            functools.reduce(getattr, parts[1:], obj)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_private_names_in_the_docs_resolve():
+    # a doc that names a private helper must name one that exists
+    missing = []
+    for where, text in _doc_texts():
+        for _, span in re.findall(r"(`+)([^`]+)\1", text):
+            for dotted in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span):
+                private = any(re.match(r"_(?!_)", part) for part in dotted.split("."))
+                if private and not _resolves(dotted):
+                    missing.append(f"{where}: {dotted}")
     assert missing == []

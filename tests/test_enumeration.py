@@ -374,7 +374,7 @@ def test_class_values_equal_the_ring_loop_across_blocks(d, n_sites):
     letters = np.sort(
         np.random.default_rng(1900 + d).integers(0, space.alphabet, size=(k, n_sites)), axis=1
     )
-    values = _class_values(space, letters)
+    values = _class_values(space.counts, letters)
     assert values.shape == (k, order_params(space.order)[1]) and values.dtype == np.int64
     factors = space.factors
     for row, value in zip(letters.tolist(), values.tolist()):

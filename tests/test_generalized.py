@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from qudit_mermin import _enumeration, generalized, mermin
-from qudit_mermin.cyclotomic import CycInt, _root_coeffs, root_of_unity
-from qudit_mermin._enumeration import exact_letters_sum
+from qudit_mermin.cyclotomic import CycInt, _root_coeffs, root_counts, root_of_unity
+from qudit_mermin._enumeration import _class_values, exact_letters_sum
 from qudit_mermin.generalized import (
     GeneralConfig,
+    _factor_exponents,
     _factor_rows,
-    _product_sum,
+    _ratio_counts,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
@@ -243,8 +244,8 @@ def test_d7_uniform_values_build_only_the_all_zero_row(monkeypatch):
     monkeypatch.setattr(generalized, "_factor_exponents", recording)
     uniform_factors(7)
     general_uniform_value(7, 5)
-    # one all-zero row for the factors, one per site for the N = 5 product
-    assert shapes == [(1, 7), (5, 7)]
+    # one all-zero row for the factors and one for the N = 5 uniform sum
+    assert shapes == [(1, 7), (1, 7)]
 
 
 def test_mixing_exponent_lives_in_mermin():
@@ -265,13 +266,20 @@ def letter_rows(d, letters):
     return letters // d ** np.arange(d - 1, -1, -1) % d
 
 
+def rows_sum(d, rows):
+    """sum_p prod_i F_p(rows[i]) by ``_class_values``: letters 0..N-1 of the rows' own counts."""
+    counts = root_counts(d * d, _factor_exponents(d, rows))
+    values = _class_values(counts, np.arange(len(rows))[None])
+    return CycInt(d * d, tuple(values[0].tolist()))
+
+
 @pytest.mark.parametrize("d, n_max", [(3, 10), (5, 3), (7, 2)])
 def test_histogram_product_equals_the_ring_loop(d, n_max):
     # oracle: per-root factors multiplied one CycInt at a time (exact_letters_sum)
     rng = np.random.default_rng(1400 + d)
     letter = [c if c <= d // 2 else c - d for c in range(d)]  # column -> j
     # no sites: d empty products
-    assert _product_sum(d, np.zeros((0, d), dtype=np.int64)) == CycInt.integer(d, d * d)
+    assert rows_sum(d, np.zeros((0, d), dtype=np.int64)) == CycInt.integer(d, d * d)
     for n_sites in range(1, n_max + 1):
         for _ in range(12):
             rows = letter_rows(d, rng.integers(0, d ** (d - 1), size=n_sites))
@@ -282,13 +290,13 @@ def test_histogram_product_equals_the_ring_loop(d, n_max):
                 )
                 for row in rows.tolist()
             ]
-            assert _product_sum(d, rows) == exact_letters_sum(
+            assert rows_sum(d, rows) == exact_letters_sum(
                 d * d, factors, range(n_sites)
             ), (d, rows)
 
 
 def test_root_coefficient_columns_hold_at_most_two_units():
-    # the range proof of _product_sum: column j of the reduction table is
+    # the range proof of _site_product: column j of the reduction table is
     # +1 at alpha**j and -1 at alpha**(phi + j mod d), and zero elsewhere
     for d in (3, 5, 7):
         table = _root_coeffs(d * d)
@@ -308,11 +316,19 @@ def test_histogram_product_is_exact_past_the_int64_switch(n_sites):
     uniform = [0] * n_sites
     mixed = uniform[: n_sites // 2] + rng.integers(0, 9, size=n_sites - n_sites // 2).tolist()
     for letters in (uniform, mixed):
-        assert _product_sum(3, letter_rows(3, letters)) == exact_letters_sum(
+        assert rows_sum(3, letter_rows(3, letters)) == exact_letters_sum(
             9, factors, letters
         )
-    total = _product_sum(3, letter_rows(3, uniform))
+    total = rows_sum(3, letter_rows(3, uniform))
     assert total == CycInt.integer(3 * uniform_value(n_sites), 9)
+
+
+def test_class_values_switch_to_python_integers():
+    # 3 * 3**40 >= 2**63, so the one block of N = 40 letters leaves int64
+    values = _class_values(_ratio_counts(3), np.zeros((1, 40), dtype=np.intp))
+    assert values.dtype == object
+    assert 3 * uniform_value(40) == 13777102262077146
+    assert values.tolist() == [[3 * uniform_value(40), 0, 0, 0, 0, 0]]
 
 
 def test_uniform_sum_equals_the_power_loop():
