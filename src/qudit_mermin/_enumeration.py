@@ -13,15 +13,15 @@ A**N assignments.
 
 The search ranks in floats and decides exactly.  Class products are
 complex128 rows, built level by level with each prefix extended only by
-letters not below its last letter, and a real row of magnitude bounds rides
-alongside.  The last level is scored one block per last letter with one
-mat-vec, and every score carries a proven rounding bound
-(``_scored_blocks``).  Only the band of classes that may reach the maximum
-is resolved exactly, by the package's one exact multiset evaluator
+letters not below its last letter.  The last level is scored one block per
+last letter with one mat-vec, and every score carries one proven rounding
+bound, set by the mass bound W = slots * M**N of ``_check_range``
+(``_scored_blocks``), which refuses a space with 2W >= 2**63 before any
+score is formed.  Only the band of classes that may reach the maximum is
+resolved exactly, by the package's one exact multiset evaluator
 (``_class_values``: one batched ``_site_product`` per block, folded once),
 then one squared magnitude per distinct value, ordered with
-``compare_real_coeffs``.  One guard (``_check_range``), checked before the
-ranking, keeps its int64 sums exact and its floats finite.
+``compare_real_coeffs``.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -145,20 +145,21 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
         )
 
 
-def _check_range(space: ProductSpace) -> None:
-    """The ranking's range guard: raise OverflowError before any score is formed.
+def _check_range(space: ProductSpace) -> int:
+    """The ranking's mass bound W = slots * M**N; raise OverflowError if 2W >= 2**63.
 
-    Let M be the largest mass (sum of counts) of a factor.  By the range
-    rule of ``_site_product``, the entries of a class value and the bounds
-    G of ``_scored_blocks`` are at most slots * M**N, so
-    2 * slots * M**N < 2**63 (a factor 2 to spare) keeps the int64 mass
-    sums exact and every float of the ranking finite.
+    M is the largest mass (sum of counts) of a factor, so by the range rule
+    of ``_site_product`` every class value v has |v| <= W, and so do its
+    canonical coefficients.  The guard (a factor 2 to spare) keeps those
+    coefficients in int64 and every float of the ranking finite.
     """
     counts = space.counts  # int64 row sums are exact while every count < 2**63 // m
     wide = counts.max() >= 2**63 // space.order
     mass = int((counts.astype(object) if wide else counts).sum(axis=-1).max())
-    if 2 * space.slots * mass**space.n_sites >= 2**63:
+    bound = space.slots * mass**space.n_sites
+    if 2 * bound >= 2**63:
         raise OverflowError("product coefficients may exceed the exact int64 range")
+    return bound
 
 
 def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
@@ -179,57 +180,49 @@ def _scored_blocks(space: ProductSpace):
 
     The class that extends prefix k (in the order of ``_level_ends``) by b
     has exact score s = |v|**2, v = sum_s prod_i F[a_i, s], within
-    [lower[k], upper[k]]: the float score s^ minus and plus a proven bound.
+    [lower[k], upper[k]]: the float score s^ minus and plus one proven
+    bound B for every class, set by the mass bound W of ``_check_range``.
 
-    Proof of the bound.  Write u = 2**-53 and M_F for a factor's mass, the
-    sum of its counts h_e >= 0.  (1) Factors: F^ = fl(sum_e h_e alpha^_e),
-    with each of the m stored powers within 46u of alpha**e (real and
-    imaginary parts within 32u, as in ``compare_real_coeffs``); converting
-    h_e and the complex dot product of m terms, in any order and with or
-    without FMA, add at most 3 * (m + 1) * u * M_F, so |F^ - F| <= e_F / 2
-    with e_F = 2 * (3*m + 51) * u * M_F, the bound the code uses.  A factor
-    with no counts has F^ = 0 exactly.
-    (2) Put M = |F^| + e_F (M = 0 for a factor with no counts), which
-    bounds both |F| and |F^|, and rho = max e_F / M <= 1 over the others.
-    Telescoping, |prod F - prod F^| <= sum_k e_k prod_{i != k} M_i
-    <= N * rho * prod M.  (3) A complex product rounds with relative error
-    at most mu = 4u, so the float prefix of N - 1 factors is within
-    ((1+mu)**(N-2) - 1) * prod |F^| of the exact product of the F^, and the
-    last-level mat-vec over the slots, a complex dot product, adds at most
-    nu = 4 * (slots + 2) * u times sum_s |p^_s| |F^_bs|.  So with
-    G = sum_s prod_i M(a_i, s) and k0 = (1+nu) * (1+mu)**(N-1) - 1, the
-    float sum v^ is within delta = (k0 + N * rho) * G of v, and
-    |v^| <= (1 + k0) * G.  (4) s^ = fl(Re^2 + Im^2) is within 3u |v^|**2
-    of |v^|**2, and ||v^|**2 - s| <= delta * (2|v^| + delta), so with
-    kappa = k0 + N * rho,
-    |s^ - s| <= (1 + k0)**2 * G**2 * (kappa * (2 + kappa) + 3u).
-    Each quantity here is computed with at most 4N + 2 * slots + 20
-    roundings of nonnegative numbers, and the bound used is twice this one,
-    which covers those roundings and the rounding of s^ - bound and
-    s^ + bound in the band test.
+    Proof of the bound.  Write u = 2**-53 and M for the largest factor
+    mass.  (1) A factor F = sum_e h_e alpha**e of mass mu <= M is stored as
+    F^ = fl(sum_e h_e alpha^_e), each of the m stored powers within 46u of
+    alpha**e (real and imaginary parts within 32u, as in
+    ``compare_real_coeffs``); converting h_e and the complex dot product of
+    m terms, in any order and with or without FMA, add at most
+    3 * (m + 1) * u * mu, so |F^ - F| <= e * mu with e = (3*m + 51) * u.
+    (2) Telescoping over the N factors of a slot, with |F| <= M and
+    |F^| <= (1 + e) * M, |prod F^ - prod F| <= ((1 + e)**N - 1) * M**N.
+    (3) The float prefix of N - 1 factors rounds N - 2 complex products,
+    each with relative error at most 4u, and the last-level mat-vec over
+    the slots, a complex dot product, adds at most 4 * (slots + 2) * u
+    times sum_s |p^_s| |F^_bs|; so with
+    k = (1 + e)**N * (1 + 4u)**(N-1) * (1 + 4 * (slots + 2) * u) - 1 the
+    float sum v^ is within k * W of v, |v| <= W and |v^| <= (1 + k) * W.
+    (4) s^ = fl(Re**2 + Im**2) is within 3u |v^|**2 of |v^|**2, and
+    ||v^|**2 - s| <= k * W * (|v^| + |v|), so
+    |s^ - s| <= W**2 * (k * (2 + k) + 3u * (1 + k)**2).  The bound B used
+    is twice this one, which covers the roundings that compute it and
+    those of s^ - B and s^ + B in the band test.
     """
-    m, counts = space.order, space.counts
-    slots, n_sites = space.slots, space.n_sites
+    m, slots, n_sites = space.order, space.slots, space.n_sites
     u = _UNIT_ROUNDOFF
-    fhat = counts @ np.array(_alpha_powers(m))
-    err = (2 * (3 * m + 51) * u) * counts.sum(axis=-1)
-    nonzero = counts.any(axis=-1)
-    mags = np.where(nonzero, np.abs(fhat) + err, 0.0)
-    k0 = math.expm1((n_sites - 1) * math.log1p(4 * u) + math.log1p(4 * (slots + 2) * u))
-    kappa = k0 + n_sites * float((err / np.where(nonzero, mags, 1.0)).max())
-    scale = 2.0 * (1.0 + k0) ** 2 * (kappa * (2.0 + kappa) + 3.0 * u)
+    mass_bound = float(_check_range(space))
+    k = math.expm1(
+        n_sites * math.log1p((3 * m + 51) * u)
+        + (n_sites - 1) * math.log1p(4 * u)
+        + math.log1p(4 * (slots + 2) * u)
+    )
+    bound = 2.0 * mass_bound**2 * (k * (2.0 + k) + 3.0 * u * (1.0 + k) ** 2)
+    fhat = space.counts @ np.array(_alpha_powers(m))
     ends = _level_ends(space.alphabet, n_sites)
     # prefixes of one letter are the factors themselves; N = 1 has the empty one
-    p, g = (fhat, mags) if n_sites > 1 else (np.ones((1, slots)), np.ones((1, slots)))
+    p = fhat if n_sites > 1 else np.ones((1, slots))
     for t in range(2, n_sites):
         p = np.concatenate([p[:n] * fhat[b] for b, n in enumerate(ends[t - 1].tolist())])
-        g = np.concatenate([g[:n] * mags[b] for b, n in enumerate(ends[t - 1].tolist())])
     for b, n in enumerate(ends[-1].tolist()):
         v = p[:n] @ fhat[b]
         scores = v.real * v.real + v.imag * v.imag
-        bounds = g[:n] @ mags[b]
-        bounds *= scale * bounds
-        yield b, scores - bounds, scores + bounds
+        yield b, scores - bound, scores + bound
 
 
 def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -260,7 +253,6 @@ def _class_values(counts: np.ndarray, letters: np.ndarray) -> np.ndarray:
 
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
-    _check_range(space)
     order, a_size, n_sites = space.order, space.alphabet, space.n_sites
     # A class is kept while its upper bound reaches the floor, the largest
     # lower bound seen so far; the floor only grows, so the kept set holds

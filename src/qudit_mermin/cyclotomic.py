@@ -163,7 +163,7 @@ class CycInt:
     @classmethod
     def integer(cls, n: int, m: int) -> CycInt:
         _, phi = order_params(m)
-        return cls(m, (n,) + (0,) * (phi - 1))
+        return cls(m, (_integer(n, "ring scalars"),) + (0,) * (phi - 1))
 
     # ---- ring operations --------------------------------------------------
 
@@ -234,6 +234,7 @@ class CycInt:
 
     def times_root(self, j: int) -> CycInt:
         """Multiply by alpha**j (a signed permutation of coefficients)."""
+        j = _integer(j, "root exponents")
         return CycInt.from_coeffs(self.order, (0,) * (j % self.order) + self.coeffs)
 
     def conjugate(self) -> CycInt:
@@ -382,6 +383,18 @@ def _site_product(counts) -> np.ndarray:
     for site in range(n_sites - 1):
         acc = acc @ circulants[..., site, :, :, :]
     return acc[..., 0, :]
+
+
+def _site_power(counts, n: int) -> np.ndarray:
+    """Counts (S, m) of h**n in each slot of (S, m) root counts h, n >= 1.
+
+    Square-and-multiply: ``_site_product`` squares h floor(log2(n)) times
+    and multiplies the squares at the set bits of n in one chain.
+    """
+    squares = [counts]  # h**(2**k)
+    while 2 ** len(squares) <= n:
+        squares.append(_site_product(np.broadcast_to(squares[-1], (2, *squares[-1].shape))))
+    return _site_product(np.stack([q for k, q in enumerate(squares) if n >> k & 1]))
 
 
 def root_sums(m: int, exponents) -> np.ndarray:

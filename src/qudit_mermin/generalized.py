@@ -38,7 +38,6 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
-    _class_values,
     check_search_budget,
     decode_index,
     run_search,
@@ -49,6 +48,7 @@ from .cyclotomic import (
     _read_only,
     _root_coeffs,
     _site_count,
+    _site_power,
     root_counts,
 )
 from .mermin import (
@@ -191,12 +191,12 @@ def uniform_factors(d: int) -> UniformFactorSet:
 
 
 def general_uniform_sum(d: int, n_sites: int) -> CycInt:
-    """Exact d*v at the all-ones point, sum_p F_p**N: N copies of the all-zero row."""
+    """Exact d*v at the all-ones point, sum_p F_p**N: ``_site_power`` of the all-zero row."""
     cfg = GeneralConfig(d, n_sites)
     m = cfg.d * cfg.d
     counts = root_counts(m, _factor_exponents(cfg.d, np.zeros((1, cfg.d), dtype=np.int64)))
-    values = _class_values(counts, np.zeros((1, cfg.n_sites), dtype=np.intp))
-    return CycInt(m, tuple(values[0].tolist()))
+    coeffs = _site_power(counts[0], cfg.n_sites).sum(axis=0) @ _root_coeffs(m)
+    return CycInt(m, tuple(coeffs.tolist()))
 
 
 def general_uniform_value(d: int, n_sites: int) -> float:

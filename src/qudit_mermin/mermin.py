@@ -32,7 +32,7 @@ from .cyclotomic import (
     _read_only,
     _root_coeffs,
     _site_count,
-    _site_product,
+    _site_power,
     order_params,
     root_counts,
     root_of_unity,
@@ -317,18 +317,11 @@ def counts_by_position(d: int, n_sites: int) -> PositionCounts:
 
     Appending a site shifts every count by each letter j of the rotation
     alphabet, so the counts are the N-th power of the alphabet's root
-    counts, by square-and-multiply: ``_site_product`` squares the counts
-    floor(log2(N)) times and multiplies the squares at the set bits of N in
-    one chain, under 2 * log2(N) products in all.  Exact for every N; each
-    product is in int64 while its d**k words are below 2**63.
+    counts, by the square-and-multiply of ``_site_power``.  Exact for every
+    N; each product is in int64 while its d**k words are below 2**63.
     """
     d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
-    m = d * d
-    site = root_counts(m, [rotation_alphabet(d)])
-    squares = [site]  # site**(2**k)
-    while 2 ** len(squares) <= n_sites:
-        squares.append(_site_product(np.broadcast_to(squares[-1], (2, 1, m))))
-    counts = _site_product(np.stack([q for k, q in enumerate(squares) if n_sites >> k & 1]))
+    counts = _site_power(root_counts(d * d, [rotation_alphabet(d)]), n_sites)
     result = PositionCounts(d, n_sites, tuple(counts[0].tolist()))
     if result.total != d**n_sites:
         raise ArithmeticError(f"{result.total} words counted, not {d}**{n_sites}")

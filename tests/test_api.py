@@ -217,6 +217,8 @@ FLOAT_CASES = [
     ("LocalObservable.rotated_shift", lambda: LocalObservable.rotated_shift(3.0, 0)),
     ("LocalObservable.rotated_shift.j", lambda: LocalObservable.rotated_shift(3, 1.0)),
     ("CycInt.__pow__", lambda: CycInt.one(9) ** 2.0),
+    ("CycInt.times_root", lambda: CycInt.one(9).times_root(1.0)),
+    ("CycInt.integer", lambda: CycInt.integer(2.0, 9)),
     ("MerminOperator", lambda: MerminOperator(3.0, 1, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1.0, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1, 1.0, _letters((1, 1)), [0])),
@@ -267,6 +269,8 @@ def test_numpy_integers_are_read_as_python_ints():
     op = build_mermin(np.int64(3), np.int8(2), np.uint8(1))
     assert op == build_mermin(3, 2, 1)
     assert root_of_unity(1, 9) ** np.int64(2) == root_of_unity(2, 9)
+    assert CycInt.one(9).times_root(np.int64(3)) == root_of_unity(3, 9)
+    assert type(CycInt.integer(np.int64(2), 9).as_integer()) is int
     assert LocalObservable.rotated_shift(3, np.int64(1)) == LocalObservable.rotated_shift(3, 1)
     cfg = GeneralConfig(np.int64(5), np.int32(2))
     for value in (op.d, op.n_sites, op.variant, cfg.d, cfg.n_sites):
@@ -341,6 +345,29 @@ def _resolves(dotted):
             continue
         return True
     return False
+
+
+def test_every_import_is_read_or_exported():
+    # an import that its module never reads is a leftover of a deleted path
+    unused = []
+    for path in sorted((ROOT / "src" / "qudit_mermin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        module = PACKAGE_MODULES.get(path.stem, qudit_mermin)  # __init__.py: the package
+        exported = set(getattr(module, "__all__", ()))
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
+    assert unused == []
 
 
 def test_private_names_in_the_docs_resolve():

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qudit_mermin import _enumeration
 from qudit_mermin._enumeration import (
     _CLASS_BLOCK,
     ProductSpace,
@@ -364,6 +365,49 @@ def test_score_bounds_hold_for_every_class(space):
             exact = mp_real_value(space.order, sq, 60)
             with mpmath.workdps(60):
                 assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+
+
+@pytest.mark.parametrize("d, n_sites", [(5, 1), (3, 6)])
+def test_score_bounds_hold_on_ratio_spaces(d, n_sites):
+    # the strategies above draw order 9 only, so d = 5 is the one check of
+    # the m = 25 constants; d = 3, N = 6 has 3,003 classes over 3 slots
+    space = ratio_space(d, n_sites)
+    factors = space.factors  # derived on every read, so read once
+    ends = _level_ends(space.alphabet, n_sites)
+    for b, lower, upper in _scored_blocks(space):
+        letters = _class_letters(ends, np.full(len(lower), b), np.arange(len(lower)))
+        for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
+            value = exact_letters_sum(space.order, factors, row)
+            exact = mp_real_value(space.order, (value * value.conjugate()).coeffs, 60)
+            with mpmath.workdps(60):
+                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+
+
+# Classes that ``run_search`` evaluates exactly on each admitted ratio space;
+# every one of them is a maximizer.
+BAND_CLASSES = {
+    (3, n): count
+    for n, count in enumerate((9, 6, 12, 15, 21, 30, 36, 45, 57, 66, 78, 93, 105, 120, 138), 1)
+} | {(5, 1): 625, (5, 2): 325}
+
+
+@pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
+def test_band_holds_only_maximizers_on_ratio_spaces(monkeypatch, d, n_sites):
+    # one band width for every class must add no exact work on the physics spaces
+    evaluated = []
+
+    def recording(counts, letters):
+        values = evaluate(counts, letters)
+        evaluated.extend(values.tolist())
+        return values
+
+    evaluate = _enumeration._class_values
+    monkeypatch.setattr(_enumeration, "_class_values", recording)
+    space = ratio_space(d, n_sites)
+    raw = run_search(space)
+    values = [CycInt(space.order, tuple(row)) for row in evaluated]
+    assert {(v * v.conjugate()).coeffs for v in values} == {raw.best_sq_coeffs}
+    assert len(evaluated) == BAND_CLASSES[d, n_sites]
 
 
 @pytest.mark.parametrize("d, n_sites", [(3, 4), (5, 2)])

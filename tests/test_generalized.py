@@ -333,11 +333,14 @@ def test_class_values_switch_to_python_integers():
 
 def test_uniform_sum_equals_the_power_loop():
     # oracle: sum_p F_p**N by repeated CycInt squaring
-    for d in (3, 5, 7):
+    for d, sizes in ((3, range(1, 10)), (5, range(1, 10)), (7, [*range(1, 10), 200])):
         row = _factor_rows(d, np.zeros((1, d), dtype=np.int64))[0]
-        for n_sites in range(1, 10):
+        for n_sites in sizes:
             expected = sum((f**n_sites for f in row), CycInt.zero(d * d))
             assert general_uniform_sum(d, n_sites) == expected, (d, n_sites)
+    # past the int64 switch of the mass, 3 * 3**40 >= 2**63
+    assert general_uniform_sum(3, 40) == CycInt.integer(13777102262077146, 9)
+    assert 3 * uniform_value(40) == 13777102262077146
 
 
 def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
