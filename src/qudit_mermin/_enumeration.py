@@ -251,6 +251,18 @@ def _class_values(counts: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _class_tally(letters: np.ndarray, alphabet: int) -> tuple[int, int]:
+    """Assignments the (K >= 1, N) sorted classes stand for, and the least flat index.
+
+    A class with letter multiplicities m_a stands for N!/prod(m_a!)
+    assignments, and its lexicographically smallest is its sorted tuple.
+    """
+    rows = letters.tolist()
+    n_fact = math.factorial(letters.shape[1])
+    count = sum(n_fact // math.prod(map(math.factorial, Counter(row).values())) for row in rows)
+    return count, min(encode_index(row, alphabet) for row in rows)
+
+
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
     order, a_size, n_sites = space.order, space.alphabet, space.n_sites
@@ -274,14 +286,7 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     exact = {value: CycInt(order, value) for value in set(values)}
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}
     best_sq = max(squares.values(), key=cmp_to_key(partial(compare_real_coeffs, order)))
-    n_fact = math.factorial(n_sites)
-    count, argmin = 0, None
-    for row, value in zip(letters.tolist(), values):
-        if squares[value] != best_sq:
-            continue
-        count += n_fact // math.prod(math.factorial(c) for c in Counter(row).values())
-        flat = encode_index(row, a_size)
-        argmin = flat if argmin is None else min(argmin, flat)
+    count, argmin = _class_tally(letters[[squares[v] == best_sq for v in values]], a_size)
     powers_list = _alpha_powers(order)
     best_value = sum(c * powers_list[j].real for j, c in enumerate(best_sq) if c)
     return RawSearchResult(

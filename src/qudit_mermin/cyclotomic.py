@@ -143,6 +143,10 @@ class CycInt:
                 f"expected {phi} coefficients for order {self.order}, "
                 f"got {len(self.coeffs)}"
             )
+        # ring operations make Python ints; others (numpy's, floats) are read once
+        if any(type(c) is not int for c in self.coeffs):
+            coeffs = tuple(_integer(c, "ring coefficients") for c in self.coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
 
     # ---- constructors ---------------------------------------------------
 

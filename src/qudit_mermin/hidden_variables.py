@@ -18,11 +18,14 @@ table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
 1, 2) at R, S.  The exhaustive searches are exact: ratio mode covers all
 9**N ratio assignments by evaluating each of the C(N+8, 8) multisets of
 per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
-products commute across sites); full mode assigns
-the sites of the operator's own terms one at a time, exactly over Z[omega]
-(int16 pairs, uint16 scores, in ranges proven from the term count), and
-checks the integer |v|**2 of each of the 27**N value assignments for
-equality with its ratio reduction's score, rounded to an integer.
+products commute across sites).  Full mode first checks that the
+operator's own terms are invariant under permuting sites, so a value
+assignment's score depends only on the multiset of its per-site value
+triples; it then assigns the sites of the terms one at a time, exactly
+over Z[omega] (int16 pairs, uint16 scores, in ranges proven from the term
+count), over the C(N+26, 26) sorted multisets that stand for the 27**N
+assignments, and reports the largest deviation of a multiset's score
+from the ratio reduction.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -44,7 +47,10 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
+    _class_letters,
+    _class_tally,
     _class_values,
+    _level_ends,
     decode_index,
     encode_index,
     full_space_scores,
@@ -373,10 +379,12 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     Ratio mode covers the 9**N ratio assignments through the factor-product
     form, one evaluation per multiset of per-site ratios, and its C(N+8, 8)
     multisets are bounded by the budget of ``generalized.ratio_space``.  Full
-    mode contracts the operator terms site by site into the exact value of
-    each of the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments, as
-    a uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every
-    admitted N), and checks every score against the ratio reduction.  An
+    mode covers the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments:
+    it checks that the operator terms are invariant under permuting sites
+    (else ArithmeticError), contracts them site by site into the exact
+    value of each multiset of per-site value triples, as a uint16
+    |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N),
+    and reports the largest deviation from the ratio reduction.  An
     over-budget N raises ValueError before anything is built.  Ties are
     counted exactly and the arg-max reported is the lexicographically
     smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
@@ -418,41 +426,38 @@ _OMEGA_PAIRS = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16)
 # Full-index digit 9x + 3y + v of one site -> its ratio digit 3r + s.
 _X, _Y, _V = np.indices((3, 3, 3)).reshape(3, -1)
 _RATIO_DIGIT = 3 * ((_Y - _X) % 3) + (_V - _X) % 3
-# The last _STREAMED_SITES sites are streamed in blocks of at most _BLOCK
-# assignments; materializing them too would hold 27**N pairs at once.
-_STREAMED_SITES = 2
-_BLOCK = 3**11
 
 
-def _site(f: np.ndarray) -> np.ndarray:
-    """Assign the values (x, y, v) of the next site.
+def _check_site_symmetry(weights: np.ndarray, letters: np.ndarray) -> None:
+    """Raise ArithmeticError unless permuting sites maps the terms onto themselves.
 
-    ``f[:, c*R + r, j, p]`` (pair axis first) sums the terms whose letter
-    there is column c, with r the letters of the later sites, j the values
-    of the sites assigned so far and p a block of prefixes.  Returns
-    out[:, r, 27j + 9x + 3y + v, p] = sum_c omega**(x, y, v)[c] f[:, c*R + r, j, p].
+    The swap of sites 1 and 2 and the cyclic shift generate every
+    permutation, so the (weight, letter row) multiset is compared exactly
+    with its image under each of the two.
     """
-    _, rows, assigned, prefixes = f.shape
-    f = f.reshape(2, 3, rows // 3, assigned, prefixes)
-    a, b = f[0], f[1]
-    # rot[:, c, ..., e, :] = omega**e f[:, c]; omega*(a + b*omega) = -b + (a-b)*omega
-    rot = np.stack([f, np.stack([-b, a - b]), np.stack([b - a, -a])], axis=-2)
-    x, y, v = rot.swapaxes(0, 1)  # the rotated X, Y and V columns
-    out = np.empty((2, rows // 3, assigned, 3, 3, 3, prefixes), dtype=f.dtype)
-    np.add(x[..., :, None, None, :], y[..., None, :, None, :], out=out)
-    out += v[..., None, None, :, :]
-    return out.reshape(2, rows // 3, 27 * assigned, prefixes)
+    n_sites = letters.shape[1]
+    shape = (3,) * (n_sites + 1)
+
+    def keys(order):
+        return np.sort(np.ravel_multi_index((*letters[:, order].T, weights % 3), shape))
+
+    sites = list(range(n_sites))
+    for order in (sites[1:2] + sites[:1] + sites[2:], sites[1:] + sites[:1]):
+        if not np.array_equal(keys(order), keys(sites)):
+            raise ArithmeticError("the terms are not invariant under permuting sites")
 
 
-def _contract_scores(weights: np.ndarray, letters: np.ndarray):
-    """Exact |value|**2 of every value assignment, in lexicographic blocks.
+def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Exact |value|**2 of the sorted arrangement of each multiset of value triples.
 
     Term t contributes omega**(weights[t] + sum_i value_i[letters[t, i]]).
     The terms are scattered into a table over letter columns and the sites
-    are assigned one at a time; the first N - s sites are materialized and
-    the last s = min(N, _STREAMED_SITES) are streamed in blocks.  Yields
-    ``(first, scores)`` where ``scores[j, i]`` (uint16) belongs to the
-    assignment with flat index (first + i) * 27**s + j.
+    are assigned one at a time over the sorted classes of per-site triples
+    (full-index digits 9x + 3y + v), in the layout of
+    ``_enumeration._level_ends(27, N)``: at level t, block b extends the
+    first ends[t-1][b] classes of level t - 1 by triple b at site t.
+    Returns one uint16 score per class, in that layout; it belongs to the
+    class's sorted arrangement, its smallest flat index.
 
     Ranges.  Every table entry, rotated column and partial column sum is a
     sum of at most n = n_terms roots of unity; with n_k of them equal to
@@ -470,54 +475,40 @@ def _contract_scores(weights: np.ndarray, letters: np.ndarray):
         raise OverflowError(
             "term count exceeds the exact int16 pair and uint16 score range"
         )
-    streamed = min(n_sites, _STREAMED_SITES)
-    f = np.zeros((2, 3**n_sites, 1, 1), dtype=np.int16)
+    f = np.zeros((2, 3**n_sites, 1), dtype=np.int16)
     flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
-    np.add.at(f[:, :, 0, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
-    for _ in range(n_sites - streamed):
-        f = _site(f)
-    # the materialized assignments become the prefix axis of the stream
-    f = f.reshape(2, 3**streamed, 1, -1)
-    step = max(1, _BLOCK // 27**streamed)
-    for first in range(0, f.shape[3], step):
-        g = f[..., first : first + step]
-        for _ in range(streamed):
-            g = _site(g)
-        # g is this block's own array (or a slice of f no later block reads)
-        a, b = g[0, 0], g[1, 0]
-        score = a - b
-        score *= a
-        b *= b
-        score += b
-        yield first, score.view(np.uint16)
-
-
-def _ratio_indices(n_sites: int) -> np.ndarray:
-    """Ratio index of each of the 27**N full indices."""
-    r = np.zeros(1, dtype=np.int64)
-    for _ in range(n_sites):
-        r = (9 * r[:, None] + _RATIO_DIGIT).ravel()
-    return r
+    np.add.at(f[:, :, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
+    for sizes in _level_ends(27, n_sites):
+        a, b = f.reshape(2, 3, -1, f.shape[-1])  # axis 1: the letter at the next site
+        # rot[e] = omega**e (a, b); omega*(a + b*omega) = -b + (a-b)*omega
+        rot = np.stack([np.stack([a, b]), np.stack([-b, a - b]), np.stack([b - a, -a])])
+        f = np.concatenate(
+            [
+                rot[x, :, 0, :, :k] + rot[y, :, 1, :, :k] + rot[v, :, 2, :, :k]
+                for x, y, v, k in zip(_X, _Y, _V, sizes.tolist())
+            ],
+            axis=-1,
+        )
+    a, b = f[0, 0], f[1, 0]
+    score = a - b
+    score *= a
+    b *= b
+    score += b
+    return score.view(np.uint16)
 
 
 def _full_search(n_sites: int) -> SearchResult:
-    """Exact full scan, each score checked on integers against the ratio one.
+    """Exact full scan over the multisets of per-site value triples.
 
-    ``ref[r]`` is the ratio reduction's float |3v|**2 at ratio index r,
-    divided by 9, rounded and taken mod 2**16 (uint16, like the scores);
-    every full score must equal ``ref`` at its ratio index.  The reported
-    ``ratio_agreement_max_abs_dev`` is the largest |sqrt(score) - ratio |v||
-    over all 27**N assignments: a mismatched entry contributes its own
-    deviation, and every matching entry of ratio index r has the score
-    ``ref[r]``, so the matching ones contribute the deviation of ``ref[r]``,
-    taken once per r that has at least one of its 3**N entries matching.
-    So it is the all-entry float maximum bit for bit, found with float work
-    only on mismatches and on the 9**N entries of ``ref``.  A mismatched
-    score s <= n**2 (n the term count) is at least 1/2 from the ratio score
-    q = |v|**2, so its deviation |s - q| / (sqrt(s) + sqrt(q)) is about
-    1/(4n) or more, far above 1e-9; a ratio score of 2**16 or more matches
-    only after the wrap, and its deviation, read from the same uint16
-    ``ref``, shows the whole offset.
+    The terms are checked to be invariant under permuting sites, so every
+    arrangement of a multiset has its sorted arrangement's score, and
+    ``_class_scores`` scores each multiset once.  A multiset stands for
+    N!/prod(m!) assignments and its least flat index is its sorted one, so
+    ``_enumeration._class_tally`` gives the exact tie count and arg-min.
+    ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v||, the ratio
+    magnitude read at the sorted arrangement's ratio index, maximized over
+    the multisets.  The ratio table gives one value to every arrangement of
+    a ratio multiset, so this is the all-assignment maximum bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -525,42 +516,21 @@ def _full_search(n_sites: int) -> SearchResult:
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )
     weights, letters = _encode_terms(n_sites)
-    ratio_sq = full_space_scores(ratio_space(3, n_sites))
-    ratio_mag = np.sqrt(ratio_sq) / 3.0
-    # mod 2**16 like the scores: a reference that matches only by wrapping
-    # shows its offset in the deviation, which is read from this same ref
-    ref = np.rint(ratio_sq / 9.0).astype(np.int64).astype(np.uint16)
-    streamed = min(n_sites, _STREAMED_SITES)
-    prefix_ratio = _ratio_indices(n_sites - streamed)
-    tail_ratio = _ratio_indices(streamed)
-    # ref_by_tail[t, p] = ref[p * 9**streamed + t]
-    ref_by_tail = ref.reshape(-1, 9**streamed).T.copy()
-    misses = np.zeros(ref.size, dtype=np.int64)  # mismatched entries per r
-    best = lexmin = -1
-    count = scanned = 0
-    max_dev = 0.0
-    for first, score in _contract_scores(weights, letters):
-        prefix = prefix_ratio[first : first + score.shape[1]]
-        bad = score != ref_by_tail.take(prefix, axis=1).take(tail_ratio, axis=0)
-        if bad.any():
-            j, i = np.nonzero(bad)
-            r = prefix[i] * 9**streamed + tail_ratio[j]
-            dev = np.abs(np.sqrt(score[j, i].astype(np.float64)) - ratio_mag[r])
-            max_dev = max(max_dev, float(dev.max()))
-            misses += np.bincount(r, minlength=ref.size)
-        scanned += score.size
-        cmax = int(score.max())
-        if cmax > best:
-            best, count, lexmin = cmax, 0, -1
-        if cmax == best:
-            hits = score == best
-            count += int(np.count_nonzero(hits))
-            if lexmin < 0:  # blocks arrive in increasing index order
-                i, j = np.argwhere(hits.T)[0]
-                lexmin = int((first + i) * len(score) + j)
-    matched = misses < 3**n_sites
-    dev = np.abs(np.sqrt(ref[matched].astype(np.float64)) - ratio_mag[matched])
-    max_dev = max(max_dev, float(dev.max(initial=0.0)))
+    _check_site_symmetry(weights, letters)
+    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
+    scores = _class_scores(weights, letters)
+    ends = _level_ends(27, n_sites + 1)
+    ratio = np.zeros(1, dtype=np.int64)  # the ratio index of each class, level by level
+    for sizes in ends[:-1]:
+        ratio = np.concatenate([9 * ratio[:k] + r for r, k in zip(_RATIO_DIGIT, sizes.tolist())])
+    dev = np.sqrt(scores, dtype=np.float64)
+    dev -= ratio_mag[ratio]
+    max_dev = float(np.abs(dev, out=dev).max())
+    best = int(scores.max())
+    hits = np.flatnonzero(scores == best)
+    last = np.searchsorted(ends[-1], hits, side="right")
+    parents = hits - (ends[-1][last] - ends[-2][last])
+    count, lexmin = _class_tally(_class_letters(ends[:-1], last, parents), 27)
     return SearchResult(
         mode="full",
         n_sites=n_sites,
@@ -570,7 +540,7 @@ def _full_search(n_sites: int) -> SearchResult:
         argmax_index=lexmin,
         argmax_factor_labels=None,
         num_maximizers=count,
-        assignments_scanned=scanned,
+        assignments_scanned=27**n_sites,
         details={"max_sq_int": best, "ratio_agreement_max_abs_dev": max_dev},
     )
 

@@ -219,6 +219,8 @@ FLOAT_CASES = [
     ("CycInt.__pow__", lambda: CycInt.one(9) ** 2.0),
     ("CycInt.times_root", lambda: CycInt.one(9).times_root(1.0)),
     ("CycInt.integer", lambda: CycInt.integer(2.0, 9)),
+    ("CycInt", lambda: CycInt(9, (2.0, 0, 0, 0, 0, 0))),
+    ("CycInt.from_coeffs", lambda: CycInt.from_coeffs(9, [2.0])),
     ("MerminOperator", lambda: MerminOperator(3.0, 1, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1.0, 0, _letters((1, 1)), [0])),
     ("MerminOperator", lambda: MerminOperator(3, 1, 1.0, _letters((1, 1)), [0])),
@@ -271,6 +273,9 @@ def test_numpy_integers_are_read_as_python_ints():
     assert root_of_unity(1, 9) ** np.int64(2) == root_of_unity(2, 9)
     assert CycInt.one(9).times_root(np.int64(3)) == root_of_unity(3, 9)
     assert type(CycInt.integer(np.int64(2), 9).as_integer()) is int
+    numpy_coeffs = CycInt(9, (np.int64(2),) + (np.uint8(1),) * 5)
+    assert numpy_coeffs == CycInt(9, (2, 1, 1, 1, 1, 1))
+    assert all(type(c) is int for c in numpy_coeffs.coeffs)
     assert LocalObservable.rotated_shift(3, np.int64(1)) == LocalObservable.rotated_shift(3, 1)
     cfg = GeneralConfig(np.int64(5), np.int32(2))
     for value in (op.d, op.n_sites, op.variant, cfg.d, cfg.n_sites):

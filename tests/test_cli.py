@@ -144,6 +144,7 @@ SEARCH_SHA256 = {
     ("3", "full"): "f797b76051cd5437c7260b276aca5e118e09b0b19d54aa9cc9c256e62d99f27e",
     ("4", "full"): "33205e5ef15c691b764287d248ad770f0935f4de7754897c1364e67c7daa4cb8",
     ("5", "full"): "bb0c52d88c0c761c09c0378a1419934e9cc77fc70d99be1ea776938a555dd032",
+    ("6", "full"): "cba0e283ca5a1d4062448acb4f8e308734aa1c96d088fc6341b452dfd42be273",
     ("1", "ratio"): "6a03e0792b16b8a1bb351536898a0d1415025a39b6565f472c33c867069f16a1",
     ("2", "ratio"): "3de9c31db9bf936cd7ace686936c592fb8b3e80df6c3a47e647fa8b68ab80bde",
     ("3", "ratio"): "712e6616c063ab665816c348e0fe389bd9bcfec6b9d5b650fee661ebd48a902e",

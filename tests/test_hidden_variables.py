@@ -4,8 +4,8 @@ Independent oracles: the factor constants are recomputed from cosines, the
 integer recurrence is validated against direct float powers, the small
 searches are cross-checked by a plain double loop over all assignments,
 the full-mode maximizer count is reproduced by a from-scratch integer
-evaluation written in this file, and the full-mode site contraction is
-checked against the per-term scanner it replaced, kept here as the
+evaluation written in this file, and the full-mode class walk is
+checked against the per-term scanner full mode once ran, kept here as the
 reference.  The per-term ``hv_value_direct`` loop and the per-word witness
 build (``contradiction_witness``) are the references for their
 exponent-array replacements.
@@ -26,7 +26,12 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from qudit_mermin import hidden_variables, qudit_ops
-from qudit_mermin._enumeration import exact_letters_sum, full_space_scores, run_search
+from qudit_mermin._enumeration import (
+    _class_tally,
+    exact_letters_sum,
+    full_space_scores,
+    run_search,
+)
 from qudit_mermin.cli import cli
 from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
 from qudit_mermin.generalized import ratio_space
@@ -38,7 +43,8 @@ from qudit_mermin.hidden_variables import (
     HVAssignment,
     SearchResult,
     WitnessRecord,
-    _contract_scores,
+    _check_site_symmetry,
+    _class_scores,
     _encode_terms,
     contradiction_witness,
     exhaustive_search,
@@ -510,31 +516,33 @@ def reference_scan(n_sites, weights, letters, ratio_mag, lo, hi):
     return best, count, lexmin, hi - lo, max_dev
 
 
-def contracted_scores(weights, letters, streamed, block=3**11):
-    """Every score from ``_contract_scores``, in flat index order."""
-    blocks = []
-    expected_first = 0
-    with mock.patch.multiple(
-        hidden_variables, _STREAMED_SITES=streamed, _BLOCK=block
-    ):
-        contraction = list(_contract_scores(weights, letters))
-    for first, score in contraction:
-        assert first == expected_first
-        expected_first += score.shape[1]
-        blocks.append(score.T.ravel())
-    return np.concatenate(blocks)
+def class_flat_indices(n_sites):
+    """Flat index of each class's sorted arrangement, in the class walk's order.
+
+    The walk lays out the sorted classes by last letter, then by their
+    prefix in the same order: the colexicographic order of the sorted tuples.
+    """
+    classes = itertools.combinations_with_replacement(range(27), n_sites)
+    classes = sorted(classes, key=lambda c: c[::-1])
+    return np.ravel_multi_index(np.array(classes).T, (27,) * n_sites)
+
+
+def contracted_scores(weights, letters):
+    """``_class_scores`` and the per-term scores at each class's sorted flat index."""
+    n_sites = letters.shape[1]
+    _, _, reference = reference_chunk_scores(
+        n_sites, weights, letters, 0, 27**n_sites
+    )
+    return _class_scores(weights, letters), reference[class_flat_indices(n_sites)]
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
     weights, letters = _encode_terms(n_sites)
-    _, _, reference = reference_chunk_scores(
-        n_sites, weights, letters, 0, 27**n_sites
-    )
-    for streamed in range(n_sites + 1):
-        scores = contracted_scores(weights, letters, streamed)
-        assert scores.dtype == np.uint16
-        assert np.array_equal(scores, reference)
+    scores, reference = contracted_scores(weights, letters)
+    assert scores.dtype == np.uint16
+    assert len(scores) == math.comb(n_sites + 26, n_sites)
+    assert np.array_equal(scores, reference)
 
 
 def full_result(n_sites, best, count, lexmin, scanned, max_dev):
@@ -703,20 +711,15 @@ def term_tables(draw):
         draw(st.lists(st.integers(0, 2), min_size=len(letters), max_size=len(letters))),
         dtype=np.int16,
     )
-    streamed = draw(st.integers(0, n_sites))
-    block = draw(st.sampled_from([1, 27, 3**11]))
-    return weights, letters, streamed, block
+    return weights, letters
 
 
 @settings(max_examples=120, deadline=None)
 @given(term_tables())
 def test_contraction_matches_per_term_evaluation_on_random_terms(table):
-    weights, letters, streamed, block = table
-    n_sites = letters.shape[1]
-    _, _, reference = reference_chunk_scores(
-        n_sites, weights, letters, 0, 27**n_sites
-    )
-    scores = contracted_scores(weights, letters, streamed, block)
+    # the tables need not be site-symmetric: the walk scores each class's
+    # sorted arrangement itself
+    scores, reference = contracted_scores(*table)
     assert np.array_equal(scores, reference)
 
 
@@ -725,7 +728,7 @@ def test_contraction_refuses_term_counts_beyond_int64():
     # so the refusal allocates nothing
     letters = np.empty((2**31, 0), dtype=np.int8)
     with pytest.raises(OverflowError):
-        next(_contract_scores(np.zeros(1, dtype=np.int16), letters))
+        _class_scores(np.zeros(1, dtype=np.int16), letters)
 
 
 def test_contraction_refuses_2_to_the_8_terms_before_allocating():
@@ -734,7 +737,7 @@ def test_contraction_refuses_2_to_the_8_terms_before_allocating():
     weights = np.zeros(1, dtype=np.int16)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(OverflowError, match="uint16 score range"):
-            next(_contract_scores(weights, letters))
+            _class_scores(weights, letters)
 
 
 def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
@@ -743,7 +746,7 @@ def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
     weights = np.zeros(1, dtype=np.int16)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(OverflowError, match="int16"):
-            next(_contract_scores(weights, letters))
+            _class_scores(weights, letters)
 
 
 @st.composite
@@ -754,9 +757,7 @@ def one_site_tables_near_the_int16_limit(draw):
     pattern = np.array(draw(st.lists(cell, min_size=1, max_size=5)), dtype=np.int16)
     rows = np.resize(pattern, (n_terms, 2))
     letters = rows[:, :1].astype(np.int8)
-    streamed = draw(st.integers(0, 1))
-    block = draw(st.sampled_from([1, 27]))
-    return rows[:, 1], letters, streamed, block
+    return rows[:, 1], letters
 
 
 # every term alike: one entry reaches 2**8 - 1 and its score 255**2 = 65025,
@@ -764,8 +765,6 @@ def one_site_tables_near_the_int16_limit(draw):
 _ALIKE_TERMS = (
     np.zeros(2**8 - 1, dtype=np.int16),
     np.zeros((2**8 - 1, 1), dtype=np.int8),
-    1,
-    27,
 )
 
 
@@ -773,12 +772,46 @@ _ALIKE_TERMS = (
 @given(one_site_tables_near_the_int16_limit())
 @example(_ALIKE_TERMS)
 def test_contraction_is_exact_near_the_int16_limit(table):
-    weights, letters, streamed, block = table
-    _, _, reference = reference_chunk_scores(1, weights, letters, 0, 27)
-    scores = contracted_scores(weights, letters, streamed, block)
+    scores, reference = contracted_scores(*table)
     assert np.array_equal(scores, reference)
     if table is _ALIKE_TERMS:
         assert scores.max() == (2**8 - 1) ** 2
+
+
+def test_full_search_refuses_terms_that_are_not_site_symmetric(monkeypatch):
+    weights, letters = _encode_terms(3)
+    # a term whose letters differ has images under permuting sites other than itself
+    t = next(i for i, row in enumerate(letters.tolist()) if len(set(row)) > 1)
+    weights = weights.copy()
+    weights[t] = (weights[t] + 1) % 3
+    monkeypatch.setattr(hidden_variables, "_encode_terms", lambda n: (weights, letters))
+
+    def score(*args):
+        raise AssertionError("a score was formed")
+
+    monkeypatch.setattr(hidden_variables, "_class_scores", score)
+    with pytest.raises(ArithmeticError, match="permuting sites"):
+        exhaustive_search(3, "full")
+
+
+def test_site_symmetry_needs_both_generators():
+    weights = np.zeros(3, dtype=np.int16)
+    for n_sites in range(1, 6):
+        _check_site_symmetry(*_encode_terms(n_sites))
+    # invariant under the cyclic shift, not under the swap of sites 1 and 2
+    cyclic = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int8)
+    # invariant under the swap, not under the cyclic shift
+    swapped = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 1]], dtype=np.int8)
+    for letters in (cyclic, swapped):
+        with pytest.raises(ArithmeticError):
+            _check_site_symmetry(weights, letters)
+    _check_site_symmetry(weights, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int8))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_class_multinomials_cover_every_full_assignment(n_sites):
+    classes = np.array(list(itertools.combinations_with_replacement(range(27), n_sites)))
+    assert _class_tally(classes, 27) == (27**n_sites, 0)
 
 
 def test_full_search_n3_against_independent_evaluation():
