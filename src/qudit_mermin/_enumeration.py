@@ -57,11 +57,8 @@ from .cyclotomic import (
 
 __all__ = [
     "ProductSpace",
-    "RawSearchResult",
     "run_search",
     "full_space_scores",
-    "exact_sum",
-    "exact_letters_sum",
     "resolve_workers",
     "check_search_budget",
 ]
@@ -298,42 +295,26 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     )
 
 
+def _float_scores(space: ProductSpace, letters: np.ndarray) -> np.ndarray:
+    """Float |sum of products|**2 of each (K, N) letter row's exact ``_class_values``."""
+    _check_range(space)
+    values = _class_values(space.counts, letters).astype(np.float64)
+    vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
+    return vals.real * vals.real + vals.imag * vals.imag
+
+
 def full_space_scores(space: ProductSpace) -> np.ndarray:
     """Float |sum of products|**2 for every index (small spaces only).
 
-    Each index is scored through its letter multiset: the exact value at
-    the sorted index of each multiset (``_class_values``), converted to
-    float and gathered back to every index that sorts to it.
+    ``_float_scores`` at each multiset's sorted index, gathered to every index.
     """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    _check_range(space)
     shape = (space.alphabet,) * space.n_sites
     digits = np.indices(shape).reshape(space.n_sites, -1)
     sorted_at = np.ravel_multi_index(np.sort(digits, axis=0), shape)
     reps = np.flatnonzero(sorted_at == np.arange(space.size))  # the sorted indices
-    values = _class_values(space.counts, digits[:, reps].T).astype(np.float64)
-    vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
-    which = np.searchsorted(reps, sorted_at)
-    return (vals.real * vals.real + vals.imag * vals.imag)[which]
-
-
-def exact_sum(space: ProductSpace, index: int) -> CycInt:
-    """Pure-Python evaluation of the slot-product sum at one flat index."""
-    digits = decode_index(index, space.alphabet, space.n_sites)
-    sites = ProductSpace(space.order, space.n_sites, space.counts[list(digits)])
-    return exact_letters_sum(space.order, sites.factors, range(space.n_sites))
-
-
-def exact_letters_sum(order: int, factors, letters) -> CycInt:
-    """sum_s prod_i factors[letters[i]][s], one ``CycInt`` product per site."""
-    total = CycInt.zero(order)
-    for s in range(len(factors[0])):
-        prod = CycInt.one(order)
-        for a in letters:
-            prod = prod * factors[a][s]
-        total = total + prod
-    return total
+    return _float_scores(space, digits[:, reps].T)[np.searchsorted(reps, sorted_at)]
 
 
 def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ triples; it then assigns the sites of the terms one at a time, exactly
 over Z[omega] (int16 pairs, uint16 scores, in ranges proven from the term
 count), over the C(N+26, 26) sorted multisets that stand for the 27**N
 assignments, and reports the largest deviation of a multiset's score
-from the ratio reduction.
+from the ratio reduction, evaluated once per multiset of per-site ratios.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -50,10 +50,10 @@ from ._enumeration import (
     _class_letters,
     _class_tally,
     _class_values,
+    _float_scores,
     _level_ends,
     decode_index,
     encode_index,
-    full_space_scores,
     run_search,
 )
 from .cyclotomic import CycInt, PhaseExponent, _integer, _root_coeffs, _site_count
@@ -384,7 +384,8 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     (else ArithmeticError), contracts them site by site into the exact
     value of each multiset of per-site value triples, as a uint16
     |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N),
-    and reports the largest deviation from the ratio reduction.  An
+    and reports the largest deviation from the ratio reduction, read once
+    for each of the C(N+8, 8) multisets of per-site ratios.  An
     over-budget N raises ValueError before anything is built.  Ties are
     counted exactly and the arg-max reported is the lexicographically
     smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
@@ -497,6 +498,26 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return score.view(np.uint16)
 
 
+def _ratio_rows(ends: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ratio multisets and, per class of ``ends`` = ``_level_ends(27, N + 1)``, its own.
+
+    Returns the C(N+8, 8) sorted ratio letter tuples in
+    ``combinations_with_replacement`` order, the order that sorts them by key,
+    and each class's position in that key order.  A key is sum_sites (N+1)**r
+    over the ratio digits r, the digit counts in base N + 1, and a class's
+    key is built level by level as its sites are assigned.
+    """
+    n_sites = len(ends) - 1
+    base = n_sites + 1
+    letters = np.array(list(itertools.combinations_with_replacement(range(9), n_sites)))
+    keys = (base**letters).sum(axis=1)
+    order = np.argsort(keys)
+    key = np.zeros(1, dtype=np.int64)
+    for sizes in ends[:-1]:
+        key = np.concatenate([key[:k] + base**r for r, k in zip(_RATIO_DIGIT, sizes.tolist())])
+    return letters, order, np.searchsorted(keys[order], key)
+
+
 def _full_search(n_sites: int) -> SearchResult:
     """Exact full scan over the multisets of per-site value triples.
 
@@ -505,10 +526,10 @@ def _full_search(n_sites: int) -> SearchResult:
     ``_class_scores`` scores each multiset once.  A multiset stands for
     N!/prod(m!) assignments and its least flat index is its sorted one, so
     ``_enumeration._class_tally`` gives the exact tie count and arg-min.
-    ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v||, the ratio
-    magnitude read at the sorted arrangement's ratio index, maximized over
-    the multisets.  The ratio table gives one value to every arrangement of
-    a ratio multiset, so this is the all-assignment maximum bit for bit.
+    ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v|| maximized
+    over the classes, |v| from ``_enumeration._float_scores`` once per ratio
+    multiset (``_ratio_rows``), the value every arrangement of it has in
+    ``full_space_scores``: the all-assignment maximum, bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -517,14 +538,12 @@ def _full_search(n_sites: int) -> SearchResult:
         )
     weights, letters = _encode_terms(n_sites)
     _check_site_symmetry(weights, letters)
-    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, n_sites))) / 3.0
     scores = _class_scores(weights, letters)
     ends = _level_ends(27, n_sites + 1)
-    ratio = np.zeros(1, dtype=np.int64)  # the ratio index of each class, level by level
-    for sizes in ends[:-1]:
-        ratio = np.concatenate([9 * ratio[:k] + r for r, k in zip(_RATIO_DIGIT, sizes.tolist())])
+    ratio_letters, order, rows = _ratio_rows(ends)
+    ratio_mag = np.sqrt(_float_scores(ratio_space(3, n_sites), ratio_letters)) / 3.0
     dev = np.sqrt(scores, dtype=np.float64)
-    dev -= ratio_mag[ratio]
+    dev -= ratio_mag[order][rows]
     max_dev = float(np.abs(dev, out=dev).max())
     best = int(scores.max())
     hits = np.flatnonzero(scores == best)

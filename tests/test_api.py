@@ -375,6 +375,27 @@ def test_every_import_is_read_or_exported():
     assert unused == []
 
 
+# ``_enumeration`` exports no other module of the package reads, with the reason
+UNREAD_EXPORTS = {"full_space_scores": "traced by name by perfbench; tests' oracle"}
+
+
+def test_every_enumeration_export_is_read_elsewhere():
+    # an export that only the tests read belongs in the tests
+    read = set()
+    for path in sorted((ROOT / "src" / "qudit_mermin").glob("*.py")):
+        if path.stem == "_enumeration":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    unread = set(PACKAGE_MODULES["_enumeration"].__all__) - read
+    assert unread == set(UNREAD_EXPORTS)
+
+
 def test_private_names_in_the_docs_resolve():
     # a doc that names a private helper must name one that exists
     missing = []

@@ -1,7 +1,7 @@
 """Site-permutation class engine against brute force and the int64 engines.
 
 The brute-force oracle evaluates each assignment on its own with
-pure-Python ``CycInt`` arithmetic (``exact_sum``) and orders squared
+pure-Python ``CycInt`` arithmetic (``oracles.exact_sum``) and orders squared
 magnitudes with ``compare_real_coeffs``; it shares no code with the class
 enumeration or the float ranking band.  ``int64_class_search`` is the
 earlier engine, kept here as a second oracle: it carries every class
@@ -33,8 +33,6 @@ from qudit_mermin._enumeration import (
     _scored_blocks,
     decode_index,
     encode_index,
-    exact_letters_sum,
-    exact_sum,
     full_space_scores,
     run_search,
 )
@@ -49,6 +47,8 @@ from qudit_mermin.cyclotomic import (
     root_of_unity,
 )
 from qudit_mermin.generalized import ratio_space
+
+from oracles import exact_letters_sum, exact_sum
 
 _BAND_REL = 1e-6
 

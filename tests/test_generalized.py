@@ -14,7 +14,7 @@ import pytest
 
 from qudit_mermin import _enumeration, generalized, mermin
 from qudit_mermin.cyclotomic import CycInt, _root_coeffs, root_counts, root_of_unity
-from qudit_mermin._enumeration import _class_values, exact_letters_sum
+from qudit_mermin._enumeration import _class_values
 from qudit_mermin.generalized import (
     GeneralConfig,
     _factor_exponents,
@@ -39,6 +39,8 @@ from qudit_mermin.hidden_variables import (
     uniform_value,
 )
 from qudit_mermin.mermin import build_mermin
+
+from oracles import exact_letters_sum
 
 
 def cosine_factor(d, p):

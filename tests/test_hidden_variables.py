@@ -25,10 +25,13 @@ from hypothesis import example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
-from qudit_mermin import hidden_variables, qudit_ops
+from qudit_mermin import _enumeration, hidden_variables, qudit_ops
 from qudit_mermin._enumeration import (
+    _class_letters,
     _class_tally,
-    exact_letters_sum,
+    _float_scores,
+    _level_ends,
+    decode_index,
     full_space_scores,
     run_search,
 )
@@ -63,6 +66,8 @@ from qudit_mermin.hidden_variables import (
 )
 from qudit_mermin.mermin import MerminOperator, PositionCounts, build_mermin
 from qudit_mermin.qudit_ops import EigenstateError, SettingWord
+
+from oracles import exact_letters_sum
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -655,27 +660,43 @@ def test_full_search_n5_equals_the_float_checked_int64_scan():
     assert result.details["ratio_agreement_max_abs_dev"] == 7.105427357601002e-15
 
 
-def shifted_ratio_scores(index, shift):
-    """``full_space_scores`` with ``shift(score)`` in place of one score."""
+def ratio_multiset_of(index, n_sites):
+    """The sorted ratio letters of the multiset of ratio index ``index``."""
+    return np.sort(decode_index(index, 9, n_sites))
 
-    def scores(space):
-        out = full_space_scores(space)
-        out[index] = shift(out[index])
+
+def shifted_ratio_scores(index, shift):
+    """``_float_scores`` with ``shift(score)`` in place of one multiset's score."""
+
+    def scores(space, letters):
+        out = _float_scores(space, letters)
+        row = (letters == ratio_multiset_of(index, space.n_sites)).all(axis=1)
+        out[row] = shift(out[row])
         return out
 
     return scores
 
 
-# (ratio index, shift of its score |3v|**2, whether the check still agrees);
-# at N = 3 index 0 is a maximizer (|v|**2 = 36) and index 100 has |v|**2 = 9
+def shifted_full_table(n_sites, index, shift):
+    """``full_space_scores`` with every index of one ratio multiset shifted."""
+    out = full_space_scores(ratio_space(3, n_sites))
+    digits = np.sort(np.indices((9,) * n_sites).reshape(n_sites, -1), axis=0).T
+    same = (digits == ratio_multiset_of(index, n_sites)).all(axis=1)
+    out[same] = shift(out[same])
+    return out
+
+
+# (ratio index, shift of its multiset's score |3v|**2, whether the check
+# still agrees); at N = 3 index 0 is a maximizer (|v|**2 = 36) and index 100
+# has |v|**2 = 9
 RATIO_SHIFTS = {
     "one-unit-at-max": (0, lambda s: s + 9, False),
     "one-unit": (100, lambda s: s + 9, False),
     "relative-1e-12-at-max": (0, lambda s: s * (1 + 1e-12), True),
     "relative-1e-12": (100, lambda s: s * (1 + 1e-12), True),
-    # 8.5 rounds to 8: every entry of the index mismatches, and sqrt(8) is
-    # farther from sqrt(8.5) than the true sqrt(9) is, so a deviation taken
-    # from the rounded reference would overstate the all-entry maximum
+    # 8.5 rounds to 8: every entry of the multiset mismatches, and sqrt(8)
+    # is farther from sqrt(8.5) than the true sqrt(9) is, so a deviation
+    # taken from the rounded reference would overstate the all-entry maximum
     "half-unit-down": (100, lambda s: s - 4.5, False),
     # 36 + 2**16 wraps to the true 36 in uint16: every entry matches, so
     # only a deviation read from the compared reference shows the shift
@@ -687,9 +708,10 @@ RATIO_SHIFTS = {
 def test_exact_cross_check_catches_a_ratio_disagreement(monkeypatch, case):
     index, shift, agrees = RATIO_SHIFTS[case]
     n_sites = 3
-    scores = shifted_ratio_scores(index, shift)
-    reference = float_checked_full_scan(n_sites, scores(ratio_space(3, n_sites)))
-    monkeypatch.setattr(hidden_variables, "full_space_scores", scores)
+    reference = float_checked_full_scan(
+        n_sites, shifted_full_table(n_sites, index, shift)
+    )
+    monkeypatch.setattr(hidden_variables, "_float_scores", shifted_ratio_scores(index, shift))
     result = exhaustive_search(n_sites, mode="full")
     assert_same_full_result(result, reference)
     dev = result.details["ratio_agreement_max_abs_dev"]
@@ -697,6 +719,44 @@ def test_exact_cross_check_catches_a_ratio_disagreement(monkeypatch, case):
     assert dev > 1e-13  # the shifted score shows in the deviation
     cli_result = CliRunner().invoke(cli, ["search", "--n", "3", "--mode", "full"])
     assert cli_result.exit_code == (0 if agrees else 1)
+
+
+def _refuse_the_table(space):
+    raise AssertionError("full mode built the 9**N ratio table")
+
+
+def test_full_search_never_builds_the_ratio_table(monkeypatch):
+    expected = [exhaustive_search(n_sites, mode="full") for n_sites in range(1, 7)]
+    monkeypatch.setattr(_enumeration, "full_space_scores", _refuse_the_table)
+    monkeypatch.setattr(hidden_variables, "full_space_scores", _refuse_the_table, raising=False)
+    for n_sites, reference in zip(range(1, 7), expected):
+        assert_same_full_result(exhaustive_search(n_sites, mode="full"), reference)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_multiset_scores_equal_the_table_at_the_sorted_indices(n_sites):
+    space = ratio_space(3, n_sites)
+    ends = _level_ends(27, n_sites + 1)
+    letters = hidden_variables._ratio_rows(ends)[0]
+    assert letters.tolist() == [
+        list(row) for row in itertools.combinations_with_replacement(range(9), n_sites)
+    ]
+    flat = np.ravel_multi_index(letters.T, (9,) * n_sites)
+    table = full_space_scores(space)[flat]
+    assert np.array_equal(_float_scores(space, letters).view(np.int64), table.view(np.int64))
+
+
+@pytest.mark.parametrize("n_sites", range(1, 5))
+def test_each_class_key_picks_its_ratio_multiset(n_sites):
+    ends = _level_ends(27, n_sites + 1)
+    letters, order, rows = hidden_variables._ratio_rows(ends)
+    classes = np.arange(math.comb(n_sites + 26, 26))
+    last = np.searchsorted(ends[-1], classes, side="right")
+    parents = classes - (ends[-1][last] - ends[-2][last])
+    triples = _class_letters(ends[:-1], last, parents)
+    # the class's sorted arrangement, read as per-site ratio digits
+    expected = np.sort(hidden_variables._RATIO_DIGIT[triples], axis=1)
+    assert np.array_equal(letters[order][rows], expected)
 
 
 @st.composite
