@@ -18,17 +18,26 @@ last letter with one mat-vec, and every score carries one proven rounding
 bound, set by the mass bound W = slots * M**N of ``_check_range``
 (``_scored_blocks``), which refuses a space with 2W >= 2**63 before any
 score is formed.  Only the band of classes that may reach the maximum is
-resolved exactly, by the package's one exact multiset evaluator
+resolved exactly, by the package's exact evaluator of given letter rows
 (``_class_values``: one batched ``_site_product`` per block, folded once),
 then one squared magnitude per distinct value, ordered with
 ``compare_real_coeffs``.
 
+A space scored whole (``full_space_scores``, and full search's ratio
+side) is walked once with exact int64 root counts instead
+(``_multiset_values``): every multiset's value, each prefix product
+formed once, in the same level layout, under the same ``_check_range``
+guard.  ``_extension_ranks`` gives the position in that layout of a
+multiset with one more letter, so a caller can carry each assignment's or
+class's multiset site by site, one gather per level or block.
+
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
-maximizing classes.  The lexicographically smallest arrangement of a class
-is its sorted tuple, so the arg-max is the smallest sorted arrangement
-among the maximizing classes.  The reported maximum, tie count and
-lexicographic arg-min are exact.
+maximizing classes, taken once per distinct multiplicity partition.  The
+lexicographically smallest arrangement of a class is its sorted tuple, so
+the arg-max is the smallest sorted arrangement among the maximizing
+classes.  The reported maximum, tie count and lexicographic arg-min are
+exact.
 
 Assignment indices are base-A integers with site 1 as the most significant
 digit, so the flat index order is the lexicographic order of assignments.
@@ -37,7 +46,6 @@ digit, so the flat index order is the lexicographic order of assignments.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key, partial
 
@@ -47,6 +55,7 @@ from .cyclotomic import (
     CycInt,
     _UNIT_ROUNDOFF,
     _alpha_powers,
+    _circulant_index,
     _integer,
     _read_only,
     _root_coeffs,
@@ -236,7 +245,7 @@ def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray
 def _class_values(counts: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """(K, phi) canonical coefficients of sum_s prod_i F[letters[k, i], s].
 
-    The one exact evaluator, over (A, S, m) root counts: one batched
+    The exact evaluator of given rows, over (A, S, m) root counts: one batched
     ``_site_product`` per block of ``_CLASS_BLOCK`` classes, summed over the
     slots and folded, in the dtype it picked (int64 or Python integers).
     """
@@ -252,12 +261,26 @@ def _class_tally(letters: np.ndarray, alphabet: int) -> tuple[int, int]:
     """Assignments the (K >= 1, N) sorted classes stand for, and the least flat index.
 
     A class with letter multiplicities m_a stands for N!/prod(m_a!)
-    assignments, and its lexicographically smallest is its sorted tuple.
+    assignments.  prod(m_a!) is the product of each letter's position in its
+    run of equal letters (1, 2, ..., m_a), so the sorted positions key the
+    multiplicity partition; the multinomials are summed as Python integers
+    once per distinct partition, exact for every N.  The lexicographically
+    smallest arrangement of a class is its sorted tuple, so the least index
+    is that of the lexicographically first row.
     """
-    rows = letters.tolist()
+    sites = np.arange(letters.shape[1])
+    starts = np.ones(letters.shape, dtype=bool)
+    starts[:, 1:] = letters[:, 1:] != letters[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, sites, 0), axis=1)
+    keys = np.sort(sites - run_start + 1, axis=1)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, at, repeats = np.unique(rows, return_index=True, return_counts=True)
     n_fact = math.factorial(letters.shape[1])
-    count = sum(n_fact // math.prod(map(math.factorial, Counter(row).values())) for row in rows)
-    return count, min(encode_index(row, alphabet) for row in rows)
+    count = sum(
+        r * (n_fact // math.prod(key)) for key, r in zip(keys[at].tolist(), repeats.tolist())
+    )
+    first = np.lexsort(letters.T[::-1])[0]
+    return count, encode_index(letters[first].tolist(), alphabet)
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:
@@ -295,26 +318,83 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     )
 
 
-def _float_scores(space: ProductSpace, letters: np.ndarray) -> np.ndarray:
-    """Float |sum of products|**2 of each (K, N) letter row's exact ``_class_values``."""
+def _multiset_values(space: ProductSpace) -> np.ndarray:
+    """(K, phi) int64 canonical values of all K = C(N+A-1, N) letter multisets.
+
+    The classes are walked in the layout of ``_level_ends`` from the empty
+    one: at each level, block b multiplies the first ends[b] prefixes by
+    letter b's (S, m, m) circulant (``_circulant_index``, gathered for that
+    block only) in one matmul, so each prefix product is formed once and
+    shared by every class that extends it.  The last level sums each block
+    over the slots and folds it before the next is formed.  ``_check_range``
+    runs before any product: every count, slot sum and folded coefficient is
+    at most its mass bound W, and 2W < 2**63 keeps them all in int64.
+    """
     _check_range(space)
-    values = _class_values(space.counts, letters).astype(np.float64)
+    counts, m = space.counts, space.order
+    index = _circulant_index(m)
+    p = np.zeros((space.slots, 1, m), dtype=np.int64)  # (S, K, m): the empty class
+    p[..., 0] = 1
+    *inner, last = _level_ends(space.alphabet, space.n_sites)
+    for sizes in inner:
+        p = np.concatenate(
+            [p[:, :k] @ counts[b][:, index] for b, k in enumerate(sizes.tolist())], axis=1
+        )
+    fold = _root_coeffs(m)
+    return np.concatenate(
+        [(p[:, :k] @ counts[b][:, index]).sum(axis=0) @ fold for b, k in enumerate(last.tolist())]
+    )
+
+
+def _multiset_scores(space: ProductSpace) -> np.ndarray:
+    """Float |sum of products|**2 of each multiset's exact ``_multiset_values``."""
+    values = _multiset_values(space).astype(np.float64)
     vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
     return vals.real * vals.real + vals.imag * vals.imag
+
+
+def _extension_ranks(alphabet: int, n_sites: int) -> list[np.ndarray]:
+    """``tables[t][k, a]``: the rank of t-letter class k with letter a added.
+
+    Ranks are positions in the layout of ``_level_ends``, t = 0..N-1 (the
+    empty class first).  Class k of length t >= 1 is prefix k' extended by
+    its last letter c.  Adding a >= c extends k itself, which sits at rank k
+    among the first classes of block a; adding a < c extends by c the
+    prefix k' with a added, rank tables[t-1][k', a] in block c.
+    """
+    ends = _level_ends(alphabet, n_sites + 1)
+    letters = np.arange(alphabet)
+    tables = [letters[None, :]]
+    for t in range(1, n_sites):
+        starts = ends[t + 1] - ends[t]  # block offsets at level t + 1
+        offsets = ends[t] - ends[t - 1]  # block offsets at level t
+        tables.append(
+            np.concatenate(
+                [
+                    np.where(
+                        letters >= c,
+                        starts + offsets[c] + np.arange(k)[:, None],
+                        starts[c] + tables[-1][:k],
+                    )
+                    for c, k in enumerate(ends[t - 1].tolist())
+                ]
+            )
+        )
+    return tables
 
 
 def full_space_scores(space: ProductSpace) -> np.ndarray:
     """Float |sum of products|**2 for every index (small spaces only).
 
-    ``_float_scores`` at each multiset's sorted index, gathered to every index.
+    ``_multiset_scores`` gathered at each index's class, whose rank is
+    carried site by site through ``_extension_ranks``.
     """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    shape = (space.alphabet,) * space.n_sites
-    digits = np.indices(shape).reshape(space.n_sites, -1)
-    sorted_at = np.ravel_multi_index(np.sort(digits, axis=0), shape)
-    reps = np.flatnonzero(sorted_at == np.arange(space.size))  # the sorted indices
-    return _float_scores(space, digits[:, reps].T)[np.searchsorted(reps, sorted_at)]
+    rank = np.zeros(1, dtype=np.intp)
+    for table in _extension_ranks(space.alphabet, space.n_sites):
+        rank = table[rank].ravel()  # the new site is the least significant digit
+    return _multiset_scores(space)[rank]
 
 
 def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:

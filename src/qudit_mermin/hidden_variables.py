@@ -25,7 +25,8 @@ triples; it then assigns the sites of the terms one at a time, exactly
 over Z[omega] (int16 pairs, uint16 scores, in ranges proven from the term
 count), over the C(N+26, 26) sorted multisets that stand for the 27**N
 assignments, and reports the largest deviation of a multiset's score
-from the ratio reduction, evaluated once per multiset of per-site ratios.
+from the ratio reduction, evaluated once per multiset of per-site ratios in
+one prefix-sharing walk and read at each class's carried ratio rank.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -50,8 +51,9 @@ from ._enumeration import (
     _class_letters,
     _class_tally,
     _class_values,
-    _float_scores,
+    _extension_ranks,
     _level_ends,
+    _multiset_scores,
     decode_index,
     encode_index,
     run_search,
@@ -384,8 +386,10 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     (else ArithmeticError), contracts them site by site into the exact
     value of each multiset of per-site value triples, as a uint16
     |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N),
-    and reports the largest deviation from the ratio reduction, read once
-    for each of the C(N+8, 8) multisets of per-site ratios.  An
+    and reports the largest deviation from the ratio reduction: the
+    C(N+8, 8) multisets of per-site ratios are evaluated exactly in one walk
+    that shares prefix products, and each class reads its own through a
+    ratio-multiset rank carried as its sites are assigned.  An
     over-budget N raises ValueError before anything is built.  Ties are
     counted exactly and the arg-max reported is the lexicographically
     smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
@@ -498,24 +502,23 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return score.view(np.uint16)
 
 
-def _ratio_rows(ends: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ratio multisets and, per class of ``ends`` = ``_level_ends(27, N + 1)``, its own.
+def _ratio_ranks(n_sites: int) -> np.ndarray:
+    """Each class's ratio multiset, as its rank among the C(N+8, 8) of them.
 
-    Returns the C(N+8, 8) sorted ratio letter tuples in
-    ``combinations_with_replacement`` order, the order that sorts them by key,
-    and each class's position in that key order.  A key is sum_sites (N+1)**r
-    over the ratio digits r, the digit counts in base N + 1, and a class's
-    key is built level by level as its sites are assigned.
+    The classes of value triples are those of ``_level_ends(27, N)``, as in
+    ``_class_scores``, and a rank is a position in the layout of
+    ``_level_ends(9, N)``, that of ``_enumeration._multiset_scores``.  Each
+    class's rank is carried level by level as its sites are assigned: block b
+    of a level adds triple b's ratio digit to the first ends[b] prefixes, one
+    gather from ``_extension_ranks(9, N)`` per block.
     """
-    n_sites = len(ends) - 1
-    base = n_sites + 1
-    letters = np.array(list(itertools.combinations_with_replacement(range(9), n_sites)))
-    keys = (base**letters).sum(axis=1)
-    order = np.argsort(keys)
-    key = np.zeros(1, dtype=np.int64)
-    for sizes in ends[:-1]:
-        key = np.concatenate([key[:k] + base**r for r, k in zip(_RATIO_DIGIT, sizes.tolist())])
-    return letters, order, np.searchsorted(keys[order], key)
+    rank = np.zeros(1, dtype=np.intp)
+    for sizes, table in zip(_level_ends(27, n_sites), _extension_ranks(9, n_sites)):
+        added = table.T.copy()  # added[r, k]: prefix k's rank with digit r added
+        rank = np.concatenate(
+            [added[r].take(rank[:k]) for r, k in zip(_RATIO_DIGIT, sizes.tolist())]
+        )
+    return rank
 
 
 def _full_search(n_sites: int) -> SearchResult:
@@ -527,9 +530,10 @@ def _full_search(n_sites: int) -> SearchResult:
     N!/prod(m!) assignments and its least flat index is its sorted one, so
     ``_enumeration._class_tally`` gives the exact tie count and arg-min.
     ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v|| maximized
-    over the classes, |v| from ``_enumeration._float_scores`` once per ratio
-    multiset (``_ratio_rows``), the value every arrangement of it has in
-    ``full_space_scores``: the all-assignment maximum, bit for bit.
+    over the classes, |v| from ``_enumeration._multiset_scores`` once per
+    ratio multiset, read at each class's ``_ratio_ranks``: the value every
+    arrangement of it has in ``full_space_scores``, so the all-assignment
+    maximum, bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -539,14 +543,14 @@ def _full_search(n_sites: int) -> SearchResult:
     weights, letters = _encode_terms(n_sites)
     _check_site_symmetry(weights, letters)
     scores = _class_scores(weights, letters)
-    ends = _level_ends(27, n_sites + 1)
-    ratio_letters, order, rows = _ratio_rows(ends)
-    ratio_mag = np.sqrt(_float_scores(ratio_space(3, n_sites), ratio_letters)) / 3.0
-    dev = np.sqrt(scores, dtype=np.float64)
-    dev -= ratio_mag[order][rows]
+    ratio_mag = np.sqrt(_multiset_scores(ratio_space(3, n_sites))) / 3.0
+    # gathered first, so the rank arrays are freed before the square roots exist
+    dev = ratio_mag[_ratio_ranks(n_sites)]
+    dev -= np.sqrt(scores, dtype=np.float64)
     max_dev = float(np.abs(dev, out=dev).max())
     best = int(scores.max())
     hits = np.flatnonzero(scores == best)
+    ends = _level_ends(27, n_sites + 1)
     last = np.searchsorted(ends[-1], hits, side="right")
     parents = hits - (ends[-1][last] - ends[-2][last])
     count, lexmin = _class_tally(_class_letters(ends[:-1], last, parents), 27)

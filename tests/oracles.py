@@ -1,10 +1,14 @@
 """Pure-Python ``CycInt`` oracles shared by the test modules.
 
 They multiply one ring element at a time and share no code with the
-batched evaluator ``_enumeration._class_values``.
+batched evaluator ``_enumeration._class_values``; ``class_tally`` is the
+per-row loop that ``_enumeration._class_tally`` replaced.
 """
 
-from qudit_mermin._enumeration import ProductSpace, decode_index
+import math
+from collections import Counter
+
+from qudit_mermin._enumeration import ProductSpace, decode_index, encode_index
 from qudit_mermin.cyclotomic import CycInt
 
 
@@ -24,3 +28,11 @@ def exact_letters_sum(order: int, factors, letters) -> CycInt:
             prod = prod * factors[a][s]
         total = total + prod
     return total
+
+
+def class_tally(letters, alphabet: int) -> tuple[int, int]:
+    """N!/prod(m_a!) summed over sorted rows, one ``Counter`` per row, and the least index."""
+    rows = letters.tolist()
+    n_fact = math.factorial(letters.shape[1])
+    count = sum(n_fact // math.prod(map(math.factorial, Counter(row).values())) for row in rows)
+    return count, min(encode_index(row, alphabet) for row in rows)

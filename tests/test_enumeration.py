@@ -19,7 +19,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qudit_mermin import _enumeration
@@ -28,8 +28,10 @@ from qudit_mermin._enumeration import (
     ProductSpace,
     _check_range,
     _class_letters,
+    _class_tally,
     _class_values,
     _level_ends,
+    _multiset_values,
     _scored_blocks,
     decode_index,
     encode_index,
@@ -48,7 +50,7 @@ from qudit_mermin.cyclotomic import (
 )
 from qudit_mermin.generalized import ratio_space
 
-from oracles import exact_letters_sum, exact_sum
+from oracles import class_tally, exact_letters_sum, exact_sum
 
 _BAND_REL = 1e-6
 
@@ -473,6 +475,54 @@ def test_full_space_scores_match_breadth_first_bit_for_bit(d, n_sites):
 def test_random_full_tables_match_breadth_first_bit_for_bit(space):
     assert_matches_breadth_first(space)
 
+
+
+def level_order_letters(alphabet, n_sites):
+    """(K, N) sorted letters of every multiset, in the layout of ``_level_ends``."""
+    ends = _level_ends(alphabet, n_sites)
+    sizes = ends[-1]
+    last = np.repeat(np.arange(alphabet), sizes)
+    parents = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _class_letters(ends, last, parents)
+
+
+def assert_walk_matches_the_evaluator(space):
+    letters = level_order_letters(space.alphabet, space.n_sites)
+    values = _multiset_values(space)
+    assert values.dtype == np.int64
+    assert np.array_equal(values, _class_values(space.counts, letters))
+
+
+@pytest.mark.parametrize(
+    "d, n_sites", [(3, n) for n in range(1, 8)] + [(5, 1), (5, 2)]
+)
+def test_multiset_walk_equals_the_exact_evaluator(d, n_sites):
+    assert_walk_matches_the_evaluator(ratio_space(d, n_sites))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(product_spaces(), scaled_spaces()))
+def test_random_multiset_walks_equal_the_exact_evaluator(space):
+    assert_walk_matches_the_evaluator(space)
+
+
+@st.composite
+def sorted_rows(draw):
+    """(K, N) rows sorted along N, N up to 30 (30! > 2**63), many repeated letters."""
+    alphabet = draw(st.integers(1, 27))
+    n_sites = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).integers(0, alphabet, size=(n_rows, n_sites))
+    return np.sort(rows, axis=1), alphabet
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_rows())
+@example((np.stack([np.arange(21), np.zeros(21, dtype=int)]), 21))  # 21! > 2**63
+def test_class_tally_equals_the_counter_loop(rows_alphabet):
+    rows, alphabet = rows_alphabet
+    assert _class_tally(rows, alphabet) == class_tally(rows, alphabet)
 
 
 @pytest.mark.parametrize("alphabet, n_sites", [(2, 1), (9, 3), (27, 2)])

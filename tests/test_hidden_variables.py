@@ -29,14 +29,15 @@ from qudit_mermin import _enumeration, hidden_variables, qudit_ops
 from qudit_mermin._enumeration import (
     _class_letters,
     _class_tally,
-    _float_scores,
+    _class_values,
     _level_ends,
+    _multiset_scores,
     decode_index,
     full_space_scores,
     run_search,
 )
 from qudit_mermin.cli import cli
-from qudit_mermin.cyclotomic import CycInt, PhaseExponent, root_of_unity
+from qudit_mermin.cyclotomic import CycInt, PhaseExponent, _alpha_powers, root_of_unity
 from qudit_mermin.generalized import ratio_space
 from qudit_mermin.hidden_variables import (
     A_VALUE,
@@ -665,12 +666,25 @@ def ratio_multiset_of(index, n_sites):
     return np.sort(decode_index(index, 9, n_sites))
 
 
-def shifted_ratio_scores(index, shift):
-    """``_float_scores`` with ``shift(score)`` in place of one multiset's score."""
+def level_ranks(rows):
+    """Rank of each multiset (a row of letters) in ``_level_ends`` order.
 
-    def scores(space, letters):
-        out = _float_scores(space, letters)
-        row = (letters == ratio_multiset_of(index, space.n_sites)).all(axis=1)
+    That order is colex: a sorted tuple a_1 <= ... <= a_N follows, for each
+    site i, the C(a_i + i - 1, i) tuples that agree with it after site i
+    and have a smaller letter there.
+    """
+    rows = np.sort(np.asarray(rows), axis=-1)
+    n_sites = rows.shape[-1]
+    comb = [[math.comb(a + i, i + 1) for i in range(n_sites)] for a in range(rows.max() + 1)]
+    return np.array(comb)[rows, np.arange(n_sites)].sum(axis=-1)
+
+
+def shifted_ratio_scores(index, shift):
+    """``_multiset_scores`` with ``shift(score)`` in place of one multiset's score."""
+
+    def scores(space):
+        out = _multiset_scores(space)
+        row = level_ranks(ratio_multiset_of(index, space.n_sites))
         out[row] = shift(out[row])
         return out
 
@@ -711,7 +725,9 @@ def test_exact_cross_check_catches_a_ratio_disagreement(monkeypatch, case):
     reference = float_checked_full_scan(
         n_sites, shifted_full_table(n_sites, index, shift)
     )
-    monkeypatch.setattr(hidden_variables, "_float_scores", shifted_ratio_scores(index, shift))
+    monkeypatch.setattr(
+        hidden_variables, "_multiset_scores", shifted_ratio_scores(index, shift)
+    )
     result = exhaustive_search(n_sites, mode="full")
     assert_same_full_result(result, reference)
     dev = result.details["ratio_agreement_max_abs_dev"]
@@ -733,30 +749,46 @@ def test_full_search_never_builds_the_ratio_table(monkeypatch):
         assert_same_full_result(exhaustive_search(n_sites, mode="full"), reference)
 
 
+def _refuse_the_evaluator(counts, letters):
+    raise AssertionError("full mode called the per-row exact evaluator")
+
+
+def test_full_search_never_calls_the_per_row_evaluator(monkeypatch):
+    expected = [exhaustive_search(n_sites, mode="full") for n_sites in range(1, 7)]
+    monkeypatch.setattr(_enumeration, "_class_values", _refuse_the_evaluator)
+    monkeypatch.setattr(hidden_variables, "_class_values", _refuse_the_evaluator)
+    for n_sites, reference in zip(range(1, 7), expected):
+        assert_same_full_result(exhaustive_search(n_sites, mode="full"), reference)
+
+
 @pytest.mark.parametrize("n_sites", range(1, 7))
 def test_multiset_scores_equal_the_table_at_the_sorted_indices(n_sites):
     space = ratio_space(3, n_sites)
-    ends = _level_ends(27, n_sites + 1)
-    letters = hidden_variables._ratio_rows(ends)[0]
-    assert letters.tolist() == [
-        list(row) for row in itertools.combinations_with_replacement(range(9), n_sites)
-    ]
+    letters = np.array(list(itertools.combinations_with_replacement(range(9), n_sites)))
+    ranks = level_ranks(letters)
+    assert np.array_equal(np.sort(ranks), np.arange(len(letters)))
     flat = np.ravel_multi_index(letters.T, (9,) * n_sites)
     table = full_space_scores(space)[flat]
-    assert np.array_equal(_float_scores(space, letters).view(np.int64), table.view(np.int64))
+    scores = _multiset_scores(space)[ranks]
+    assert np.array_equal(scores.view(np.int64), table.view(np.int64))
+    # the float step of the per-row evaluator full mode once called
+    values = _class_values(space.counts, letters).astype(np.float64)
+    vals = values @ np.array(_alpha_powers(9)[:6])
+    reference = vals.real * vals.real + vals.imag * vals.imag
+    assert np.array_equal(scores.view(np.int64), reference.view(np.int64))
 
 
-@pytest.mark.parametrize("n_sites", range(1, 5))
+@pytest.mark.parametrize("n_sites", range(1, 7))
 def test_each_class_key_picks_its_ratio_multiset(n_sites):
     ends = _level_ends(27, n_sites + 1)
-    letters, order, rows = hidden_variables._ratio_rows(ends)
     classes = np.arange(math.comb(n_sites + 26, 26))
     last = np.searchsorted(ends[-1], classes, side="right")
     parents = classes - (ends[-1][last] - ends[-2][last])
     triples = _class_letters(ends[:-1], last, parents)
     # the class's sorted arrangement, read as per-site ratio digits
-    expected = np.sort(hidden_variables._RATIO_DIGIT[triples], axis=1)
-    assert np.array_equal(letters[order][rows], expected)
+    ratios = hidden_variables._RATIO_DIGIT[triples]
+    ranks = hidden_variables._ratio_ranks(n_sites)
+    assert np.array_equal(ranks, level_ranks(ratios))
 
 
 @st.composite
