@@ -13,15 +13,16 @@ A**N assignments.
 
 The search ranks in floats and decides exactly.  Class products are
 complex128 rows, built level by level with each prefix extended only by
-letters not below its last letter.  The last level is scored one block per
-last letter with one mat-vec, and every score carries one proven rounding
-bound, set by the mass bound W = slots * M**N of ``_check_range``
-(``_scored_blocks``), which refuses a space with 2W >= 2**63 before any
-score is formed.  Only the band of classes that may reach the maximum is
-resolved exactly, by the package's exact evaluator of given letter rows
-(``_class_values``: one batched ``_site_product`` per block, folded once),
-then one squared magnitude per distinct value, ordered with
-``compare_real_coeffs``.
+letters not below its last letter.  The last level is scored in groups of
+consecutive last letters, one matmul of their factors by the shared
+prefixes per group, and every score carries one proven rounding bound, set
+by the mass bound W = slots * M**N of ``_check_range`` (``_scored_blocks``),
+which refuses a space with 2W >= 2**63 before any score is formed.  The
+band of classes that may reach the maximum is kept with array operations
+on each group (``_band``), and only the band is resolved exactly, by the
+package's exact evaluator of given letter rows (``_class_values``: one
+batched ``_site_product`` per block, folded once), then one squared
+magnitude per distinct value, ordered with ``compare_real_coeffs``.
 
 A space scored whole (``full_space_scores``, and full search's ratio
 side) is walked once with exact int64 root counts instead
@@ -80,6 +81,12 @@ FACTOR_CAP = 10**6
 # Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
 # at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 8 MB to a d = 5 search.
 _CLASS_BLOCK = 2**5
+# Ranking letters per matmul: a group's (letters x prefixes) float rectangle
+# stays within 2**14 entries (2**16, or one whole d = 5, N = 2 rectangle, adds
+# 2.7 MB of peak RSS) and its -inf padding within 2**10 entries, about the
+# work one more product saves (2x the classes held slows d = 3, N = 7).
+_GROUP_ENTRIES = 2**14
+_GROUP_PADDING = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +188,61 @@ def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
     return ends
 
 
-def _scored_blocks(space: ProductSpace):
-    """Yield (b, lower, upper) for the N-letter classes ending in letter b.
+def _float_prefixes(
+    space: ProductSpace, ends: list[np.ndarray]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The ranking's inputs: the score bound, the factors and the prefixes.
 
-    The class that extends prefix k (in the order of ``_level_ends``) by b
-    has exact score s = |v|**2, v = sum_s prod_i F[a_i, s], within
-    [lower[k], upper[k]]: the float score s^ minus and plus one proven
+    Returns (B, F^, P^): B as proven in ``_scored_blocks``, the (A, S)
+    complex factors, and the float products of every (N-1)-letter prefix in
+    the layout ``ends`` of ``_level_ends`` (N = 1: the one empty prefix, all
+    ones).
+    """
+    m, slots, n_sites = space.order, space.slots, space.n_sites
+    u = _UNIT_ROUNDOFF
+    mass_bound = float(_check_range(space))
+    k = math.expm1(
+        n_sites * math.log1p((3 * m + 51) * u)
+        + (n_sites - 1) * math.log1p(4 * u)
+        + math.log1p(4 * (slots + 2) * u)
+    )
+    bound = 2.0 * mass_bound**2 * (k * (2.0 + k) + 3.0 * u * (1.0 + k) ** 2)
+    fhat = space.counts @ np.array(_alpha_powers(m))
+    # prefixes of one letter are the factors themselves; N = 1 has the empty one
+    p = fhat if n_sites > 1 else np.ones((1, slots))
+    for t in range(2, n_sites):
+        p = np.concatenate([p[:n] * fhat[b] for b, n in enumerate(ends[t - 1].tolist())])
+    return bound, fhat, p
+
+
+def _letter_groups(sizes: list[int]) -> list[tuple[int, int]]:
+    """Consecutive last-letter ranges [b0, b1) scored by one matmul each.
+
+    Block b holds sizes[b] classes, so a group's rectangle has
+    (b1 - b0) * sizes[b1 - 1] entries, of which those past the classes it
+    holds are padding; a group takes the next letter while its rectangle
+    stays within ``_GROUP_ENTRIES`` and its padding within ``_GROUP_PADDING``.
+    """
+    groups, b0, held = [], 0, 0
+    for b, n in enumerate(sizes):
+        entries = (b + 1 - b0) * n
+        if b > b0 and (entries > _GROUP_ENTRIES or entries - held - n > _GROUP_PADDING):
+            groups.append((b0, b))
+            b0, held = b, 0
+        held += n
+    groups.append((b0, len(sizes)))
+    return groups
+
+
+def _scored_blocks(space: ProductSpace):
+    """Yield (b0, lower, upper) for the N-letter classes ending in letters b0..b1-1.
+
+    ``lower`` and ``upper`` are (b1 - b0, n) arrays over the letter groups of
+    ``_letter_groups``: entry (r, j) is the class that extends prefix j (in
+    the order of ``_level_ends``) by letter b = b0 + r, and it is -inf in
+    both where j is not below ends[-1][b], the prefixes block b extends.
+    That class has exact score s = |v|**2, v = sum_s prod_i F[a_i, s],
+    within [lower, upper]: the float score s^ minus and plus one proven
     bound B for every class, set by the mass bound W of ``_check_range``.
 
     Proof of the bound.  Write u = 2**-53 and M for the largest factor
@@ -199,9 +255,10 @@ def _scored_blocks(space: ProductSpace):
     (2) Telescoping over the N factors of a slot, with |F| <= M and
     |F^| <= (1 + e) * M, |prod F^ - prod F| <= ((1 + e)**N - 1) * M**N.
     (3) The float prefix of N - 1 factors rounds N - 2 complex products,
-    each with relative error at most 4u, and the last-level mat-vec over
-    the slots, a complex dot product, adds at most 4 * (slots + 2) * u
-    times sum_s |p^_s| |F^_bs|; so with
+    each with relative error at most 4u.  The last level's matmul entry
+    (r, j) is the complex dot product of prefix j with factor b over the
+    slots; in any summation order and with or without FMA it adds at most
+    4 * (slots + 2) * u times sum_s |p^_s| |F^_bs|; so with
     k = (1 + e)**N * (1 + 4u)**(N-1) * (1 + 4 * (slots + 2) * u) - 1 the
     float sum v^ is within k * W of v, |v| <= W and |v^| <= (1 + k) * W.
     (4) s^ = fl(Re**2 + Im**2) is within 3u |v^|**2 of |v^|**2, and
@@ -210,25 +267,17 @@ def _scored_blocks(space: ProductSpace):
     is twice this one, which covers the roundings that compute it and
     those of s^ - B and s^ + B in the band test.
     """
-    m, slots, n_sites = space.order, space.slots, space.n_sites
-    u = _UNIT_ROUNDOFF
-    mass_bound = float(_check_range(space))
-    k = math.expm1(
-        n_sites * math.log1p((3 * m + 51) * u)
-        + (n_sites - 1) * math.log1p(4 * u)
-        + math.log1p(4 * (slots + 2) * u)
-    )
-    bound = 2.0 * mass_bound**2 * (k * (2.0 + k) + 3.0 * u * (1.0 + k) ** 2)
-    fhat = space.counts @ np.array(_alpha_powers(m))
-    ends = _level_ends(space.alphabet, n_sites)
-    # prefixes of one letter are the factors themselves; N = 1 has the empty one
-    p = fhat if n_sites > 1 else np.ones((1, slots))
-    for t in range(2, n_sites):
-        p = np.concatenate([p[:n] * fhat[b] for b, n in enumerate(ends[t - 1].tolist())])
-    for b, n in enumerate(ends[-1].tolist()):
-        v = p[:n] @ fhat[b]
+    levels = _level_ends(space.alphabet, space.n_sites)
+    bound, fhat, p = _float_prefixes(space, levels)
+    ends = levels[-1]  # the prefixes each block extends
+    sizes = ends.tolist()
+    for b0, b1 in _letter_groups(sizes):
+        n0, n = sizes[b0], sizes[b1 - 1]
+        v = fhat[b0:b1] @ p[:n].T
         scores = v.real * v.real + v.imag * v.imag
-        yield b, scores - bound, scores + bound
+        if n0 < n:  # every block of the group extends the first n0 prefixes
+            scores[:, n0:][np.arange(n0, n) >= ends[b0:b1, None]] = -np.inf
+        yield b0, scores - bound, scores + bound
 
 
 def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -283,25 +332,31 @@ def _class_tally(letters: np.ndarray, alphabet: int) -> tuple[int, int]:
     return count, encode_index(letters[first].tolist(), alphabet)
 
 
-def run_search(space: ProductSpace) -> RawSearchResult:
-    """Exact maximum over all A**N assignments, one evaluation per class."""
-    order, a_size, n_sites = space.order, space.alphabet, space.n_sites
-    # A class is kept while its upper bound reaches the floor, the largest
-    # lower bound seen so far; the floor only grows, so the kept set holds
-    # every maximizer, and one last pass re-filters with the final floor.
+def _band(space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(last, parent) of each class whose score interval reaches the floor.
+
+    The floor is the largest lower bound of ``_scored_blocks``, so the band
+    holds every maximizer.  Each group keeps the classes whose upper bound
+    reaches the floor so far, which only grows, and one last pass re-filters
+    with the final floor.  Classes come block by block, each block in prefix
+    order.
+    """
     floor = -np.inf
     band = []
-    for b, lower, upper in _scored_blocks(space):
+    for b0, lower, upper in _scored_blocks(space):
         floor = max(floor, float(lower.max()))
-        keep = np.nonzero(upper >= floor)[0]
-        band.append((b, keep, upper[keep]))
-    last, parents, upper = zip(*band)
-    last = np.repeat(last, [len(k) for k in parents])
-    parents, upper = np.concatenate(parents), np.concatenate(upper)
+        kept = np.flatnonzero(upper >= floor)
+        rows, parents = np.divmod(kept, upper.shape[1])
+        band.append((rows + b0, parents, upper.ravel()[kept]))
+    last, parents, upper = (np.concatenate(column) for column in zip(*band))
     final = upper >= floor
-    letters = _class_letters(
-        _level_ends(a_size, n_sites), last[final], parents[final]
-    )
+    return last[final], parents[final]
+
+
+def run_search(space: ProductSpace) -> RawSearchResult:
+    """Exact maximum over all A**N assignments, one evaluation per class."""
+    order, a_size = space.order, space.alphabet
+    letters = _class_letters(_level_ends(a_size, space.n_sites), *_band(space))
     values = [tuple(row) for row in _class_values(space.counts, letters).tolist()]
     exact = {value: CycInt(order, value) for value in set(values)}
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}

@@ -484,9 +484,15 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
     np.add.at(f[:, :, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
     for sizes in _level_ends(27, n_sites):
-        a, b = f.reshape(2, 3, -1, f.shape[-1])  # axis 1: the letter at the next site
-        # rot[e] = omega**e (a, b); omega*(a + b*omega) = -b + (a-b)*omega
-        rot = np.stack([np.stack([a, b]), np.stack([-b, a - b]), np.stack([b - a, -a])])
+        # rot[e] = omega**e (a, b) in one array: omega*(a + b*omega) = -b + (a-b)*omega,
+        # so rot[1] = (-b, a - b), rot[2] = (b - a, -a); axis 2: the next site's letter
+        rot = np.empty((3, 2, 3, f.shape[1] // 3, f.shape[-1]), dtype=np.int16)
+        rot[0] = f.reshape(rot.shape[1:])
+        a, b = rot[0]
+        np.negative(b, out=rot[1, 0])
+        np.subtract(a, b, out=rot[1, 1])
+        np.negative(rot[1, 1], out=rot[2, 0])
+        np.negative(a, out=rot[2, 1])
         f = np.concatenate(
             [
                 rot[x, :, 0, :, :k] + rot[y, :, 1, :, :k] + rot[v, :, 2, :, :k]

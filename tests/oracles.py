@@ -1,14 +1,24 @@
-"""Pure-Python ``CycInt`` oracles shared by the test modules.
+"""Oracles shared by the test modules.
 
-They multiply one ring element at a time and share no code with the
-batched evaluator ``_enumeration._class_values``; ``class_tally`` is the
-per-row loop that ``_enumeration._class_tally`` replaced.
+``exact_sum`` and ``exact_letters_sum`` multiply one ``CycInt`` at a time and
+share no code with the batched evaluator ``_enumeration._class_values``;
+``class_tally`` is the per-row loop that ``_enumeration._class_tally``
+replaced, and ``letter_band`` the per-letter ranking loop that
+``_enumeration._band`` replaced, on the same bound and float prefixes.
 """
 
 import math
 from collections import Counter
 
-from qudit_mermin._enumeration import ProductSpace, decode_index, encode_index
+import numpy as np
+
+from qudit_mermin._enumeration import (
+    ProductSpace,
+    _float_prefixes,
+    _level_ends,
+    decode_index,
+    encode_index,
+)
 from qudit_mermin.cyclotomic import CycInt
 
 
@@ -36,3 +46,29 @@ def class_tally(letters, alphabet: int) -> tuple[int, int]:
     n_fact = math.factorial(letters.shape[1])
     count = sum(n_fact // math.prod(map(math.factorial, Counter(row).values())) for row in rows)
     return count, min(encode_index(row, alphabet) for row in rows)
+
+
+def letter_band(space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(last, parent) of the ranking band, one mat-vec, max and nonzero per letter.
+
+    The per-letter loop that ``_enumeration._band`` replaced: block b scores
+    the first ends[-1][b] prefixes by letter b alone, on the same bound and
+    float prefixes, and the band keeps the classes whose upper bound reaches
+    the largest lower bound.
+    """
+    ends = _level_ends(space.alphabet, space.n_sites)
+    bound, fhat, p = _float_prefixes(space, ends)
+    floor = -np.inf
+    band = []
+    for b, n in enumerate(ends[-1].tolist()):
+        v = p[:n] @ fhat[b]
+        scores = v.real * v.real + v.imag * v.imag
+        lower, upper = scores - bound, scores + bound
+        floor = max(floor, float(lower.max()))
+        keep = np.nonzero(upper >= floor)[0]
+        band.append((b, keep, upper[keep]))
+    last, parents, upper = zip(*band)
+    last = np.repeat(last, [len(k) for k in parents])
+    parents, upper = np.concatenate(parents), np.concatenate(upper)
+    final = upper >= floor
+    return last[final], parents[final]

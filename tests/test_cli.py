@@ -152,6 +152,19 @@ SEARCH_SHA256 = {
     ("5", "ratio"): "2079db5eea5b0cf7b52d5bd200f7a7304cc5d726be5b3e5e56e6aecb3376b190",
     ("6", "ratio"): "b65ab8a7b6985afb23049b6585bb6adc4250055d275555778035fc07c5699ed2",
     ("7", "ratio"): "b37d239cf22cde5587e9721b120d18cccf3ea29e81164b85b9744ce5102b87d8",
+    ("8", "ratio"): "ea016a723be29459e04585ca7becdb5e4c3a64dae3454d0bb0264a9b65d43112",
+    ("10", "ratio"): "738ebf8ff209fd1a23ff8f3ff5c7b1c48394b624124a291b446a0659e5062a87",
+    ("15", "ratio"): "1c2c047cb6910c9fb58648239cd9e8a9edfdc52b57f80c8872b18659b64b1790",
+}
+
+# sha256 of the `general --conjecture` JSON bytes; d = 3 stops at N = 14, the
+# largest N whose 3**(N-1)-term operator the command admits
+CONJECTURE_SHA256 = {
+    ("3", "3"): "7fb1d221f47da5d4d533d98742c4eb0f00834f2171b70577056826bd81746e11",
+    ("3", "8"): "e528c1c5609af3ee978909b22cbc01a3b2f0fd99c7c5d29d9092aee5700e0b04",
+    ("3", "14"): "ffcd18a10153e615fecea50233d88b057cc6b2aed5db18377ef3054db69d23bb",
+    ("5", "1"): "156ed9b4bd83327ee65fcfff4303f767947fafadfade21925ee6e135591ddb5e",
+    ("5", "2"): "754040204ac54b95e2b27fd836c45fb8da581e7bf72ecd9c4038b9980c92d825",
 }
 
 
@@ -163,6 +176,16 @@ def test_search_json_bytes_are_pinned(runner, n, mode):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert digest == SEARCH_SHA256[n, mode]
+
+
+@pytest.mark.parametrize("d, n", sorted(CONJECTURE_SHA256))
+def test_conjecture_json_bytes_are_pinned(runner, d, n):
+    result = runner.invoke(
+        cli, ["general", "--d", d, "--n", n, "--conjecture", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == CONJECTURE_SHA256[d, n]
 
 
 def test_search_worker_count_does_not_change_bytes(runner):

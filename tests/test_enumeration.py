@@ -14,7 +14,9 @@ every index, site by site, by the phi x phi matrices of ``_mult_matrices``.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -26,10 +28,12 @@ from qudit_mermin import _enumeration
 from qudit_mermin._enumeration import (
     _CLASS_BLOCK,
     ProductSpace,
+    _band,
     _check_range,
     _class_letters,
     _class_tally,
     _class_values,
+    _letter_groups,
     _level_ends,
     _multiset_values,
     _scored_blocks,
@@ -50,7 +54,7 @@ from qudit_mermin.cyclotomic import (
 )
 from qudit_mermin.generalized import ratio_space
 
-from oracles import class_tally, exact_letters_sum, exact_sum
+from oracles import class_tally, exact_letters_sum, exact_sum, letter_band
 
 _BAND_REL = 1e-6
 
@@ -352,21 +356,50 @@ def scaled_spaces(draw):
     return space_of(draw(st.integers(1, 4)), rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(product_spaces(), scaled_spaces()))
-def test_score_bounds_hold_for_every_class(space):
+# (entries, padding) group limits: the module's own, one letter per product,
+# and small ones that split the strategies' spaces into several groups
+_GROUP_LIMITS = st.sampled_from(
+    [(_enumeration._GROUP_ENTRIES, _enumeration._GROUP_PADDING), (1, 0), (16, 4), (64, 16)]
+)
+
+
+def group_limits(entries, padding):
+    """Patch the ranking's group limits for the duration of a ``with`` block."""
+    return mock.patch.multiple(_enumeration, _GROUP_ENTRIES=entries, _GROUP_PADDING=padding)
+
+
+def scored_classes(space):
+    """Yield (letters, lower, upper) for every class of ``_scored_blocks``.
+
+    Each group row is one last letter b; its entries past the ends[-1][b]
+    prefixes that block b extends must be -inf in both bounds, and every
+    class must come exactly once.
+    """
     ends = _level_ends(space.alphabet, space.n_sites)
+    seen = 0
+    for b0, lower, upper in _scored_blocks(space):
+        assert lower.shape == upper.shape and lower.shape[1] == ends[-1][b0 + len(lower) - 1]
+        for b, lo, hi in zip(range(b0, b0 + len(lower)), lower, upper):
+            n = ends[-1][b]
+            assert np.all(lo[n:] == -np.inf) and np.all(hi[n:] == -np.inf)
+            assert np.all(lo[:n] <= hi[:n])
+            seen += n
+            yield _class_letters(ends, np.full(n, b), np.arange(n)), lo[:n], hi[:n]
+    assert seen == math.comb(space.n_sites + space.alphabet - 1, space.n_sites)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
+def test_score_bounds_hold_for_every_class(space, limits):
     _check_range(space)
-    for b, lower, upper in _scored_blocks(space):
-        assert np.all(lower <= upper)
-        parents = np.arange(len(lower))
-        letters = _class_letters(ends, np.full(len(lower), b), parents)
-        for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
-            value = exact_letters_sum(space.order, space.factors, row)
-            sq = (value * value.conjugate()).coeffs
-            exact = mp_real_value(space.order, sq, 60)
-            with mpmath.workdps(60):
-                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+    with group_limits(*limits):
+        for letters, lower, upper in scored_classes(space):
+            for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
+                value = exact_letters_sum(space.order, space.factors, row)
+                sq = (value * value.conjugate()).coeffs
+                exact = mp_real_value(space.order, sq, 60)
+                with mpmath.workdps(60):
+                    assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
 @pytest.mark.parametrize("d, n_sites", [(5, 1), (3, 6)])
@@ -375,9 +408,7 @@ def test_score_bounds_hold_on_ratio_spaces(d, n_sites):
     # the m = 25 constants; d = 3, N = 6 has 3,003 classes over 3 slots
     space = ratio_space(d, n_sites)
     factors = space.factors  # derived on every read, so read once
-    ends = _level_ends(space.alphabet, n_sites)
-    for b, lower, upper in _scored_blocks(space):
-        letters = _class_letters(ends, np.full(len(lower), b), np.arange(len(lower)))
+    for letters, lower, upper in scored_classes(space):
         for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
             value = exact_letters_sum(space.order, factors, row)
             exact = mp_real_value(space.order, (value * value.conjugate()).coeffs, 60)
@@ -410,6 +441,60 @@ def test_band_holds_only_maximizers_on_ratio_spaces(monkeypatch, d, n_sites):
     values = [CycInt(space.order, tuple(row)) for row in evaluated]
     assert {(v * v.conjugate()).coeffs for v in values} == {raw.best_sq_coeffs}
     assert len(evaluated) == BAND_CLASSES[d, n_sites]
+
+
+@pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
+def test_grouped_band_equals_the_letter_loop(d, n_sites):
+    space = ratio_space(d, n_sites)
+    last, parents = _band(space)
+    expected_last, expected_parents = letter_band(space)
+    assert last.dtype == expected_last.dtype and parents.dtype == expected_parents.dtype
+    assert np.array_equal(last, expected_last)
+    assert np.array_equal(parents, expected_parents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
+def test_grouped_band_gives_the_letter_loop_result(space, limits):
+    with mock.patch.object(_enumeration, "_band", letter_band):
+        expected = run_search(space)
+    with group_limits(*limits):
+        assert run_search(space) == expected
+
+
+@pytest.mark.parametrize(
+    "alphabet, n_sites",
+    [(d ** (d - 1), n) for d, n in sorted(BAND_CLASSES)] + [(9, 16), (64, 3), (2401, 2)],
+)
+def test_letter_groups_follow_the_rule(alphabet, n_sites):
+    sizes = _level_ends(alphabet, n_sites)[-1].tolist()
+    groups = _letter_groups(sizes)
+    assert [b0 for b0, _ in groups] == [0] + [b1 for _, b1 in groups[:-1]]
+    assert groups[-1][1] == len(sizes)
+
+    def fits(b0, b1):
+        entries = (b1 - b0) * sizes[b1 - 1]
+        padding = entries - sum(sizes[b0:b1])
+        return entries <= _enumeration._GROUP_ENTRIES and padding <= _enumeration._GROUP_PADDING
+
+    for b0, b1 in groups:
+        assert b1 == b0 + 1 or fits(b0, b1)
+        assert b1 == len(sizes) or not fits(b0, b1 + 1)
+    if alphabet == 625:  # d = 5: a few dozen products instead of 625
+        assert len(groups) <= 40
+
+
+def test_ranking_peak_memory_stays_in_groups():
+    # the whole 625 x 625 complex rectangle of d = 5, N = 2 alone is 6.25 MB
+    space = ratio_space(5, 2)
+    run_search(space)
+    tracemalloc.start()
+    try:
+        run_search(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("d, n_sites", [(3, 4), (5, 2)])
