@@ -8,7 +8,12 @@ picks the exit code: 0 all checks pass, 1 a verification mismatch (the
 note goes to stderr), 2 usage error, including any ValueError the library
 raises for bad or over-budget input.  JSON and CSV payloads are
 deterministic: identical invocations produce byte-identical output (timing
-is a diagnostic, kept out of them).
+is a diagnostic, kept out of them).  Every JSON payload is written by one
+recursive writer, ``_json_text``, that rounds floats to 6 significant
+digits and writes indent-2 JSON in the same pass, byte for byte the text
+of ``json.dumps(..., indent=2)`` on the rounded payload.  ``witness``
+builds its rows from the witness arrays of
+``hidden_variables._witness_table``, with no per-row record or word object.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import __version__
 from ._enumeration import resolve_workers
@@ -32,10 +38,10 @@ from .generalized import (
 )
 from .hidden_variables import (
     SYMBOLS,
+    _witness_table,
     exhaustive_search,
     factor_table,
     ghz_contradiction_count,
-    iter_contradiction_witnesses,
     max_equals_uniform,
     uniform_value,
     violation_ratio,
@@ -45,13 +51,21 @@ from .mermin import _position_eigenvalue, counts_by_position, expand_identity
 TWO_SETTING_ASYMPTOTE = 1.064
 THREE_SETTING_ASYMPTOTE = 1.185
 
+_WORD_LETTERS = np.frombuffer(b"XYV", dtype=np.uint8)
+
 TABLE1_CAP = 12
 SCALING_CAP = 40
 
 
+def _round(x: float) -> float:
+    """x rounded to 6 significant digits, the precision of every payload float."""
+    return float(f"{x:.6g}")
+
+
 def _clean(obj):
+    """Rounded floats and lists for tuples, at any depth: a CSV cell's value."""
     if isinstance(obj, float):
-        return float(f"{obj:.6g}")
+        return _round(obj)
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,11 +73,63 @@ def _clean(obj):
     return obj
 
 
-def _csv_text(rows: list[dict]) -> str:
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` with every float rounded by ``_round``, in one pass.
+
+    Byte for byte the text of ``json.dumps`` on ``_clean(obj)``: ASCII
+    escapes, ``int.__repr__``, ``true``/``false``/``null``, ``NaN`` and
+    ``Infinity`` as json writes them, ``{}`` and ``[]`` for empty
+    containers.  The exact built-in types are dispatched first; subclasses
+    of str, int, float, list, tuple and dict follow json's reading of them.
+    Keys must be strings (every payload key is): any other key raises
+    TypeError, where json would also write numbers, bools and None.
+    ``newline`` is the line break and indent that precede this value's
+    closing bracket.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float:
+        text = float.__repr__(_round(obj))
+        return _FLOAT_WORDS.get(text, text)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return _json_text(float(obj))
+        if not isinstance(obj, (list, tuple, dict)):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _csv_text(rows: list[dict], header) -> str:
+    """The header row (the first row's keys when None) and one line per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if rows:
+    if header is None and rows:
         header = list(rows[0].keys())
+    if header is not None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(
@@ -129,14 +195,16 @@ _workers_option = click.option(
 )
 
 
-def _command(name: str):
+def _command(name: str, columns: tuple[str, ...] | None = None):
     """Register a command body that returns (parameters, results, rows, human, failure).
 
     The body takes only its own options.  The runner adds ``--format`` and
     ``--out``, turns a ValueError from the body (bad or over-budget input)
     into a usage error (exit 2), writes the JSON payload, the CSV rows or
     the human text plus its elapsed line, and exits 1 with the failure note
-    on stderr when ``failure`` is not None.
+    on stderr when ``failure`` is not None.  The CSV header is ``columns``
+    when given, else the first row's keys: a command whose table can be
+    empty names its columns.
     """
 
     def register(body):
@@ -148,10 +216,10 @@ def _command(name: str):
                 raise click.UsageError(str(exc)) from exc
             if fmt == "json":
                 payload = {"command": name, "version": __version__,
-                           "parameters": _clean(parameters), "results": _clean(results)}
-                text = json.dumps(payload, indent=2) + "\n"
+                           "parameters": parameters, "results": results}
+                text = _json_text(payload) + "\n"
             elif fmt == "csv":
-                text = _csv_text([_clean(r) for r in rows])
+                text = _csv_text([_clean(r) for r in rows], columns)
             else:
                 text = f"{human}\nelapsed: {time.perf_counter() - started:.3f} s\n"
             if out:
@@ -324,33 +392,31 @@ def cmd_search(n: int, mode: str, workers: int | None):
     return {"n": n, "mode": mode}, results, [results], human, failure
 
 
-@_command("witness")
+@_command("witness", columns=("word", "position", "quantum", "hv_prediction", "contradicts"))
 @click.option("--n", type=int, required=True)
 @click.option("--limit", type=click.IntRange(min=0), default=20, show_default=True,
               help="Rows shown in human output (JSON/CSV always carry all rows).")
 def cmd_witness(n: int, limit: int):
     """List GHZ contradictions: quantum eigenphase vs uniform prediction."""
-    witnesses = list(iter_contradiction_witnesses(n))
+    letters, positions, phases = _witness_table(n)
     expected = ghz_contradiction_count(n)
-    all_contradict = all(w.contradicts for w in witnesses)
+    all_contradict = bool((phases != 0).all())
+    # one ASCII letter per site: rotation index j at column j % 3 of "XYV"
+    words = _WORD_LETTERS[letters % 3].view(f"S{n}")[:, 0].astype(f"U{n}").tolist()
+    quantum = [f"w^{e // 3}" for e in range(9)]
     rows = [
-        {
-            "word": str(w.word),
-            "position": w.position,
-            "quantum": f"w^{w.quantum_omega_exponent}",
-            "hv_prediction": w.hv_value,
-            "contradicts": w.contradicts,
-        }
-        for w in witnesses
+        {"word": word, "position": k, "quantum": quantum[e], "hv_prediction": 1,
+         "contradicts": e != 0}
+        for word, k, e in zip(words, positions.tolist(), phases.tolist())
     ]
     results = {
         "n": n,
-        "count": len(witnesses),
+        "count": len(rows),
         "expected_count": expected,
         "all_contradict": all_contradict,
         "rows": rows,
     }
-    lines = [f"{len(witnesses)} contradictions (expected {expected})"]
+    lines = [f"{len(rows)} contradictions (expected {expected})"]
     for row in rows[:limit]:
         lines.append(
             f"  {row['word']} at k={row['position']}: quantum {row['quantum']}, "
@@ -358,8 +424,8 @@ def cmd_witness(n: int, limit: int):
         )
     if len(rows) > limit:
         lines.append(f"  ... and {len(rows) - limit} more")
-    ok = len(witnesses) == expected and all_contradict
-    failure = None if ok else f"{len(witnesses)} witnesses vs expected {expected}"
+    ok = len(rows) == expected and all_contradict
+    failure = None if ok else f"{len(rows)} witnesses vs expected {expected}"
     return {"n": n}, results, rows, "\n".join(lines), failure
 
 

@@ -34,6 +34,12 @@ and predicted value exponent in one ``bincount``, and
 ``hv_value_product_exact`` multiplies the root counts of the per-site
 factors (``_enumeration._class_values`` on the ratio letters);
 |3v|**2 = |P|**2 links them.
+
+The GHZ contradictions are found as arrays: ``_witness_table`` keeps the
+words at circle points 3 and 6 and reads their eigenphases with the GHZ
+phase kernel, checked as ``eigenphase`` checks them;
+``iter_contradiction_witnesses`` yields one ``WitnessRecord`` per row and
+the ``witness`` command reads the arrays directly.
 """
 
 from __future__ import annotations
@@ -288,15 +294,21 @@ def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
     the terms; row k of the tally, reduced by ``_root_coeffs(9)``, is the
     weight sum W_k of the terms with e_t = k (mod 3), so the value is
     W_0 + omega*W_1 + omega**2*W_2 for any root-of-unity weights, with no
-    per-term ring arithmetic.
+    per-term ring arithmetic.  The values are read as uint8 and e_t <= 2N
+    is summed in the narrowest unsigned type that holds 2N
+    (``np.min_scalar_type``, as ``value_columns`` picks its type), where the
+    bin, at most 9*2 + 8 = 26, is then formed in place.
     """
     if op.d != 3:
         raise ValueError("direct hidden-variable evaluation is defined for d=3")
     if assignment.n_sites != op.n_sites:
         raise ValueError("assignment and operator have different site counts")
-    values = np.array(assignment.values, dtype=np.int64).ravel()
-    e = values.take(op.value_columns).sum(axis=0) % 3
-    tally = np.bincount(9 * e + op.weight_exponents, minlength=27).reshape(3, 9)
+    values = np.array(assignment.values, dtype=np.uint8).ravel()
+    key = values.take(op.value_columns).sum(axis=0, dtype=np.min_scalar_type(2 * op.n_sites))
+    key %= 3
+    key *= 9
+    np.add(key, op.weight_exponents, out=key, casting="unsafe")
+    tally = np.bincount(key, minlength=27).reshape(3, 9)
     w0, w1, w2 = (CycInt(9, tuple(row)) for row in (tally @ _root_coeffs(9)).tolist())
     return w0 + w1.times_root(3) + w2.times_root(6)
 
@@ -691,15 +703,16 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
     )
 
 
-def iter_contradiction_witnesses(n_sites: int):
-    """All witnesses at points 3 and 6, in lexicographic word order.
+def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(letters, positions, phases) of the witnesses, in lexicographic word order.
 
-    The 3**N <= 3**8 words come from ``_all_words`` (N > 8 raises ValueError
-    on first use).  A kept word's eigenphase on the GHZ state of index 0 is
-    alpha**e, e read by ``qudit_ops._ghz_phase`` at each GHZ label; the
-    three readings must agree and e must be a multiple of 3, else
-    EigenstateError, as in ``eigenphase``.  The records equal those of
-    ``contradiction_witness``.
+    The 3**N <= 3**8 words come from ``_all_words`` (other N raise
+    ValueError); ``letters`` is the (K, N) int8 array of the K words at
+    circle points 3 and 6 and ``positions`` their points.  A kept word's
+    eigenphase on the GHZ state of index 0 is alpha**e, e read by
+    ``qudit_ops._ghz_phase`` at each GHZ label; the three readings must
+    agree and e must be a multiple of 3, else EigenstateError, as in
+    ``eigenphase``.  ``phases`` holds the K exponents e (0, 3 or 6).
     """
     n_sites = _integer(n_sites, "site counts")
     if not 0 <= n_sites <= 8:
@@ -713,6 +726,17 @@ def iter_contradiction_witnesses(n_sites: int):
         raise EigenstateError("a word is not proportional to the GHZ state")
     if (phases % 3).any():
         raise EigenstateError("a witness eigenphase is not a power of omega")
+    return letters, positions, phases
+
+
+def iter_contradiction_witnesses(n_sites: int):
+    """All witnesses at points 3 and 6, in lexicographic word order.
+
+    One record per row of ``_witness_table`` (N outside 0..8 raises
+    ValueError on first use, a failed eigenphase check EigenstateError);
+    the records equal those of ``contradiction_witness``.
+    """
+    letters, positions, phases = _witness_table(n_sites)
     quantum = [PhaseExponent(e, 9).to_complex() for e in range(9)]
     # the uniform assignment predicts 1 for every word
     for row, k, e in zip(letters.tolist(), positions.tolist(), phases.tolist()):

@@ -5,8 +5,10 @@ share no code with the batched evaluator ``_enumeration._class_values``;
 ``class_tally`` is the per-row loop that ``_enumeration._class_tally``
 replaced, and ``letter_band`` the per-letter ranking loop that
 ``_enumeration._band`` replaced, on the same bound and float prefixes.
+``clean_json`` is the JSON formula that ``cli._json_text`` replaced.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -72,3 +74,18 @@ def letter_band(space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
     parents, upper = np.concatenate(parents), np.concatenate(upper)
     final = upper >= floor
     return last[final], parents[final]
+
+
+def clean_json(obj) -> str:
+    """Floats rounded to 6 significant digits, tuples made lists, then ``json.dumps(indent=2)``."""
+
+    def clean(x):
+        if isinstance(x, float):
+            return float(f"{x:.6g}")
+        if isinstance(x, dict):
+            return {k: clean(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [clean(v) for v in x]
+        return x
+
+    return json.dumps(clean(obj), indent=2)

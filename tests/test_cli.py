@@ -8,16 +8,25 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qudit_mermin import cli as cli_module
 from qudit_mermin.cli import cli
-from qudit_mermin.hidden_variables import contradiction_witness
+from qudit_mermin.hidden_variables import (
+    WitnessRecord,
+    contradiction_witness,
+    iter_contradiction_witnesses,
+)
 from qudit_mermin.qudit_ops import SettingWord
+from oracles import clean_json
 
 
 @pytest.fixture()
@@ -167,6 +176,49 @@ CONJECTURE_SHA256 = {
     ("5", "2"): "754040204ac54b95e2b27fd836c45fb8da581e7bf72ecd9c4038b9980c92d825",
 }
 
+# sha256 of the JSON and CSV bytes of the other commands; the CSV of
+# witness --n 1 and --n 2 (no contradictions) is the header row alone
+PAYLOAD_SHA256 = {
+    ("witness --n 1", "json"): "51bd422edcbfcd9835e42ed7ade3b0750468439e175793cdcc85b9b47c88d932",
+    ("witness --n 1", "csv"): "d8a9c72ec4c6daf5568eaa7b1ef499ac29f02208b72e5606d9bfc6dafabb6c4c",
+    ("witness --n 2", "json"): "7b8c680b70776ac376727daf69339f4d2f076801ec578eec5d2df8d6dff06b9f",
+    ("witness --n 2", "csv"): "d8a9c72ec4c6daf5568eaa7b1ef499ac29f02208b72e5606d9bfc6dafabb6c4c",
+    ("witness --n 3", "json"): "0fcdf1cac8ab333ca33afb969d02f91d2da15378ab9362270dd301a8eff23382",
+    ("witness --n 3", "csv"): "2da9a5640b15240efc5137d5663f21ffa00b1eab8f4963d981c5c17c1dca535a",
+    ("witness --n 4", "json"): "b08e52127e6ac72728ec759065c96fe9d0cf48c4d19333c7c1862894946305a9",
+    ("witness --n 4", "csv"): "301b2ef40d3f8fb71e5390d7461516ed1351f4149eb9664d2a82a354fcc2822f",
+    ("witness --n 5", "json"): "274015907ac4a151eb3364aaa913d3628f0230c704de297e93ce5788365c9b12",
+    ("witness --n 5", "csv"): "765e7fd459498f54baa22c4d59f0348845ae9e66071e8926a4fdd26d17246603",
+    ("witness --n 6", "json"): "afb41d925368fe63bac9cb382191bf0d9e9a788a31db988d09a7ffbf8cdfbfcc",
+    ("witness --n 6", "csv"): "f35859d0b3388a3466fec30c8d538f3ef7955ad8a06e37131426323beb6e0250",
+    ("witness --n 7", "json"): "7c9c49fc047b099e762ee2b5a61c3dcef75e0f1dc6aa30893c9fc9eede4eaae7",
+    ("witness --n 7", "csv"): "3c67a31e13e00d52bce34bc8011331f75c5ce81e5a479d28b876b5d440cf0788",
+    ("witness --n 8", "json"): "93008f5c5b840a267e9640ee745cf01fec2371fdee466b3e04c72a7e570fbce4",
+    ("witness --n 8", "csv"): "8fdc27d978ed002ca98914938f32a3ecdad9e198cb623ac2bfcc541aad4e0896",
+    ("table1", "json"): "9657c0bc94aa666e3eb50575616362eff29ab45982c400e24786f5aa7cb481e2",
+    ("table1", "csv"): "fdc2233553989368366d478a1193acee037be969a5fa2f367078c447f0c38508",
+    ("table1 --n-max 12", "json"): "d5e0afe0c18e4405901bb6a3ecde4749844624db9741714be7b3862aa6953a16",
+    ("table1 --n-max 12", "csv"): "3b02a6cb6158a21b0d8769984b2383039c8092fde4006f5c032459b8937d451b",
+    ("table2", "json"): "06daf6f278a57e237f207341c3fe94d029584b4aab255d96d473804a70fe14ee",
+    ("table2", "csv"): "596161a7bb19a64821cee4f023bfc178bf21aa29bac77dd819c8a640385d92d4",
+    ("scaling --n-max 40", "json"): "ab7a8f7e7d04ec9c704b76c1491c092ad0b9036c7c0bfa1674f90381db7f1fb0",
+    ("scaling --n-max 40", "csv"): "bf60bdf332f54e248522975c030ddc087311b2e0026736b4438d9f47d8b589c4",
+    ("verify --n 12 --variant 0", "json"): "d19d21878182647924e1029c49c34f7ff442b57465b376d581be717e1d45f1b0",
+    ("verify --n 12 --variant 0", "csv"): "64e1e1bc1978f43d0991363746e85d760a162be59a100463b475cfc0175be811",
+    ("verify --n 12 --variant 1", "json"): "48e39d5143964ba62d090a4f670e56b70ed9a6bf9d4dd7efcd8163a1863d1cf6",
+    ("verify --n 12 --variant 1", "csv"): "9ffc359908035714f04d5db3994d601e778d083dbbcf5d822f8e2d3348d70753",
+    ("verify --n 12 --variant 2", "json"): "b8cf154248b2c224442604eae52cff13f209239f12f00fa0367ac528b40bc088",
+    ("verify --n 12 --variant 2", "csv"): "f167c1f79f7c32dcd5ad6b11b927cd81a10e621b3e9745b5aaaf12a2924b5591",
+    ("verify --d 7 --n 5", "json"): "e61024f7e37a8b958624c4ee9946750943877e5292ec1d8b2f0b829931bf166b",
+    ("verify --d 7 --n 5", "csv"): "1eaf7e7e6a14f6f59845725ff0c830f9c608fa9a89da910d5a12b7fff9a7e9fd",
+    ("verify --d 5 --n 3", "json"): "5e1cd5295451ad8edaf1c1c3086f8bb56a686a0bc8d5a9f165be1d14188e9334",
+    ("verify --d 5 --n 3", "csv"): "75168b4706b2cfa21c97c24f840378b604cd70876e7084d864e957deafeeaf89",
+    ("identity --n 6", "json"): "8b08850f2dbceb6eb47fb1a96787f49bd23e981545a859c6b4d6473aca13b85d",
+    ("identity --n 6", "csv"): "1cbea6dc490837e1aae7de2061c41e700807f18b3862965616a9781a347a79f0",
+    ("general --d 5 --n 2", "json"): "3ff9425b1f11f25ffa2d505d3cfa730c28832b09c8e7139deff6528a71aaa5fb",
+    ("general --d 5 --n 2", "csv"): "0f4506093d385e4a232a8d1ac6d05a9a68eee5ddd04f827628774e19a3910ada",
+}
+
 
 @pytest.mark.parametrize("n, mode", sorted(SEARCH_SHA256))
 def test_search_json_bytes_are_pinned(runner, n, mode):
@@ -186,6 +238,56 @@ def test_conjecture_json_bytes_are_pinned(runner, d, n):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert digest == CONJECTURE_SHA256[d, n]
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(PAYLOAD_SHA256))
+def test_payload_bytes_are_pinned(runner, argv, fmt):
+    result = runner.invoke(cli, argv.split() + ["--format", fmt])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == PAYLOAD_SHA256[argv, fmt]
+
+
+_AWKWARD_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\u2028é😀'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                       0.1234567, 1234567.0, 999999.5, 1.0000005e-7, 2.0**63])
+    | _AWKWARD_TEXT
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_AWKWARD_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+@example({})
+@example([])
+@example({"rows": [], "cells": {}, "t": (1.5, -0.0, (), [{}])})
+def test_json_writer_equals_the_rounding_formula(payload):
+    assert cli_module._json_text(payload) == clean_json(payload)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for bad in (np.int64(3), {1, 2}, [1, {"a": {2}}], {"a": (np.int64(1),)}):
+        with pytest.raises(TypeError):
+            clean_json(bad)
+        with pytest.raises(TypeError):
+            cli_module._json_text(bad)
+    # subclasses read as their base types, numpy floats among them
+    assert cli_module._json_text([np.float64(1 / 3), True]) == clean_json([1 / 3, True])
+    # keys are strings only, a narrowing of json, which writes 1 as "1"
+    with pytest.raises(TypeError):
+        cli_module._json_text({1: 2})
 
 
 def test_search_worker_count_does_not_change_bytes(runner):
@@ -232,20 +334,47 @@ def test_witness_command(runner):
 
 
 def test_witness_rows_equal_the_per_word_build(runner):
-    result = runner.invoke(cli, ["witness", "--n", "5", "--format", "json"])
-    assert result.exit_code == 0
-    words = [SettingWord(3, w) for w in itertools.product((-1, 0, 1), repeat=5)]
-    expected = [
-        {
-            "word": str(w.word),
-            "position": w.position,
-            "quantum": f"w^{w.quantum_omega_exponent}",
-            "hv_prediction": w.hv_value,
-            "contradicts": w.contradicts,
-        }
-        for w in (contradiction_witness(x) for x in words if x.position in (3, 6))
-    ]
-    assert json.loads(result.stdout)["results"]["rows"] == expected
+    # N = 8 is held by its PAYLOAD_SHA256 pin
+    for n in range(1, 8):
+        result = runner.invoke(cli, ["witness", "--n", str(n), "--format", "json"])
+        assert result.exit_code == 0
+        words = [SettingWord(3, w) for w in itertools.product((-1, 0, 1), repeat=n)]
+        expected = [
+            {
+                "word": str(w.word),
+                "position": w.position,
+                "quantum": f"w^{w.quantum_omega_exponent}",
+                "hv_prediction": w.hv_value,
+                "contradicts": w.contradicts,
+            }
+            for w in (contradiction_witness(x) for x in words if x.position in (3, 6))
+        ]
+        assert json.loads(result.stdout)["results"]["rows"] == expected, n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_witness_builds_no_per_row_objects(runner, monkeypatch, n):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(WitnessRecord, "__init__", refuse)
+    monkeypatch.setattr(SettingWord, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built"):
+        SettingWord(3, (0,))
+    with pytest.raises(AssertionError, match="built"):
+        next(iter_contradiction_witnesses(3))
+    for fmt in ("json", "csv", "human"):
+        result = runner.invoke(cli, ["witness", "--n", str(n), "--format", fmt])
+        assert result.exit_code == 0, result.output
+
+
+def test_witness_csv_without_contradictions_is_the_header(runner):
+    for n in ("1", "2"):
+        result = runner.invoke(cli, ["witness", "--n", n, "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout == "word,position,quantum,hv_prediction,contradicts\n"
+        payload = json.loads(runner.invoke(cli, ["witness", "--n", n, "--format", "json"]).stdout)
+        assert payload["results"]["rows"] == []
 
 
 def test_in_process_calls_release_their_output_buffers(tmp_path):
