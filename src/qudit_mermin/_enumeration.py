@@ -28,9 +28,10 @@ A space scored whole (``full_space_scores``, and full search's ratio
 side) is walked once with exact int64 root counts instead
 (``_multiset_values``): every multiset's value, each prefix product
 formed once, in the same level layout, under the same ``_check_range``
-guard.  ``_extension_ranks`` gives the position in that layout of a
-multiset with one more letter, so a caller can carry each assignment's or
-class's multiset site by site, one gather per level or block.
+guard.  A sorted multiset's position in that layout is the sum of one
+block offset per letter, read from ``_level_ends``, so a caller ranks an
+assignment from its sorted digits or carries a class's rank as its sites
+are assigned.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -408,47 +409,25 @@ def _multiset_scores(space: ProductSpace) -> np.ndarray:
     return vals.real * vals.real + vals.imag * vals.imag
 
 
-def _extension_ranks(alphabet: int, n_sites: int) -> list[np.ndarray]:
-    """``tables[t][k, a]``: the rank of t-letter class k with letter a added.
-
-    Ranks are positions in the layout of ``_level_ends``, t = 0..N-1 (the
-    empty class first).  Class k of length t >= 1 is prefix k' extended by
-    its last letter c.  Adding a >= c extends k itself, which sits at rank k
-    among the first classes of block a; adding a < c extends by c the
-    prefix k' with a added, rank tables[t-1][k', a] in block c.
-    """
-    ends = _level_ends(alphabet, n_sites + 1)
-    letters = np.arange(alphabet)
-    tables = [letters[None, :]]
-    for t in range(1, n_sites):
-        starts = ends[t + 1] - ends[t]  # block offsets at level t + 1
-        offsets = ends[t] - ends[t - 1]  # block offsets at level t
-        tables.append(
-            np.concatenate(
-                [
-                    np.where(
-                        letters >= c,
-                        starts + offsets[c] + np.arange(k)[:, None],
-                        starts[c] + tables[-1][:k],
-                    )
-                    for c, k in enumerate(ends[t - 1].tolist())
-                ]
-            )
-        )
-    return tables
-
-
 def full_space_scores(space: ProductSpace) -> np.ndarray:
     """Float |sum of products|**2 for every index (small spaces only).
 
-    ``_multiset_scores`` gathered at each index's class, whose rank is
-    carried site by site through ``_extension_ranks``.
+    ``_multiset_scores`` gathered at each index's class.  An index's sorted
+    digits d_1 <= ... <= d_N rank its class in the layout of
+    ``_level_ends``: with ends = ``_level_ends(A, N + 1)``, the class of
+    length t sits at the offset ends[t][d_t] - ends[t-1][d_t] of block d_t
+    plus the rank of its prefix, so the rank is the sum of the N block
+    offsets.
     """
     if space.size > 1_000_000:
         raise ValueError("full score table is limited to 1e6 assignments")
-    rank = np.zeros(1, dtype=np.intp)
-    for table in _extension_ranks(space.alphabet, space.n_sites):
-        rank = table[rank].ravel()  # the new site is the least significant digit
+    a_size, n_sites = space.alphabet, space.n_sites
+    digits = np.indices((a_size,) * n_sites, dtype=np.min_scalar_type(a_size - 1))
+    digits = np.sort(digits.reshape(n_sites, -1), axis=0)
+    ends = _level_ends(a_size, n_sites + 1)
+    rank = np.zeros(space.size, dtype=np.intp)
+    for lower, upper, column in zip(ends, ends[1:], digits):
+        rank += (upper - lower)[column]
     return _multiset_scores(space)[rank]
 
 

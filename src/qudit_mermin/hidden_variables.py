@@ -21,12 +21,13 @@ per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
 products commute across sites).  Full mode first checks that the
 operator's own terms are invariant under permuting sites, so a value
 assignment's score depends only on the multiset of its per-site value
-triples; it then assigns the sites of the terms one at a time, exactly
-over Z[omega] (int16 pairs, uint16 scores, in ranges proven from the term
-count), over the C(N+26, 26) sorted multisets that stand for the 27**N
-assignments, and reports the largest deviation of a multiset's score
-from the ratio reduction, evaluated once per multiset of per-site ratios in
-one prefix-sharing walk and read at each class's carried ratio rank.
+triples; it then assigns the sites of the terms one at a time, exactly,
+on omega root counts (uint8 counts, uint16 scores, in ranges proven from
+the term count), over the C(N+26, 26) sorted multisets that stand for the
+27**N assignments, taking the triples in ratio-digit order, and reports
+the largest deviation of a multiset's score from the ratio reduction,
+evaluated once per multiset of per-site ratios in one prefix-sharing walk
+and read at each class's ratio rank, carried by one block offset per site.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -57,7 +58,6 @@ from ._enumeration import (
     _class_letters,
     _class_tally,
     _class_values,
-    _extension_ranks,
     _level_ends,
     _multiset_scores,
     decode_index,
@@ -395,17 +395,17 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     multisets are bounded by the budget of ``generalized.ratio_space``.  Full
     mode covers the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments:
     it checks that the operator terms are invariant under permuting sites
-    (else ArithmeticError), contracts them site by site into the exact
-    value of each multiset of per-site value triples, as a uint16
-    |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N),
-    and reports the largest deviation from the ratio reduction: the
-    C(N+8, 8) multisets of per-site ratios are evaluated exactly in one walk
-    that shares prefix products, and each class reads its own through a
-    ratio-multiset rank carried as its sites are assigned.  An
-    over-budget N raises ValueError before anything is built.  Ties are
-    counted exactly and the arg-max reported is the lexicographically
-    smallest maximizer (encoding R1,S1,...,RN,SN for ratio mode and
-    X1,Y1,V1,... for full mode, with 1 < w < w^2).
+    (else ArithmeticError), contracts their omega root counts site by
+    site into the exact value of each multiset of per-site value triples,
+    as a uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every
+    admitted N), and reports the largest deviation from the ratio
+    reduction: the C(N+8, 8) multisets of per-site ratios are evaluated
+    exactly in one walk that shares prefix products, and each class reads
+    its own through a ratio-multiset rank carried as its sites are
+    assigned.  An over-budget N raises ValueError before anything is
+    built.  Ties are counted exactly and the arg-max reported is the
+    lexicographically smallest maximizer (encoding R1,S1,...,RN,SN for
+    ratio mode and X1,Y1,V1,... for full mode, with 1 < w < w^2).
     """
     n_sites = _site_count(n_sites)
     if mode == "ratio":
@@ -438,11 +438,16 @@ def _encode_terms(n_sites: int):
     return weights, letters
 
 
-# Z[omega] values are int16 pairs (a, b) meaning a + b*omega; row e is omega**e.
-_OMEGA_PAIRS = np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16)
-# Full-index digit 9x + 3y + v of one site -> its ratio digit 3r + s.
-_X, _Y, _V = np.indices((3, 3, 3)).reshape(3, -1)
-_RATIO_DIGIT = 3 * ((_Y - _X) % 3) + (_V - _X) % 3
+# Walk letter w -> the ratio digit 3r + s and the value triple (x, y, v) of
+# full-index digit 9x + 3y + v, with r = y - x and s = v - x (mod 3): the walk
+# takes the 27 triples in ratio-digit order, so a class sorted in walk letters
+# has its ratio digits sorted too.
+_RATIO_DIGIT, _X = np.divmod(np.arange(27), 3)
+_Y = (_X + _RATIO_DIGIT // 3) % 3
+_V = (_X + _RATIO_DIGIT % 3) % 3
+_FULL_DIGIT = 9 * _X + 3 * _Y + _V
+# _SHIFT[x, e] = (e - x) % 3: times omega**x, root count e - x becomes count e
+_SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
 def _check_site_symmetry(weights: np.ndarray, letters: np.ndarray) -> None:
@@ -465,22 +470,23 @@ def _check_site_symmetry(weights: np.ndarray, letters: np.ndarray) -> None:
 
 
 def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Exact |value|**2 of the sorted arrangement of each multiset of value triples.
+    """Exact |value|**2 of each multiset of value triples, walk-sorted.
 
     Term t contributes omega**(weights[t] + sum_i value_i[letters[t, i]]).
-    The terms are scattered into a table over letter columns and the sites
-    are assigned one at a time over the sorted classes of per-site triples
-    (full-index digits 9x + 3y + v), in the layout of
-    ``_enumeration._level_ends(27, N)``: at level t, block b extends the
-    first ends[t-1][b] classes of level t - 1 by triple b at site t.
-    Returns one uint16 score per class, in that layout; it belongs to the
-    class's sorted arrangement, its smallest flat index.
+    One ``bincount`` counts the terms into a table of omega root counts over
+    the letter columns, and the sites are assigned one at a time over the
+    sorted classes of walk letters (``_FULL_DIGIT`` maps each to its value
+    triple), in the layout of ``_enumeration._level_ends(27, N)``: at level
+    t, block w extends the first ends[t-1][w] classes of level t - 1 by walk
+    letter w at site t.  Multiplying by omega**x reindexes the root axis
+    (``_SHIFT``), so no ring arithmetic is done.  Returns one uint16 score
+    per class, in that layout; it belongs to the arrangement that gives
+    site i the class's i-th walk letter.
 
-    Ranges.  Every table entry, rotated column and partial column sum is a
-    sum of at most n = n_terms roots of unity; with n_k of them equal to
-    omega**k it is the pair (a, b) = (n_0 - n_2, n_1 - n_2), so |a|, |b| and
-    |a - b| = |n_0 - n_1| are at most n, and so are the rotations -b, a - b,
-    b - a and -a.  The pairs are therefore exact in int16 while n < 2**15.
+    Ranges.  Every count is a number of terms, at most n = n_terms, so the
+    counts are exact in uint8 while n < 2**8.  With n_k the count of
+    omega**k, the value is a + b*omega with a = n_0 - n_2 and b = n_1 - n_2,
+    so |a|, |b| and |a - b| = |n_0 - n_1| are at most n and exact in int16.
     The score a*(a - b) + b*b is formed in place in int16, whose array
     arithmetic wraps mod 2**16, and read through a uint16 view: that is
     exact because the true score |value|**2 lies in [0, n**2], and n**2 <
@@ -490,21 +496,14 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     n_terms, n_sites = letters.shape
     if n_terms >= 2**8:
         raise OverflowError(
-            "term count exceeds the exact int16 pair and uint16 score range"
+            "term count exceeds the exact uint8 root-count and uint16 score range"
         )
-    f = np.zeros((2, 3**n_sites, 1), dtype=np.int16)
-    flat = np.ravel_multi_index(tuple(letters.T), (3,) * n_sites)
-    np.add.at(f[:, :, 0], (slice(None), flat), _OMEGA_PAIRS[weights % 3].T)
+    key = np.ravel_multi_index((weights % 3, *letters.T), (3,) * (n_sites + 1))
+    f = np.bincount(key, minlength=3 ** (n_sites + 1)).astype(np.uint8)
+    f = f.reshape(3, 3**n_sites, 1)  # (root, letter columns, class)
     for sizes in _level_ends(27, n_sites):
-        # rot[e] = omega**e (a, b) in one array: omega*(a + b*omega) = -b + (a-b)*omega,
-        # so rot[1] = (-b, a - b), rot[2] = (b - a, -a); axis 2: the next site's letter
-        rot = np.empty((3, 2, 3, f.shape[1] // 3, f.shape[-1]), dtype=np.int16)
-        rot[0] = f.reshape(rot.shape[1:])
-        a, b = rot[0]
-        np.negative(b, out=rot[1, 0])
-        np.subtract(a, b, out=rot[1, 1])
-        np.negative(rot[1, 1], out=rot[2, 0])
-        np.negative(a, out=rot[2, 1])
+        # rot[x, e, c]: the counts times omega**x, c the next site's letter
+        rot = f.reshape(3, 3, -1, f.shape[-1])[_SHIFT]
         f = np.concatenate(
             [
                 rot[x, :, 0, :, :k] + rot[y, :, 1, :, :k] + rot[v, :, 2, :, :k]
@@ -512,7 +511,7 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
             ],
             axis=-1,
         )
-    a, b = f[0, 0], f[1, 0]
+    a, b = f[:2, 0] - f[2, 0].astype(np.int16)
     score = a - b
     score *= a
     b *= b
@@ -523,19 +522,21 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
 def _ratio_ranks(n_sites: int) -> np.ndarray:
     """Each class's ratio multiset, as its rank among the C(N+8, 8) of them.
 
-    The classes of value triples are those of ``_level_ends(27, N)``, as in
+    The classes of walk letters are those of ``_level_ends(27, N)``, as in
     ``_class_scores``, and a rank is a position in the layout of
-    ``_level_ends(9, N)``, that of ``_enumeration._multiset_scores``.  Each
-    class's rank is carried level by level as its sites are assigned: block b
-    of a level adds triple b's ratio digit to the first ends[b] prefixes, one
-    gather from ``_extension_ranks(9, N)`` per block.
+    ``_level_ends(9, N)``, that of ``_enumeration._multiset_scores``.  The
+    walk takes the triples in ratio-digit order, so a class's ratio digits
+    r_1 <= ... <= r_N come out sorted and its rank is the sum over its
+    sites t of the offset ends[t][r_t] - ends[t-1][r_t] of block r_t at
+    level t, ends = ``_level_ends(9, N + 1)``: block w of a walk level adds
+    the offset of walk letter w's ratio digit to the prefix ranks it
+    extends.
     """
+    ends = _level_ends(9, n_sites + 1)
     rank = np.zeros(1, dtype=np.intp)
-    for sizes, table in zip(_level_ends(27, n_sites), _extension_ranks(9, n_sites)):
-        added = table.T.copy()  # added[r, k]: prefix k's rank with digit r added
-        rank = np.concatenate(
-            [added[r].take(rank[:k]) for r, k in zip(_RATIO_DIGIT, sizes.tolist())]
-        )
+    for t, sizes in enumerate(_level_ends(27, n_sites)):
+        offsets = (ends[t + 1] - ends[t])[_RATIO_DIGIT].tolist()
+        rank = np.concatenate([rank[:k] + o for o, k in zip(offsets, sizes.tolist())])
     return rank
 
 
@@ -543,15 +544,16 @@ def _full_search(n_sites: int) -> SearchResult:
     """Exact full scan over the multisets of per-site value triples.
 
     The terms are checked to be invariant under permuting sites, so every
-    arrangement of a multiset has its sorted arrangement's score, and
-    ``_class_scores`` scores each multiset once.  A multiset stands for
-    N!/prod(m!) assignments and its least flat index is its sorted one, so
-    ``_enumeration._class_tally`` gives the exact tie count and arg-min.
-    ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v|| maximized
-    over the classes, |v| from ``_enumeration._multiset_scores`` once per
-    ratio multiset, read at each class's ``_ratio_ranks``: the value every
-    arrangement of it has in ``full_space_scores``, so the all-assignment
-    maximum, bit for bit.
+    arrangement of a multiset has the score ``_class_scores`` gives its
+    walk-sorted one, and each multiset is scored once.  A multiset stands
+    for N!/prod(m!) assignments and its least flat index is its arrangement
+    sorted in full-index digits, so the hit classes' walk letters are mapped
+    through ``_FULL_DIGIT`` and sorted, and ``_enumeration._class_tally``
+    gives the exact tie count and arg-min.  ``ratio_agreement_max_abs_dev``
+    is |sqrt(score) - ratio |v|| maximized over the classes, |v| from
+    ``_enumeration._multiset_scores`` once per ratio multiset, read at each
+    class's ``_ratio_ranks``: the value every arrangement of it has in
+    ``full_space_scores``, so the all-assignment maximum, bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -571,7 +573,9 @@ def _full_search(n_sites: int) -> SearchResult:
     ends = _level_ends(27, n_sites + 1)
     last = np.searchsorted(ends[-1], hits, side="right")
     parents = hits - (ends[-1][last] - ends[-2][last])
-    count, lexmin = _class_tally(_class_letters(ends[:-1], last, parents), 27)
+    walk = _class_letters(ends[:-1], last, parents)
+    # each class's sorted arrangement in full-index digits: its least flat index
+    count, lexmin = _class_tally(np.sort(_FULL_DIGIT[walk], axis=1), 27)
     return SearchResult(
         mode="full",
         n_sites=n_sites,
@@ -706,17 +710,18 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
 def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(letters, positions, phases) of the witnesses, in lexicographic word order.
 
-    The 3**N <= 3**8 words come from ``_all_words`` (other N raise
-    ValueError); ``letters`` is the (K, N) int8 array of the K words at
-    circle points 3 and 6 and ``positions`` their points.  A kept word's
+    The 3**N <= 3**8 words come from ``_all_words`` (N outside 1..8 raises
+    ValueError, N < 1 with ``_site_count``'s message); ``letters`` is the
+    (K, N) int8 array of the K words at circle points 3 and 6 and
+    ``positions`` their points.  A kept word's
     eigenphase on the GHZ state of index 0 is alpha**e, e read by
     ``qudit_ops._ghz_phase`` at each GHZ label; the three readings must
     agree and e must be a multiple of 3, else EigenstateError, as in
     ``eigenphase``.  ``phases`` holds the K exponents e (0, 3 or 6).
     """
-    n_sites = _integer(n_sites, "site counts")
-    if not 0 <= n_sites <= 8:
-        raise ValueError(f"witness scans need 0 <= N <= 8 (3**8 words), got {n_sites}")
+    n_sites = _site_count(n_sites)
+    if n_sites > 8:
+        raise ValueError(f"witness scans need N <= 8 (3**8 words), got {n_sites}")
     letters = _all_words(3, n_sites)
     positions = letters.sum(axis=1, dtype=np.int64) % 9
     kept = (positions == 3) | (positions == 6)
@@ -732,7 +737,7 @@ def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def iter_contradiction_witnesses(n_sites: int):
     """All witnesses at points 3 and 6, in lexicographic word order.
 
-    One record per row of ``_witness_table`` (N outside 0..8 raises
+    One record per row of ``_witness_table`` (N outside 1..8 raises
     ValueError on first use, a failed eigenphase check EigenstateError);
     the records equal those of ``contradiction_witness``.
     """

@@ -201,8 +201,8 @@ PAYLOAD_SHA256 = {
     ("table1 --n-max 12", "csv"): "3b02a6cb6158a21b0d8769984b2383039c8092fde4006f5c032459b8937d451b",
     ("table2", "json"): "06daf6f278a57e237f207341c3fe94d029584b4aab255d96d473804a70fe14ee",
     ("table2", "csv"): "596161a7bb19a64821cee4f023bfc178bf21aa29bac77dd819c8a640385d92d4",
-    ("scaling --n-max 40", "json"): "ab7a8f7e7d04ec9c704b76c1491c092ad0b9036c7c0bfa1674f90381db7f1fb0",
-    ("scaling --n-max 40", "csv"): "bf60bdf332f54e248522975c030ddc087311b2e0026736b4438d9f47d8b589c4",
+    ("scaling --n-max 40", "json"): "689a5d72c9ef53d08ad3ddb052557879aca926206c969b914d01f345851ab1f5",
+    ("scaling --n-max 40", "csv"): "7b96533c76d021cd1d050e9cc50908be7c27dced213e198b95df4d939296b64c",
     ("verify --n 12 --variant 0", "json"): "d19d21878182647924e1029c49c34f7ff442b57465b376d581be717e1d45f1b0",
     ("verify --n 12 --variant 0", "csv"): "64e1e1bc1978f43d0991363746e85d760a162be59a100463b475cfc0175be811",
     ("verify --n 12 --variant 1", "json"): "48e39d5143964ba62d090a4f670e56b70ed9a6bf9d4dd7efcd8163a1863d1cf6",
@@ -478,6 +478,13 @@ def test_scaling_csv(runner):
         "asymptote_three_setting",
         "asymptote_two_setting",
     }
+
+
+def test_witness_needs_at_least_one_site(runner):
+    for n in ("0", "-1"):
+        result = runner.invoke(cli, ["witness", "--n", n])
+        assert result.exit_code == 2, n
+        assert "need at least one site" in result.stderr
 
 
 def test_witness_limit_is_refused_below_zero(runner):

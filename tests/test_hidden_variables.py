@@ -523,18 +523,21 @@ def reference_scan(n_sites, weights, letters, ratio_mag, lo, hi):
 
 
 def class_flat_indices(n_sites):
-    """Flat index of each class's sorted arrangement, in the class walk's order.
+    """Flat index of each class's walk-sorted arrangement, in the class walk's order.
 
-    The walk lays out the sorted classes by last letter, then by their
-    prefix in the same order: the colexicographic order of the sorted tuples.
+    The walk lays out the classes of walk letters, sorted, by last letter,
+    then by their prefix in the same order: the colexicographic order of the
+    sorted tuples.  Site i holds the class's i-th walk letter, whose
+    full-index digit is ``_FULL_DIGIT`` of it.
     """
     classes = itertools.combinations_with_replacement(range(27), n_sites)
     classes = sorted(classes, key=lambda c: c[::-1])
-    return np.ravel_multi_index(np.array(classes).T, (27,) * n_sites)
+    digits = hidden_variables._FULL_DIGIT[np.array(classes)]
+    return np.ravel_multi_index(digits.T, (27,) * n_sites)
 
 
 def contracted_scores(weights, letters):
-    """``_class_scores`` and the per-term scores at each class's sorted flat index."""
+    """``_class_scores`` and the per-term scores at each class's walk-sorted flat index."""
     n_sites = letters.shape[1]
     _, _, reference = reference_chunk_scores(
         n_sites, weights, letters, 0, 27**n_sites
@@ -785,10 +788,19 @@ def test_each_class_key_picks_its_ratio_multiset(n_sites):
     last = np.searchsorted(ends[-1], classes, side="right")
     parents = classes - (ends[-1][last] - ends[-2][last])
     triples = _class_letters(ends[:-1], last, parents)
-    # the class's sorted arrangement, read as per-site ratio digits
+    # the class's walk-sorted arrangement, read as per-site ratio digits
     ratios = hidden_variables._RATIO_DIGIT[triples]
     ranks = hidden_variables._ratio_ranks(n_sites)
     assert np.array_equal(ranks, level_ranks(ratios))
+
+
+def test_the_walk_takes_the_triples_in_ratio_digit_order():
+    full = hidden_variables._FULL_DIGIT
+    assert sorted(full.tolist()) == list(range(27))
+    x, y, v = np.unravel_index(full, (3, 3, 3))
+    ratio = hidden_variables._RATIO_DIGIT
+    assert np.array_equal(ratio, 3 * ((y - x) % 3) + (v - x) % 3)
+    assert (np.diff(ratio) >= 0).all()
 
 
 @st.composite
@@ -810,7 +822,7 @@ def term_tables(draw):
 @given(term_tables())
 def test_contraction_matches_per_term_evaluation_on_random_terms(table):
     # the tables need not be site-symmetric: the walk scores each class's
-    # sorted arrangement itself
+    # walk-sorted arrangement itself
     scores, reference = contracted_scores(*table)
     assert np.array_equal(scores, reference)
 
@@ -833,7 +845,7 @@ def test_contraction_refuses_2_to_the_8_terms_before_allocating():
 
 
 def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
-    # 2**15 terms could push a pair entry past the int16 range
+    # 2**15 terms are past the uint8 root-count range as well
     letters = np.empty((2**15, 0), dtype=np.int8)
     weights = np.zeros(1, dtype=np.int16)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
@@ -1122,7 +1134,8 @@ def test_witness_arrays_equal_the_per_word_build():
             # the floats are bit-identical, not just equal
             assert a.quantum_value.real.hex() == b.quantum_value.real.hex()
             assert a.quantum_value.imag.hex() == b.quantum_value.imag.hex()
-    assert list(iter_contradiction_witnesses(0)) == []
+    with pytest.raises(ValueError, match="need at least one site"):
+        list(iter_contradiction_witnesses(0))
 
 
 def test_witness_arrays_check_the_eigenphases(monkeypatch):
