@@ -125,7 +125,9 @@ def _ratio_row(r_exp: int, s_exp: int) -> tuple[int, int, int]:
 
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
-    """Exact per-site factor 1 + (.)R + (.)S for the given product letter."""
+    """Exact per-site factor 1 + (.)R + (.)S for the product letter A, B or C."""
+    if letter not in _LETTER_SLOT:
+        raise ValueError(f"unknown product letter {letter!r} (expected 'A', 'B' or 'C')")
     return _factor_rows(3, [_ratio_row(r_exp, s_exp)])[0][_LETTER_SLOT[letter]]
 
 
@@ -318,11 +320,12 @@ def hv_value_product_exact(r_exps, s_exps) -> CycInt:
 
     ``_class_values`` on the ratio letters 3*R_i + S_i (floats refused) of
     ``generalized._ratio_counts(3)``: root counts multiplied site by site,
-    exact for every N, with no ``CycInt`` multiply.
+    exact for every N >= 1, with no ``CycInt`` multiply.
     """
     r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
+    _site_count(len(r_exps))
     letters = [[3 * r + s for _, r, s in map(_ratio_row, r_exps, s_exps)]]
     values = _class_values(_ratio_counts(3), np.array(letters, dtype=np.intp))
     return CycInt(9, tuple(values[0].tolist()))
@@ -713,11 +716,10 @@ def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The 3**N <= 3**8 words come from ``_all_words`` (N outside 1..8 raises
     ValueError, N < 1 with ``_site_count``'s message); ``letters`` is the
     (K, N) int8 array of the K words at circle points 3 and 6 and
-    ``positions`` their points.  A kept word's
-    eigenphase on the GHZ state of index 0 is alpha**e, e read by
-    ``qudit_ops._ghz_phase`` at each GHZ label; the three readings must
-    agree and e must be a multiple of 3, else EigenstateError, as in
-    ``eigenphase``.  ``phases`` holds the K exponents e (0, 3 or 6).
+    ``positions`` their points.  Their eigenphases on the GHZ state of index
+    0, alpha**e with e in ``phases`` (0, 3 or 6), come from one
+    ``qudit_ops._ghz_phase`` call: its three label rows must agree and e must
+    be a multiple of 3, else EigenstateError, as in ``eigenphase``.
     """
     n_sites = _site_count(n_sites)
     if n_sites > 8:
@@ -726,12 +728,12 @@ def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positions = letters.sum(axis=1, dtype=np.int64) % 9
     kept = (positions == 3) | (positions == 6)
     letters, positions = letters[kept], positions[kept]
-    phases = _ghz_phase(3, letters, 0, 0)
-    if any((_ghz_phase(3, letters, 0, r) != phases).any() for r in (1, 2)):
+    readings = _ghz_phase(3, letters, 0)
+    if (readings != readings[0]).any():
         raise EigenstateError("a word is not proportional to the GHZ state")
-    if (phases % 3).any():
+    if (readings[0] % 3).any():
         raise EigenstateError("a witness eigenphase is not a power of omega")
-    return letters, positions, phases
+    return letters, positions, readings[0]
 
 
 def iter_contradiction_witnesses(n_sites: int):

@@ -11,7 +11,7 @@ lists: one row of rotation indices per word and one weight exponent mod
 d**2 per row.  Every weight and every GHZ phase is a root of unity, so the
 eigenvalue check of an explicit operator (``verify_eigenvalue``) and the
 identity expansion add integer exponents in numpy and turn the sums of
-roots into cyclotomic integers with ``root_sums``.
+roots into cyclotomic integers through ``root_counts``.
 
 The position-rule operator itself needs no word array: a term's exponent
 at a GHZ label is a sum over its sites, so ``_position_eigenvalue`` carries
@@ -36,7 +36,6 @@ from .cyclotomic import (
     order_params,
     root_counts,
     root_of_unity,
-    root_sum,
     root_sums,
 )
 from .qudit_ops import (
@@ -241,23 +240,36 @@ def check_verify_budget(d: int, n_sites: int) -> None:
 def verify_eigenvalue(op: MerminOperator) -> int:
     """Apply the operator to its GHZ state exactly and return the eigenvalue.
 
-    At each GHZ label r (every digit r) term t reads the eigenvalue
-    alpha**(weight_t + e_t), e_t from ``qudit_ops._ghz_phase``; one
-    ``root_sum`` per label adds them and the d sums must agree.  Raises
-    EigenstateError if the result is not an integer multiple of the state
-    (which would indicate a construction bug), as distinct from the
-    ValueError raised on malformed or over-cap input.
+    Term t reads alpha**(weight_t + e_t) at GHZ label r, e_t from row r of
+    ``qudit_ops._ghz_phase``.  Blocks of 2**14 terms add their root counts
+    per label, so no array holds every term at every label, and
+    ``_label_eigenvalue`` checks the sums: EigenstateError if the result is
+    not an integer multiple of the state (a construction bug), as distinct
+    from the ValueError raised on malformed or over-cap input.
     """
-    d, n = op.d, op.n_sites
-    check_verify_budget(d, n)
-    m = d * d
-    sums = {root_sum(m, op.weight_exponents + _ghz_phase(d, op.letters, op.variant, r))
-            for r in range(d)}
-    if len(sums) != 1:
+    d, m = op.d, op.d * op.d
+    check_verify_budget(d, op.n_sites)
+    counts = np.zeros((d, m), dtype=np.int64)
+    for start in range(0, len(op.letters), 2**14):
+        phases = _ghz_phase(d, op.letters[start : start + 2**14], op.variant)
+        phases += op.weight_exponents[start : start + 2**14]
+        counts += root_counts(m, phases)
+    return _label_eigenvalue(op.variant, counts)
+
+
+def _label_eigenvalue(variant: int, counts: np.ndarray) -> int:
+    """Eigenvalue of the (d, m) root counts of an operator's terms, row r at GHZ label r.
+
+    The d rows folded by ``_root_coeffs`` must agree and be a rational
+    integer, else EigenstateError; both eigenvalue paths end here.
+    """
+    m = counts.shape[1]
+    sums = counts @ _root_coeffs(m)
+    if (sums != sums[0]).any():
         raise EigenstateError(
-            f"variant {op.variant} operator is not proportional to its GHZ state"
+            f"variant {variant} operator is not proportional to its GHZ state"
         )
-    (lam,) = sums
+    lam = CycInt(m, tuple(sums[0].tolist()))
     if not lam.is_integer():
         raise EigenstateError(f"eigenvalue {lam} is not a rational integer")
     return lam.as_integer()
@@ -273,10 +285,9 @@ def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, i
     d**2), starting from alpha**(variant + c_r) at s = 0: each site moves
     the counts of letter j by j in s and by col_r[j] - j in e, in one
     gather over the d letters.  Row s = variant holds the operator's terms
-    (their total is the term count returned).  It is folded once per label
-    by ``_root_coeffs`` and, as in ``verify_eigenvalue``, the d sums must
-    agree and be a rational integer, else EigenstateError.  ``_ghz_phase``
-    gives c_r on the zero-site word and c_r + col_r[j] on the one-site words.
+    (their total is the term count returned) and goes to ``_label_eigenvalue``.
+    ``_ghz_phase`` gives c_r on the zero-site word and c_r + col_r[j] on the
+    d one-site words, at every label in one call each.
 
     Range: a label's grid counts d**N words in all and ``check_verify_budget``
     admits d**(N-1) <= 3**13, so every count and every folded coefficient is
@@ -287,10 +298,8 @@ def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, i
     m = d * d
     letters = np.array(rotation_alphabet(d))
     labels = np.arange(d)
-    no_sites = np.empty((1, 0), dtype=np.int8)
-    constant = np.stack([_ghz_phase(d, no_sites, variant, r) for r in labels])
-    read = np.stack([_ghz_phase(d, letters[:, None], variant, r) for r in labels])
-    step = read - constant - letters  # (label r, letter j): col_r[j] - j
+    constant = _ghz_phase(d, np.empty((1, 0), dtype=np.int8), variant)
+    step = _ghz_phase(d, letters[:, None], variant) - constant - letters  # col_r[j] - j
     # source[r, j, s * m + e]: the flat cell (r, s - j, e - col_r[j] + j) that
     # letter j moves onto (r, s, e)
     residues = (np.arange(d)[:, None] - letters[:, None, None]) % d  # (j, s, 1)
@@ -301,15 +310,7 @@ def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, i
     for _ in range(n_sites):
         grid = grid.take(source).sum(axis=1)
     terms = grid.reshape(d, d, m)[:, variant]
-    sums = terms @ _root_coeffs(m)
-    if (sums != sums[0]).any():
-        raise EigenstateError(
-            f"variant {variant} operator is not proportional to its GHZ state"
-        )
-    lam = CycInt(m, tuple(sums[0].tolist()))
-    if not lam.is_integer():
-        raise EigenstateError(f"eigenvalue {lam} is not a rational integer")
-    return lam.as_integer(), int(terms[0].sum())
+    return _label_eigenvalue(variant, terms), int(terms[0].sum())
 
 
 def counts_by_position(d: int, n_sites: int) -> PositionCounts:

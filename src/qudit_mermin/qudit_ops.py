@@ -276,26 +276,24 @@ def apply_word(word: SettingWord, state: StateVector) -> StateVector:
     return StateVector(d, word.n_sites, out)
 
 
-def _ghz_phase(d: int, letters: np.ndarray, k: int, r: int) -> np.ndarray:
-    """Alpha-exponents (mod d**2) of K words' eigenvalues read at one GHZ label.
+def _ghz_phase(d: int, letters: np.ndarray, k: int) -> np.ndarray:
+    """Alpha-exponents (mod d**2) of K words' eigenvalues read at every GHZ label.
 
     ``letters`` is a (K, N) array of rotation indices.  A word maps the GHZ
     label r (every digit r) to the label r + 1 (mod d), picking up alpha**e
     with e the sum over sites of the phase-table column r; on the GHZ state
     of index k, amplitude alpha**(k*r) on label r, it is an eigenoperator
     with eigenvalue alpha**(e + k*r - k*((r + 1) % d)) if that exponent is
-    the same at every label.  Returns the (K,) int64 exponents at label r;
-    callers compare the d labels.  This is the one place that reads how a
-    word acts on a GHZ label.
+    the same at every label.  Returns the (d, K) int64 exponents, row r read
+    at label r; callers compare the rows.  This is the one place that reads
+    how a word acts on a GHZ label.
     """
     m, half = d * d, (d - 1) // 2
-    column = _phase_array(d)[:, r]  # column[j + half]: letter j on digit r
-    phase = np.full(len(letters), (k * r - k * ((r + 1) % d)) % m, dtype=np.int64)
-    # blocks of 2**14 rows keep a block's letters in cache over its N sites
-    for start in range(0, len(letters), 2**14):
-        block = phase[start : start + 2**14]
-        for site in letters[start : start + 2**14].T:
-            block += np.take(column, site + half)
+    columns = _phase_array(d).T  # columns[r, j + half]: letter j on digit r
+    offsets = [[(k * r - k * ((r + 1) % d)) % m] for r in range(d)]
+    phase = np.repeat(np.array(offsets, dtype=np.int64), len(letters), axis=1)
+    for site in letters.T + half:
+        phase += np.take(columns, site, axis=1)
     return np.remainder(phase, m, out=phase)
 
 
@@ -304,8 +302,7 @@ def eigenphase(word: SettingWord, ghz_index: int = 0) -> PhaseExponent:
 
     Only words whose circle position is congruent to the GHZ index mod d are
     eigenoperators of that state; any other word, or a word with no sites,
-    raises ValueError.  The phase is read at each of the d GHZ labels by
-    ``_ghz_phase`` and the readings must agree, never assumed.
+    raises ValueError.  The d label readings of ``_ghz_phase`` must agree.
     """
     d, ghz_index = word.d, _integer(ghz_index, "GHZ indices")
     if (word.position - ghz_index) % d != 0:
@@ -314,10 +311,9 @@ def eigenphase(word: SettingWord, ghz_index: int = 0) -> PhaseExponent:
             f"of the GHZ state with index {ghz_index} (need position == index mod {d})"
         )
     _site_count(word.n_sites)
-    letters = np.array([word.letters], dtype=np.int64)
-    readings = {int(_ghz_phase(d, letters, ghz_index, r)[0]) for r in range(d)}
-    if len(readings) != 1:
+    readings = _ghz_phase(d, np.array([word.letters], dtype=np.int64), ghz_index)
+    if (readings != readings[0]).any():
         raise EigenstateError(
             f"word {word} is not proportional to the GHZ state with index {ghz_index}"
         )
-    return PhaseExponent(readings.pop(), d * d)
+    return PhaseExponent(int(readings[0, 0]), d * d)

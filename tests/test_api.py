@@ -37,6 +37,7 @@ from qudit_mermin import (
     general_uniform_value,
     ghz_contradiction_count,
     ghz_state,
+    hv_value_product,
     hv_value_product_exact,
     iter_contradiction_witnesses,
     permutation_class_max,
@@ -151,6 +152,10 @@ def _letters(shape):
         (lambda: build_mermin(9, 2), "invalid cyclotomic order 81"),
         (lambda: MerminOperator(9, 1, 0, [[0]], [0]), "invalid cyclotomic order 81"),
         (lambda: MerminOperator.from_terms(9, 1, 0, ()), "invalid cyclotomic order 81"),
+        (lambda: factor_value("D", 0, 0),
+         r"unknown product letter 'D' \(expected 'A', 'B' or 'C'\)"),
+        (lambda: hv_value_product_exact([], []), "need at least one site"),
+        (lambda: hv_value_product([], []), "need at least one site"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -162,7 +167,8 @@ def _letters(shape):
         "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
         "root_of_unity", "factor_value", "factor_triple_at", "general_config_float_d",
         "general_uniform_value_float_sites", "uniform_factors_float_d",
-        "build_mermin_d9", "operator_d9", "from_terms_d9",
+        "build_mermin_d9", "operator_d9", "from_terms_d9", "factor_value_letter",
+        "hv_value_product_exact_no_sites", "hv_value_product_no_sites",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 
 from qudit_mermin import mermin, qudit_ops
 from qudit_mermin.cyclotomic import CycInt, root_of_unity
-from qudit_mermin.hidden_variables import uniform_value
+from qudit_mermin.hidden_variables import (
+    _witness_table,
+    contradiction_witness,
+    uniform_value,
+)
 from qudit_mermin.mermin import (
     VERIFY_TERM_CAP,
     IdentityReport,
@@ -480,10 +484,17 @@ def shift_every_entry(table):
 
 
 @pytest.mark.parametrize(
-    "shift, message",
-    [(shift_x_on_digit_0, "proportional"), (shift_every_entry, "rational integer")],
+    "shift, message, witness_message",
+    [
+        pytest.param(shift_x_on_digit_0, "proportional", "proportional",
+                     id="shift_x_on_digit_0-proportional"),
+        pytest.param(shift_every_entry, "rational integer", "power of omega",
+                     id="shift_every_entry-rational integer"),
+    ],
 )
-def test_tampered_phase_table_raises_eigenstate_error(monkeypatch, shift, message):
+def test_tampered_phase_table_raises_eigenstate_error(
+    monkeypatch, shift, message, witness_message
+):
     real = qudit_ops._phase_array
     monkeypatch.setattr(qudit_ops, "_phase_array", lambda d: shift(real(d)))
     for d, n, c in ((3, 2, 0), (3, 4, 1), (5, 2, 0)):
@@ -492,3 +503,15 @@ def test_tampered_phase_table_raises_eigenstate_error(monkeypatch, shift, messag
         # the term path reads the same tampered action and refuses it the same way
         with pytest.raises(EigenstateError, match=message):
             verify_eigenvalue(build_mermin(d, n, c))
+    # so do one word and the witness scan; at N = 4 the shift of every entry
+    # moves each witness phase by alpha**4, off the powers of omega
+    with pytest.raises(EigenstateError, match=witness_message):
+        _witness_table(4)
+    word = SettingWord.from_string("XYYY")  # a witness at point 3
+    with pytest.raises((EigenstateError, ArithmeticError), match=witness_message):
+        contradiction_witness(word)  # through ``eigenphase``
+
+
+def test_an_operator_with_no_terms_has_eigenvalue_zero():
+    for d in (3, 5, 7):
+        assert verify_eigenvalue(MerminOperator.from_terms(d, 2, 0, [])) == 0

@@ -15,6 +15,7 @@ from qudit_mermin.cyclotomic import CycInt, root_of_unity
 from qudit_mermin.qudit_ops import (
     EigenstateError,
     _all_words,
+    _ghz_phase,
     _phase_array,
     LocalObservable,
     SettingWord,
@@ -222,6 +223,25 @@ def test_phase_array_rows_are_the_phase_tables():
         for j in rotation_alphabet(d):
             expected = LocalObservable.rotated_shift(d, j).phase_table
             assert tuple(table[j + (d - 1) // 2].tolist()) == expected
+
+
+def test_ghz_phase_row_r_is_the_reading_at_label_r():
+    rng = np.random.default_rng(33)
+    for d in (3, 5, 7):
+        m, half = d * d, (d - 1) // 2
+        table = _phase_array(d).tolist()
+        for n in range(5):
+            letters = rng.integers(-half, half + 1, size=(6, n), dtype=np.int8)
+            for k in range(m):
+                readings = _ghz_phase(d, letters, k)
+                assert readings.dtype == np.int64 and readings.shape == (d, 6)
+                for r, row in enumerate(readings.tolist()):
+                    # a word maps label r to r + 1 and picks up column r of each letter
+                    expected = [
+                        (sum(table[j + half][r] for j in word) + k * r - k * ((r + 1) % d)) % m
+                        for word in letters.tolist()
+                    ]
+                    assert row == expected, (d, n, k, r)
 
 
 def reference_eigenphase(word, ghz_index):
