@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, partial
+from functools import cmp_to_key, lru_cache, partial
 
 import numpy as np
 
@@ -176,21 +176,24 @@ def _check_range(space: ProductSpace) -> int:
     return bound
 
 
-def _level_ends(alphabet: int, n_sites: int) -> list[np.ndarray]:
+@lru_cache(maxsize=8)  # a full search reads 4 layouts, a ratio search 2
+def _level_ends(alphabet: int, n_sites: int) -> tuple[np.ndarray, ...]:
     """``ends[t][b]``: the number of t-letter classes with last letter at most b.
 
     Classes of length t are stored in blocks by last letter b; block b
     extends, by b, the first ends[t-1][b] classes of length t-1, which are
     exactly those whose last letter is at most b (ends[0]: the empty class).
+    Every producer of ranks and the decoder read this layout, so it is
+    cached, as read-only arrays.
     """
     ends = [np.ones(alphabet, dtype=np.int64)]
     for _ in range(n_sites - 1):
         ends.append(np.cumsum(ends[-1]))
-    return ends
+    return tuple(_read_only(e, np.int64) for e in ends)
 
 
 def _float_prefixes(
-    space: ProductSpace, ends: list[np.ndarray]
+    space: ProductSpace, ends: tuple[np.ndarray, ...]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The ranking's inputs: the score bound, the factors and the prefixes.
 
@@ -281,13 +284,13 @@ def _scored_blocks(space: ProductSpace):
         yield b0, scores - bound, scores + bound
 
 
-def _class_letters(ends: list[np.ndarray], last: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """(K, N) sorted letters of the classes that extend ``parents`` by ``last``."""
-    letters = [last]
+def _class_letters(ends: tuple[np.ndarray, ...], ranks: np.ndarray) -> np.ndarray:
+    """(K, N) sorted letters of the classes at ``ranks``, ends = ``_level_ends(A, N + 1)``."""
+    letters = []
     for t in range(len(ends) - 1, 0, -1):
-        # class ``parent`` of length t sits in the block of its last letter c
-        c = np.searchsorted(ends[t], parents, side="right")
-        parents = parents - (ends[t][c] - ends[t - 1][c])
+        # the class at ``ranks`` of length t sits in the block of its last letter c
+        c = np.searchsorted(ends[t], ranks, side="right")
+        ranks = ranks - (ends[t][c] - ends[t - 1][c])
         letters.append(c)
     return np.stack(letters[::-1], axis=1)
 
@@ -333,31 +336,32 @@ def _class_tally(letters: np.ndarray, alphabet: int) -> tuple[int, int]:
     return count, encode_index(letters[first].tolist(), alphabet)
 
 
-def _band(space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(last, parent) of each class whose score interval reaches the floor.
+def _band(space: ProductSpace) -> np.ndarray:
+    """Ranks of the classes whose score interval reaches the floor, ascending.
 
     The floor is the largest lower bound of ``_scored_blocks``, so the band
     holds every maximizer.  Each group keeps the classes whose upper bound
     reaches the floor so far, which only grows, and one last pass re-filters
-    with the final floor.  Classes come block by block, each block in prefix
-    order.
+    with the final floor.  A class's rank is its block's first rank plus its
+    prefix's rank, so the ranks ascend.
     """
+    ends = _level_ends(space.alphabet, space.n_sites + 1)
+    first = ends[-1] - ends[-2]  # block b's first rank
     floor = -np.inf
     band = []
     for b0, lower, upper in _scored_blocks(space):
         floor = max(floor, float(lower.max()))
         kept = np.flatnonzero(upper >= floor)
         rows, parents = np.divmod(kept, upper.shape[1])
-        band.append((rows + b0, parents, upper.ravel()[kept]))
-    last, parents, upper = (np.concatenate(column) for column in zip(*band))
-    final = upper >= floor
-    return last[final], parents[final]
+        band.append((first[rows + b0] + parents, upper.ravel()[kept]))
+    ranks, upper = (np.concatenate(column) for column in zip(*band))
+    return ranks[upper >= floor]
 
 
 def run_search(space: ProductSpace) -> RawSearchResult:
     """Exact maximum over all A**N assignments, one evaluation per class."""
     order, a_size = space.order, space.alphabet
-    letters = _class_letters(_level_ends(a_size, space.n_sites), *_band(space))
+    letters = _class_letters(_level_ends(a_size, space.n_sites + 1), _band(space))
     values = [tuple(row) for row in _class_values(space.counts, letters).tolist()]
     exact = {value: CycInt(order, value) for value in set(values)}
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}

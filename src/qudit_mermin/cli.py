@@ -283,7 +283,7 @@ def cmd_table2():
         if letters != ["A", "B", "C"]:
             failure = f"factor multiset broken at ratios ({row.r_exp},{row.s_exp})"
         for e in row.entries:
-            if min(abs(e.phase_deg - p) for p in expected_phases) > 1e-9:
+            if e.phase_deg not in expected_phases:
                 failure = f"unexpected phase {e.phase_deg}"
         cells = {"R": SYMBOLS[row.r_exp], "S": SYMBOLS[row.s_exp]}
         for letter, e in zip("ABC", row.entries):

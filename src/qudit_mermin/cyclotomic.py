@@ -30,7 +30,6 @@ __all__ = [
     "CycInt",
     "PhaseExponent",
     "root_of_unity",
-    "root_sum",
     "root_sums",
     "order_params",
     "compare_real_coeffs",
@@ -406,11 +405,6 @@ def root_sums(m: int, exponents) -> np.ndarray:
     return root_counts(m, exponents) @ _root_coeffs(m)
 
 
-def root_sum(m: int, exponents) -> CycInt:
-    """Exact sum of alpha**e over an array of exponents: one row of ``root_sums``."""
-    return CycInt(m, tuple(root_sums(m, np.ravel(exponents)).tolist()))
-
-
 def mp_real_value(m: int, coeffs, dps: int):
     """Real part of sum_j coeffs[j] * alpha**j, to ``dps`` decimal digits."""
     import mpmath  # only the rare near-tie comparison needs it
@@ -433,11 +427,12 @@ _FLOAT_MASS_LIMIT = 2**1000
 def compare_real_coeffs(m: int, c1, c2) -> int:
     """Total order on two real cyclotomic values given by canonical coeffs.
 
-    Returns -1, 0, or +1.  Equality is decided exactly on the canonical
-    form.  A strict inequality is decided by the float shadow only when the
-    float gap exceeds both the noise band 1e-6*(1 + |f1| + |f2|) and a
-    proven bound on the shadow's rounding error; otherwise the difference
-    is evaluated with mpmath at a precision that cannot get its sign wrong.
+    Returns -1, 0, or +1; coefficient vectors of a length other than phi(m)
+    raise ValueError.  Equality is decided exactly on the canonical form.  A
+    strict inequality is decided by the float shadow only when the float gap
+    exceeds both the noise band 1e-6*(1 + |f1| + |f2|) and a proven bound on
+    the shadow's rounding error; otherwise the difference is evaluated with
+    mpmath at a precision that cannot get its sign wrong.
 
     Shadow error.  Write S_i = sum_j |c_i[j]| and u = 2**-53.  Each stored
     cos(2*pi*j/m) is within 32u of the true value: its argument carries at
@@ -463,9 +458,13 @@ def compare_real_coeffs(m: int, c1, c2) -> int:
     """
     c1 = tuple(c1)
     c2 = tuple(c2)
+    _, phi = order_params(m)
+    if len(c1) != phi or len(c2) != phi:
+        raise ValueError(
+            f"expected {phi} coefficients for order {m}, got {len(c1)} and {len(c2)}"
+        )
     if c1 == c2:
         return 0
-    _, phi = order_params(m)
     mass = sum(map(abs, c1)) + sum(map(abs, c2))
     if mass < _FLOAT_MASS_LIMIT:
         powers = _alpha_powers(m)

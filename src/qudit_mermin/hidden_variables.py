@@ -229,6 +229,8 @@ class HVAssignment:
     built from ratios are lifted with v(X_i) = 1.  Each exponent must be an
     integer (anything ``operator.index`` accepts, numpy integers included)
     in {0, 1, 2}, stored as a Python int; floats are refused, not truncated.
+    It needs at least one site (else ValueError), as every entry point that
+    takes N does.
     """
 
     values: tuple[tuple[int, int, int], ...]
@@ -243,6 +245,7 @@ class HVAssignment:
             if len(exponents) != 3 or not all(0 <= e < 3 for e in exponents):
                 raise ValueError(f"bad value exponents {triple}")
             values.append(exponents)
+        _site_count(len(values))
         object.__setattr__(self, "values", tuple(values))
 
     @classmethod
@@ -453,31 +456,40 @@ _FULL_DIGIT = 9 * _X + 3 * _Y + _V
 _SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
-def _check_site_symmetry(weights: np.ndarray, letters: np.ndarray) -> None:
+def _term_table(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The terms' omega root counts, one ``bincount`` into a (3,) * (N + 1) uint8 table.
+
+    Axis 0 is the weight's omega exponent, axis i site i's value column.  The
+    guard n < 2**8 of ``_class_scores``' ranges runs before any allocation.
+    """
+    n_terms, n_sites = letters.shape
+    if n_terms >= 2**8:
+        raise OverflowError(
+            "term count exceeds the exact uint8 root-count and uint16 score range"
+        )
+    shape = (3,) * (n_sites + 1)
+    key = np.ravel_multi_index((weights % 3, *letters.T), shape)
+    return np.bincount(key, minlength=3 ** (n_sites + 1)).astype(np.uint8).reshape(shape)
+
+
+def _check_site_symmetry(table: np.ndarray) -> None:
     """Raise ArithmeticError unless permuting sites maps the terms onto themselves.
 
     The swap of sites 1 and 2 and the cyclic shift generate every
-    permutation, so the (weight, letter row) multiset is compared exactly
-    with its image under each of the two.
+    permutation, so the ``_term_table`` is compared exactly with its
+    transpose under each of the two.
     """
-    n_sites = letters.shape[1]
-    shape = (3,) * (n_sites + 1)
-
-    def keys(order):
-        return np.sort(np.ravel_multi_index((*letters[:, order].T, weights % 3), shape))
-
-    sites = list(range(n_sites))
+    sites = list(range(1, table.ndim))
     for order in (sites[1:2] + sites[:1] + sites[2:], sites[1:] + sites[:1]):
-        if not np.array_equal(keys(order), keys(sites)):
+        if not np.array_equal(table.transpose(0, *order), table):
             raise ArithmeticError("the terms are not invariant under permuting sites")
 
 
-def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
+def _class_scores(table: np.ndarray) -> np.ndarray:
     """Exact |value|**2 of each multiset of value triples, walk-sorted.
 
     Term t contributes omega**(weights[t] + sum_i value_i[letters[t, i]]).
-    One ``bincount`` counts the terms into a table of omega root counts over
-    the letter columns, and the sites are assigned one at a time over the
+    The sites of the ``_term_table`` are assigned one at a time over the
     sorted classes of walk letters (``_FULL_DIGIT`` maps each to its value
     triple), in the layout of ``_enumeration._level_ends(27, N)``: at level
     t, block w extends the first ends[t-1][w] classes of level t - 1 by walk
@@ -493,18 +505,11 @@ def _class_scores(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     The score a*(a - b) + b*b is formed in place in int16, whose array
     arithmetic wraps mod 2**16, and read through a uint16 view: that is
     exact because the true score |value|**2 lies in [0, n**2], and n**2 <
-    2**16 while n < 2**8.  The one guard n < 2**8 thus proves both ranges
-    and is checked before anything is allocated.
+    2**16 while n < 2**8.  The one guard n < 2**8 thus proves both ranges;
+    ``_term_table`` checks it.
     """
-    n_terms, n_sites = letters.shape
-    if n_terms >= 2**8:
-        raise OverflowError(
-            "term count exceeds the exact uint8 root-count and uint16 score range"
-        )
-    key = np.ravel_multi_index((weights % 3, *letters.T), (3,) * (n_sites + 1))
-    f = np.bincount(key, minlength=3 ** (n_sites + 1)).astype(np.uint8)
-    f = f.reshape(3, 3**n_sites, 1)  # (root, letter columns, class)
-    for sizes in _level_ends(27, n_sites):
+    f = table.reshape(3, -1, 1)  # (root, letter columns, class)
+    for sizes in _level_ends(27, table.ndim - 1):
         # rot[x, e, c]: the counts times omega**x, c the next site's letter
         rot = f.reshape(3, 3, -1, f.shape[-1])[_SHIFT]
         f = np.concatenate(
@@ -546,26 +551,27 @@ def _ratio_ranks(n_sites: int) -> np.ndarray:
 def _full_search(n_sites: int) -> SearchResult:
     """Exact full scan over the multisets of per-site value triples.
 
-    The terms are checked to be invariant under permuting sites, so every
-    arrangement of a multiset has the score ``_class_scores`` gives its
-    walk-sorted one, and each multiset is scored once.  A multiset stands
-    for N!/prod(m!) assignments and its least flat index is its arrangement
-    sorted in full-index digits, so the hit classes' walk letters are mapped
-    through ``_FULL_DIGIT`` and sorted, and ``_enumeration._class_tally``
-    gives the exact tie count and arg-min.  ``ratio_agreement_max_abs_dev``
-    is |sqrt(score) - ratio |v|| maximized over the classes, |v| from
-    ``_enumeration._multiset_scores`` once per ratio multiset, read at each
-    class's ``_ratio_ranks``: the value every arrangement of it has in
-    ``full_space_scores``, so the all-assignment maximum, bit for bit.
+    One ``_term_table`` of the terms is checked to be invariant under
+    permuting sites and walked by ``_class_scores``, so every arrangement of
+    a multiset has the score of its walk-sorted one, and each multiset is
+    scored once.  A multiset stands for N!/prod(m!) assignments and its least
+    flat index is its arrangement sorted in full-index digits, so the hit
+    ranks are decoded by ``_class_letters``, mapped through ``_FULL_DIGIT``
+    and sorted, and ``_enumeration._class_tally`` gives the exact tie count
+    and arg-min.  ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio
+    |v|| maximized over the classes, |v| from ``_enumeration._multiset_scores``
+    once per ratio multiset, read at each class's ``_ratio_ranks``: the value
+    every arrangement of it has in ``full_space_scores``, so the
+    all-assignment maximum, bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
         raise ValueError(
             f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
         )
-    weights, letters = _encode_terms(n_sites)
-    _check_site_symmetry(weights, letters)
-    scores = _class_scores(weights, letters)
+    table = _term_table(*_encode_terms(n_sites))
+    _check_site_symmetry(table)
+    scores = _class_scores(table)
     ratio_mag = np.sqrt(_multiset_scores(ratio_space(3, n_sites))) / 3.0
     # gathered first, so the rank arrays are freed before the square roots exist
     dev = ratio_mag[_ratio_ranks(n_sites)]
@@ -573,10 +579,7 @@ def _full_search(n_sites: int) -> SearchResult:
     max_dev = float(np.abs(dev, out=dev).max())
     best = int(scores.max())
     hits = np.flatnonzero(scores == best)
-    ends = _level_ends(27, n_sites + 1)
-    last = np.searchsorted(ends[-1], hits, side="right")
-    parents = hits - (ends[-1][last] - ends[-2][last])
-    walk = _class_letters(ends[:-1], last, parents)
+    walk = _class_letters(_level_ends(27, n_sites + 1), hits)
     # each class's sorted arrangement in full-index digits: its least flat index
     count, lexmin = _class_tally(np.sort(_FULL_DIGIT[walk], axis=1), 27)
     return SearchResult(

@@ -50,30 +50,28 @@ def class_tally(letters, alphabet: int) -> tuple[int, int]:
     return count, min(encode_index(row, alphabet) for row in rows)
 
 
-def letter_band(space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(last, parent) of the ranking band, one mat-vec, max and nonzero per letter.
+def letter_band(space: ProductSpace) -> np.ndarray:
+    """Ranks of the ranking band, one mat-vec, max and nonzero per letter.
 
     The per-letter loop that ``_enumeration._band`` replaced: block b scores
     the first ends[-1][b] prefixes by letter b alone, on the same bound and
     float prefixes, and the band keeps the classes whose upper bound reaches
-    the largest lower bound.
+    the largest lower bound.  Block b's classes start at rank
+    ends[N][b] - ends[N-1][b], with ends = ``_level_ends(A, N + 1)``.
     """
-    ends = _level_ends(space.alphabet, space.n_sites)
-    bound, fhat, p = _float_prefixes(space, ends)
+    ends = _level_ends(space.alphabet, space.n_sites + 1)
+    bound, fhat, p = _float_prefixes(space, ends[:-1])
     floor = -np.inf
     band = []
-    for b, n in enumerate(ends[-1].tolist()):
+    for b, n in enumerate(ends[-2].tolist()):
         v = p[:n] @ fhat[b]
         scores = v.real * v.real + v.imag * v.imag
         lower, upper = scores - bound, scores + bound
         floor = max(floor, float(lower.max()))
         keep = np.nonzero(upper >= floor)[0]
-        band.append((b, keep, upper[keep]))
-    last, parents, upper = zip(*band)
-    last = np.repeat(last, [len(k) for k in parents])
-    parents, upper = np.concatenate(parents), np.concatenate(upper)
-    final = upper >= floor
-    return last[final], parents[final]
+        band.append((keep + (ends[-1][b] - ends[-2][b]), upper[keep]))
+    ranks, upper = (np.concatenate(column) for column in zip(*band))
+    return ranks[upper >= floor]
 
 
 def clean_json(obj) -> str:

@@ -53,7 +53,7 @@ from qudit_mermin._enumeration import (
     decode_index,
     full_space_scores,
 )
-from qudit_mermin.cyclotomic import order_params
+from qudit_mermin.cyclotomic import compare_real_coeffs, order_params
 from qudit_mermin.generalized import general_uniform_sum, ratio_space
 from qudit_mermin.mermin import (
     _position_eigenvalue,
@@ -156,6 +156,18 @@ def _letters(shape):
          r"unknown product letter 'D' \(expected 'A', 'B' or 'C'\)"),
         (lambda: hv_value_product_exact([], []), "need at least one site"),
         (lambda: hv_value_product([], []), "need at least one site"),
+        (lambda: HVAssignment(()), "need at least one site"),
+        (lambda: HVAssignment.from_ratios([]), "need at least one site"),
+        (lambda: compare_real_coeffs(9, (1, 0, 0, 0, 0, 0), (1, 0, 0)),
+         "expected 6 coefficients for order 9, got 6 and 3"),
+        (lambda: ProductSpace(9, 1, ratio_space(3, 1).counts[..., :3]),
+         r"counts must be non-negative of shape \(A, S, 9\)"),
+        (lambda: ProductSpace(9, 1, -ratio_space(3, 1).counts),
+         r"counts must be non-negative of shape \(A, S, 9\)"),
+        (lambda: hv_value_product_exact([0, 1], [0]), "ratio vectors must have equal length"),
+        (lambda: CycInt(9, (1, 0)), "expected 6 coefficients for order 9, got 2"),
+        (lambda: PhaseExponent(1, 9) * PhaseExponent(1, 25),
+         "mismatched cyclotomic orders 9 and 25"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -169,6 +181,10 @@ def _letters(shape):
         "general_uniform_value_float_sites", "uniform_factors_float_d",
         "build_mermin_d9", "operator_d9", "from_terms_d9", "factor_value_letter",
         "hv_value_product_exact_no_sites", "hv_value_product_no_sites",
+        "hv_assignment_no_sites", "hv_assignment_from_no_ratios",
+        "compare_real_coeffs_lengths", "product_space_shape", "product_space_negative",
+        "hv_value_product_exact_lengths", "cyc_int_coefficient_count",
+        "phase_exponent_orders",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):

@@ -82,6 +82,38 @@ def test_table2_json(runner):
     assert abs(first["C_phase_deg"] - 180.0) < 1e-9
 
 
+def _first_row_tampered(entries):
+    """A ``factor_table`` whose first row has its entries replaced by ``entries(row)``."""
+    real = cli_module.factor_table
+
+    def tampered():
+        first, *rest = real()
+        return (dataclasses.replace(first, entries=entries(first)), *rest)
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "entries, note",
+    [
+        (lambda row: (row.entries[0], row.entries[0], row.entries[2]),
+         "factor multiset broken at ratios (0,0)"),
+        (lambda row: (dataclasses.replace(row.entries[0], phase_deg=60.0), *row.entries[1:]),
+         "unexpected phase 60.0"),
+        # the factor phases are whole degrees, so the check is exact
+        (lambda row: (dataclasses.replace(row.entries[0], phase_deg=2**-30), *row.entries[1:]),
+         f"unexpected phase {2**-30}"),
+    ],
+    ids=["letters", "phase", "phase_off_by_a_fraction"],
+)
+def test_table2_reports_a_broken_factor_table(runner, monkeypatch, entries, note):
+    monkeypatch.setattr(cli_module, "factor_table", _first_row_tampered(entries))
+    result = runner.invoke(cli, ["table2", "--format", "json"])
+    assert result.exit_code == 1
+    assert result.stdout  # the payload is still written
+    assert result.stderr.splitlines()[-1] == f"verification mismatch: {note}"
+
+
 def test_verify_pass(runner):
     result = runner.invoke(cli, ["verify", "--n", "5", "--format", "json"])
     assert result.exit_code == 0

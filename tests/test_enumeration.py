@@ -375,16 +375,17 @@ def scored_classes(space):
     prefixes that block b extends must be -inf in both bounds, and every
     class must come exactly once.
     """
-    ends = _level_ends(space.alphabet, space.n_sites)
+    ends = _level_ends(space.alphabet, space.n_sites + 1)
     seen = 0
     for b0, lower, upper in _scored_blocks(space):
-        assert lower.shape == upper.shape and lower.shape[1] == ends[-1][b0 + len(lower) - 1]
+        assert lower.shape == upper.shape and lower.shape[1] == ends[-2][b0 + len(lower) - 1]
         for b, lo, hi in zip(range(b0, b0 + len(lower)), lower, upper):
-            n = ends[-1][b]
+            n = ends[-2][b]
             assert np.all(lo[n:] == -np.inf) and np.all(hi[n:] == -np.inf)
             assert np.all(lo[:n] <= hi[:n])
             seen += n
-            yield _class_letters(ends, np.full(n, b), np.arange(n)), lo[:n], hi[:n]
+            ranks = ends[-1][b] - n + np.arange(n)
+            yield _class_letters(ends, ranks), lo[:n], hi[:n]
     assert seen == math.comb(space.n_sites + space.alphabet - 1, space.n_sites)
 
 
@@ -446,11 +447,10 @@ def test_band_holds_only_maximizers_on_ratio_spaces(monkeypatch, d, n_sites):
 @pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
 def test_grouped_band_equals_the_letter_loop(d, n_sites):
     space = ratio_space(d, n_sites)
-    last, parents = _band(space)
-    expected_last, expected_parents = letter_band(space)
-    assert last.dtype == expected_last.dtype and parents.dtype == expected_parents.dtype
-    assert np.array_equal(last, expected_last)
-    assert np.array_equal(parents, expected_parents)
+    ranks = _band(space)
+    expected = letter_band(space)
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,11 +564,8 @@ def test_random_full_tables_match_breadth_first_bit_for_bit(space):
 
 def level_order_letters(alphabet, n_sites):
     """(K, N) sorted letters of every multiset, in the layout of ``_level_ends``."""
-    ends = _level_ends(alphabet, n_sites)
-    sizes = ends[-1]
-    last = np.repeat(np.arange(alphabet), sizes)
-    parents = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return _class_letters(ends, last, parents)
+    ends = _level_ends(alphabet, n_sites + 1)
+    return _class_letters(ends, np.arange(ends[-1][-1]))
 
 
 def assert_walk_matches_the_evaluator(space):

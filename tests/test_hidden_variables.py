@@ -50,6 +50,7 @@ from qudit_mermin.hidden_variables import (
     _check_site_symmetry,
     _class_scores,
     _encode_terms,
+    _term_table,
     contradiction_witness,
     exhaustive_search,
     factor_table,
@@ -466,6 +467,15 @@ def test_encode_terms_matches_per_term_encoding():
         ]
 
 
+def test_encode_terms_refuses_a_weight_that_is_not_a_power_of_omega(monkeypatch):
+    # alpha is a root of unity, so the operator accepts it, but not a power of omega
+    terms = [(SettingWord(3, (j,)), root_of_unity(j, 9)) for j in (0, 1)]
+    op = MerminOperator.from_terms(3, 1, 0, terms)
+    monkeypatch.setattr(hidden_variables, "build_mermin", lambda d, n, variant: op)
+    with pytest.raises(ArithmeticError, match="not a power of omega"):
+        _encode_terms(1)
+
+
 def reference_chunk_scores(n_sites, weights, letters, c_lo, c_hi):
     """Per-term scores of the flat indices [c_lo, c_hi) and their ratio indices.
 
@@ -542,7 +552,7 @@ def contracted_scores(weights, letters):
     _, _, reference = reference_chunk_scores(
         n_sites, weights, letters, 0, 27**n_sites
     )
-    return _class_scores(weights, letters), reference[class_flat_indices(n_sites)]
+    return _class_scores(_term_table(weights, letters)), reference[class_flat_indices(n_sites)]
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
@@ -783,11 +793,8 @@ def test_multiset_scores_equal_the_table_at_the_sorted_indices(n_sites):
 
 @pytest.mark.parametrize("n_sites", range(1, 7))
 def test_each_class_key_picks_its_ratio_multiset(n_sites):
-    ends = _level_ends(27, n_sites + 1)
     classes = np.arange(math.comb(n_sites + 26, 26))
-    last = np.searchsorted(ends[-1], classes, side="right")
-    parents = classes - (ends[-1][last] - ends[-2][last])
-    triples = _class_letters(ends[:-1], last, parents)
+    triples = _class_letters(_level_ends(27, n_sites + 1), classes)
     # the class's walk-sorted arrangement, read as per-site ratio digits
     ratios = hidden_variables._RATIO_DIGIT[triples]
     ranks = hidden_variables._ratio_ranks(n_sites)
@@ -832,7 +839,7 @@ def test_contraction_refuses_term_counts_beyond_int64():
     # so the refusal allocates nothing
     letters = np.empty((2**31, 0), dtype=np.int8)
     with pytest.raises(OverflowError):
-        _class_scores(np.zeros(1, dtype=np.int16), letters)
+        _term_table(np.zeros(1, dtype=np.int16), letters)
 
 
 def test_contraction_refuses_2_to_the_8_terms_before_allocating():
@@ -841,7 +848,7 @@ def test_contraction_refuses_2_to_the_8_terms_before_allocating():
     weights = np.zeros(1, dtype=np.int16)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(OverflowError, match="uint16 score range"):
-            _class_scores(weights, letters)
+            _term_table(weights, letters)
 
 
 def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
@@ -850,7 +857,7 @@ def test_contraction_refuses_term_counts_beyond_int16_before_allocating():
     weights = np.zeros(1, dtype=np.int16)
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(OverflowError, match="int16"):
-            _class_scores(weights, letters)
+            _term_table(weights, letters)
 
 
 @st.composite
@@ -901,15 +908,16 @@ def test_full_search_refuses_terms_that_are_not_site_symmetric(monkeypatch):
 def test_site_symmetry_needs_both_generators():
     weights = np.zeros(3, dtype=np.int16)
     for n_sites in range(1, 6):
-        _check_site_symmetry(*_encode_terms(n_sites))
+        _check_site_symmetry(_term_table(*_encode_terms(n_sites)))
     # invariant under the cyclic shift, not under the swap of sites 1 and 2
     cyclic = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int8)
     # invariant under the swap, not under the cyclic shift
     swapped = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 1]], dtype=np.int8)
     for letters in (cyclic, swapped):
         with pytest.raises(ArithmeticError):
-            _check_site_symmetry(weights, letters)
-    _check_site_symmetry(weights, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int8))
+            _check_site_symmetry(_term_table(weights, letters))
+    symmetric = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int8)
+    _check_site_symmetry(_term_table(weights, symmetric))
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
