@@ -176,7 +176,7 @@ def _check_range(space: ProductSpace) -> int:
     return bound
 
 
-@lru_cache(maxsize=8)  # a full search reads 4 layouts, a ratio search 2
+@lru_cache(maxsize=8)  # a full search and a ratio search read 2 layouts each
 def _level_ends(alphabet: int, n_sites: int) -> tuple[np.ndarray, ...]:
     """``ends[t][b]``: the number of t-letter classes with last letter at most b.
 
@@ -406,10 +406,10 @@ def _multiset_values(space: ProductSpace) -> np.ndarray:
     )
 
 
-def _multiset_scores(space: ProductSpace) -> np.ndarray:
-    """Float |sum of products|**2 of each multiset's exact ``_multiset_values``."""
-    values = _multiset_values(space).astype(np.float64)
-    vals = values @ np.array(_alpha_powers(space.order)[: values.shape[1]])
+def _multiset_scores(values: np.ndarray, order: int) -> np.ndarray:
+    """Float |v|**2 of (K, phi) exact canonical values over order m, as of ``_multiset_values``."""
+    values = values.astype(np.float64)
+    vals = values @ np.array(_alpha_powers(order)[: values.shape[1]])
     return vals.real * vals.real + vals.imag * vals.imag
 
 
@@ -432,7 +432,7 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     rank = np.zeros(space.size, dtype=np.intp)
     for lower, upper, column in zip(ends, ends[1:], digits):
         rank += (upper - lower)[column]
-    return _multiset_scores(space)[rank]
+    return _multiset_scores(_multiset_values(space), space.order)[rank]
 
 
 def decode_index(index: int, alphabet: int, n_sites: int) -> tuple[int, ...]:

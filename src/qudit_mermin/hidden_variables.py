@@ -21,13 +21,15 @@ per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
 products commute across sites).  Full mode first checks that the
 operator's own terms are invariant under permuting sites, so a value
 assignment's score depends only on the multiset of its per-site value
-triples; it then assigns the sites of the terms one at a time, exactly,
-on omega root counts (uint8 counts, uint16 scores, in ranges proven from
-the term count), over the C(N+26, 26) sorted multisets that stand for the
-27**N assignments, taking the triples in ratio-digit order, and reports
-the largest deviation of a multiset's score from the ratio reduction,
-evaluated once per multiset of per-site ratios in one prefix-sharing walk
-and read at each class's ratio rank, carried by one block offset per site.
+triples; adding c to one site's triple multiplies the value by omega**c,
+so each assignment scores like its gauge, every triple shifted to x = 0.
+It assigns the sites of the terms one at a time, exactly, on omega root
+counts (uint8 counts, uint16 scores, in ranges proven from the term
+count), over the C(N+8, 8) sorted multisets of gauge triples that stand
+for the 27**N assignments.  A gauge class's rank is that of its multiset
+of per-site ratios, evaluated once each in one prefix-sharing walk, so
+each score is checked exactly against the ratio reduction, and the
+largest float deviation from it is reported.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
@@ -60,11 +62,19 @@ from ._enumeration import (
     _class_values,
     _level_ends,
     _multiset_scores,
+    _multiset_values,
     decode_index,
     encode_index,
     run_search,
 )
-from .cyclotomic import CycInt, PhaseExponent, _integer, _root_coeffs, _site_count
+from .cyclotomic import (
+    CycInt,
+    PhaseExponent,
+    _circulant_index,
+    _integer,
+    _root_coeffs,
+    _site_count,
+)
 from .generalized import _factor_rows, _ratio_counts, ratio_space
 from .mermin import MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
@@ -401,17 +411,19 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     multisets are bounded by the budget of ``generalized.ratio_space``.  Full
     mode covers the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments:
     it checks that the operator terms are invariant under permuting sites
-    (else ArithmeticError), contracts their omega root counts site by
-    site into the exact value of each multiset of per-site value triples,
-    as a uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every
-    admitted N), and reports the largest deviation from the ratio
-    reduction: the C(N+8, 8) multisets of per-site ratios are evaluated
-    exactly in one walk that shares prefix products, and each class reads
-    its own through a ratio-multiset rank carried as its sites are
-    assigned.  An over-budget N raises ValueError before anything is
-    built.  Ties are counted exactly and the arg-max reported is the
-    lexicographically smallest maximizer (encoding R1,S1,...,RN,SN for
-    ratio mode and X1,Y1,V1,... for full mode, with 1 < w < w^2).
+    (else ArithmeticError), and, since shifting one site's triple by c
+    multiplies the value by omega**c, contracts their omega root counts
+    site by site into the exact value of each of the C(N+8, 8) multisets
+    of per-site triples with x = 0, one per 3**N assignments, as a uint16
+    |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N).
+    Each class shares its rank with its multiset of per-site ratios, whose
+    exact values come from one walk that shares prefix products: every
+    score must equal the ratio reduction's exactly (else ArithmeticError),
+    and the largest float deviation from it is reported.  An over-budget
+    N raises ValueError before anything is built.  Ties are counted exactly
+    and the arg-max reported is the lexicographically smallest maximizer
+    (encoding R1,S1,...,RN,SN for ratio mode and X1,Y1,V1,... for full
+    mode, with 1 < w < w^2).
     """
     n_sites = _site_count(n_sites)
     if mode == "ratio":
@@ -444,15 +456,7 @@ def _encode_terms(n_sites: int):
     return weights, letters
 
 
-# Walk letter w -> the ratio digit 3r + s and the value triple (x, y, v) of
-# full-index digit 9x + 3y + v, with r = y - x and s = v - x (mod 3): the walk
-# takes the 27 triples in ratio-digit order, so a class sorted in walk letters
-# has its ratio digits sorted too.
-_RATIO_DIGIT, _X = np.divmod(np.arange(27), 3)
-_Y = (_X + _RATIO_DIGIT // 3) % 3
-_V = (_X + _RATIO_DIGIT % 3) % 3
-_FULL_DIGIT = 9 * _X + 3 * _Y + _V
-# _SHIFT[x, e] = (e - x) % 3: times omega**x, root count e - x becomes count e
+# _SHIFT[c, e] = (e - c) % 3: times omega**c, root count e - c becomes count e
 _SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
 
 
@@ -486,17 +490,19 @@ def _check_site_symmetry(table: np.ndarray) -> None:
 
 
 def _class_scores(table: np.ndarray) -> np.ndarray:
-    """Exact |value|**2 of each multiset of value triples, walk-sorted.
+    """Exact |value|**2 of each multiset of gauge-fixed value triples (0, y, v).
 
     Term t contributes omega**(weights[t] + sum_i value_i[letters[t, i]]).
     The sites of the ``_term_table`` are assigned one at a time over the
-    sorted classes of walk letters (``_FULL_DIGIT`` maps each to its value
-    triple), in the layout of ``_enumeration._level_ends(27, N)``: at level
-    t, block w extends the first ends[t-1][w] classes of level t - 1 by walk
-    letter w at site t.  Multiplying by omega**x reindexes the root axis
-    (``_SHIFT``), so no ring arithmetic is done.  Returns one uint16 score
-    per class, in that layout; it belongs to the arrangement that gives
-    site i the class's i-th walk letter.
+    sorted classes of the 9 letters w = 3y + v, each the triple (0, y, v),
+    in the layout of ``_enumeration._level_ends(9, N)``: at level t, block w
+    extends the first ends[t-1][w] classes of level t - 1 by letter w at
+    site t.  Multiplying by omega**y reindexes the root axis (``_SHIFT``),
+    so no ring arithmetic is done.  Returns one uint16 score per class, in
+    that layout; it belongs to the arrangement that gives site i the class's
+    i-th letter.  Adding c to a site's triple multiplies every term by
+    omega**c, for any table, so every assignment scores as the class of its
+    triples shifted to x = 0.
 
     Ranges.  Every count is a number of terms, at most n = n_terms, so the
     counts are exact in uint8 while n < 2**8.  With n_k the count of
@@ -509,13 +515,13 @@ def _class_scores(table: np.ndarray) -> np.ndarray:
     ``_term_table`` checks it.
     """
     f = table.reshape(3, -1, 1)  # (root, letter columns, class)
-    for sizes in _level_ends(27, table.ndim - 1):
-        # rot[x, e, c]: the counts times omega**x, c the next site's letter
+    for sizes in _level_ends(9, table.ndim - 1):
+        # rot[y, e, c]: the counts times omega**y, c the next site's letter
         rot = f.reshape(3, 3, -1, f.shape[-1])[_SHIFT]
         f = np.concatenate(
             [
-                rot[x, :, 0, :, :k] + rot[y, :, 1, :, :k] + rot[v, :, 2, :, :k]
-                for x, y, v, k in zip(_X, _Y, _V, sizes.tolist())
+                rot[0, :, 0, :, :k] + rot[w // 3, :, 1, :, :k] + rot[w % 3, :, 2, :, :k]
+                for w, k in enumerate(sizes.tolist())
             ],
             axis=-1,
         )
@@ -527,42 +533,48 @@ def _class_scores(table: np.ndarray) -> np.ndarray:
     return score.view(np.uint16)
 
 
-def _ratio_ranks(n_sites: int) -> np.ndarray:
-    """Each class's ratio multiset, as its rank among the C(N+8, 8) of them.
+def _check_ratio_agreement(scores: np.ndarray, values: np.ndarray) -> None:
+    """Raise ArithmeticError unless 9 * scores[k] == |P_k|**2 exactly for every k.
 
-    The classes of walk letters are those of ``_level_ends(27, N)``, as in
-    ``_class_scores``, and a rank is a position in the layout of
-    ``_level_ends(9, N)``, that of ``_enumeration._multiset_scores``.  The
-    walk takes the triples in ratio-digit order, so a class's ratio digits
-    r_1 <= ... <= r_N come out sorted and its rank is the sum over its
-    sites t of the offset ends[t][r_t] - ends[t-1][r_t] of block r_t at
-    level t, ends = ``_level_ends(9, N + 1)``: block w of a walk level adds
-    the offset of walk letter w's ratio digit to the prefix ranks it
-    extends.
+    ``values`` are the canonical coefficients of P = 3v of every multiset
+    of per-site ratios (``_enumeration._multiset_values``), whose rank is
+    that of the class of ``_class_scores`` with the same letters 3R + S.
+    P * conj(P) is formed modulo x**9 - 1, conj(P) counting P's coefficient
+    j at alpha**-j: the sum over j of P's coefficient j times row j of
+    conj(P)'s circulant (``_circulant_index``), folded by ``_root_coeffs``.
+    Every |coefficient| of P is at most the mass bound W = 3**(N+1) of its
+    space, so the product's, sums of 6 products, are at most 6 * W**2 and
+    the folded ones twice that, in int64 for every N <= 17.
     """
-    ends = _level_ends(9, n_sites + 1)
-    rank = np.zeros(1, dtype=np.intp)
-    for t, sizes in enumerate(_level_ends(27, n_sites)):
-        offsets = (ends[t + 1] - ends[t])[_RATIO_DIGIT].tolist()
-        rank = np.concatenate([rank[:k] + o for o, k in zip(offsets, sizes.tolist())])
-    return rank
+    phi = values.shape[1]
+    conj = np.zeros((len(values), 9), dtype=np.int64)
+    conj[:, -np.arange(phi) % 9] = values
+    rows = conj[:, _circulant_index(9)[:phi]]
+    square = np.einsum("kj,kje->ke", values, rows) @ _root_coeffs(9)
+    expected = np.zeros_like(square)
+    expected[:, 0] = 9 * scores.astype(np.int64)
+    if not np.array_equal(square, expected):
+        raise ArithmeticError("a class score disagrees with its ratio multiset's |3v|**2")
 
 
 def _full_search(n_sites: int) -> SearchResult:
-    """Exact full scan over the multisets of per-site value triples.
+    """Exact full scan over the multisets of gauge-fixed per-site value triples.
 
     One ``_term_table`` of the terms is checked to be invariant under
-    permuting sites and walked by ``_class_scores``, so every arrangement of
-    a multiset has the score of its walk-sorted one, and each multiset is
-    scored once.  A multiset stands for N!/prod(m!) assignments and its least
-    flat index is its arrangement sorted in full-index digits, so the hit
-    ranks are decoded by ``_class_letters``, mapped through ``_FULL_DIGIT``
-    and sorted, and ``_enumeration._class_tally`` gives the exact tie count
-    and arg-min.  ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio
-    |v|| maximized over the classes, |v| from ``_enumeration._multiset_scores``
-    once per ratio multiset, read at each class's ``_ratio_ranks``: the value
-    every arrangement of it has in ``full_space_scores``, so the
-    all-assignment maximum, bit for bit.
+    permuting sites and walked by ``_class_scores``, so every assignment has
+    the score of its gauge class (each site's triple shifted to x = 0, a
+    map 3**N to one), whose arrangements all score alike, and each of the
+    C(N+8, 8) classes is scored once.  A class's letter 3y + v is both its
+    full-index digit and its ratio digit, so its rank is its ratio
+    multiset's, and ``_check_ratio_agreement`` checks each score exactly
+    against ``_enumeration._multiset_values``.  The tie count is 3**N times
+    ``_enumeration._class_tally``'s count over the maximizing classes
+    (decoded by ``_class_letters``).  A digit below 9 precedes every digit
+    with x > 0 and a maximizer's gauge image is a maximizer, so the least
+    maximizing index is the tally's arg-min, read in base 27.
+    ``ratio_agreement_max_abs_dev`` is |sqrt(score) - ratio |v|| maximized
+    over the classes, |v| from ``_enumeration._multiset_scores`` at the same
+    rank: the all-assignment maximum of the float comparison, bit for bit.
     """
     # clamped: 27**k is over the cap for every k past its bit length
     if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
@@ -572,16 +584,14 @@ def _full_search(n_sites: int) -> SearchResult:
     table = _term_table(*_encode_terms(n_sites))
     _check_site_symmetry(table)
     scores = _class_scores(table)
-    ratio_mag = np.sqrt(_multiset_scores(ratio_space(3, n_sites))) / 3.0
-    # gathered first, so the rank arrays are freed before the square roots exist
-    dev = ratio_mag[_ratio_ranks(n_sites)]
+    values = _multiset_values(ratio_space(3, n_sites))
+    _check_ratio_agreement(scores, values)
+    dev = np.sqrt(_multiset_scores(values, 9)) / 3.0
     dev -= np.sqrt(scores, dtype=np.float64)
     max_dev = float(np.abs(dev, out=dev).max())
     best = int(scores.max())
     hits = np.flatnonzero(scores == best)
-    walk = _class_letters(_level_ends(27, n_sites + 1), hits)
-    # each class's sorted arrangement in full-index digits: its least flat index
-    count, lexmin = _class_tally(np.sort(_FULL_DIGIT[walk], axis=1), 27)
+    count, lexmin = _class_tally(_class_letters(_level_ends(9, n_sites + 1), hits), 27)
     return SearchResult(
         mode="full",
         n_sites=n_sites,
@@ -590,7 +600,7 @@ def _full_search(n_sites: int) -> SearchResult:
         argmax=HVAssignment.from_full_index(n_sites, lexmin),
         argmax_index=lexmin,
         argmax_factor_labels=None,
-        num_maximizers=count,
+        num_maximizers=3**n_sites * count,
         assignments_scanned=27**n_sites,
         details={"max_sq_int": best, "ratio_agreement_max_abs_dev": max_dev},
     )

@@ -8,9 +8,12 @@ import ast
 import functools
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,47 @@ MODULES = [
 def test_package_exports_are_pinned():
     assert len(PUBLIC_NAMES) == 51
     assert sorted(qudit_mermin.__all__) == PUBLIC_NAMES
+
+
+# Run in a fresh process: ``import qudit_mermin`` loads no submodule, then
+# each public name, read first, is the object of the module that defines it
+# (functions and classes name it; the constants are hidden_variables').
+LAZY_IMPORT_CODE = """
+import importlib, sys
+import qudit_mermin
+loaded = sorted(k for k in sys.modules if k.startswith("qudit_mermin."))
+assert loaded == [], loaded
+for name in qudit_mermin.__all__[1:]:
+    value = getattr(qudit_mermin, name)
+    home = getattr(value, "__module__", None)
+    if not (isinstance(home, str) and home.startswith("qudit_mermin.")):
+        home = "qudit_mermin.hidden_variables"
+    assert value is getattr(importlib.import_module(home), name), name
+star = {}
+exec("from qudit_mermin import *", star)
+star.pop("__builtins__")
+assert sorted(star) == sorted(qudit_mermin.__all__) and len(star) == 51
+assert all(star[n] is getattr(qudit_mermin, n) for n in star)
+assert set(dir(qudit_mermin)) >= set(qudit_mermin.__all__)
+print("ok")
+"""
+
+
+def test_package_import_is_lazy_and_binds_every_export():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_CODE],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qudit_mermin.no_such_name
+    assert importlib.import_module("qudit_mermin.mermin") is qudit_mermin.mermin
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -220,7 +220,11 @@ def test_package_import_leaves_mpmath_unloaded():
     src = str(Path(qudit_mermin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, qudit_mermin; print('mpmath' in sys.modules, 'click' in sys.modules)"
+    # every public name is read, so every module the names live in is loaded
+    code = (
+        "import sys; from qudit_mermin import *; "
+        "print('mpmath' in sys.modules, 'click' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -16,6 +16,7 @@ import functools
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -32,6 +33,7 @@ from qudit_mermin._enumeration import (
     _class_values,
     _level_ends,
     _multiset_scores,
+    _multiset_values,
     decode_index,
     full_space_scores,
     run_search,
@@ -69,7 +71,14 @@ from qudit_mermin.hidden_variables import (
 from qudit_mermin.mermin import MerminOperator, PositionCounts, build_mermin
 from qudit_mermin.qudit_ops import EigenstateError, SettingWord
 
-from oracles import exact_letters_sum
+from oracles import (
+    FULL_DIGIT,
+    RATIO_DIGIT,
+    exact_letters_sum,
+    triple_class_scores,
+    triple_full_search,
+    triple_ratio_ranks,
+)
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -533,21 +542,27 @@ def reference_scan(n_sites, weights, letters, ratio_mag, lo, hi):
 
 
 def class_flat_indices(n_sites):
-    """Flat index of each class's walk-sorted arrangement, in the class walk's order.
+    """Flat index of each class's sorted arrangement, in the class walk's order.
 
-    The walk lays out the classes of walk letters, sorted, by last letter,
-    then by their prefix in the same order: the colexicographic order of the
-    sorted tuples.  Site i holds the class's i-th walk letter, whose
-    full-index digit is ``_FULL_DIGIT`` of it.
+    The walk lays out the classes of the 9 letters 3y + v, sorted, by last
+    letter, then by their prefix in the same order: the colexicographic
+    order of the sorted tuples.  Site i holds the triple (0, y, v) of the
+    class's i-th letter, whose full-index digit is the letter itself.
     """
-    classes = itertools.combinations_with_replacement(range(27), n_sites)
+    classes = itertools.combinations_with_replacement(range(9), n_sites)
     classes = sorted(classes, key=lambda c: c[::-1])
-    digits = hidden_variables._FULL_DIGIT[np.array(classes)]
-    return np.ravel_multi_index(digits.T, (27,) * n_sites)
+    return np.ravel_multi_index(np.array(classes).T, (27,) * n_sites)
+
+
+def gauge_digits(n_sites):
+    """(27**N, N) digits 3y + v of each flat index's triples shifted to x = 0."""
+    digits = np.indices((27,) * n_sites).reshape(n_sites, -1)
+    x, y, v = digits // 9, digits // 3 % 3, digits % 3
+    return (3 * ((y - x) % 3) + (v - x) % 3).T
 
 
 def contracted_scores(weights, letters):
-    """``_class_scores`` and the per-term scores at each class's walk-sorted flat index."""
+    """``_class_scores`` and the per-term scores at each class's sorted flat index."""
     n_sites = letters.shape[1]
     _, _, reference = reference_chunk_scores(
         n_sites, weights, letters, 0, 27**n_sites
@@ -557,11 +572,13 @@ def contracted_scores(weights, letters):
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_contraction_scores_every_assignment_like_the_per_term_scan(n_sites):
+    # each of the 27**N assignments scores as its x = 0 gauge class
     weights, letters = _encode_terms(n_sites)
-    scores, reference = contracted_scores(weights, letters)
+    _, _, reference = reference_chunk_scores(n_sites, weights, letters, 0, 27**n_sites)
+    scores = _class_scores(_term_table(weights, letters))
     assert scores.dtype == np.uint16
-    assert len(scores) == math.comb(n_sites + 26, n_sites)
-    assert np.array_equal(scores, reference)
+    assert len(scores) == math.comb(n_sites + 8, n_sites)
+    assert np.array_equal(scores[level_ranks(gauge_digits(n_sites))], reference)
 
 
 def full_result(n_sites, best, count, lexmin, scanned, max_dev):
@@ -692,12 +709,12 @@ def level_ranks(rows):
     return np.array(comb)[rows, np.arange(n_sites)].sum(axis=-1)
 
 
-def shifted_ratio_scores(index, shift):
+def shifted_ratio_scores(n_sites, index, shift):
     """``_multiset_scores`` with ``shift(score)`` in place of one multiset's score."""
 
-    def scores(space):
-        out = _multiset_scores(space)
-        row = level_ranks(ratio_multiset_of(index, space.n_sites))
+    def scores(values, order):
+        out = _multiset_scores(values, order)
+        row = level_ranks(ratio_multiset_of(index, n_sites))
         out[row] = shift(out[row])
         return out
 
@@ -739,7 +756,7 @@ def test_exact_cross_check_catches_a_ratio_disagreement(monkeypatch, case):
         n_sites, shifted_full_table(n_sites, index, shift)
     )
     monkeypatch.setattr(
-        hidden_variables, "_multiset_scores", shifted_ratio_scores(index, shift)
+        hidden_variables, "_multiset_scores", shifted_ratio_scores(n_sites, index, shift)
     )
     result = exhaustive_search(n_sites, mode="full")
     assert_same_full_result(result, reference)
@@ -782,7 +799,7 @@ def test_multiset_scores_equal_the_table_at_the_sorted_indices(n_sites):
     assert np.array_equal(np.sort(ranks), np.arange(len(letters)))
     flat = np.ravel_multi_index(letters.T, (9,) * n_sites)
     table = full_space_scores(space)[flat]
-    scores = _multiset_scores(space)[ranks]
+    scores = _multiset_scores(_multiset_values(space), 9)[ranks]
     assert np.array_equal(scores.view(np.int64), table.view(np.int64))
     # the float step of the per-row evaluator full mode once called
     values = _class_values(space.counts, letters).astype(np.float64)
@@ -793,21 +810,84 @@ def test_multiset_scores_equal_the_table_at_the_sorted_indices(n_sites):
 
 @pytest.mark.parametrize("n_sites", range(1, 7))
 def test_each_class_key_picks_its_ratio_multiset(n_sites):
-    classes = np.arange(math.comb(n_sites + 26, 26))
-    triples = _class_letters(_level_ends(27, n_sites + 1), classes)
-    # the class's walk-sorted arrangement, read as per-site ratio digits
-    ratios = hidden_variables._RATIO_DIGIT[triples]
-    ranks = hidden_variables._ratio_ranks(n_sites)
-    assert np.array_equal(ranks, level_ranks(ratios))
+    # a gauge class's letters 3y + v are its ratio digits (see the next
+    # test), and its rank is the rank of that ratio multiset
+    classes = np.arange(math.comb(n_sites + 8, 8))
+    letters = _class_letters(_level_ends(9, n_sites + 1), classes)
+    assert np.array_equal(level_ranks(letters), classes)
 
 
 def test_the_walk_takes_the_triples_in_ratio_digit_order():
-    full = hidden_variables._FULL_DIGIT
-    assert sorted(full.tolist()) == list(range(27))
-    x, y, v = np.unravel_index(full, (3, 3, 3))
-    ratio = hidden_variables._RATIO_DIGIT
-    assert np.array_equal(ratio, 3 * ((y - x) % 3) + (v - x) % 3)
-    assert (np.diff(ratio) >= 0).all()
+    # gauge letter w is the triple (0, w // 3, w % 3): full and ratio digit w
+    for w in range(9):
+        assignment = HVAssignment(((0, w // 3, w % 3),))
+        assert assignment.full_index() == assignment.ratio_index() == w
+    # every digit with x = 0 precedes every digit with x > 0
+    x = np.arange(27) // 9
+    assert (np.flatnonzero(x == 0) < np.flatnonzero(x > 0).min()).all()
+    # the oracle's 27-letter walk takes the triples in ratio-digit order
+    assert sorted(FULL_DIGIT.tolist()) == list(range(27))
+    x, y, v = np.unravel_index(FULL_DIGIT, (3, 3, 3))
+    assert np.array_equal(RATIO_DIGIT, 3 * ((y - x) % 3) + (v - x) % 3)
+    assert (np.diff(RATIO_DIGIT) >= 0).all()
+
+
+@pytest.mark.parametrize("n_sites", range(1, 6))
+def test_full_search_equals_the_27_letter_walk(n_sites):
+    assert_same_full_result(exhaustive_search(n_sites, mode="full"), triple_full_search(n_sites))
+
+
+def test_the_exact_agreement_check_catches_one_corrupt_score(monkeypatch):
+    n_sites = 4
+    scores = _class_scores(_term_table(*_encode_terms(n_sites)))
+    k = len(scores) // 3  # not a maximizer: the maximum and tie count cannot show it
+    assert scores[k] < scores.max()
+
+    def corrupt(table):
+        out = _class_scores(table).copy()
+        out[k] += 1
+        return out
+
+    monkeypatch.setattr(hidden_variables, "_class_scores", corrupt)
+    with pytest.raises(ArithmeticError, match="ratio multiset"):
+        exhaustive_search(n_sites, mode="full")
+    hidden_variables._check_ratio_agreement(scores, _multiset_values(ratio_space(3, n_sites)))
+    # |3(1 + alpha)|**2 = 9 * (2 + alpha - alpha**2 - alpha**5): the rational
+    # part is 9 * 2, so only the irrational part can show the mismatch
+    with pytest.raises(ArithmeticError, match="ratio multiset"):
+        hidden_variables._check_ratio_agreement(
+            np.array([2], dtype=np.uint16), np.array([[3, 3, 0, 0, 0, 0]])
+        )
+
+
+def test_full_search_reads_the_least_maximizer_in_base_27(monkeypatch):
+    # omega**(x1 + x2) + omega**(y1 + x2 + 1) + omega**(x1 + y2 + 1) reaches
+    # |3|**2 only where y_i = x_i - 1 at both sites, so the least maximizer
+    # is (0, 2, 0) twice: digits 6 and 6, index 6 * 27 + 6
+    weights = np.array([0, 1, 1], dtype=np.int16)
+    letters = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int8)
+    monkeypatch.setattr(hidden_variables, "_encode_terms", lambda n: (weights, letters))
+    # not the Mermin operator's terms, so its scores are not the ratio reduction's
+    monkeypatch.setattr(hidden_variables, "_check_ratio_agreement", lambda *args: None)
+    ratio_mag = np.sqrt(full_space_scores(ratio_space(3, 2))) / 3.0
+    reference = full_result(2, *reference_scan(2, weights, letters, ratio_mag, 0, 27**2))
+    result = exhaustive_search(2, mode="full")
+    assert_same_full_result(result, reference)
+    assert (result.argmax_index, result.num_maximizers) == (6 * 27 + 6, 81)
+
+
+def test_full_search_n6_peak_memory():
+    # a warm _full_search(6) measured a tracemalloc peak of 1.93 MiB (Python
+    # 3.11.7, numpy 2.4.6), 1.3 MiB of it the agreement check's gathered
+    # circulant rows; the 27-letter walk it replaced peaked at 16.9 MiB
+    hidden_variables._full_search(6)  # warm the layout and ratio-table caches
+    tracemalloc.start()
+    try:
+        hidden_variables._full_search(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @st.composite
@@ -829,9 +909,18 @@ def term_tables(draw):
 @given(term_tables())
 def test_contraction_matches_per_term_evaluation_on_random_terms(table):
     # the tables need not be site-symmetric: the walk scores each class's
-    # walk-sorted arrangement itself
-    scores, reference = contracted_scores(*table)
-    assert np.array_equal(scores, reference)
+    # sorted arrangement itself, and the gauge holds for any table, so every
+    # assignment whose gauge image is a sorted arrangement scores as it
+    weights, letters = table
+    n_sites = letters.shape[1]
+    table = _term_table(weights, letters)
+    scores = _class_scores(table)
+    _, _, every = reference_chunk_scores(n_sites, weights, letters, 0, 27**n_sites)
+    digits = gauge_digits(n_sites)
+    sorted_image = (np.diff(digits, axis=1) >= 0).all(axis=1)
+    assert np.array_equal(scores[level_ranks(digits[sorted_image])], every[sorted_image])
+    # the 27-letter walk scores each triple class like its gauge class
+    assert np.array_equal(triple_class_scores(table), scores[triple_ratio_ranks(n_sites)])
 
 
 def test_contraction_refuses_term_counts_beyond_int64():
