@@ -19,10 +19,22 @@ prefixes per group, and every score carries one proven rounding bound, set
 by the mass bound W = slots * M**N of ``_check_range`` (``_scored_blocks``),
 which refuses a space with 2W >= 2**63 before any score is formed.  The
 band of classes that may reach the maximum is kept with array operations
-on each group (``_band``), and only the band is resolved exactly, by the
-package's exact evaluator of given letter rows (``_class_values``: one
-batched ``_site_product`` per block, folded once), then one squared
-magnitude per distinct value, ordered with ``compare_real_coeffs``.
+on each group (``_band``), and only the band is resolved exactly: one
+class per orbit of the space's slot shift S (below), by the package's
+exact evaluator of given letter rows (``_class_values``: one batched
+``_site_product`` per block, folded once), then one squared magnitude per
+distinct value, ordered with ``compare_real_coeffs``.
+
+A space may carry a slot shift S, a letter map with F[S a, s] = F[a, s - 1]
+for every slot s (slot -1 being the last), checked exactly on the root
+counts when the space is built.  Then v(S a) = sum_s prod_i F[a_i, s - 1]
+= v(a): applying S at every site permutes the slot sum cyclically, so a
+class and its images under S share one exact value.  The exact pass
+evaluates the lexicographically least sorted image of each band class once
+per distinct image (``_orbits``) and spreads the values back to the band;
+without a shift every band class is its own orbit.
+``generalized.ratio_space`` carries the shift of its ratio letters, whose
+orbits have d letters, and that cuts the pass d-fold.
 
 A space scored whole (``full_space_scores``, and full search's ratio
 side) is walked once with exact int64 root counts instead
@@ -92,11 +104,18 @@ _GROUP_PADDING = 2**10
 
 @dataclass(frozen=True, eq=False)
 class ProductSpace:
-    """Search-space description: per-letter slot factors over one ring."""
+    """Search-space description: per-letter slot factors over one ring.
+
+    ``shift``, if given, is a slot shift: letter map S with
+    ``counts[S] == np.roll(counts, 1, axis=1)`` exactly, so that
+    F[S a, s] = F[a, s - 1]; ``run_search`` then evaluates one class per
+    S-orbit.
+    """
 
     order: int
     n_sites: int
     counts: np.ndarray  # read-only (alphabet, slots, order) int64, all >= 0
+    shift: np.ndarray | None = None  # read-only (alphabet,) intp slot shift, or None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_sites", _site_count(self.n_sites))
@@ -104,6 +123,8 @@ class ProductSpace:
         if counts.ndim != 3 or counts.shape[-1] != self.order or (counts < 0).any():
             raise ValueError(f"counts must be non-negative of shape (A, S, {self.order})")
         object.__setattr__(self, "counts", _read_only(counts, np.int64))
+        if self.shift is not None:
+            object.__setattr__(self, "shift", _checked_shift(self.counts, self.shift))
 
     @property
     def alphabet(self) -> int:
@@ -122,6 +143,23 @@ class ProductSpace:
     @property
     def size(self) -> int:
         return self.alphabet**self.n_sites
+
+
+def _checked_shift(counts: np.ndarray, shift) -> np.ndarray:
+    """``shift`` as read-only intp letters; ValueError unless it is the slot shift of ``counts``.
+
+    Letter S[a]'s slot s must hold letter a's slot s - 1, slot 0 the last
+    one, count for count (two comparisons, no rolled copy of the table).
+    """
+    shift = _read_only(shift, np.intp)
+    if shift.shape != counts.shape[:1] or ((shift < 0) | (shift >= len(counts))).any():
+        raise ValueError(f"shift must hold {len(counts)} letters in [0, {len(counts)})")
+    if not (
+        np.array_equal(counts[shift, 1:], counts[:, :-1])
+        and np.array_equal(counts[shift, 0], counts[:, -1])
+    ):
+        raise ValueError("shift must map the counts to their roll by one slot")
+    return shift
 
 
 @dataclass(frozen=True)
@@ -358,11 +396,33 @@ def _band(space: ProductSpace) -> np.ndarray:
     return ranks[upper >= floor]
 
 
+def _orbits(letters: np.ndarray, space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted class per S-orbit among the (K, N) sorted classes, and each class's orbit.
+
+    A class's orbit row is the least of its ``slots`` sorted images, image k
+    applying ``space.shift`` k times at every site; rows are compared letter
+    by letter, never as base-A codes (which pass 2**63 once A**N does).
+    Every image has the class's exact value.  A space without a shift keeps
+    its classes, each its own orbit.
+    """
+    least = image = np.ascontiguousarray(letters)
+    rows = np.arange(len(letters))
+    for _ in range(0 if space.shift is None else space.slots - 1):
+        image = np.sort(space.shift[image], axis=1)
+        first = (image != least).argmax(axis=1)  # 0 where the rows are equal
+        lower = image[rows, first] < least[rows, first]
+        least = np.where(lower[:, None], image, least)
+    keys = least.view(np.dtype((np.void, least.itemsize * least.shape[1]))).ravel()
+    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return least[at], inverse
+
+
 def run_search(space: ProductSpace) -> RawSearchResult:
-    """Exact maximum over all A**N assignments, one evaluation per class."""
+    """Exact maximum over all A**N assignments, one exact value per S-orbit of the band."""
     order, a_size = space.order, space.alphabet
     letters = _class_letters(_level_ends(a_size, space.n_sites + 1), _band(space))
-    values = [tuple(row) for row in _class_values(space.counts, letters).tolist()]
+    orbits, inverse = _orbits(letters, space)
+    values = [tuple(row) for row in _class_values(space.counts, orbits)[inverse].tolist()]
     exact = {value: CycInt(order, value) for value in set(values)}
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}
     best_sq = max(squares.values(), key=cmp_to_key(partial(compare_real_coeffs, order)))

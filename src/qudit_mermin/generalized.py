@@ -26,6 +26,16 @@ magnitudes: A, B, C for d = 3, and for d = 5 the largest is about 4.6898.
 Whether the all-ones point is the true classical optimum for d > 3 is
 probed by exhaustive search over ``ratio_space`` and reported, never
 asserted.
+
+The table is closed under a slot shift, S below (``_ratio_shift``; not the
+qutrit ratio S above): lowering digit t_c by c (mod d) turns the mixing
+exponent j*(d*p + d - 1) of product p into that of p + 1, since omega**j =
+alpha**(j*d), so F_{p+1}(S a) = F_p(a) root count for root count. Applying
+S at every site permutes the d products cyclically and leaves the value
+sum_p prod_i F_p unchanged; S fixes no letter and S**d is the identity, so
+``ratio_space`` hands S to the search engine, which evaluates one exact
+value per S-orbit of its near-tie band (an orbit holds at most d classes)
+instead of one per class.
 """
 
 from __future__ import annotations
@@ -162,22 +172,45 @@ def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
     return ProductSpace(order=d * d, n_sites=1, counts=counts).factors
 
 
-@lru_cache(maxsize=None)
-def _ratio_counts(d: int) -> np.ndarray:
-    """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1).
+def _ratio_digits(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, d) ratio rows of the letters a < A = d**(d-1), and the digit weights.
 
     Written with d base-d digits, a is a ratio row with column 0 zero.
     """
-    letters = np.arange(d ** (d - 1))[:, None]
-    ratios = letters // d ** np.arange(d - 1, -1, -1) % d
+    weights = d ** np.arange(d - 1, -1, -1)
+    return np.arange(d ** (d - 1))[:, None] // weights % d, weights
+
+
+@lru_cache(maxsize=None)
+def _ratio_counts(d: int) -> np.ndarray:
+    """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1)."""
+    ratios, _ = _ratio_digits(d)
     return _read_only(root_counts(d * d, _factor_exponents(d, ratios)), np.int64)
 
 
+@lru_cache(maxsize=None)
+def _ratio_shift(d: int) -> np.ndarray:
+    """Read-only slot shift S of the ratio letters: F_{p+1}(S a) = F_p(a) term by term.
+
+    S lowers digit t_c by c (mod d).  The mixing exponent of product p + 1
+    exceeds that of p by j*d on letter j, so
+    F_{p+1}(S a) = sum_j alpha**(j*(d*p + d - 1)) * omega**(j + t'_j) with
+    t'_j = t_j - j (mod d): each term is the matching term of F_p(a), so the
+    root counts agree, and p = d - 1 wraps to 0 because
+    j*(d*d + d - 1) = j*(d - 1) (mod d**2).  Hence
+    ``_ratio_counts(d)[S] == np.roll(_ratio_counts(d), 1, axis=1)``.  S**d
+    lowers t_c by d*c, the identity, and S fixes no letter, since t_1
+    always moves.
+    """
+    ratios, weights = _ratio_digits(d)
+    return _read_only((ratios - np.arange(d)) % d @ weights, np.intp)
+
+
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
-    """The d**(d-1) ratio letters on N sites, budget-checked before it is built."""
+    """The d**(d-1) ratio letters on N sites with their slot shift, budget-checked first."""
     d = _integer(d, "local dimensions")
     check_search_budget(d ** (d - 1), d, d * d, n_sites)
-    return ProductSpace(order=d * d, n_sites=n_sites, counts=_ratio_counts(d))
+    return ProductSpace(d * d, n_sites, _ratio_counts(d), _ratio_shift(d))
 
 
 def uniform_factors(d: int) -> UniformFactorSet:

@@ -417,12 +417,23 @@ def test_score_bounds_hold_on_ratio_spaces(d, n_sites):
                 assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
-# Classes that ``run_search`` evaluates exactly on each admitted ratio space;
-# every one of them is a maximizer.
+# Classes in ``_band`` on each admitted ratio space; every one of them is a
+# maximizer.
 BAND_CLASSES = {
     (3, n): count
     for n, count in enumerate((9, 6, 12, 15, 21, 30, 36, 45, 57, 66, 78, 93, 105, 120, 138), 1)
 } | {(5, 1): 625, (5, 2): 325}
+# Classes that ``run_search`` evaluates exactly there, one per orbit of the
+# slot shift: the band over d.
+EXACT_EVALUATIONS = {
+    (3, n): count
+    for n, count in enumerate((3, 2, 4, 5, 7, 10, 12, 15, 19, 22, 26, 31, 35, 40, 46), 1)
+} | {(5, 1): 125, (5, 2): 65}
+
+
+def unshifted(space):
+    """The same counts with no slot shift: one exact evaluation per band class."""
+    return ProductSpace(space.order, space.n_sites, space.counts)
 
 
 @pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
@@ -432,16 +443,21 @@ def test_band_holds_only_maximizers_on_ratio_spaces(monkeypatch, d, n_sites):
 
     def recording(counts, letters):
         values = evaluate(counts, letters)
-        evaluated.extend(values.tolist())
+        evaluated.append(values.tolist())
         return values
 
     evaluate = _enumeration._class_values
     monkeypatch.setattr(_enumeration, "_class_values", recording)
     space = ratio_space(d, n_sites)
     raw = run_search(space)
-    values = [CycInt(space.order, tuple(row)) for row in evaluated]
+    assert len(_band(space)) == BAND_CLASSES[d, n_sites]
+    # one value per orbit gives the result of one value per class, field for field
+    assert run_search(unshifted(space)) == raw
+    orbit_rows, band_rows = evaluated
+    assert len(orbit_rows) == EXACT_EVALUATIONS[d, n_sites]
+    assert len(band_rows) == BAND_CLASSES[d, n_sites]
+    values = [CycInt(space.order, tuple(row)) for row in orbit_rows + band_rows]
     assert {(v * v.conjugate()).coeffs for v in values} == {raw.best_sq_coeffs}
-    assert len(evaluated) == BAND_CLASSES[d, n_sites]
 
 
 @pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
@@ -510,6 +526,55 @@ def test_class_values_equal_the_ring_loop_across_blocks(d, n_sites):
     factors = space.factors
     for row, value in zip(letters.tolist(), values.tolist()):
         assert tuple(value) == exact_letters_sum(space.order, factors, row).coeffs
+
+
+@st.composite
+def shifted_spaces(draw):
+    """Spaces closed under the slot roll, with their shift.
+
+    k random letters and their slots - 1 further rolls by one slot, in a
+    random letter order; the shift maps each letter to its next roll.
+    """
+    slots = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    factors = st.one_of(_factors, _scaled_factors)
+    row = st.lists(factors, min_size=slots, max_size=slots)
+    bases = draw(st.lists(row, min_size=k, max_size=k))
+    # letter order[i * slots + r] is base i rolled r times
+    order = draw(st.permutations(range(k * slots)))
+    rows, shift = [None] * (k * slots), [None] * (k * slots)
+    for i, base in enumerate(bases):
+        for r in range(slots):
+            rows[order[i * slots + r]] = tuple(base[-r:] + base[:-r])
+            shift[order[i * slots + r]] = order[i * slots + (r + 1) % slots]
+    space = space_of(draw(st.integers(1, 4)), rows)
+    return ProductSpace(space.order, space.n_sites, space.counts, shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_spaces())
+def test_orbit_evaluation_equals_every_class_on_shifted_spaces(space):
+    assert np.array_equal(space.counts[space.shift], np.roll(space.counts, 1, axis=1))
+    assert run_search(space) == run_search(unshifted(space))
+
+
+def test_shift_must_be_the_slot_roll():
+    ratio = ratio_space(3, 1)
+    counts, shift = ratio.counts, ratio.shift
+    space = ProductSpace(9, 2, counts, shift.tolist())
+    assert space.shift.dtype == np.intp and not space.shift.flags.writeable
+    bad = [
+        shift[:-1],  # one letter short
+        shift[:, None],  # not one letter per row
+        np.where(shift == 0, 9, shift),  # past the alphabet
+        np.where(shift == 0, -9, shift),  # negative, which numpy would wrap
+        shift[shift],  # a permutation, the roll by two slots
+        np.arange(9),  # the identity
+        shift.astype(np.float64),
+    ]
+    for wrong in bad:
+        with pytest.raises(ValueError):
+            ProductSpace(9, 2, counts, wrong)
 
 
 def test_products_past_int64_raise_overflow():

@@ -20,6 +20,7 @@ from qudit_mermin.generalized import (
     _factor_exponents,
     _factor_rows,
     _ratio_counts,
+    _ratio_shift,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
@@ -359,3 +360,36 @@ def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
     assert raw.assignments_scanned == 625**2
     # one value per distinct band value and its square, not one per factor
     assert len(built) <= 10
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_ratio_shift_rolls_the_whole_table_by_one_slot(d):
+    counts = _ratio_counts(d)
+    assert np.array_equal(counts[_ratio_shift(d)], np.roll(counts, 1, axis=1))
+
+
+def test_ratio_shift_rolls_sampled_d7_letters_by_one_slot():
+    # the whole d = 7 table would be 117,649 x 7 x 49 int64 (323 MB)
+    d = 7
+    letters = np.random.default_rng(7).integers(0, d ** (d - 1), size=400)
+    weights = d ** np.arange(d - 1, -1, -1)
+
+    def counts(rows):
+        ratios = rows[:, None] // weights % d
+        return root_counts(d * d, _factor_exponents(d, ratios))
+
+    assert np.array_equal(counts(_ratio_shift(d)[letters]), np.roll(counts(letters), 1, axis=1))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_ratio_shift_has_order_d_and_no_fixed_letter(d):
+    shift = _ratio_shift(d)
+    letters = np.arange(d ** (d - 1))
+    assert not shift.flags.writeable
+    assert not (shift == letters).any()
+    image = letters
+    for _ in range(d):
+        image = shift[image]
+    assert np.array_equal(image, letters)
+    if d < 7:  # d = 7 exceeds the factor budget
+        assert np.array_equal(ratio_space(d, 1).shift, shift)
