@@ -575,6 +575,11 @@ def test_shift_must_be_the_slot_roll():
     for wrong in bad:
         with pytest.raises(ValueError):
             ProductSpace(9, 2, counts, wrong)
+    # maps that pass one of the two slot comparisons: on one slot the first
+    # compares nothing, and letter 0 as slots (x, y, x) passes the second
+    for table, wrong in [(counts[:, :1], shift), (counts[:1, [0, 1, 0]], [0])]:
+        with pytest.raises(ValueError):
+            ProductSpace(9, 2, table, wrong)
 
 
 def test_products_past_int64_raise_overflow():
