@@ -37,13 +37,16 @@ without a shift every band class is its own orbit.
 orbits have d letters, and that cuts the pass d-fold.
 
 A space scored whole (``full_space_scores``, and full search's ratio
-side) is walked once with exact int64 root counts instead
-(``_multiset_values``): every multiset's value, each prefix product
-formed once, in the same level layout, under the same ``_check_range``
-guard.  A sorted multiset's position in that layout is the sum of one
-block offset per letter, read from ``_level_ends``, so a caller ranks an
-assignment from its sorted digits or carries a class's rank as its sites
-are assigned.
+side) is walked once on exact root counts instead (``_multiset_values``):
+every multiset's value, each prefix product formed once, in the same level
+layout, letter by letter with one circulant gather per letter, under the
+same ``_check_range`` guard.  Its mass bound W also picks the walk's dtype:
+float64 BLAS, every intermediate an exact integer while 2W < 2**53, else
+int64; the values come back as the same int64 integers either way.  A
+sorted multiset's position in that layout is the sum of one block offset
+per letter, read from ``_level_ends``, so a caller ranks an assignment
+from its sorted digits or carries a class's rank as its sites are
+assigned.
 
 A class with letter multiplicities m_a stands for N!/prod(m_a!)
 assignments, so the tie count is the sum of these multinomials over the
@@ -59,6 +62,8 @@ digit, so the flat index order is the lexicographic order of assignments.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache, partial
@@ -143,6 +148,12 @@ class ProductSpace:
     @property
     def size(self) -> int:
         return self.alphabet**self.n_sites
+
+    def on_sites(self, n_sites: int) -> ProductSpace:
+        """These letters on ``n_sites`` sites, sharing the checked counts and shift."""
+        space = copy.copy(self)
+        object.__setattr__(space, "n_sites", _site_count(n_sites))
+        return space
 
 
 def _checked_shift(counts: np.ndarray, shift) -> np.ndarray:
@@ -441,29 +452,51 @@ def run_search(space: ProductSpace) -> RawSearchResult:
 def _multiset_values(space: ProductSpace) -> np.ndarray:
     """(K, phi) int64 canonical values of all K = C(N+A-1, N) letter multisets.
 
-    The classes are walked in the layout of ``_level_ends`` from the empty
-    one: at each level, block b multiplies the first ends[b] prefixes by
-    letter b's (S, m, m) circulant (``_circulant_index``, gathered for that
-    block only) in one matmul, so each prefix product is formed once and
-    shared by every class that extends it.  The last level sums each block
-    over the slots and folds it before the next is formed.  ``_check_range``
-    runs before any product: every count, slot sum and folded coefficient is
-    at most its mass bound W, and 2W < 2**63 keeps them all in int64.
+    The classes are walked in the layout of ``_level_ends``, letter by
+    letter, into preallocated (K_t, S, m) level arrays; level 1 holds the
+    letters themselves.  Letter b's (S, m, m) circulant (``_circulant_index``)
+    is gathered once, and at every level t >= 2 block b is the first
+    ends[t-1][b] classes of level t - 1 times that circulant, one matmul.
+    Those classes end in letters up to b, so they are all formed by then,
+    and each prefix product is formed once and shared by every class that
+    extends it.  The last level takes one matmul per block, of its prefixes'
+    S * m counts by the circulant folded by ``_root_coeffs``, which sums the
+    slots and folds at once.
+
+    Range.  ``_check_range`` runs before any product and returns the mass
+    bound W = S * M**N.  Counts are non-negative, so every product and
+    partial sum of a level's matmul is at most its final entry, a count of a
+    t-letter product, at most M**t.  Entry (s, e, j) of the folded circulant
+    folds row e of a slot of mass mu_s <= M by entries 0 or +-1, so each of
+    its partial sums is at most mu_s in magnitude, and each partial sum of
+    the last matmul is at most sum_s mu_s * M**(N-1) <= W.  2W < 2**63 keeps
+    all of them in int64, and 2W < 2**53 makes each an integer that float64
+    holds exactly, in any summation order and with or without FMA: the walk
+    then runs on float64 BLAS, and its values cast back to the same int64.
     """
-    _check_range(space)
-    counts, m = space.counts, space.order
+    dtype = np.float64 if 2 * _check_range(space) < 2**53 else np.int64
+    counts, m, slots = space.counts, space.order, space.slots
     index = _circulant_index(m)
-    p = np.zeros((space.slots, 1, m), dtype=np.int64)  # (S, K, m): the empty class
-    p[..., 0] = 1
-    *inner, last = _level_ends(space.alphabet, space.n_sites)
-    for sizes in inner:
-        p = np.concatenate(
-            [p[:, :k] @ counts[b][:, index] for b, k in enumerate(sizes.tolist())], axis=1
-        )
-    fold = _root_coeffs(m)
-    return np.concatenate(
-        [(p[:, :k] @ counts[b][:, index]).sum(axis=0) @ fold for b, k in enumerate(last.tolist())]
-    )
+    *inner, last = (e.tolist() for e in _level_ends(space.alphabet, space.n_sites))
+    # levels[t]: (K_t, S, m) counts of the t-letter classes; level 0, the empty
+    # class, is read at N = 1 only
+    levels = [np.zeros((1, slots, m), dtype), counts.astype(dtype)][: len(inner) + 1]
+    levels[0][..., 0] = 1
+    levels += [np.empty((sum(sizes), slots, m), dtype) for sizes in inner[1:]]
+    fold = _root_coeffs(m).astype(dtype)
+    values = np.empty((sum(last), fold.shape[1]), np.int64)
+    # block b of a level extends sizes[b] classes and starts after the blocks before it
+    starts = [list(itertools.accumulate(sizes, initial=0)) for sizes in (*inner, last)]
+    for b in range(space.alphabet):
+        circulant = counts[b].astype(dtype)[:, index]
+        for t in range(1, len(inner)):
+            start, k = starts[t][b], inner[t][b]
+            out = levels[t + 1][start : start + k].transpose(1, 0, 2)
+            np.matmul(levels[t][:k].transpose(1, 0, 2), circulant, out=out)
+        start, k = starts[-1][b], last[b]
+        folded = (circulant @ fold).reshape(slots * m, -1)
+        values[start : start + k] = levels[-1][:k].reshape(k, -1) @ folded
+    return values
 
 
 def _multiset_scores(values: np.ndarray, order: int) -> np.ndarray:

@@ -236,7 +236,12 @@ class CycInt:
         return result
 
     def times_root(self, j: int) -> CycInt:
-        """Multiply by alpha**j (a signed permutation of coefficients)."""
+        """Multiply by alpha**j: the coefficients shifted j places, then reduced.
+
+        A coefficient shifted to alpha**(phi + t) folds to
+        -sum_{k<d-1} alpha**(k*d + t), d - 1 terms, so this is not a signed
+        permutation of the coefficients.
+        """
         j = _integer(j, "root exponents")
         return CycInt.from_coeffs(self.order, (0,) * (j % self.order) + self.coeffs)
 

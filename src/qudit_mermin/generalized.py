@@ -188,7 +188,6 @@ def _ratio_counts(d: int) -> np.ndarray:
     return _read_only(root_counts(d * d, _factor_exponents(d, ratios)), np.int64)
 
 
-@lru_cache(maxsize=None)
 def _ratio_shift(d: int) -> np.ndarray:
     """Read-only slot shift S of the ratio letters: F_{p+1}(S a) = F_p(a) term by term.
 
@@ -206,11 +205,17 @@ def _ratio_shift(d: int) -> np.ndarray:
     return _read_only((ratios - np.arange(d)) % d @ weights, np.intp)
 
 
+@lru_cache(maxsize=None)
+def _ratio_letters(d: int) -> ProductSpace:
+    """The ratio letters on one site, their slot shift checked once per d."""
+    return ProductSpace(d * d, 1, _ratio_counts(d), _ratio_shift(d))
+
+
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
     """The d**(d-1) ratio letters on N sites with their slot shift, budget-checked first."""
     d = _integer(d, "local dimensions")
     check_search_budget(d ** (d - 1), d, d * d, n_sites)
-    return ProductSpace(d * d, n_sites, _ratio_counts(d), _ratio_shift(d))
+    return _ratio_letters(d).on_sites(n_sites)
 
 
 def uniform_factors(d: int) -> UniformFactorSet:

@@ -70,7 +70,6 @@ from ._enumeration import (
 from .cyclotomic import (
     CycInt,
     PhaseExponent,
-    _circulant_index,
     _integer,
     _root_coeffs,
     _site_count,
@@ -539,21 +538,28 @@ def _check_ratio_agreement(scores: np.ndarray, values: np.ndarray) -> None:
     ``values`` are the canonical coefficients of P = 3v of every multiset
     of per-site ratios (``_enumeration._multiset_values``), whose rank is
     that of the class of ``_class_scores`` with the same letters 3R + S.
-    P * conj(P) is formed modulo x**9 - 1, conj(P) counting P's coefficient
-    j at alpha**-j: the sum over j of P's coefficient j times row j of
-    conj(P)'s circulant (``_circulant_index``), folded by ``_root_coeffs``.
-    Every |coefficient| of P is at most the mass bound W = 3**(N+1) of its
-    space, so the product's, sums of 6 products, are at most 6 * W**2 and
-    the folded ones twice that, in int64 for every N <= 17.
+    P * conj(P) = sum_ij P_i P_j alpha**(i - j) is formed as the phi**2
+    products P_i P_j of every P, in one matmul by a fixed fold matrix whose
+    row (i, j) is the canonical alpha**((i - j) mod 9) (``_root_coeffs``),
+    with entries 0 or +-1.
+
+    Range.  With w the largest |coefficient| of any P, every product
+    P_i P_j and every partial sum of the fold is at most phi**2 * w**2 =
+    36 * w**2 in magnitude, so the check runs in float64, where each of them
+    is an exact integer while 36 * w**2 < 2**53, in any summation order and
+    with or without FMA; an OverflowError refuses larger values.  The mass
+    bound W = 3**(N+1) of the ratio space bounds w, so every N <= 14 passes,
+    with 36 * W**2 about 1.7 * 10**8 at the full-search cap N = 6.
     """
     phi = values.shape[1]
-    conj = np.zeros((len(values), 9), dtype=np.int64)
-    conj[:, -np.arange(phi) % 9] = values
-    rows = conj[:, _circulant_index(9)[:phi]]
-    square = np.einsum("kj,kje->ke", values, rows) @ _root_coeffs(9)
-    expected = np.zeros_like(square)
-    expected[:, 0] = 9 * scores.astype(np.int64)
-    if not np.array_equal(square, expected):
+    peak = int(np.abs(values).max())
+    if phi * phi * peak * peak >= 2**53:
+        raise OverflowError("ratio values exceed the exact float64 range of the check")
+    fold = _root_coeffs(9)[(np.arange(phi)[:, None] - np.arange(phi)) % 9]
+    p = np.ascontiguousarray(values.T, dtype=np.float64)  # (phi, K): classes innermost
+    products = (p[:, None] * p).reshape(phi * phi, -1)
+    square = fold.reshape(phi * phi, -1).T.astype(np.float64) @ products  # (phi, K)
+    if not (np.array_equal(square[0], 9.0 * scores) and not square[1:].any()):
         raise ArithmeticError("a class score disagrees with its ratio multiset's |3v|**2")
 
 

@@ -658,6 +658,25 @@ def test_random_multiset_walks_equal_the_exact_evaluator(space):
     assert_walk_matches_the_evaluator(space)
 
 
+@pytest.mark.parametrize("mass, float_tier", [(math.isqrt(2**52 - 1), True), (2**27 + 1, False)])
+def test_multiset_walk_is_exact_on_both_sides_of_the_float_bound(mass, float_tier):
+    # N = 2 on one slot, so W = mass**2, and class (0, 0) reaches W.  Below
+    # 2W < 2**53, W is the largest odd square the bound admits (bit length
+    # 52); above it, the squares are odd past 2**53, which float64 cannot
+    # hold, so only the int64 walk can give them
+    counts = np.zeros((2, 1, 9), dtype=np.int64)
+    counts[0, 0, 0] = mass
+    counts[1, 0, [0, 6, 7]] = [mass - 8, 3, 5]  # alpha**6 and alpha**7 fold to two terms
+    space = ProductSpace(9, 2, counts)
+    bound = _check_range(space)
+    assert bound == mass**2 and bound % 2 == 1
+    assert (2 * bound < 2**53) is float_tier
+    assert bound.bit_length() == (52 if float_tier else 55)
+    values = _multiset_values(space)
+    assert values.dtype == np.int64 and values[0, 0] == bound
+    assert np.array_equal(values, _class_values(counts, level_order_letters(2, 2)))
+
+
 @st.composite
 def sorted_rows(draw):
     """(K, N) rows sorted along N, N up to 30 (30! > 2**63), many repeated letters."""

@@ -355,11 +355,35 @@ def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
         post_init(self)
 
     generalized._ratio_counts.cache_clear()
+    generalized._ratio_letters.cache_clear()
     monkeypatch.setattr(CycInt, "__post_init__", counting)
     raw = _enumeration.run_search(ratio_space(5, 2))
     assert raw.assignments_scanned == 625**2
     # one value per distinct band value and its square, not one per factor
     assert len(built) <= 10
+
+
+def test_ratio_space_checks_its_shift_once_per_d(monkeypatch):
+    checked = []
+    checked_shift = _enumeration._checked_shift
+
+    def counting(counts, shift):
+        checked.append(len(counts))
+        return checked_shift(counts, shift)
+
+    generalized._ratio_letters.cache_clear()
+    monkeypatch.setattr(_enumeration, "_checked_shift", counting)
+    spaces = [ratio_space(3, n) for n in (2, 2, 5)] + [ratio_space(5, 1), ratio_space(5, 2)]
+    assert checked == [9, 625]
+    assert [space.n_sites for space in spaces] == [2, 2, 5, 1, 2]
+    assert all(space.shift is spaces[0].shift for space in spaces[:3])
+    for n_sites in (0, 2.0):
+        with pytest.raises(ValueError):
+            spaces[0].on_sites(n_sites)
+    # a space built by hand is still checked
+    with pytest.raises(ValueError, match="roll by one slot"):
+        _enumeration.ProductSpace(9, 2, spaces[0].counts, np.arange(9))
+    assert checked == [9, 625, 9]
 
 
 @pytest.mark.parametrize("d", [3, 5])

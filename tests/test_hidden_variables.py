@@ -860,6 +860,17 @@ def test_the_exact_agreement_check_catches_one_corrupt_score(monkeypatch):
         )
 
 
+def test_the_agreement_check_refuses_values_past_its_float_range():
+    # every product and partial sum is at most 36 * w**2, exact in float64
+    # below 2**53: the largest w it admits is checked, and the next refused
+    w = math.isqrt((2**53 - 1) // 36)
+    score = np.zeros(1, dtype=np.uint16)
+    with pytest.raises(ArithmeticError, match="ratio multiset"):
+        hidden_variables._check_ratio_agreement(score, np.array([[0, 0, 0, -w, 0, 0]]))
+    with pytest.raises(OverflowError):
+        hidden_variables._check_ratio_agreement(score, np.array([[0, 0, 0, -w - 1, 0, 0]]))
+
+
 def test_full_search_reads_the_least_maximizer_in_base_27(monkeypatch):
     # omega**(x1 + x2) + omega**(y1 + x2 + 1) + omega**(x1 + y2 + 1) reaches
     # |3|**2 only where y_i = x_i - 1 at both sites, so the least maximizer
