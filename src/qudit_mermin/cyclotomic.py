@@ -147,6 +147,21 @@ class CycInt:
             coeffs = tuple(_integer(c, "ring coefficients") for c in self.coeffs)
             object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, order: int, coeffs: tuple[int, ...]) -> CycInt:
+        """A ring operation's result, built without ``__post_init__``'s checks.
+
+        Only for a valid order and a canonical tuple of phi Python ints, as
+        every ring operation on valid operands makes: sums, differences and
+        products of Python ints are Python ints, and ``_reduce`` returns phi
+        of them.  ``CycInt(...)`` and ``from_coeffs`` keep validating.
+        """
+        obj = object.__new__(cls)
+        fields = obj.__dict__
+        fields["order"] = order
+        fields["coeffs"] = coeffs
+        return obj
+
     # ---- constructors ---------------------------------------------------
 
     @classmethod
@@ -185,7 +200,7 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(
+        return CycInt._trusted(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
@@ -195,7 +210,7 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(
+        return CycInt._trusted(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
@@ -203,11 +218,12 @@ class CycInt:
         return (-self) + other
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.order, tuple(-a for a in self.coeffs))
+        return CycInt._trusted(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.order, tuple(a * other for a in self.coeffs))
+            other = operator.index(other)  # an exact int, bools and subclasses included
+            return CycInt._trusted(self.order, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -218,7 +234,7 @@ class CycInt:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         prod[i + j] += a * b
-        return CycInt(self.order, _reduce(self.order, prod))
+        return CycInt._trusted(self.order, _reduce(self.order, prod))
 
     __rmul__ = __mul__
 
@@ -243,12 +259,15 @@ class CycInt:
         permutation of the coefficients.
         """
         j = _integer(j, "root exponents")
-        return CycInt.from_coeffs(self.order, (0,) * (j % self.order) + self.coeffs)
+        shifted = (0,) * (j % self.order) + self.coeffs
+        return CycInt._trusted(self.order, _reduce(self.order, shifted))
 
     def conjugate(self) -> CycInt:
         """Complex conjugation: alpha**j -> alpha**(m-j)."""
         c = self.coeffs
-        return CycInt.from_coeffs(self.order, c[:1] + (0,) * (self.order - len(c)) + c[:0:-1])
+        return CycInt._trusted(
+            self.order, _reduce(self.order, c[:1] + (0,) * (self.order - len(c)) + c[:0:-1])
+        )
 
     # ---- queries and the float shadow -------------------------------------
 

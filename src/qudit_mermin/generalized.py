@@ -16,8 +16,9 @@ per-site factor of product p is
     F_p = sum_j alpha**mixing_exponent(d, p, j) * omega**t_j.
 
 This module keeps the one table of these factors, as root counts built
-once per d (``_ratio_counts``); the search engine and the qutrit point
-values read them through ``_enumeration._class_values``.  Letter a of the
+once per d (``_ratio_counts``); the search engine reads them through
+``_enumeration._class_values``, and the qutrit point values through one
+``cyclotomic._site_product`` chain.  Letter a of the
 ratio alphabet has d - 1 base-d digits, most significant first, which are
 t_j on the rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3
 that is a = 3R + S, the qutrit ratio index of ``hidden_variables``.

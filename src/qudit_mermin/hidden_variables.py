@@ -33,10 +33,11 @@ largest float deviation from it is reported.
 
 The value at one assignment is computed two independent ways, neither with
 a ring multiply: ``hv_value_direct`` tallies the operator's terms by weight
-and predicted value exponent in one ``bincount``, and
-``hv_value_product_exact`` multiplies the root counts of the per-site
-factors (``_enumeration._class_values`` on the ratio letters);
-|3v|**2 = |P|**2 links them.
+and predicted value exponent in one ``bincount``, reading each term's value
+exponent from the operator's cached codes over groups of four sites
+(``MerminOperator.value_codes``), and ``hv_value_product_exact`` multiplies
+the root counts of the per-site factors in one ``cyclotomic._site_product``
+chain over the ratio letters; |3v|**2 = |P|**2 links them.
 
 The GHZ contradictions are found as arrays: ``_witness_table`` keeps the
 words at circle points 3 and 6 and reads their eigenphases with the GHZ
@@ -71,11 +72,13 @@ from .cyclotomic import (
     CycInt,
     PhaseExponent,
     _integer,
+    _read_only,
     _root_coeffs,
     _site_count,
+    _site_product,
 )
 from .generalized import _factor_rows, _ratio_counts, ratio_space
-from .mermin import MerminOperator, build_mermin, counts_by_position
+from .mermin import _VALUE_GROUP_SITES, MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
     SettingWord,
@@ -298,49 +301,75 @@ class HVAssignment:
         )
 
 
+@lru_cache(maxsize=None)
+def _group_sums() -> np.ndarray:
+    """Read-only (3g, 3**g) uint8 matrix: 9 at row 3k + c of each code whose digit k is c.
+
+    A group's g value triples, flattened, times it give 9 times the value
+    exponent sum of every column pattern (code) of the group.
+    """
+    g = _VALUE_GROUP_SITES
+    digits = np.arange(3**g) // 3 ** np.arange(g)[:, None] % 3  # (g, 3**g)
+    hits = digits[:, None, :] == np.arange(3)[:, None]
+    return _read_only(9 * hits.reshape(3 * g, -1), np.uint8)
+
+
 def hv_value_direct(assignment: HVAssignment, op: MerminOperator) -> CycInt:
     """Exact classical operator value: sum of weight * product of values.
 
     Term t predicts the value product omega**e_t with e_t = sum_i
-    values[i][col], col the value column of its letter at site i (read
-    through the operator's cached ``value_columns``).  One ``bincount`` over
-    the 27 bins 9*(e_t mod 3) + w_t (w_t the weight's alpha exponent) tallies
-    the terms; row k of the tally, reduced by ``_root_coeffs(9)``, is the
-    weight sum W_k of the terms with e_t = k (mod 3), so the value is
-    W_0 + omega*W_1 + omega**2*W_2 for any root-of-unity weights, with no
-    per-term ring arithmetic.  The values are read as uint8 and e_t <= 2N
-    is summed in the narrowest unsigned type that holds 2N
-    (``np.min_scalar_type``, as ``value_columns`` picks its type), where the
-    bin, at most 9*2 + 8 = 26, is then formed in place.
+    values[i][col], col the value column of its letter at site i.  The
+    operator caches one code per group of g sites and term
+    (``value_codes``), so a call reads no per-site index: it builds the
+    (G, 3**g) table of 9 times each group's value sum per code (one small
+    matmul by ``_group_sums``), gathers it at the codes and sums the G
+    groups to 9*e_t, then adds w_t, the weight's alpha exponent.  One
+    ``bincount`` of 9*e_t + w_t, its rows of 9 summed by e_t mod 3 and
+    reduced by ``_root_coeffs(9)``, gives the weight sums W_k of the terms
+    with e_t = k (mod 3), so the value is W_0 + omega*W_1 + omega**2*W_2
+    for any root-of-unity weights, with no per-term ring arithmetic.
+
+    Ranges.  Value exponents are at most 2, so a table entry is at most
+    9 * 2g = 72 (uint8, the matmul's partial sums included); 9*e_t + w_t is
+    at most 18N + 8 and is summed in the narrowest unsigned type that holds
+    it (``np.min_scalar_type``), so it lies below 27 * ceil((2N + 1) / 3),
+    the tally's length.  The codes are below 3**g * G, the width
+    ``value_codes`` stores.
     """
     if op.d != 3:
         raise ValueError("direct hidden-variable evaluation is defined for d=3")
     if assignment.n_sites != op.n_sites:
         raise ValueError("assignment and operator have different site counts")
-    values = np.array(assignment.values, dtype=np.uint8).ravel()
-    key = values.take(op.value_columns).sum(axis=0, dtype=np.min_scalar_type(2 * op.n_sites))
-    key %= 3
-    key *= 9
+    n_sites, codes = op.n_sites, op.value_codes
+    # the exponents as bytes; the sites past N in the last group read 0
+    flat = bytes(itertools.chain.from_iterable(assignment.values))
+    flat = flat.ljust(3 * _VALUE_GROUP_SITES * len(codes), b"\0")
+    table = np.frombuffer(flat, np.uint8).reshape(len(codes), -1) @ _group_sums()
+    key = table.ravel().take(codes).sum(axis=0, dtype=np.min_scalar_type(18 * n_sites + 8))
     np.add(key, op.weight_exponents, out=key, casting="unsafe")
-    tally = np.bincount(key, minlength=27).reshape(3, 9)
-    w0, w1, w2 = (CycInt(9, tuple(row)) for row in (tally @ _root_coeffs(9)).tolist())
+    tally = np.bincount(key, minlength=27 * ((2 * n_sites + 3) // 3))
+    rows = (tally.reshape(-1, 3, 9).sum(axis=0) @ _root_coeffs(9)).tolist()
+    # canonical rows of Python ints, as ``CycInt._trusted`` takes them
+    w0, w1, w2 = (CycInt._trusted(9, tuple(row)) for row in rows)
     return w0 + w1.times_root(3) + w2.times_root(6)
 
 
 def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     """Exact 3*v from the per-site factor products (sum over B, C, A).
 
-    ``_class_values`` on the ratio letters 3*R_i + S_i (floats refused) of
-    ``generalized._ratio_counts(3)``: root counts multiplied site by site,
-    exact for every N >= 1, with no ``CycInt`` multiply.
+    ``cyclotomic._site_product`` of the root counts of the ratio letters
+    3*R_i + S_i (floats refused) in ``generalized._ratio_counts(3)``: one
+    chain of circulant products over the sites, in int64 or Python integers
+    by its range rule, then the slot sum folded once by ``_root_coeffs(9)``.
+    Exact for every N >= 1, with no ``CycInt`` multiply.
     """
     r_exps, s_exps = tuple(r_exps), tuple(s_exps)
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
     _site_count(len(r_exps))
-    letters = [[3 * r + s for _, r, s in map(_ratio_row, r_exps, s_exps)]]
-    values = _class_values(_ratio_counts(3), np.array(letters, dtype=np.intp))
-    return CycInt(9, tuple(values[0].tolist()))
+    letters = [3 * r + s for _, r, s in map(_ratio_row, r_exps, s_exps)]
+    slots = _site_product(_ratio_counts(3)[letters])
+    return CycInt(9, tuple((slots.sum(axis=0) @ _root_coeffs(9)).tolist()))
 
 
 def hv_value_product(r_exps, s_exps) -> float:

@@ -65,6 +65,9 @@ __all__ = [
 # and ``general`` admit the same N with the same exit codes.
 VERIFY_TERM_CAP = 3**13
 
+# Sites per group of ``MerminOperator.value_codes``: 3**4 = 81 codes a group.
+_VALUE_GROUP_SITES = 4
+
 
 @dataclass(frozen=True, eq=False)
 class MerminOperator:
@@ -130,19 +133,30 @@ class MerminOperator:
         )
 
     @cached_property
-    def value_columns(self) -> np.ndarray:
-        """Read-only (N, T) index 3*i + letters[t, i] % 3 into N flat value triples.
+    def value_codes(self) -> np.ndarray:
+        """Read-only (G, T) codes of the d = 3 value columns, sites in groups of g.
 
         Column c = j % 3 of site i is the value of its letter j at d = 3
-        (X, Y, V for j = 0, 1, -1), so ``values.take(value_columns)`` reads
-        the value exponent of every (site, term) pair.  Stored in the
-        narrowest integer type that holds 3N - 1.
+        (X, Y, V for j = 0, 1, -1).  Sites 0..N-1 fall into G = ceil(N/g)
+        groups of g = ``_VALUE_GROUP_SITES``, and term t's code in group q is
+        3**g * q + sum_k c_(g*q + k) * 3**k over the group's sites (a site
+        past N, in the last group, reads digit 0).  So one ``take`` of the
+        codes from a flat (G, 3**g) table of per-group values reads every
+        group's share of every term.
+
+        Ranges.  A code is below 3**g * G, so it is stored in the narrowest
+        unsigned type that holds 3**g * G - 1: uint8 while G <= 3 (N <= 12),
+        uint16 while G <= 809 (N <= 3236).  A term then takes G <= N bytes,
+        or 2G <= N bytes from N = 13, so through N = 3236 the cache is no
+        larger than one byte per (site, term).
         """
-        sites = 3 * np.arange(self.n_sites)
-        columns = (self.letters.T % 3 + sites[:, None]).astype(
-            np.min_scalar_type(max(3 * self.n_sites - 1, 0))
-        )
-        return _read_only(columns, columns.dtype)
+        g = _VALUE_GROUP_SITES
+        groups = -(-self.n_sites // g)
+        dtype = np.min_scalar_type(3**g * groups - 1)
+        codes = np.repeat(3**g * np.arange(groups, dtype=dtype)[:, None], self.term_count, axis=1)
+        for i, column in enumerate(self.letters.T % 3):
+            codes[i // g] += column.astype(dtype) * 3 ** (i % g)
+        return _read_only(codes, dtype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MerminOperator):

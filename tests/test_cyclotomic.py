@@ -389,6 +389,50 @@ def test_site_product_batch_switches_to_python_integers_as_a_whole():
         assert product[k, s].tolist() == cyclic_product(9, counts[k, :, s].tolist())
 
 
+class _HalvingInt(int):
+    """An int whose reflected product is a float: ``a * _HalvingInt(4)`` is a / 2."""
+
+    def __rmul__(self, other):
+        return other / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, st.data())
+def test_ring_results_hold_python_ints_and_equal_their_public_rebuild(m, data):
+    # ring operations build their results without __post_init__'s checks
+    x = CycInt(m, tuple(np.array(element(m, data.draw), dtype=np.int64)))
+    y = CycInt(m, tuple(element(m, data.draw)))
+    k = data.draw(st.integers(-(10**6), 10**6))
+    j = data.draw(st.integers(-3 * m, 3 * m))
+    results = [
+        x + y, x - y, -x, x * y, x + k, k + x, x - k, k - x,
+        x * k, k * x, x * True, False * x, x * _HalvingInt(4),
+        x.times_root(j), x.conjugate(), x ** data.draw(st.integers(0, 3)),
+    ]
+    for result in results:
+        assert type(result) is CycInt and result.order == m
+        assert all(type(c) is int for c in result.coeffs)
+        rebuilt = CycInt(m, result.coeffs)
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+    assert x * _HalvingInt(4) == x * 4
+
+
+def test_public_constructors_still_normalize_and_refuse():
+    x = CycInt(9, tuple(np.arange(6, dtype=np.int64)))
+    y = CycInt.from_coeffs(9, np.arange(9, dtype=np.int32))
+    assert x == CycInt(9, (0, 1, 2, 3, 4, 5))
+    assert y == CycInt.from_coeffs(9, range(9))
+    assert all(type(c) is int for c in x.coeffs + y.coeffs)
+    with pytest.raises(ValueError, match="ring coefficients must be integers"):
+        CycInt(9, (1.5, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="ring coefficients must be integers"):
+        CycInt.from_coeffs(9, [2.5])
+    with pytest.raises(ValueError, match="expected 6 coefficients"):
+        CycInt(9, (1, 0, 0))
+    with pytest.raises(ValueError, match="invalid cyclotomic order"):
+        CycInt(10, (0,) * 4)
+
+
 def test_root_exponents_accept_numpy_integers():
     assert PhaseExponent(np.int64(10), 9) == PhaseExponent(1, 9)
     assert root_of_unity(np.int8(3), 9) == root_of_unity(3, 9) == PhaseExponent(3, 9).cyc()

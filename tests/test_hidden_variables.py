@@ -253,14 +253,35 @@ def value_rows(n_sites):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_hv_value_direct_matches_the_per_term_loop(data):
-    n_sites = data.draw(st.integers(1, 8))
-    op = mermin_operator(n_sites, data.draw(st.integers(0, 2)))
-    assignment = HVAssignment(data.draw(value_rows(n_sites)))
+@given(st.integers(1, 8).flatmap(value_rows), st.integers(0, 2))
+# the group boundaries of ``value_codes``: one whole group of four sites,
+# one site past it, two whole groups
+@example(((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 1, 2)), 1)
+@example(((2, 1, 0), (0, 0, 1), (1, 2, 2), (2, 2, 0), (0, 1, 1)), 2)
+@example(((1, 0, 2), (2, 2, 1), (0, 1, 0), (1, 2, 2),
+          (2, 0, 0), (0, 2, 1), (1, 1, 0), (2, 1, 2)), 0)
+def test_hv_value_direct_matches_the_per_term_loop(values, variant):
+    op = mermin_operator(len(values), variant)
+    assignment = HVAssignment(values)
     value, calls = direct_counting_times_root(assignment, op)
     assert value == reference_hv_value_direct(assignment, op)
     assert calls <= 3
+
+
+def test_hv_value_direct_past_the_reference_loop_is_the_product_form():
+    # N = 9..12, too slow for the per-term loop: 3v is omega**(sum of x) times
+    # the factor product P of the ratios, so |3v|**2 = |P|**2 exactly
+    rng = np.random.default_rng(41)
+    for n_sites in range(9, 13):
+        op = build_mermin(3, n_sites, 0)
+        for _ in range(3):
+            values = rng.integers(0, 3, size=(n_sites, 3))
+            assignment = HVAssignment(tuple(map(tuple, values.tolist())))
+            v3 = hv_value_direct(assignment, op) * 3
+            ratios = assignment.ratios
+            p = hv_value_product_exact([r for r, _ in ratios], [s for _, s in ratios])
+            assert v3 * v3.conjugate() == p * p.conjugate()
+            assert v3 == p.times_root(3 * int(values[:, 0].sum()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,37 +300,44 @@ def test_hv_value_direct_on_arbitrary_root_weights(data):
     assert calls <= 3
 
 
-def test_value_columns_are_a_read_only_cache_on_the_operator():
-    op = build_mermin(3, 4, 1)
-    columns = op.value_columns
-    assert columns is op.value_columns  # computed once per operator
-    assert columns.shape == (4, op.term_count) and columns.dtype.itemsize == 1
-    expected = 3 * np.arange(4)[:, None] + np.array(
-        [[_COLUMN[j] for j in row] for row in op.letters.tolist()]
-    ).T
-    assert np.array_equal(columns, expected)
+def expected_value_codes(op):
+    """81*q + sum_k c_(4q+k) * 3**k for each group q of four sites and each term."""
+    groups = -(-op.n_sites // 4)
+    codes = np.zeros((groups, op.term_count), dtype=np.int64)
+    for t, row in enumerate(op.letters.tolist()):
+        for i, j in enumerate(row):
+            codes[i // 4, t] += _COLUMN[j] * 3 ** (i % 4)
+    return codes + 81 * np.arange(groups)[:, None]
+
+
+def test_value_codes_are_a_read_only_cache_on_the_operator():
+    op = build_mermin(3, 5, 1)
+    codes = op.value_codes
+    assert codes is op.value_codes  # computed once per operator
+    assert codes.shape == (2, op.term_count) and codes.dtype.itemsize == 1
+    assert np.array_equal(codes, expected_value_codes(op))
     with pytest.raises(ValueError):
-        columns[0, 0] = 0
+        codes[0, 0] = 0
     # the cache takes no part in equality or hashing
-    fresh = build_mermin(3, 4, 1)
+    fresh = build_mermin(3, 5, 1)
     assert op == fresh and hash(op) == hash(fresh)
-    assert "value_columns" in vars(op) and "value_columns" not in vars(fresh)
-    assert op != build_mermin(3, 4, 2)
+    assert "value_codes" in vars(op) and "value_codes" not in vars(fresh)
+    assert op != build_mermin(3, 5, 2)
 
 
-def test_value_columns_are_freed_with_their_operator():
+def test_value_codes_are_freed_with_their_operator():
     op = build_mermin(3, 5, 0)
     hv_value_direct(HVAssignment.uniform(5), op)
-    columns = weakref.ref(op.value_columns)
+    codes = weakref.ref(op.value_codes)
     owner = weakref.ref(op)
     del op
     gc.collect()
-    assert columns() is None and owner() is None
+    assert codes() is None and owner() is None
 
 
-def test_value_columns_of_from_terms_operators():
+def test_value_codes_of_from_terms_operators():
     rng = np.random.default_rng(14)
-    for n_sites in (1, 3, 6):
+    for n_sites in (1, 3, 6, 13):
         for n_terms in (0, 1, 7, 50):
             words = rng.integers(-1, 2, size=(n_terms, n_sites))
             terms = [
@@ -317,13 +345,23 @@ def test_value_columns_of_from_terms_operators():
                 for w, e in zip(words.tolist(), rng.integers(0, 9, size=n_terms))
             ]
             op = MerminOperator.from_terms(3, n_sites, 0, terms)
-            assert op.value_columns.shape == (n_sites, n_terms)
+            assert op.value_codes.shape == (-(-n_sites // 4), n_terms)
+            assert np.array_equal(op.value_codes, expected_value_codes(op))
+            assert op.value_codes.nbytes <= n_sites * n_terms
             assignment = HVAssignment(
                 tuple(map(tuple, rng.integers(0, 3, size=(n_sites, 3)).tolist()))
             )
             assert hv_value_direct(assignment, op) == reference_hv_value_direct(
                 assignment, op
             )
+    assert op.value_codes.dtype == np.uint16  # 4 groups: codes up to 4 * 81 - 1
+
+
+@pytest.mark.parametrize("n_sites", [1, 4, 5, 8, 12])
+def test_value_codes_are_no_larger_than_one_byte_per_site_and_term(n_sites):
+    # the uint8 (N, T) column index the codes replaced held N * T bytes
+    op = build_mermin(3, n_sites, 0)
+    assert op.value_codes.nbytes <= n_sites * op.term_count
 
 
 def test_hv_value_product_exact_makes_no_ring_multiplies():
