@@ -74,6 +74,7 @@ from .cyclotomic import (
     CycInt,
     _UNIT_ROUNDOFF,
     _alpha_powers,
+    _check_budget,
     _circulant_index,
     _integer,
     _read_only,
@@ -88,12 +89,11 @@ __all__ = [
     "run_search",
     "full_space_scores",
     "resolve_workers",
-    "check_search_budget",
 ]
 
 # One search may evaluate CLASS_CAP letter multisets (the qutrit ratio space
-# up to N = 15) from a factor table of at most FACTOR_CAP int64 root counts,
-# A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
+# up to N = 15) from a ratio factor table of at most FACTOR_CAP int64 root
+# counts, A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
 # Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
@@ -193,19 +193,20 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> None:
-    """Raise ValueError for an over-budget space; call it before building factors."""
+    """Check N and sizes >= 1, then refuse an over-budget space; call it before building factors."""
     n_sites = _site_count(n_sites)
-    entries = alphabet * slots * order
-    if entries > FACTOR_CAP:
-        raise ValueError(
-            f"factor table of {alphabet} x {slots} x {order} = {entries} "
-            f"root counts exceeds the cap of {FACTOR_CAP}"
-        )
-    if math.comb(n_sites + alphabet - 1, n_sites) > CLASS_CAP:
-        raise ValueError(
-            f"the C({n_sites}+{alphabet - 1}, {n_sites}) multisets of {n_sites} "
-            f"letters from {alphabet} exceed the cap of {CLASS_CAP}"
-        )
+    dims = [_integer(size, "table sizes") for size in (alphabet, slots, order)]
+    if min(dims) < 1:
+        raise ValueError(f"alphabet, slots and order must be at least 1, got {dims}")
+    work = " x ".join(map(str, dims))
+    _check_budget("ratio factor table", FACTOR_CAP, math.prod(dims), work=work)
+    _check_multisets(dims[0], n_sites)
+
+
+def _check_multisets(alphabet: int, n_sites: int) -> None:
+    """Refuse more than CLASS_CAP "letter multisets" C(N+A-1, N) of N letters from A >= 1."""
+    n = n_sites + alphabet - 1
+    _check_budget("letter multisets", CLASS_CAP, math.comb(n, n_sites), work=f"C({n}, {n_sites})")
 
 
 def _check_range(space: ProductSpace) -> int:
@@ -507,7 +508,7 @@ def _multiset_scores(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def full_space_scores(space: ProductSpace) -> np.ndarray:
-    """Float |sum of products|**2 for every index (small spaces only).
+    """Float |sum of products|**2 for every index, at most 10**6 of them (small spaces only).
 
     ``_multiset_scores`` gathered at each index's class.  An index's sorted
     digits d_1 <= ... <= d_N rank its class in the layout of
@@ -516,8 +517,7 @@ def full_space_scores(space: ProductSpace) -> np.ndarray:
     plus the rank of its prefix, so the rank is the sum of the N block
     offsets.
     """
-    if space.size > 1_000_000:
-        raise ValueError("full score table is limited to 1e6 assignments")
+    _check_budget("full score table", 10**6, space.alphabet, space.n_sites)
     a_size, n_sites = space.alphabet, space.n_sites
     digits = np.indices((a_size,) * n_sites, dtype=np.min_scalar_type(a_size - 1))
     digits = np.sort(digits.reshape(n_sites, -1), axis=0)

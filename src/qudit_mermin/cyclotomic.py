@@ -110,6 +110,17 @@ def _site_count(n_sites) -> int:
     return n_sites
 
 
+def _check_budget(what: str, cap: int, base: int, exponent: int = 1, work: str = "") -> None:
+    """The one work-budget rule: ValueError when base**exponent units of ``what`` exceed cap.
+
+    Engines state their work from checked arguments (base, exponent >= 0) before
+    they allocate; ``work`` writes a product or binomial, so no over-cap number is
+    spelled out.  For base >= 2 every exponent past ``cap.bit_length()`` is over.
+    """
+    if base ** min(exponent, cap.bit_length()) > cap:
+        raise ValueError(f"{what}: {work or f'{base}**{exponent}'} exceeds the cap of {cap}")
+
+
 @lru_cache(maxsize=None)
 def _root_coeffs(m: int) -> np.ndarray:
     """Read-only (m, phi) int64 array whose row e is the canonical alpha**e."""

@@ -48,13 +48,15 @@ from functools import lru_cache
 import numpy as np
 
 from ._enumeration import (
+    FACTOR_CAP,
     ProductSpace,
-    check_search_budget,
+    _check_multisets,
     decode_index,
     run_search,
 )
 from .cyclotomic import (
     CycInt,
+    _check_budget,
     _integer,
     _read_only,
     _root_coeffs,
@@ -214,8 +216,11 @@ def _ratio_letters(d: int) -> ProductSpace:
 
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
     """The d**(d-1) ratio letters on N sites with their slot shift, budget-checked first."""
-    d = _integer(d, "local dimensions")
-    check_search_budget(d ** (d - 1), d, d * d, n_sites)
+    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
+    if d < 3:
+        raise ValueError(f"local dimension must be odd and >= 3, got {d}")
+    _check_budget("ratio factor table", FACTOR_CAP, d, d + 2)  # d**(d-1) x d x d**2 counts
+    _check_multisets(d ** (d - 1), n_sites)
     return _ratio_letters(d).on_sites(n_sites)
 
 

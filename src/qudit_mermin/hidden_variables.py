@@ -71,6 +71,7 @@ from ._enumeration import (
 from .cyclotomic import (
     CycInt,
     PhaseExponent,
+    _check_budget,
     _integer,
     _read_only,
     _root_coeffs,
@@ -126,8 +127,7 @@ _LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
 # Full mode covers 27**N value assignments; this allows N <= 6.
 FULL_SEARCH_CAP = 27**6
 
-# permutation_class_max evaluates the C(N+2, 2) multisets of N shifts;
-# this allows N <= 8.
+# permutation_class_max evaluates the C(N+2, 2) multisets of N shifts: N <= 8.
 PERMUTATION_CLASS_CAP = math.comb(8 + 2, 2)
 
 
@@ -435,9 +435,9 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
-    form, one evaluation per multiset of per-site ratios, and its C(N+8, 8)
-    multisets are bounded by the budget of ``generalized.ratio_space``.  Full
-    mode covers the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments:
+    form, one evaluation per multiset of per-site ratios, under the budgets
+    of ``generalized.ratio_space``.  Full mode covers the 27**N <=
+    ``FULL_SEARCH_CAP`` = 27**6 value assignments of ``_full_search``:
     it checks that the operator terms are invariant under permuting sites
     (else ArithmeticError), and, since shifting one site's triple by c
     multiplies the value by omega**c, contracts their omega root counts
@@ -595,11 +595,12 @@ def _check_ratio_agreement(scores: np.ndarray, values: np.ndarray) -> None:
 def _full_search(n_sites: int) -> SearchResult:
     """Exact full scan over the multisets of gauge-fixed per-site value triples.
 
-    One ``_term_table`` of the terms is checked to be invariant under
-    permuting sites and walked by ``_class_scores``, so every assignment has
-    the score of its gauge class (each site's triple shifted to x = 0, a
-    map 3**N to one), whose arrangements all score alike, and each of the
-    C(N+8, 8) classes is scored once.  A class's letter 3y + v is both its
+    ``cyclotomic._check_budget`` first refuses more than ``FULL_SEARCH_CAP``
+    "full search" assignments 27**N.  One ``_term_table`` of the terms is
+    checked to be invariant under permuting sites and walked by
+    ``_class_scores``, so every assignment has the score of its gauge class
+    (each site's triple shifted to x = 0, a map 3**N to one), and each of
+    the C(N+8, 8) classes is scored once.  A class's letter 3y + v is both its
     full-index digit and its ratio digit, so its rank is its ratio
     multiset's, and ``_check_ratio_agreement`` checks each score exactly
     against ``_enumeration._multiset_values``.  The tie count is 3**N times
@@ -611,11 +612,7 @@ def _full_search(n_sites: int) -> SearchResult:
     over the classes, |v| from ``_enumeration._multiset_scores`` at the same
     rank: the all-assignment maximum of the float comparison, bit for bit.
     """
-    # clamped: 27**k is over the cap for every k past its bit length
-    if 27 ** min(n_sites, FULL_SEARCH_CAP.bit_length()) > FULL_SEARCH_CAP:
-        raise ValueError(
-            f"full search space 27**{n_sites} exceeds the cap of {FULL_SEARCH_CAP}"
-        )
+    _check_budget("full search", FULL_SEARCH_CAP, 27, n_sites)
     table = _term_table(*_encode_terms(n_sites))
     _check_site_symmetry(table)
     scores = _class_scores(table)
@@ -680,11 +677,8 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     n_sites = _integer(n_sites, "site counts")
     if n_sites < 2:
         raise ValueError("need at least two sites for a proper nonempty subset")
-    if math.comb(n_sites + 2, 2) > PERMUTATION_CLASS_CAP:
-        raise ValueError(
-            f"the C({n_sites}+2, 2) shift multisets exceed the cap of "
-            f"{PERMUTATION_CLASS_CAP}"
-        )
+    top = n_sites + 2
+    _check_budget("shift multisets", PERMUTATION_CLASS_CAP, math.comb(top, 2), work=f"C({top}, 2)")
     space = ProductSpace(9, n_sites, ratio_space(3, 1).counts[[0, 5, 7]])
     patterns = [
         p
@@ -761,17 +755,15 @@ def contradiction_witness(word: SettingWord) -> WitnessRecord:
 def _witness_table(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(letters, positions, phases) of the witnesses, in lexicographic word order.
 
-    The 3**N <= 3**8 words come from ``_all_words`` (N outside 1..8 raises
-    ValueError, N < 1 with ``_site_count``'s message); ``letters`` is the
-    (K, N) int8 array of the K words at circle points 3 and 6 and
-    ``positions`` their points.  Their eigenphases on the GHZ state of index
-    0, alpha**e with e in ``phases`` (0, 3 or 6), come from one
-    ``qudit_ops._ghz_phase`` call: its three label rows must agree and e must
-    be a multiple of 3, else EigenstateError, as in ``eigenphase``.
+    N < 1 and more than 3**8 "witness words" 3**N raise ValueError before
+    ``_all_words``; ``letters`` is the (K, N) int8 array of the K words at
+    circle points 3 and 6 and ``positions`` their points.  Their eigenphases on
+    the GHZ state of index 0, alpha**e with e in ``phases`` (0, 3 or 6), come
+    from one ``qudit_ops._ghz_phase`` call: its three label rows must agree and
+    e must be a multiple of 3, else EigenstateError, as in ``eigenphase``.
     """
     n_sites = _site_count(n_sites)
-    if n_sites > 8:
-        raise ValueError(f"witness scans need N <= 8 (3**8 words), got {n_sites}")
+    _check_budget("witness words", 3**8, 3, n_sites)
     letters = _all_words(3, n_sites)
     positions = letters.sum(axis=1, dtype=np.int64) % 9
     kept = (positions == 3) | (positions == 6)

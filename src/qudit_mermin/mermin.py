@@ -28,6 +28,7 @@ import numpy as np
 
 from .cyclotomic import (
     CycInt,
+    _check_budget,
     _integer,
     _read_only,
     _root_coeffs,
@@ -59,10 +60,8 @@ __all__ = [
     "mixing_exponent",
 ]
 
-# Terms one operator may hold, checked when it is built and when it is
-# verified: d**(N-1) <= 3**13 admits N <= 14, 9 and 8 for d = 3, 5 and 7.
-# ``_position_eigenvalue`` builds no terms but keeps the cap, so ``verify``
-# and ``general`` admit the same N with the same exit codes.
+# "operator terms" d**(N-1) of ``check_verify_budget``: N <= 14, 9 and 8 at d = 3, 5 and 7.
+# ``_position_eigenvalue`` builds no terms but keeps it, so ``verify`` and ``general`` agree.
 VERIFY_TERM_CAP = 3**13
 
 # Sites per group of ``MerminOperator.value_codes``: 3**4 = 81 codes a group.
@@ -225,30 +224,25 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 
 
 def _operator_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
-    """d, N and variant as Python ints; a bad N or variant, or a d with no ring (4, 9), raises."""
-    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
-    variant = _integer(variant, "variants")
-    if not 0 <= variant < d:
-        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
+    """d, N and variant as Python ints, checked d first; a d with no ring (4, 9) raises."""
+    d = _integer(d, "local dimensions")
     rotation_alphabet(d)
     order_params(d * d)
+    n_sites, variant = _site_count(n_sites), _integer(variant, "variants")
+    if not 0 <= variant < d:
+        raise ValueError(f"variant must lie in [0, {d}), got {variant}")
     return d, n_sites, variant
 
 
 def check_verify_budget(d: int, n_sites: int) -> None:
-    """Raise ValueError when an operator of d**(N-1) terms exceeds VERIFY_TERM_CAP.
+    """Check d and N as ``_operator_args`` does; refuse d**(N-1) terms over VERIFY_TERM_CAP.
 
     ``build_mermin``, ``verify_eigenvalue`` and ``_position_eigenvalue``
     call it; ``verify_eigenvalue`` because it also takes operators built by
     ``MerminOperator.from_terms``.
     """
-    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
-    # clamped: d**k is over the cap for every k past its bit length
-    if d ** min(n_sites - 1, VERIFY_TERM_CAP.bit_length()) > VERIFY_TERM_CAP:
-        raise ValueError(
-            f"an operator of {d}**{n_sites - 1} terms exceeds the cap of "
-            f"{VERIFY_TERM_CAP} terms"
-        )
+    d, n_sites, _ = _operator_args(d, n_sites, 0)
+    _check_budget("operator terms", VERIFY_TERM_CAP, d, n_sites - 1)
 
 
 def verify_eigenvalue(op: MerminOperator) -> int:
@@ -359,14 +353,10 @@ def expand_identity(n_sites: int, d: int = 3) -> IdentityReport:
     all d**N <= 20000 words at once (product p gives a word the coefficient
     alpha**mixing_exponent(d, p, s), s its letter sum).  Words in the
     variant-0 operator must come out with d times their weight; every other
-    word must come out exactly zero.
+    word must come out exactly zero.  d and N are checked before the budget.
     """
-    n_sites, d = _site_count(n_sites), _integer(d, "local dimensions")
-    if d ** min(n_sites, 15) > 20000:  # clamped: d**15 > 20000
-        raise ValueError(
-            f"symbolic expansion covers {d}**{n_sites} words; "
-            "reduce N (the cap is d**N <= 20000)"
-        )
+    d, n_sites, _ = _operator_args(d, n_sites, 0)
+    _check_budget("identity words", 20000, d, n_sites)
     op = build_mermin(d, n_sites, 0)
     m = d * d
     words = _all_words(d, n_sites)

@@ -14,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from qudit_mermin._enumeration import (
 )
 from qudit_mermin.cyclotomic import compare_real_coeffs, order_params
 from qudit_mermin.generalized import general_uniform_sum, ratio_space
+from qudit_mermin.hidden_variables import _witness_table
 from qudit_mermin.mermin import (
     _position_eigenvalue,
     check_verify_budget,
@@ -176,7 +178,7 @@ def _letters(shape):
         (lambda: SettingWord.from_string("XY", d=5),
          "letter strings are defined for d=3 only"),
         (lambda: full_space_scores(ratio_space(3, 7)),
-         "full score table is limited to 1e6 assignments"),
+         r"full score table: 9\*\*7 exceeds the cap of 1000000"),
         (lambda: ProductSpace(9, 0, ratio_space(3, 1).counts), "need at least one site"),
         (lambda: ratio_space(3, 0), "need at least one site"),
         (lambda: ratio_space(3, -1), "need at least one site"),
@@ -212,6 +214,14 @@ def _letters(shape):
         (lambda: CycInt(9, (1, 0)), "expected 6 coefficients for order 9, got 2"),
         (lambda: PhaseExponent(1, 9) * PhaseExponent(1, 25),
          "mismatched cyclotomic orders 9 and 25"),
+        # arguments are checked before a budget states its work from them
+        (lambda: check_verify_budget(-3, 14), "local dimension must be odd and >= 3, got -3$"),
+        (lambda: check_verify_budget(-3, 15), "local dimension must be odd and >= 3, got -3$"),
+        (lambda: check_verify_budget(4, 3), "local dimension must be odd and >= 3, got 4$"),
+        (lambda: expand_identity(20, 2), "local dimension must be odd and >= 3, got 2$"),
+        (lambda: expand_identity(10**9, -3), "local dimension must be odd and >= 3, got -3$"),
+        (lambda: check_search_budget(-9, 3, 9, 5),
+         r"alphabet, slots and order must be at least 1, got \[-9, 3, 9\]$"),
     ],
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
@@ -228,12 +238,42 @@ def _letters(shape):
         "hv_assignment_no_sites", "hv_assignment_from_no_ratios",
         "compare_real_coeffs_lengths", "product_space_shape", "product_space_negative",
         "hv_value_product_exact_lengths", "cyc_int_coefficient_count",
-        "phase_exponent_orders",
+        "phase_exponent_orders", "verify_budget_negative_d", "verify_budget_negative_d_over",
+        "verify_budget_even_d", "identity_even_d", "identity_negative_d",
+        "search_budget_negative_alphabet",
     ],
 )
 def test_invalid_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Warm tracemalloc peaks at each budget's last admitted argument, measured on
+# Python 3.11.7 with numpy 2.4.6 (2.88, 6.00, 12.58, 0.16, 0.31 and 0.49 MiB);
+# each bound is 1.5 times its measurement.  The identity's word budget d**N is
+# flat in d, but its memory grows with phi = d*(d - 1) coefficients per word.
+@pytest.mark.parametrize(
+    "call, measured_mib",
+    [
+        (lambda: expand_identity(9, 3), 2.88),
+        (lambda: expand_identity(6, 5), 6.00),
+        (lambda: expand_identity(5, 7), 12.58),
+        (lambda: _witness_table(8), 0.16),
+        (lambda: _position_eigenvalue(7, 8), 0.31),
+        (lambda: permutation_class_max(8), 0.49),
+    ],
+    ids=["identity_d3_n9", "identity_d5_n6", "identity_d7_n5", "witness_n8",
+         "position_eigenvalue_d7_n8", "permutation_classes_n8"],
+)
+def test_peak_memory_at_the_last_admitted_argument(call, measured_mib):
+    call()  # warm the caches
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * measured_mib * 2**20
 
 
 # One float per integer argument, each entry point at least once; 3.0 and

@@ -548,13 +548,47 @@ def test_usage_errors_exit_2(runner):
     assert "cap" in result.stderr
 
 
-def test_verify_term_budget_exit_codes(runner):
-    # the first N over the 3**13-term budget for each d is a usage error
-    for d, over in ((3, 15), (5, 10), (7, 9)):
-        argv = ["verify", "--n", str(over), "--d", str(d)]
-        result = runner.invoke(cli, argv)
-        assert result.exit_code == 2, (d, over)
-        assert "cap" in result.stderr
+HUGE_N = 10**9
+
+# One row per engine budget a command reaches: its argv without --n, the last
+# admitted N (None: every N is refused), and the refusal messages of the first
+# refused N and of --n 10**9, all in the one form of ``cyclotomic._check_budget``.
+BUDGET_ROWS = [
+    (["verify", "--d", "3"], 14, "operator terms: 3**14 exceeds the cap of 1594323",
+     f"operator terms: 3**{HUGE_N - 1} exceeds the cap of 1594323"),
+    (["verify", "--d", "5"], 9, "operator terms: 5**9 exceeds the cap of 1594323",
+     f"operator terms: 5**{HUGE_N - 1} exceeds the cap of 1594323"),
+    (["verify", "--d", "7"], 8, "operator terms: 7**8 exceeds the cap of 1594323",
+     f"operator terms: 7**{HUGE_N - 1} exceeds the cap of 1594323"),
+    (["search"], 15, "letter multisets: C(24, 16) exceeds the cap of 500000",
+     f"letter multisets: C({HUGE_N + 8}, {HUGE_N}) exceeds the cap of 500000"),
+    (["search", "--mode", "full"], 6, "full search: 27**7 exceeds the cap of 387420489",
+     f"full search: 27**{HUGE_N} exceeds the cap of 387420489"),
+    (["general", "--d", "5", "--conjecture"], 2,
+     "letter multisets: C(627, 3) exceeds the cap of 500000",
+     f"operator terms: 5**{HUGE_N - 1} exceeds the cap of 1594323"),
+    (["general", "--d", "7", "--conjecture"], None,
+     "ratio factor table: 7**9 exceeds the cap of 1000000",
+     f"operator terms: 7**{HUGE_N - 1} exceeds the cap of 1594323"),
+    (["identity"], 9, "identity words: 3**10 exceeds the cap of 20000",
+     f"identity words: 3**{HUGE_N} exceeds the cap of 20000"),
+    (["witness"], 8, "witness words: 3**9 exceeds the cap of 6561",
+     f"witness words: 3**{HUGE_N} exceeds the cap of 6561"),
+]
+
+
+def test_budget_exit_codes(runner):
+    # the last admitted N exits 0; the first refused N and a huge one exit 2
+    # with the budget's message on stderr, and nothing on stdout
+    for argv, last, refused, huge in BUDGET_ROWS:
+        if last is not None:
+            assert runner.invoke(cli, [*argv, "--n", str(last)]).exit_code == 0, argv
+        for n, message in ((1 if last is None else last + 1, refused), (HUGE_N, huge)):
+            result = runner.invoke(cli, [*argv, "--n", str(n)])
+            assert result.exit_code == 2, (argv, n)
+            assert result.stderr.splitlines()[-1] == f"Error: {message}", (argv, n)
+            assert re.fullmatch(r"[a-z ]+: [^:]+ exceeds the cap of \d+", message)
+            assert result.stdout == ""
     result = runner.invoke(cli, ["verify", "--n", "13", "--variant", "2", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["results"]["eigenvalue"] == 3**12

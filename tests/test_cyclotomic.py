@@ -461,3 +461,26 @@ def test_compare_real_coeffs_matches_sympy_sign(m, data):
     expected = sympy_real_sign(m, [p - q for p, q in zip(x1.coeffs, x2.coeffs)])
     assert compare_real_coeffs(m, x1.coeffs, x2.coeffs) == expected
     assert compare_real_coeffs(m, x2.coeffs, x1.coeffs) == -expected
+
+
+def test_budget_rule_never_raises_a_base_past_the_cap_bit_length():
+    # every exponent above cap.bit_length() is over the cap for a base >= 2,
+    # so the rule must clamp before it powers; an unclamped 3**(10**18) would
+    # hang, this base fails at once instead
+    cap = 3**13
+
+    class Base(int):
+        def __pow__(self, exponent):
+            if exponent > cap.bit_length():
+                raise AssertionError(f"formed {int(self)}**{exponent}")
+            return int(self) ** exponent
+
+    for base, exponent in ((3, 0), (3, 13), (2, 20), (0, 10**18), (1, 10**18), (cap, 1)):
+        cyclotomic._check_budget("operator terms", cap, Base(base), exponent)
+    for base, exponent in ((3, 14), (2, 21), (3, 10**18), (10**6, 10**6 + 2), (cap + 1, 1)):
+        with pytest.raises(ValueError) as refused:
+            cyclotomic._check_budget("operator terms", cap, Base(base), exponent)
+        assert str(refused.value) == f"operator terms: {base}**{exponent} exceeds the cap of {cap}"
+    # a product or binomial is written as the caller states it, never as its value
+    with pytest.raises(ValueError, match=r"^letter multisets: C\(24, 16\) exceeds the cap of 500000$"):
+        cyclotomic._check_budget("letter multisets", 500_000, math.comb(24, 16), work="C(24, 16)")

@@ -256,6 +256,25 @@ def test_mixing_exponent_lives_in_mermin():
     assert "mixing_exponent" in generalized.__all__
 
 
+def test_ratio_space_states_its_factor_table_from_d(monkeypatch):
+    # d**(d-1) letters x d slots x d**2 root counts = d**(d+2), stated from d,
+    # so a huge d is refused at once with a short message and no d**(d-1)
+    # is formed; Python refuses to print an int past 4300 digits (d >= 1501)
+    def never(*args):
+        raise AssertionError("an over-budget space reached its build")
+
+    monkeypatch.setattr(generalized, "_ratio_counts", never)
+    for d in (7, 101, 1501, 10**6):
+        with pytest.raises(ValueError) as refused:
+            ratio_space(d, 1)
+        assert str(refused.value) == f"ratio factor table: {d}**{d + 2} exceeds the cap of 1000000"
+    for d in (0, -3):  # no ratio letters: refused before any power of d is taken
+        with pytest.raises(ValueError, match=f"local dimension must be odd and >= 3, got {d}"):
+            ratio_space(d, 1)
+    monkeypatch.undo()
+    assert ratio_space(5, 2).alphabet == 5**4  # 5**7 = 78,125 root counts
+
+
 def test_verify_budget_first_over_cap_n_per_dimension():
     for d, last in ((3, 14), (5, 9), (7, 8)):
         with pytest.raises(ValueError):

@@ -1112,7 +1112,7 @@ def test_permutation_class_budget_refuses_before_any_pattern(monkeypatch):
         raise Evaluated
 
     monkeypatch.setattr(hidden_variables, "_class_values", evaluate)
-    with pytest.raises(ValueError, match="multisets exceed the cap of 45"):
+    with pytest.raises(ValueError, match=r"shift multisets: C\(11, 2\) exceeds the cap of 45"):
         permutation_class_max(9)
     # N = 8 is within the cap and reaches the evaluation
     with pytest.raises(Evaluated):
