@@ -34,7 +34,10 @@ evaluates the lexicographically least sorted image of each band class once
 per distinct image (``_orbits``) and spreads the values back to the band;
 without a shift every band class is its own orbit.
 ``generalized.ratio_space`` carries the shift of its ratio letters, whose
-orbits have d letters, and that cuts the pass d-fold.
+orbits have d letters, and that cuts the pass d-fold.  The qutrit ratio
+space needs no search at all: ``generalized._diagonal_search`` proves its
+maximizers and takes the result from three exact values, and
+``run_search`` of that space stays its oracle.
 
 A space scored whole (``full_space_scores``, and full search's ratio
 side) is walked once on exact root counts instead (``_multiset_values``):
@@ -91,9 +94,10 @@ __all__ = [
     "resolve_workers",
 ]
 
-# One search may evaluate CLASS_CAP letter multisets (the qutrit ratio space
-# up to N = 15) from a ratio factor table of at most FACTOR_CAP int64 root
-# counts, A x slots x m (8 MB; d = 5 needs 78,125 and d = 7 40.3 million).
+# One search may evaluate CLASS_CAP letter multisets (the d = 5 ratio space up
+# to N = 2, the qutrit one up to N = 15) from a ratio factor table of at most
+# FACTOR_CAP int64 root counts, A x slots x m (8 MB; d = 5 needs 78,125 and
+# d = 7 40.3 million).
 CLASS_CAP = 500_000
 FACTOR_CAP = 10**6
 # Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
@@ -204,9 +208,19 @@ def check_search_budget(alphabet: int, slots: int, order: int, n_sites: int) -> 
 
 
 def _check_multisets(alphabet: int, n_sites: int) -> None:
-    """Refuse more than CLASS_CAP "letter multisets" C(N+A-1, N) of N letters from A >= 1."""
-    n = n_sites + alphabet - 1
-    _check_budget("letter multisets", CLASS_CAP, math.comb(n, n_sites), work=f"C({n}, {n_sites})")
+    """Refuse more than CLASS_CAP "letter multisets" C(N+A-1, N) of N letters from A >= 1.
+
+    With n = N + A - 1, C(n, N) = C(n, A - 1) and C(n, i) grows with i up to
+    n/2, so the product C(n, i) = C(n, i - 1) * (n - i + 1) / i over
+    i <= min(N, A - 1) stops once it passes the cap, after at most
+    cap.bit_length() steps (C(n, i) >= 2**i there), without forming C(n, N).
+    """
+    n, classes = n_sites + alphabet - 1, 1
+    for i in range(1, min(n_sites, alphabet - 1) + 1):
+        classes = classes * (n - i + 1) // i
+        if classes > CLASS_CAP:
+            break
+    _check_budget("letter multisets", CLASS_CAP, classes, work=f"C({n}, {n_sites})")
 
 
 def _check_range(space: ProductSpace) -> int:
@@ -439,15 +453,19 @@ def run_search(space: ProductSpace) -> RawSearchResult:
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}
     best_sq = max(squares.values(), key=cmp_to_key(partial(compare_real_coeffs, order)))
     count, argmin = _class_tally(letters[[squares[v] == best_sq for v in values]], a_size)
-    powers_list = _alpha_powers(order)
-    best_value = sum(c * powers_list[j].real for j, c in enumerate(best_sq) if c)
     return RawSearchResult(
         best_sq_coeffs=best_sq,
-        best_sq_value=float(best_value),
+        best_sq_value=_real_float(order, best_sq),
         num_maximizers=count,
         argmax_index=argmin,
         assignments_scanned=space.size,
     )
+
+
+def _real_float(order: int, coeffs) -> float:
+    """The float of a real value given by canonical coeffs: sum_j c_j * cos(2*pi*j/m)."""
+    powers = _alpha_powers(order)
+    return float(sum(c * powers[j].real for j, c in enumerate(coeffs) if c))
 
 
 def _multiset_values(space: ProductSpace) -> np.ndarray:

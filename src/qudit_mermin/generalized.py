@@ -37,31 +37,41 @@ sum_p prod_i F_p unchanged; S fixes no letter and S**d is the identity, so
 ``ratio_space`` hands S to the search engine, which evaluates one exact
 value per S-orbit of its near-tie band (an orbit holds at most d classes)
 instead of one per class.
+
+At d = 3 every letter is a root of unity times the all-ones row shifted
+by S**s, and a proven bound leaves only the classes of one shift s as
+candidates, so ``_diagonal_search`` answers the d = 3 search from three
+exact values at every N, with no scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache, partial
 
 import numpy as np
 
 from ._enumeration import (
     FACTOR_CAP,
     ProductSpace,
+    RawSearchResult,
     _check_multisets,
+    _real_float,
     decode_index,
+    encode_index,
     run_search,
 )
 from .cyclotomic import (
     CycInt,
     _check_budget,
+    _circulant_index,
     _integer,
     _read_only,
     _root_coeffs,
     _site_count,
     _site_power,
+    compare_real_coeffs,
     root_counts,
 )
 from .mermin import (
@@ -208,6 +218,115 @@ def _ratio_shift(d: int) -> np.ndarray:
     return _read_only((ratios - np.arange(d)) % d @ weights, np.intp)
 
 
+def _letter_forms(counts: np.ndarray) -> np.ndarray:
+    """(A, 4) rows (a, s, c, k): F_p(a) = alpha**(c + d*p*k) * F_{p+s}(0) for every p.
+
+    Found exactly on (A, d, m) root counts: row c + d*p*k of the circulant
+    of F_{p+s}(0) (``_circulant_index``) must equal F_p(a) count for count.
+    ArithmeticError unless every letter has exactly one such form.
+    """
+    n_letters, d, m = counts.shape
+    s, c, k, p = np.ix_(np.arange(d), np.arange(m), np.arange(d), np.arange(d))
+    forms = counts[0][:, _circulant_index(m)][(p + s) % d, (c + d * p * k) % m]
+    hits = np.argwhere((forms == counts[:, None, None, None]).all(axis=(-2, -1)))
+    if not np.array_equal(hits[:, 0], np.arange(n_letters)):
+        raise ArithmeticError("a ratio letter is not a root times a shifted all-ones row")
+    return hits
+
+
+@lru_cache(maxsize=None)
+def _diagonal_groups() -> tuple[tuple[int, ...], ...]:
+    """The qutrit ratio letters by shift group s and k: ``groups[s][k]``, checked once.
+
+    ``_letter_forms`` of ``_ratio_counts(3)``: the groups are s = 0 {0, 2, 3},
+    s = 1 {4, 5, 8} and s = 2 {1, 6, 7}, and each group's k run over 0, 1, 2
+    (else ArithmeticError), so a group holds 3**(N-1) assignments of each
+    k-sum K = sum_i k_i (mod 3).
+    """
+    a, s, _, k = _letter_forms(_ratio_counts(3)).T
+    if (np.bincount(3 * s + k, minlength=9) != 1).any():
+        raise ArithmeticError("each shift group must hold one letter of every k")
+    groups = np.empty((3, 3), dtype=np.intp)
+    groups[s, k] = a
+    return tuple(map(tuple, groups.tolist()))
+
+
+def _diagonal_tally(n_sites: int, winners) -> tuple[int, int]:
+    """Assignments of the diagonal classes whose k-sum lies in ``winners``, and the least index.
+
+    A group and a k-sum K hold 3**(N-1) assignments, so the count is
+    len(winners) * 3**N.  The least one of group s and K puts the group's
+    least letter l at sites 1..N-1 and at site N the letter whose k makes
+    the sum K; the least index is the least of these over groups and K.
+    """
+    groups = _diagonal_groups()
+    least = min(
+        (low,) * (n_sites - 1) + (row[(K - (n_sites - 1) * row.index(low)) % 3],)
+        for row in groups
+        for low in [min(row)]
+        for K in winners
+    )
+    return len(winners) * 3**n_sites, encode_index(least, 9)
+
+
+# |v|**2 has canonical coefficients of magnitude at most its mass 9**(N+1),
+# summing to at most twice that (``_diagonal_search``); the cap keeps every float
+# formed from them finite, so N <= 321.
+_SQUARE_MASS_CAP = 2**1022
+
+
+def _diagonal_search(n_sites: int) -> RawSearchResult:
+    """``run_search(ratio_space(3, N))``, field for field, from a proof and three exact values.
+
+    Row fact (``_diagonal_groups``, checked exactly once per process, before
+    the first result is returned): every
+    qutrit ratio letter a has F_p(a) = alpha**(c + 3*p*k) * F_{p+s}(0) for
+    p = 0, 1, 2, with F_q(0) = B, -C, A.  A class is diagonal when all its
+    letters share one s; its value is then
+    alpha**(C - 3*s*K) * X_K with X_K = sum_q alpha**(3*q*K) * F_q(0)**N,
+    C = sum_i c_i and K = sum_i k_i (mod 3), so |v| = |X_K|.  K = 0 at
+    letter 0 gives L = |X_0| = A**N + B**N + (-C)**N, the all-ones value.
+
+    Bound.  Every class has |v| <= U = sum_p prod_i |F_p(a_i)|, and every
+    class that is not diagonal has U < L, so the maximizers are the diagonal
+    classes of the K whose |X_K|**2 is largest.  N = 1 has no other class.
+    At N = 2 a class of two shifts s_1 != s_2 (three such shift vectors)
+    has U = AB + BC + CA and L = A**2 + B**2 + C**2 = 9, so U/L = 0.7581.
+    For N >= 3 let n_p count the sites whose factor at slot p is the A one;
+    sum_p n_p = N and, the shifts not all equal, every n_p <= N - 1.  With
+    r = B/A and q = C/A < r, U/A**N <= sum_p r**(N - n_p), a convex function
+    of (n_p) whose largest value on that polytope is at a vertex, a
+    permutation of (N - 1, 1, 0): U/A**N <= r + r**(N-1) + r**N.  And
+    L/A**N >= 1 + r**N - q**N, so U < L whenever r + r**(N-1) < 1 - q**N:
+    0.8152 < 0.9581 at N = 3, and the left side falls and the right rises
+    with N.
+
+    Exact values.  H = ``_site_power`` of letter 0's counts holds F_q(0)**N
+    in slot q; X_K is sum_q H_q rolled by 3*q*K, folded, for K = 0, 1, 2,
+    and the largest |X_K|**2 is picked by ``compare_real_coeffs``.
+    ``_diagonal_tally`` counts and orders the winners' assignments.
+
+    Budget.  |v|**2 (the payload's ``max_sq_coeffs``) is a sum of
+    9**(N+1) roots of unity, and folding a root to canonical coefficients
+    puts +-1 on at most two of them, so each coefficient is at most
+    9**(N+1) in magnitude and they sum to at most 2 * 9**(N+1).
+    9**(N+1) <= ``_SQUARE_MASS_CAP`` = 2**1022 is checked first, so the
+    float of the maximum and each partial sum of it stay below
+    2**1023 * (1 + 8u) < 2**1024 (u = 2**-53), and the float shadow of
+    ``compare_real_coeffs`` is finite or not used.
+    """
+    n_sites = _site_count(n_sites)
+    _check_budget("ratio square mass", _SQUARE_MASS_CAP, 9, n_sites + 1)
+    h = _site_power(_ratio_counts(3)[0], n_sites)  # slot q: F_q(0)**N
+    twist = 3 * np.outer(np.arange(3), np.arange(3)) % 9  # [K, q]: 3*q*K mod 9
+    rolled = h[:, _circulant_index(9)][np.arange(3), twist]  # [K, q]: alpha**(3qK) H_q
+    values = [CycInt(9, tuple(row)) for row in (rolled.sum(axis=1) @ _root_coeffs(9)).tolist()]
+    squares = [(v * v.conjugate()).coeffs for v in values]
+    best = max(squares, key=cmp_to_key(partial(compare_real_coeffs, 9)))
+    count, argmin = _diagonal_tally(n_sites, [K for K, sq in enumerate(squares) if sq == best])
+    return RawSearchResult(best, _real_float(9, best), count, argmin, 9**n_sites)
+
+
 @lru_cache(maxsize=None)
 def _ratio_letters(d: int) -> ProductSpace:
     """The ratio letters on one site, their slot shift checked once per d."""
@@ -271,15 +390,20 @@ class ConjectureReport:
 
 
 def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
-    """Scan every per-site ratio tuple and compare against the all-ones point.
+    """Cover every per-site ratio tuple and compare against the all-ones point.
 
-    The scan evaluates each multiset of per-site tuples once.  A
-    space over the search budget raises ValueError before its d**(d-1)
-    letters' root counts are built.  The arg-max index and each site's ratio
-    exponents follow the letter order of ``ratio_space``.
+    At d = 3 no tuple is scanned: ``_diagonal_search`` proves which classes
+    reach the maximum and takes it from three exact values (N <= 321).  At
+    d = 5 and 7 the scan evaluates each multiset of per-site tuples once,
+    and a space over the search budget raises ValueError before its
+    d**(d-1) letters' root counts are built.  The arg-max index and each
+    site's ratio exponents follow the letter order of ``ratio_space``.
     """
     cfg = GeneralConfig(d, n_sites)
-    raw = run_search(ratio_space(cfg.d, cfg.n_sites))
+    if cfg.d == 3:
+        raw = _diagonal_search(cfg.n_sites)
+    else:
+        raw = run_search(ratio_space(cfg.d, cfg.n_sites))
     uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs
     uniform_is_max = uniform_sq == raw.best_sq_coeffs

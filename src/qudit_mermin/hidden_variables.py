@@ -16,9 +16,10 @@ p_N = 3*p_{N-1} - 3*p_{N-3} on the power sums.
 The per-site factors are the d = 3 rows of ``generalized``'s ratio factor
 table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
 1, 2) at R, S.  The exhaustive searches are exact: ratio mode covers all
-9**N ratio assignments by evaluating each of the C(N+8, 8) multisets of
-per-site letters of ``generalized.ratio_space(3, N)`` once (the factor
-products commute across sites).  Full mode first checks that the
+9**N ratio assignments with no scan, since every letter is a root of unity
+times the all-ones row shifted by one of three slots, and a proven bound
+leaves only the classes of one shift: their values are three exact numbers
+(``generalized._diagonal_search``).  Full mode first checks that the
 operator's own terms are invariant under permuting sites, so a value
 assignment's score depends only on the multiset of its per-site value
 triples; adding c to one site's triple multiplies the value by omega**c,
@@ -58,6 +59,7 @@ import numpy as np
 
 from ._enumeration import (
     ProductSpace,
+    RawSearchResult,
     _class_letters,
     _class_tally,
     _class_values,
@@ -78,7 +80,7 @@ from .cyclotomic import (
     _site_count,
     _site_product,
 )
-from .generalized import _factor_rows, _ratio_counts, ratio_space
+from .generalized import _diagonal_search, _factor_rows, _ratio_counts, ratio_space
 from .mermin import _VALUE_GROUP_SITES, MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -431,21 +433,28 @@ def max_equals_uniform(result: SearchResult) -> bool:
     return result.max_sq_coeffs == target.coeffs
 
 
+def _ratio_ranking(n_sites: int) -> RawSearchResult:
+    """Ratio mode by ranking every letter multiset (``run_search``), N <= 15: the oracle."""
+    return run_search(ratio_space(3, n_sites))
+
+
 def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     """Cover every assignment and return the exact classical maximum.
 
     Ratio mode covers the 9**N ratio assignments through the factor-product
-    form, one evaluation per multiset of per-site ratios, under the budgets
-    of ``generalized.ratio_space``.  Full mode covers the 27**N <=
-    ``FULL_SEARCH_CAP`` = 27**6 value assignments of ``_full_search``:
-    it checks that the operator terms are invariant under permuting sites
-    (else ArithmeticError), and, since shifting one site's triple by c
-    multiplies the value by omega**c, contracts their omega root counts
-    site by site into the exact value of each of the C(N+8, 8) multisets
-    of per-site triples with x = 0, one per 3**N assignments, as a uint16
-    |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted N).
-    Each class shares its rank with its multiset of per-site ratios, whose
-    exact values come from one walk that shares prefix products: every
+    form without scanning them: ``generalized._diagonal_search`` proves that
+    only classes of one shift group can reach the maximum, and takes it from
+    three exact values (N <= 321, under its float budget).  The class
+    ranking it replaced, ``_ratio_ranking``, stays as its oracle.  Full mode
+    covers the 27**N <= ``FULL_SEARCH_CAP`` = 27**6 value assignments of
+    ``_full_search``: it checks that the operator terms are invariant under
+    permuting sites (else ArithmeticError), and, since shifting one site's
+    triple by c multiplies the value by omega**c, contracts their omega root
+    counts site by site into the exact value of each of the C(N+8, 8)
+    multisets of per-site triples with x = 0, one per 3**N assignments, as a
+    uint16 |value|**2 (exact for the 3**(N-1) <= 243 terms of every admitted
+    N).  Each class shares its rank with its multiset of per-site ratios,
+    whose exact values come from one walk that shares prefix products: every
     score must equal the ratio reduction's exactly (else ArithmeticError),
     and the largest float deviation from it is reported.  An over-budget
     N raises ValueError before anything is built.  Ties are counted exactly
@@ -455,7 +464,7 @@ def exhaustive_search(n_sites: int, mode: str = "ratio") -> SearchResult:
     """
     n_sites = _site_count(n_sites)
     if mode == "ratio":
-        raw = run_search(ratio_space(3, n_sites))
+        raw = _diagonal_search(n_sites)
         assignment = HVAssignment.from_ratio_index(n_sites, raw.argmax_index)
         return SearchResult(
             mode="ratio",

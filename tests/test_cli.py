@@ -19,11 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qudit_mermin import cli as cli_module
+from qudit_mermin import cyclotomic
 from qudit_mermin.cli import cli
 from qudit_mermin.hidden_variables import (
     WitnessRecord,
     contradiction_witness,
+    exhaustive_search,
     iter_contradiction_witnesses,
+    power_sum,
 )
 from qudit_mermin.qudit_ops import SettingWord
 from oracles import clean_json
@@ -529,7 +532,7 @@ def test_witness_limit_is_refused_below_zero(runner):
 
 def test_usage_errors_exit_2(runner):
     assert runner.invoke(cli, ["search", "--n", "3", "--mode", "greedy"]).exit_code == 2
-    assert runner.invoke(cli, ["search", "--n", "99"]).exit_code == 2
+    assert runner.invoke(cli, ["search", "--n", "322"]).exit_code == 2
     assert runner.invoke(cli, ["table1", "--n-min", "5", "--n-max", "3"]).exit_code == 2
     assert runner.invoke(cli, ["verify", "--n", "2", "--d", "4"]).exit_code == 2
     assert runner.invoke(cli, ["identity", "--n", "10"]).exit_code == 2
@@ -560,8 +563,8 @@ BUDGET_ROWS = [
      f"operator terms: 5**{HUGE_N - 1} exceeds the cap of 1594323"),
     (["verify", "--d", "7"], 8, "operator terms: 7**8 exceeds the cap of 1594323",
      f"operator terms: 7**{HUGE_N - 1} exceeds the cap of 1594323"),
-    (["search"], 15, "letter multisets: C(24, 16) exceeds the cap of 500000",
-     f"letter multisets: C({HUGE_N + 8}, {HUGE_N}) exceeds the cap of 500000"),
+    (["search"], 321, f"ratio square mass: 9**323 exceeds the cap of {2**1022}",
+     f"ratio square mass: 9**{HUGE_N + 1} exceeds the cap of {2**1022}"),
     (["search", "--mode", "full"], 6, "full search: 27**7 exceeds the cap of 387420489",
      f"full search: 27**{HUGE_N} exceeds the cap of 387420489"),
     (["general", "--d", "5", "--conjecture"], 2,
@@ -592,6 +595,37 @@ def test_budget_exit_codes(runner):
     result = runner.invoke(cli, ["verify", "--n", "13", "--variant", "2", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["results"]["eigenvalue"] == 3**12
+
+
+@pytest.mark.parametrize("n", [16, 22, 23, 25, 40, 100, 321])
+def test_ratio_search_past_the_class_ranking_states_the_exact_facts(runner, monkeypatch, n):
+    # past the ranking's N = 15 the maximum is |p_N|, tied 3**N ways, from the all-ones point;
+    # the K values differ by about (B/A)**N relative, so from N = 23 their order needs mpmath
+    calls = []
+    fallback = cyclotomic.mp_real_value
+    monkeypatch.setattr(
+        cyclotomic, "mp_real_value", lambda *args: calls.append(args) or fallback(*args)
+    )
+    result = runner.invoke(cli, ["search", "--n", str(n), "--format", "json"])
+    assert result.exit_code == 0
+    results = json.loads(result.stdout)["results"]
+    assert results["max_sq_coeffs"] == [power_sum(n) ** 2] + [0] * 5
+    assert results["uniform_value"] * 3 == power_sum(n)
+    assert results["num_maximizers"] == 3**n
+    assert results["argmax_index"] == 0
+    assert results["assignments_scanned"] == 9**n
+    assert results["max_equals_uniform"] is True
+    assert bool(calls) == (n >= 23)
+
+
+def test_each_scaling_m_c_is_the_search_maximum(runner):
+    result = runner.invoke(cli, ["scaling", "--n-max", "40", "--format", "json"])
+    assert result.exit_code == 0
+    rows = json.loads(result.stdout)["results"]["rows"]
+    assert [row["N"] for row in rows] == list(range(1, 41))
+    for row in rows:
+        search = exhaustive_search(row["N"])
+        assert search.max_sq_coeffs == ((3 * row["M_C"]) ** 2, 0, 0, 0, 0, 0), row["N"]
 
 
 def test_out_writes_file(runner, tmp_path):

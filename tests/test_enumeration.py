@@ -27,8 +27,10 @@ from hypothesis import strategies as st
 from qudit_mermin import _enumeration
 from qudit_mermin._enumeration import (
     _CLASS_BLOCK,
+    CLASS_CAP,
     ProductSpace,
     _band,
+    _check_multisets,
     _check_range,
     _class_letters,
     _class_tally,
@@ -37,6 +39,7 @@ from qudit_mermin._enumeration import (
     _level_ends,
     _multiset_values,
     _scored_blocks,
+    check_search_budget,
     decode_index,
     encode_index,
     full_space_scores,
@@ -702,3 +705,30 @@ def test_flat_index_is_the_lexicographic_order(alphabet, n_sites):
     for index, word in enumerate(words):
         assert decode_index(index, alphabet, n_sites) == word
         assert encode_index(word, alphabet) == index
+
+
+def test_multiset_budget_refuses_exactly_where_the_binomial_passes_the_cap():
+    sizes = [(a, n) for a in range(1, 31) for n in range(1, 41)]
+    sizes += [(9, 15), (9, 16), (625, 2), (625, 3), (500_001, 1), (500_000, 1), (2, 499_999)]
+    for alphabet, n_sites in sizes:
+        over = math.comb(n_sites + alphabet - 1, n_sites) > CLASS_CAP
+        try:
+            _check_multisets(alphabet, n_sites)
+        except ValueError as error:
+            work = f"C({n_sites + alphabet - 1}, {n_sites})"
+            assert str(error) == f"letter multisets: {work} exceeds the cap of {CLASS_CAP}"
+            assert over, (alphabet, n_sites)
+        else:
+            assert not over, (alphabet, n_sites)
+
+
+def test_multiset_budget_stops_its_product_past_the_cap(monkeypatch):
+    # C(10**9 + 99999, 10**9) has about 1.1 million digits; the budget must not form it
+    def comb(n, k):
+        raise AssertionError(f"C({n}, {k}) formed in full")
+
+    monkeypatch.setattr(math, "comb", comb)
+    message = f"letter multisets: C({10**9 + 99_999}, {10**9}) exceeds the cap of {CLASS_CAP}"
+    with pytest.raises(ValueError) as error:
+        check_search_budget(10**5, 1, 1, 10**9)
+    assert str(error.value) == message

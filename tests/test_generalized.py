@@ -9,16 +9,29 @@ import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_mermin import _enumeration, generalized, mermin
-from qudit_mermin.cyclotomic import CycInt, _root_coeffs, root_counts, root_of_unity
+from qudit_mermin.cyclotomic import (
+    CycInt,
+    _root_coeffs,
+    compare_real_coeffs,
+    root_counts,
+    root_of_unity,
+)
 from qudit_mermin._enumeration import _class_values
 from qudit_mermin.generalized import (
     GeneralConfig,
+    _diagonal_groups,
+    _diagonal_search,
+    _diagonal_tally,
     _factor_exponents,
     _factor_rows,
+    _letter_forms,
     _ratio_counts,
     _ratio_shift,
     build_general_mermin,
@@ -35,6 +48,7 @@ from qudit_mermin.hidden_variables import (
     A_VALUE,
     B_VALUE,
     C_VALUE,
+    _ratio_ranking,
     exhaustive_search,
     factor_value,
     uniform_value,
@@ -436,3 +450,113 @@ def test_ratio_shift_has_order_d_and_no_fixed_letter(d):
     assert np.array_equal(image, letters)
     if d < 7:  # d = 7 exceeds the factor budget
         assert np.array_equal(ratio_space(d, 1).shift, shift)
+
+
+# ---- the d = 3 ratio search from its proven bound -------------------------------
+
+
+def test_every_qutrit_letter_is_a_root_times_a_shifted_all_ones_row():
+    rows = ratio_space(3, 1).factors
+    ones = rows[0]
+    assert [f.to_complex() for f in ones] == pytest.approx([B_VALUE, -C_VALUE, A_VALUE])
+    forms = _letter_forms(_ratio_counts(3)).tolist()
+    assert [a for a, *_ in forms] == list(range(9))
+    for a, s, c, k in forms:
+        for p in range(3):
+            assert rows[a][p] == root_of_unity(c + 3 * p * k, 9) * ones[(p + s) % 3], (a, p)
+    assert [sorted(a for a, s, *_ in forms if s == g) for g in range(3)] == [
+        [0, 2, 3], [4, 5, 8], [1, 6, 7]
+    ]
+    assert sorted(a for a, _, c, k in forms if c == k == 0) == [0, 5, 7]
+    groups = _diagonal_groups()
+    assert [[forms[a][3] for a in row] for row in groups] == [[0, 1, 2]] * 3
+    assert [sorted(row) for row in groups] == [[0, 2, 3], [4, 5, 8], [1, 6, 7]]
+
+
+def test_a_corrupted_count_table_fails_the_row_fact(monkeypatch):
+    counts = np.array(_ratio_counts(3))
+    counts[4, 1] = np.roll(counts[4, 1], 1)  # one slot of letter 4 turned by alpha
+    with pytest.raises(ArithmeticError, match="not a root times"):
+        _letter_forms(counts)
+    # letter 2 a copy of letter 0: every letter has a form, but group 0 lacks k = 1
+    counts = np.array(_ratio_counts(3))
+    counts[2] = counts[0]
+    assert len(_letter_forms(counts)) == 9
+    monkeypatch.setattr(generalized, "_ratio_counts", lambda d: counts)
+    _diagonal_groups.cache_clear()
+    with pytest.raises(ArithmeticError, match="one letter of every k"):
+        _diagonal_groups()
+
+
+def test_the_bound_premises_hold_at_50_digits():
+    with mpmath.workdps(50):
+        a, b, c = (abs(1 + 2 * mpmath.cos(2 * mpmath.pi * j / 9)) for j in (1, 2, 4))
+        assert c < b < a
+        magnitudes = (b, c, a)  # |F_q(0)|
+        # N = 2: U/L over the three shift vectors s_1 != s_2
+        total = a**2 + b**2 + c**2
+        assert mpmath.almosteq(total, 9, 1e-45)
+        ratios = [
+            sum(magnitudes[(p + s1) % 3] * magnitudes[(p + s2) % 3] for p in range(3)) / total
+            for s1, s2 in itertools.combinations(range(3), 2)
+        ]
+        assert len(ratios) == 3 and max(ratios) < 1
+        assert mpmath.nstr(max(ratios), 4) == "0.7581"
+        # N >= 3: r + r**(N-1) < 1 - q**N, first at N = 3
+        r, q = b / a, c / a
+        left, right = r + r**2, 1 - q**3
+        assert left < right
+        assert (mpmath.nstr(left, 4), mpmath.nstr(right, 4)) == ("0.8152", "0.9581")
+        # the bound on U: the largest of sum_p r**(N - n_p) over admitted (n_p) is the vertex
+        for n in range(3, 9):
+            vertex = r + r ** (n - 1) + r**n
+            for counts in itertools.product(range(n), repeat=3):
+                if sum(counts) == n:
+                    assert sum(r ** (n - k) for k in counts) <= vertex * (1 + 1e-40)
+
+
+def test_the_bound_holds_for_every_shift_vector_up_to_eight_sites():
+    # U of every shift vector that is not constant stays below L = |p_N|
+    with mpmath.workdps(30):
+        magnitudes = [abs(1 + 2 * mpmath.cos(2 * mpmath.pi * j / 9)) for j in (2, 4, 1)]
+        for n in range(2, 9):
+            total = abs(sum(m**n * (-1 if i == 1 else 1) ** n for i, m in enumerate(magnitudes)))
+            for shifts in itertools.combinations_with_replacement(range(3), n):
+                if len(set(shifts)) > 1:
+                    bound = sum(
+                        mpmath.fprod(magnitudes[(p + s) % 3] for s in shifts) for p in range(3)
+                    )
+                    assert bound < total, shifts
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_diagonal_search_equals_the_class_ranking(n):
+    assert _diagonal_search(n) == _ratio_ranking(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagonal_tally_counts_and_orders_every_winner_set(n):
+    forms = _letter_forms(_ratio_counts(3))
+    shift, k = forms[:, 1].tolist(), forms[:, 3].tolist()
+    for size in (1, 2, 3):
+        for winners in itertools.combinations(range(3), size):
+            hits = [
+                index
+                for index, letters in enumerate(itertools.product(range(9), repeat=n))
+                if len({shift[a] for a in letters}) == 1
+                and sum(k[a] for a in letters) % 3 in winners
+            ]
+            assert _diagonal_tally(n, winners) == (len(hits), hits[0]), winners
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+def test_no_sampled_class_beats_the_diagonal_maximum(letters):
+    n = len(letters)
+    best = _diagonal_search(n).best_sq_coeffs
+    row = _class_values(_ratio_counts(3), np.array([sorted(letters)]))[0]
+    value = CycInt(9, tuple(row.tolist()))
+    order = compare_real_coeffs(9, (value * value.conjugate()).coeffs, best)
+    assert order <= 0
+    if order == 0:  # a maximizer is diagonal: all its letters share one shift group
+        assert any(set(letters) <= set(group) for group in _diagonal_groups())

@@ -1097,7 +1097,7 @@ def test_full_search_worker_determinism():
 
 def test_search_caps_and_bad_mode():
     with pytest.raises(ValueError):
-        exhaustive_search(16, mode="ratio")
+        exhaustive_search(322, mode="ratio")
     with pytest.raises(ValueError):
         exhaustive_search(7, mode="full")
     with pytest.raises(ValueError):
