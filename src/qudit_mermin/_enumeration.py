@@ -105,10 +105,8 @@ FACTOR_CAP = 10**6
 _CLASS_BLOCK = 2**5
 # Ranking letters per matmul: a group's (letters x prefixes) float rectangle
 # stays within 2**14 entries (2**16, or one whole d = 5, N = 2 rectangle, adds
-# 2.7 MB of peak RSS) and its -inf padding within 2**10 entries, about the
-# work one more product saves (2x the classes held slows d = 3, N = 7).
+# 2.7 MB of peak RSS).
 _GROUP_ENTRIES = 2**14
-_GROUP_PADDING = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,15 +287,13 @@ def _letter_groups(sizes: list[int]) -> list[tuple[int, int]]:
     Block b holds sizes[b] classes, so a group's rectangle has
     (b1 - b0) * sizes[b1 - 1] entries, of which those past the classes it
     holds are padding; a group takes the next letter while its rectangle
-    stays within ``_GROUP_ENTRIES`` and its padding within ``_GROUP_PADDING``.
+    stays within ``_GROUP_ENTRIES``.
     """
-    groups, b0, held = [], 0, 0
+    groups, b0 = [], 0
     for b, n in enumerate(sizes):
-        entries = (b + 1 - b0) * n
-        if b > b0 and (entries > _GROUP_ENTRIES or entries - held - n > _GROUP_PADDING):
+        if b > b0 and (b + 1 - b0) * n > _GROUP_ENTRIES:
             groups.append((b0, b))
-            b0, held = b, 0
-        held += n
+            b0 = b
     groups.append((b0, len(sizes)))
     return groups
 

@@ -18,12 +18,15 @@ per-site factor of product p is
 This module keeps the one table of these factors, as root counts built
 once per d (``_ratio_counts``); the search engine reads them through
 ``_enumeration._class_values``, and the qutrit point values through one
-``cyclotomic._site_product`` chain.  Letter a of the
-ratio alphabet has d - 1 base-d digits, most significant first, which are
-t_j on the rotation letters j = 1, 2, ..., d - 1 taken mod d; at d = 3
-that is a = 3R + S, the qutrit ratio index of ``hidden_variables``.
-Letter 0 is the all-ones point, whose factors are the d uniform factor
-magnitudes: A, B, C for d = 3, and for d = 5 the largest is about 4.6898.
+``cyclotomic._site_product`` chain; the qutrit factor table of
+``hidden_variables`` names its factors by the forms of ``_qutrit_forms``,
+and the uniform values read only the all-ones row (``_uniform_counts``).
+Letter a of the ratio alphabet has d - 1 base-d digits, most significant
+first, which are t_j on the rotation letters j = 1, 2, ..., d - 1 taken
+mod d; at d = 3 that is a = 3R + S, the qutrit ratio index of
+``hidden_variables``.  Letter 0 is the all-ones point, whose factors are
+the d uniform factor magnitudes: A, B, C for d = 3, and for d = 5 the
+largest is about 4.6898.
 Whether the all-ones point is the true classical optimum for d > 3 is
 probed by exhaustive search over ``ratio_space`` and reported, never
 asserted.
@@ -179,12 +182,6 @@ def _mixing_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(mix, np.int64), _read_only(j % d, np.intp)
 
 
-def _factor_rows(d: int, ratios) -> tuple[tuple[CycInt, ...], ...]:
-    """The d factors F_p of each row of a (K, d) ratio array, as ``CycInt`` rows."""
-    counts = root_counts(d * d, _factor_exponents(d, ratios))
-    return ProductSpace(order=d * d, n_sites=1, counts=counts).factors
-
-
 def _ratio_digits(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, d) ratio rows of the letters a < A = d**(d-1), and the digit weights.
 
@@ -192,6 +189,13 @@ def _ratio_digits(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     weights = d ** np.arange(d - 1, -1, -1)
     return np.arange(d ** (d - 1))[:, None] // weights % d, weights
+
+
+@lru_cache(maxsize=None)
+def _uniform_counts(d: int) -> np.ndarray:
+    """Read-only (d, m) root counts of letter 0 alone, the all-ones point, once per d."""
+    zero = np.zeros((1, d), dtype=np.int64)
+    return _read_only(root_counts(d * d, _factor_exponents(d, zero))[0], np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -235,17 +239,26 @@ def _letter_forms(counts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_groups() -> tuple[tuple[int, ...], ...]:
-    """The qutrit ratio letters by shift group s and k: ``groups[s][k]``, checked once.
+def _qutrit_forms() -> np.ndarray:
+    """Read-only (9, 4) ``_letter_forms`` of ``_ratio_counts(3)``, checked once per process.
 
-    ``_letter_forms`` of ``_ratio_counts(3)``: the groups are s = 0 {0, 2, 3},
-    s = 1 {4, 5, 8} and s = 2 {1, 6, 7}, and each group's k run over 0, 1, 2
-    (else ArithmeticError), so a group holds 3**(N-1) assignments of each
-    k-sum K = sum_i k_i (mod 3).
+    Each shift group, s = 0 {0, 2, 3}, 1 {4, 5, 8} and 2 {1, 6, 7}, must
+    hold one letter of every k (else ArithmeticError).
     """
-    a, s, _, k = _letter_forms(_ratio_counts(3)).T
+    forms = _letter_forms(_ratio_counts(3))
+    _, s, _, k = forms.T
     if (np.bincount(3 * s + k, minlength=9) != 1).any():
         raise ArithmeticError("each shift group must hold one letter of every k")
+    return _read_only(forms, np.intp)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_groups() -> tuple[tuple[int, ...], ...]:
+    """The qutrit letters by shift group s and k, ``groups[s][k]``, from ``_qutrit_forms``.
+
+    A group holds 3**(N-1) assignments of each k-sum K = sum_i k_i (mod 3).
+    """
+    a, s, _, k = _qutrit_forms().T
     groups = np.empty((3, 3), dtype=np.intp)
     groups[s, k] = a
     return tuple(map(tuple, groups.tolist()))
@@ -278,7 +291,7 @@ _SQUARE_MASS_CAP = 2**1022
 def _diagonal_search(n_sites: int) -> RawSearchResult:
     """``run_search(ratio_space(3, N))``, field for field, from a proof and three exact values.
 
-    Row fact (``_diagonal_groups``, checked exactly once per process, before
+    Row fact (``_qutrit_forms``, checked exactly once per process, before
     the first result is returned): every
     qutrit ratio letter a has F_p(a) = alpha**(c + 3*p*k) * F_{p+s}(0) for
     p = 0, 1, 2, with F_q(0) = B, -C, A.  A class is diagonal when all its
@@ -345,9 +358,10 @@ def ratio_space(d: int, n_sites: int) -> ProductSpace:
 
 def uniform_factors(d: int) -> UniformFactorSet:
     d = GeneralConfig(d, 1).d
+    values = (_uniform_counts(d) @ _root_coeffs(d * d)).tolist()
     entries = [
         FactorSetEntry(p, value.magnitude(), value)
-        for p, value in enumerate(_factor_rows(d, np.zeros((1, d), dtype=int))[0])
+        for p, value in enumerate(CycInt(d * d, tuple(row)) for row in values)
     ]
     entries.sort(key=lambda e: (-e.magnitude, e.product_index))
     return UniformFactorSet(d, tuple(entries))
@@ -357,8 +371,7 @@ def general_uniform_sum(d: int, n_sites: int) -> CycInt:
     """Exact d*v at the all-ones point, sum_p F_p**N: ``_site_power`` of the all-zero row."""
     cfg = GeneralConfig(d, n_sites)
     m = cfg.d * cfg.d
-    counts = root_counts(m, _factor_exponents(cfg.d, np.zeros((1, cfg.d), dtype=np.int64)))
-    coeffs = _site_power(counts[0], cfg.n_sites).sum(axis=0) @ _root_coeffs(m)
+    coeffs = _site_power(_uniform_counts(cfg.d), cfg.n_sites).sum(axis=0) @ _root_coeffs(m)
     return CycInt(m, tuple(coeffs.tolist()))
 
 

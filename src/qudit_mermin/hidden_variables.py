@@ -15,10 +15,12 @@ p_N = 3*p_{N-1} - 3*p_{N-3} on the power sums.
 
 The per-site factors are the d = 3 rows of ``generalized``'s ratio factor
 table: ratio letter 3R + S holds the B, C and A factors (products p = 0,
-1, 2) at R, S.  The exhaustive searches are exact: ratio mode covers all
-9**N ratio assignments with no scan, since every letter is a root of unity
-times the all-ones row shifted by one of three slots, and a proven bound
-leaves only the classes of one shift: their values are three exact numbers
+1, 2) at R, S, folded once per process (``_qutrit_table``) and named by
+their letters' checked forms, not by their coefficients.  The exhaustive
+searches are exact: ratio mode covers all 9**N ratio assignments with no
+scan, since every letter is a root of unity times the all-ones row shifted
+by one of three slots, and a proven bound leaves only the classes of one
+shift: their values are three exact numbers
 (``generalized._diagonal_search``).  Full mode first checks that the
 operator's own terms are invariant under permuting sites, so a value
 assignment's score depends only on the multiset of its per-site value
@@ -58,7 +60,6 @@ from functools import lru_cache
 import numpy as np
 
 from ._enumeration import (
-    ProductSpace,
     RawSearchResult,
     _class_letters,
     _class_tally,
@@ -80,7 +81,7 @@ from .cyclotomic import (
     _site_count,
     _site_product,
 )
-from .generalized import _diagonal_search, _factor_rows, _ratio_counts, ratio_space
+from .generalized import _diagonal_search, _qutrit_forms, _ratio_counts, ratio_space
 from .mermin import _VALUE_GROUP_SITES, MerminOperator, build_mermin, counts_by_position
 from .qudit_ops import (
     EigenstateError,
@@ -124,7 +125,8 @@ SYMBOLS = ("1", "w", "w^2")
 
 # Product index p -> factor letter: the three products of the identity
 # expansion are the B, C, A products in that order.
-_LETTER_SLOT = {"B": 0, "C": 1, "A": 2}
+_SLOT_LETTERS = "BCA"
+_LETTER_SLOT = {letter: p for p, letter in enumerate(_SLOT_LETTERS)}
 
 # Full mode covers 27**N value assignments; this allows N <= 6.
 FULL_SEARCH_CAP = 27**6
@@ -133,16 +135,16 @@ FULL_SEARCH_CAP = 27**6
 PERMUTATION_CLASS_CAP = math.comb(8 + 2, 2)
 
 
-def _ratio_row(r_exp: int, s_exp: int) -> tuple[int, int, int]:
-    """The ratio row (0, R, S) of integer exponents; floats raise ValueError."""
-    return (0, _integer(r_exp, "ratio exponents") % 3, _integer(s_exp, "ratio exponents") % 3)
+def _ratio_letter(r_exp: int, s_exp: int) -> int:
+    """The ratio letter 3R + S of integer exponents taken mod 3; floats raise ValueError."""
+    return 3 * (_integer(r_exp, "ratio exponents") % 3) + _integer(s_exp, "ratio exponents") % 3
 
 
 def factor_value(letter: str, r_exp: int, s_exp: int) -> CycInt:
     """Exact per-site factor 1 + (.)R + (.)S for the product letter A, B or C."""
     if letter not in _LETTER_SLOT:
         raise ValueError(f"unknown product letter {letter!r} (expected 'A', 'B' or 'C')")
-    return _factor_rows(3, [_ratio_row(r_exp, s_exp)])[0][_LETTER_SLOT[letter]]
+    return getattr(FactorTriple.at(r_exp, s_exp), f"{letter.lower()}_value")
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ class FactorTriple:
 
     @classmethod
     def at(cls, r_exp: int, s_exp: int) -> FactorTriple:
-        return _triple(_factor_rows(3, [_ratio_row(r_exp, s_exp)])[0])
+        return _qutrit_table()[_ratio_letter(r_exp, s_exp)].triple
 
     def magnitudes(self) -> tuple[float, float, float]:
         return (
@@ -163,11 +165,6 @@ class FactorTriple:
             self.b_value.magnitude(),
             self.c_value.magnitude(),
         )
-
-
-def _triple(row) -> FactorTriple:
-    """The A, B, C factors of one ``_factor_rows`` row, whose slots hold B, C, A."""
-    return FactorTriple(*(row[_LETTER_SLOT[letter]] for letter in "ABC"))
 
 
 @dataclass(frozen=True)
@@ -187,51 +184,32 @@ class FactorTableRow:
 
 
 @lru_cache(maxsize=None)
-def _factor_phases() -> dict[tuple[int, ...], tuple[str, float]]:
-    """(letter, phase in degrees) of each exact factor s * alpha**e * L.
+def _qutrit_table() -> tuple[FactorTableRow, ...]:
+    """The rows of ``factor_table``, ratio letter a = 3R + S in row a, built once.
 
-    L is one of the positive reals A, B, C (the R = S = 1 factors, with
-    -C negated), s = +-1 and e < 9, so the phase is 40e degrees, plus 180
-    when s = -1, taken into (-180, 180].  The 54 values are distinct.
+    The values fold ``_ratio_counts(3)`` by ``_root_coeffs(9)``.  Letter a's
+    form (a, s, c, k), checked in ``generalized._qutrit_forms``, says
+    F_p(a) = alpha**(c + 3*p*k) * F_{p+s}(0) with F_q(0) = B, -C, A, so slot
+    p holds letter ``_SLOT_LETTERS[(p + s) % 3]`` at 40*(c + 3*p*k) degrees,
+    plus 180 for -C, taken into (-180, 180].
     """
-    table = {}
-    uniform = _factor_rows(3, [(0, 0, 0)])[0]
-    for letter, sign in (("A", 1), ("B", 1), ("C", -1)):
-        base = uniform[_LETTER_SLOT[letter]] * sign
-        for e in range(9):
-            for s, turn in ((1, 0), (-1, 180)):
-                phase = 180 - (180 - 40 * e - turn) % 360
-                table[(base * s).times_root(e).coeffs] = (letter, float(phase))
-    return table
-
-
-def _classify(value: CycInt) -> FactorEntry:
-    try:
-        letter, phase = _factor_phases()[value.coeffs]
-    except KeyError:
-        raise ArithmeticError(
-            f"factor {value} is not +-alpha**e times A, B or C"
-        ) from None
-    if phase == 0.0:
-        text = letter
-    elif phase == 180.0:
-        text = f"-{letter}"
-    else:
-        text = f"{letter}({phase:+.0f})"
-    return FactorEntry(
-        letter=letter, phase_deg=phase, magnitude=abs(value.to_complex()), text=text
-    )
+    values = (_ratio_counts(3) @ _root_coeffs(9)).tolist()
+    rows = []
+    for (a, s, c, k), slots in zip(_qutrit_forms().tolist(), values):
+        factors, entries = [], []
+        for p in map(_LETTER_SLOT.get, "ABC"):
+            value, letter = CycInt(9, tuple(slots[p])), _SLOT_LETTERS[(p + s) % 3]
+            phase = float(180 - (180 - 40 * (c + 3 * p * k) - 180 * (letter == "C")) % 360)
+            text = {0.0: letter, 180.0: f"-{letter}"}.get(phase, f"{letter}({phase:+.0f})")
+            factors.append(value)
+            entries.append(FactorEntry(letter, phase, abs(value.to_complex()), text))
+        rows.append(FactorTableRow(a // 3, a % 3, FactorTriple(*factors), tuple(entries)))
+    return tuple(rows)
 
 
 def factor_table() -> tuple[FactorTableRow, ...]:
-    """All nine ratio choices with their classified A, B, C factors."""
-    pairs = [(r_exp, s_exp) for r_exp in range(3) for s_exp in range(3)]
-    rows = []
-    for (r_exp, s_exp), row in zip(pairs, _factor_rows(3, [(0, r, s) for r, s in pairs])):
-        triple = _triple(row)
-        entries = tuple(map(_classify, (triple.a_value, triple.b_value, triple.c_value)))
-        rows.append(FactorTableRow(r_exp, s_exp, triple, entries))
-    return tuple(rows)
+    """All nine ratio choices with their A, B, C factors, named by their checked forms."""
+    return _qutrit_table()
 
 
 @dataclass(frozen=True)
@@ -369,7 +347,7 @@ def hv_value_product_exact(r_exps, s_exps) -> CycInt:
     if len(r_exps) != len(s_exps):
         raise ValueError("ratio vectors must have equal length")
     _site_count(len(r_exps))
-    letters = [3 * r + s for _, r, s in map(_ratio_row, r_exps, s_exps)]
+    letters = list(map(_ratio_letter, r_exps, s_exps))
     slots = _site_product(_ratio_counts(3)[letters])
     return CycInt(9, tuple((slots.sum(axis=0) @ _root_coeffs(9)).tolist()))
 
@@ -416,10 +394,10 @@ class SearchResult:
 
 
 def _argmax_labels(assignment: HVAssignment) -> dict[str, tuple[str, ...]]:
-    rows = _factor_rows(3, [(0, r, s) for r, s in assignment.ratios])
+    """Each column's factor letter at every site, read from the cached ``_qutrit_table``."""
+    rows = [_qutrit_table()[3 * r + s] for r, s in assignment.ratios]
     return {
-        letter: tuple(_classify(row[_LETTER_SLOT[letter]]).letter for row in rows)
-        for letter in ("A", "B", "C")
+        column: tuple(row.entries[i].letter for row in rows) for i, column in enumerate("ABC")
     }
 
 
@@ -672,11 +650,12 @@ class PermutationClassReport:
 def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
     """Best bound and attained value over the proper shift patterns.
 
-    Shifts 0, 1, 2 are the ratio letters 0, 5, 7 of ``ratio_space(3, 1)``,
-    the rows (1, 1), (w, w^2), (w^2, w).  Both values depend only on how
-    many sites carry each shift (the per-site factors commute), so one
-    ``_class_values`` call evaluates each proper multiset once, at its
-    sorted pattern, and the all-shift-1 pattern of ``full_shift_value``.
+    Shifts 0, 1, 2 are the ratio letters 0, 5, 7 of ``_qutrit_table``, the
+    rows (1, 1), (w, w^2), (w^2, w).  Both values depend only on how many
+    sites carry each shift (the per-site factors commute), so one
+    ``_class_values`` call on their root counts evaluates each proper
+    multiset once, at its sorted pattern, and the all-shift-1 pattern of
+    ``full_shift_value``.
     The sorted patterns come in the lexicographic order of
     ``combinations_with_replacement``, each its multiset's first, so the
     first maximum (``argmax``) is the first maximizing pattern of all
@@ -688,18 +667,19 @@ def permutation_class_max(n_sites: int = 3) -> PermutationClassReport:
         raise ValueError("need at least two sites for a proper nonempty subset")
     top = n_sites + 2
     _check_budget("shift multisets", PERMUTATION_CLASS_CAP, math.comb(top, 2), work=f"C({top}, 2)")
-    space = ProductSpace(9, n_sites, ratio_space(3, 1).counts[[0, 5, 7]])
+    shifts = [0, 5, 7]
     patterns = [
         p
         for p in itertools.combinations_with_replacement(range(3), n_sites)
         if p[0] == 0 and p[-1] != 0  # some sites shifted, not all
     ]
     letters = np.array(patterns + [(1,) * n_sites])
-    mags = np.array([[f.magnitude() for f in row] for row in space.factors])
+    # the rows' magnitudes in slot order, the B, C, A columns
+    mags = np.array([[_qutrit_table()[a].entries[i].magnitude for i in (1, 2, 0)] for a in shifts])
     bounds = mags[letters[:-1]].prod(axis=1).sum(axis=1) / 3.0
     attained = [
         CycInt(9, tuple(row)).magnitude() / 3.0
-        for row in _class_values(space.counts, letters).tolist()
+        for row in _class_values(_ratio_counts(3)[shifts], letters).tolist()
     ]
     b, a = int(np.argmax(bounds)), int(np.argmax(attained[:-1]))
     return PermutationClassReport(

@@ -359,16 +359,14 @@ def scaled_spaces(draw):
     return space_of(draw(st.integers(1, 4)), rows)
 
 
-# (entries, padding) group limits: the module's own, one letter per product,
-# and small ones that split the strategies' spaces into several groups
-_GROUP_LIMITS = st.sampled_from(
-    [(_enumeration._GROUP_ENTRIES, _enumeration._GROUP_PADDING), (1, 0), (16, 4), (64, 16)]
-)
+# Group entry limits: the module's own, one letter per product, and small
+# ones that split the strategies' spaces into several groups
+_GROUP_LIMITS = st.sampled_from([_enumeration._GROUP_ENTRIES, 1, 16, 64])
 
 
-def group_limits(entries, padding):
-    """Patch the ranking's group limits for the duration of a ``with`` block."""
-    return mock.patch.multiple(_enumeration, _GROUP_ENTRIES=entries, _GROUP_PADDING=padding)
+def group_limits(entries):
+    """Patch the ranking's group limit for the duration of a ``with`` block."""
+    return mock.patch.object(_enumeration, "_GROUP_ENTRIES", entries)
 
 
 def scored_classes(space):
@@ -394,9 +392,9 @@ def scored_classes(space):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
-def test_score_bounds_hold_for_every_class(space, limits):
+def test_score_bounds_hold_for_every_class(space, entries):
     _check_range(space)
-    with group_limits(*limits):
+    with group_limits(entries):
         for letters, lower, upper in scored_classes(space):
             for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
                 value = exact_letters_sum(space.order, space.factors, row)
@@ -474,10 +472,10 @@ def test_grouped_band_equals_the_letter_loop(d, n_sites):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
-def test_grouped_band_gives_the_letter_loop_result(space, limits):
+def test_grouped_band_gives_the_letter_loop_result(space, entries):
     with mock.patch.object(_enumeration, "_band", letter_band):
         expected = run_search(space)
-    with group_limits(*limits):
+    with group_limits(entries):
         assert run_search(space) == expected
 
 
@@ -492,9 +490,7 @@ def test_letter_groups_follow_the_rule(alphabet, n_sites):
     assert groups[-1][1] == len(sizes)
 
     def fits(b0, b1):
-        entries = (b1 - b0) * sizes[b1 - 1]
-        padding = entries - sum(sizes[b0:b1])
-        return entries <= _enumeration._GROUP_ENTRIES and padding <= _enumeration._GROUP_PADDING
+        return (b1 - b0) * sizes[b1 - 1] <= _enumeration._GROUP_ENTRIES
 
     for b0, b1 in groups:
         assert b1 == b0 + 1 or fits(b0, b1)

@@ -30,7 +30,6 @@ from qudit_mermin.generalized import (
     _diagonal_search,
     _diagonal_tally,
     _factor_exponents,
-    _factor_rows,
     _letter_forms,
     _ratio_counts,
     _ratio_shift,
@@ -217,9 +216,10 @@ def letter_ratios(d):
 
 def test_factors_match_per_root_sums():
     for d in (3, 5, 7):
-        row = _factor_rows(d, np.zeros((1, d), dtype=np.int64))[0]
-        for p in range(d):
-            assert row[p] == per_root_factor(d, p)
+        entries = uniform_factors(d).entries
+        assert sorted(entry.product_index for entry in entries) == list(range(d))
+        for entry in entries:
+            assert entry.value == per_root_factor(d, entry.product_index)
     for d in (3, 5):
         for ratio_exps, row in zip(letter_ratios(d), ratio_space(d, 1).factors, strict=True):
             for p in range(d):
@@ -258,11 +258,12 @@ def test_d7_uniform_values_build_only_the_all_zero_row(monkeypatch):
         return build(d, ratios)
 
     build = generalized._factor_exponents
+    generalized._uniform_counts.cache_clear()
     monkeypatch.setattr(generalized, "_factor_exponents", recording)
     uniform_factors(7)
     general_uniform_value(7, 5)
-    # one all-zero row for the factors and one for the N = 5 uniform sum
-    assert shapes == [(1, 7), (1, 7)]
+    # one all-zero row, shared by the factors and the N = 5 uniform sum
+    assert shapes == [(1, 7)]
 
 
 def test_mixing_exponent_lives_in_mermin():
@@ -370,7 +371,7 @@ def test_class_values_switch_to_python_integers():
 def test_uniform_sum_equals_the_power_loop():
     # oracle: sum_p F_p**N by repeated CycInt squaring
     for d, sizes in ((3, range(1, 10)), (5, range(1, 10)), (7, [*range(1, 10), 200])):
-        row = _factor_rows(d, np.zeros((1, d), dtype=np.int64))[0]
+        row = [per_root_factor(d, p) for p in range(d)]
         for n_sites in sizes:
             expected = sum((f**n_sites for f in row), CycInt.zero(d * d))
             assert general_uniform_sum(d, n_sites) == expected, (d, n_sites)
@@ -483,6 +484,7 @@ def test_a_corrupted_count_table_fails_the_row_fact(monkeypatch):
     counts[2] = counts[0]
     assert len(_letter_forms(counts)) == 9
     monkeypatch.setattr(generalized, "_ratio_counts", lambda d: counts)
+    generalized._qutrit_forms.cache_clear()
     _diagonal_groups.cache_clear()
     with pytest.raises(ArithmeticError, match="one letter of every k"):
         _diagonal_groups()

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
-from qudit_mermin import _enumeration, hidden_variables, qudit_ops
+from qudit_mermin import _enumeration, generalized, hidden_variables, qudit_ops
 from qudit_mermin._enumeration import (
     _class_letters,
     _class_tally,
@@ -148,7 +148,7 @@ def test_factor_multiset_conserved():
         assert letters == ["A", "B", "C"]
 
 
-def test_factor_table_entries_are_exact_root_multiples():
+def test_factor_table_entries_are_exact_root_multiples(monkeypatch):
     # A, B, C as exact positive reals: the R = S = 1 factors, with -C negated
     constants = {letter: factor_value(letter, 0, 0) for letter in "AB"}
     constants["C"] = -factor_value("C", 0, 0)
@@ -166,16 +166,40 @@ def test_factor_table_entries_are_exact_root_multiples():
             assert (40 * e + (180 if s < 0 else 0) - entry.phase_deg) % 360 == 0
             assert -180 < entry.phase_deg <= 180
             assert entry.magnitude == abs(value.to_complex())
-    assert len(hidden_variables._factor_phases()) == 54  # all 2 * 9 * 3 distinct
-    # one unit off: no sign and root of unity times A, B or C gives it
-    with pytest.raises(ArithmeticError):
-        hidden_variables._classify(constants["A"] + 1)
-    bad = constants["B"].times_root(1) + 1
-    tampered = mock.patch.object(
-        hidden_variables, "_factor_rows", lambda d, ratios: [(bad,) * 3 for _ in ratios]
-    )
-    with tampered, pytest.raises(ArithmeticError):
+    # a corrupted count table, with the caches cleared, fails the letter forms
+    counts = np.array(generalized._ratio_counts(3))
+    counts[4, 1] = np.roll(counts[4, 1], 1)  # one slot of letter 4 turned by alpha
+    monkeypatch.setattr(generalized, "_ratio_counts", lambda d: counts)
+    generalized._qutrit_forms.cache_clear()
+    hidden_variables._qutrit_table.cache_clear()
+    with pytest.raises(ArithmeticError, match="not a root times"):
         factor_table()
+
+
+def test_warm_labels_and_table_build_no_factor_values(monkeypatch):
+    # the 27 factors are built once per process: a warm search builds the same
+    # values at every N, and a second table none
+    for n_sites in (7, 60):
+        exhaustive_search(n_sites)
+    first = factor_table()
+    built = []
+    post_init = CycInt.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CycInt, "__post_init__", counting)
+    counts = []
+    for n_sites in (7, 60):
+        built.clear()
+        result = exhaustive_search(n_sites)
+        assert result.argmax_factor_labels == {letter: (letter,) * n_sites for letter in "ABC"}
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+    built.clear()
+    assert factor_table() == first
+    assert built == []
 
 
 def test_power_sum_recurrence_against_float_powers():
