@@ -1,4 +1,4 @@
-"""Beyond qutrits: the same construction at d = 5 (and a d = 7 spot check).
+"""Beyond qutrits: the same construction at d = 5, with d = 7, 11 and 13 spot checks.
 
 With d settings on d-level systems the operator has d**(N-1) terms and the
 same exact eigenvalue law. The per-site uniform factors generalize A, B, C;
@@ -19,7 +19,7 @@ from qudit_mermin import (
 # ---- eigenvalues and term counts ---------------------------------------------
 
 print("Eigenvalues d**(N-1), verified exactly:")
-for d, n in ((3, 4), (5, 2), (5, 3), (7, 2)):
+for d, n in ((3, 4), (5, 2), (5, 3), (7, 2), (11, 3), (13, 3)):
     cfg = GeneralConfig(d, n)
     value = verify_general_eigenvalue(cfg)
     terms = build_general_mermin(cfg).term_count
@@ -35,7 +35,7 @@ print(
 
 # ---- uniform factors -------------------------------------------------------------
 
-for d in (3, 5, 7):
+for d in (3, 5, 7, 11, 13):
     factors = uniform_factors(d)
     mags = ", ".join(f"{m:.4f}" for m in factors.magnitudes())
     total = sum(m * m for m in factors.magnitudes())

@@ -30,12 +30,7 @@ import numpy as np
 from . import __version__
 from ._enumeration import resolve_workers
 from .cyclotomic import compare_real_coeffs
-from .generalized import (
-    GeneralConfig,
-    conjecture_search,
-    general_uniform_value,
-    uniform_factors,
-)
+from .generalized import conjecture_search, general_uniform_value, uniform_factors
 from .hidden_variables import (
     A_VALUE,
     SYMBOLS,
@@ -305,7 +300,6 @@ def cmd_verify(n: int, variant: int, d: int):
     """Check the exact operator eigenvalue d**(N-1) on its GHZ state."""
     if d != 3 and variant != 0:
         raise ValueError("variants other than 0 are defined for d=3 only")
-    GeneralConfig(d, n)
     eigenvalue, _ = _position_eigenvalue(d, n, variant)
     expected = d ** (n - 1)
     ok = eigenvalue == expected
@@ -438,7 +432,6 @@ def cmd_witness(n: int, limit: int):
 def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
     """Eigenvalue and uniform factors for odd local dimension d."""
     resolve_workers(workers)
-    GeneralConfig(d, n)
     eigenvalue, term_count = _position_eigenvalue(d, n)
     expected = d ** (n - 1)
     ok = eigenvalue == expected and term_count == expected

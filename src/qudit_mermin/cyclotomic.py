@@ -121,6 +121,29 @@ def _check_budget(what: str, cap: int, base: int, exponent: int = 1, work: str =
         raise ValueError(f"{what}: {work or f'{base}**{exponent}'} exceeds the cap of {cap}")
 
 
+# "local dimension" d**5 of ``_local_dimension``: d <= 13.  d**5 counts the largest
+# array of any engine at dimension d: ``mermin._position_eigenvalue``'s gather
+# index and grid, and the (d, d**2, d**2) circulants of ``_site_power`` over d
+# slots of d**2 root counts.
+_DIMENSION_CAP = 2**20
+
+
+def _local_dimension(d) -> int:
+    """The one rule admitting a local dimension d; returns it as a Python int.
+
+    ``_integer``, then d odd and >= 3, then the work budget d**5 <= 2**20,
+    then a ring of order d**2 (``order_params``: d prime, so 9 is refused by
+    the ring).  The budget comes before the ring's trial division and
+    before anything of size d is built.
+    """
+    d = _integer(d, "local dimensions")
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"local dimension must be odd and >= 3, got {d}")
+    _check_budget("local dimension", _DIMENSION_CAP, d, 5)
+    order_params(d * d)
+    return d
+
+
 @lru_cache(maxsize=None)
 def _root_coeffs(m: int) -> np.ndarray:
     """Read-only (m, phi) int64 array whose row e is the canonical alpha**e."""

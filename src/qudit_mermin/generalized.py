@@ -70,6 +70,7 @@ from .cyclotomic import (
     _check_budget,
     _circulant_index,
     _integer,
+    _local_dimension,
     _read_only,
     _root_coeffs,
     _site_count,
@@ -103,23 +104,21 @@ __all__ = [
     "conjecture_search",
 ]
 
-SUPPORTED_DIMENSIONS = (3, 5, 7)
-
 
 @dataclass(frozen=True)
 class GeneralConfig:
-    """Dimension and particle count; the number of settings equals d."""
+    """Dimension and particle count; the number of settings equals d.
+
+    d is admitted by ``cyclotomic._local_dimension``, the rule of every
+    entry point that takes d: odd, d**5 <= 2**20 (d <= 13) and prime.
+    """
 
     d: int
     n_sites: int
 
     def __post_init__(self) -> None:
         d, n_sites = _integer(self.d, "d and n_sites"), _integer(self.n_sites, "d and n_sites")
-        if d not in SUPPORTED_DIMENSIONS:
-            raise ValueError(
-                f"supported local dimensions are {SUPPORTED_DIMENSIONS}, got {self.d}"
-            )
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _local_dimension(d))
         object.__setattr__(self, "n_sites", _site_count(n_sites))
 
     @property
@@ -348,9 +347,7 @@ def _ratio_letters(d: int) -> ProductSpace:
 
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
     """The d**(d-1) ratio letters on N sites with their slot shift, budget-checked first."""
-    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
-    if d < 3:
-        raise ValueError(f"local dimension must be odd and >= 3, got {d}")
+    d, n_sites = _local_dimension(d), _site_count(n_sites)
     _check_budget("ratio factor table", FACTOR_CAP, d, d + 2)  # d**(d-1) x d x d**2 counts
     _check_multisets(d ** (d - 1), n_sites)
     return _ratio_letters(d).on_sites(n_sites)
@@ -407,7 +404,7 @@ def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
 
     At d = 3 no tuple is scanned: ``_diagonal_search`` proves which classes
     reach the maximum and takes it from three exact values (N <= 321).  At
-    d = 5 and 7 the scan evaluates each multiset of per-site tuples once,
+    d >= 5 the scan evaluates each multiset of per-site tuples once,
     and a space over the search budget raises ValueError before its
     d**(d-1) letters' root counts are built.  The arg-max index and each
     site's ratio exponents follow the letter order of ``ratio_space``.

@@ -30,11 +30,11 @@ from .cyclotomic import (
     CycInt,
     _check_budget,
     _integer,
+    _local_dimension,
     _read_only,
     _root_coeffs,
     _site_count,
     _site_power,
-    order_params,
     root_counts,
     root_of_unity,
     root_sums,
@@ -60,8 +60,9 @@ __all__ = [
     "mixing_exponent",
 ]
 
-# "operator terms" d**(N-1) of ``check_verify_budget``: N <= 14, 9 and 8 at d = 3, 5 and 7.
-# ``_position_eigenvalue`` builds no terms but keeps it, so ``verify`` and ``general`` agree.
+# "operator terms" d**(N-1) of ``check_verify_budget``: N <= 14, 9 and 8 at d = 3, 5 and 7,
+# and N <= 6 at d = 11 and 13.  ``_position_eigenvalue`` builds no terms but keeps
+# it, so ``verify`` and ``general`` agree.
 VERIFY_TERM_CAP = 3**13
 
 # Sites per group of ``MerminOperator.value_codes``: 3**4 = 81 codes a group.
@@ -211,8 +212,7 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
     Raises ValueError before allocating anything when the term count is
     over ``VERIFY_TERM_CAP``.
     """
-    d, n_sites, variant = _operator_args(d, n_sites, variant)
-    check_verify_budget(d, n_sites)
+    d, n_sites, variant = _verify_args(d, n_sites, variant)
     m = d * d
     half = (d - 1) // 2
     letters = np.empty((d ** (n_sites - 1), n_sites), dtype=np.int8)
@@ -224,10 +224,8 @@ def build_mermin(d: int, n_sites: int, variant: int = 0) -> MerminOperator:
 
 
 def _operator_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
-    """d, N and variant as Python ints, checked d first; a d with no ring (4, 9) raises."""
-    d = _integer(d, "local dimensions")
-    rotation_alphabet(d)
-    order_params(d * d)
+    """d, N and variant as Python ints, checked d first by ``_local_dimension``."""
+    d = _local_dimension(d)
     n_sites, variant = _site_count(n_sites), _integer(variant, "variants")
     if not 0 <= variant < d:
         raise ValueError(f"variant must lie in [0, {d}), got {variant}")
@@ -235,14 +233,20 @@ def _operator_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
 
 
 def check_verify_budget(d: int, n_sites: int) -> None:
-    """Check d and N as ``_operator_args`` does; refuse d**(N-1) terms over VERIFY_TERM_CAP.
+    """Check d and N as ``_operator_args`` does; refuse d**(N-1) terms over VERIFY_TERM_CAP."""
+    _verify_args(d, n_sites, 0)
+
+
+def _verify_args(d: int, n_sites: int, variant: int) -> tuple[int, int, int]:
+    """``_operator_args``, then the budget of ``check_verify_budget``, once per call.
 
     ``build_mermin``, ``verify_eigenvalue`` and ``_position_eigenvalue``
-    call it; ``verify_eigenvalue`` because it also takes operators built by
-    ``MerminOperator.from_terms``.
+    start with it; ``verify_eigenvalue`` because it also takes operators
+    built by ``MerminOperator.from_terms``.
     """
-    d, n_sites, _ = _operator_args(d, n_sites, 0)
+    d, n_sites, variant = _operator_args(d, n_sites, variant)
     _check_budget("operator terms", VERIFY_TERM_CAP, d, n_sites - 1)
+    return d, n_sites, variant
 
 
 def verify_eigenvalue(op: MerminOperator) -> int:
@@ -256,7 +260,7 @@ def verify_eigenvalue(op: MerminOperator) -> int:
     from the ValueError raised on malformed or over-cap input.
     """
     d, m = op.d, op.d * op.d
-    check_verify_budget(d, op.n_sites)
+    _verify_args(d, op.n_sites, op.variant)
     counts = np.zeros((d, m), dtype=np.int64)
     for start in range(0, len(op.letters), 2**14):
         phases = _ghz_phase(d, op.letters[start : start + 2**14], op.variant)
@@ -297,12 +301,12 @@ def _position_eigenvalue(d: int, n_sites: int, variant: int = 0) -> tuple[int, i
     ``_ghz_phase`` gives c_r on the zero-site word and c_r + col_r[j] on the
     d one-site words, at every label in one call each.
 
-    Range: a label's grid counts d**N words in all and ``check_verify_budget``
-    admits d**(N-1) <= 3**13, so every count and every folded coefficient is
-    at most d**N <= 7 * 3**13 < 2**63, exact in int64.
+    Range: a label's grid counts d**N words in all, ``check_verify_budget``
+    admits d**(N-1) <= 3**13 and ``_local_dimension`` admits d <= 13, so every
+    count and every folded coefficient is at most d**N <= 13 * 3**13 < 2**63,
+    exact in int64.
     """
-    d, n_sites, variant = _operator_args(d, n_sites, variant)
-    check_verify_budget(d, n_sites)
+    d, n_sites, variant = _verify_args(d, n_sites, variant)
     m = d * d
     letters = np.array(rotation_alphabet(d))
     labels = np.arange(d)
@@ -329,7 +333,7 @@ def counts_by_position(d: int, n_sites: int) -> PositionCounts:
     counts, by the square-and-multiply of ``_site_power``.  Exact for every
     N; each product is in int64 while its d**k words are below 2**63.
     """
-    d, n_sites = _integer(d, "local dimensions"), _site_count(n_sites)
+    d, n_sites = _local_dimension(d), _site_count(n_sites)
     counts = _site_power(root_counts(d * d, [rotation_alphabet(d)]), n_sites)
     result = PositionCounts(d, n_sites, tuple(counts[0].tolist()))
     if result.total != d**n_sites:

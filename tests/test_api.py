@@ -64,6 +64,7 @@ from qudit_mermin.mermin import (
     _position_eigenvalue,
     check_verify_budget,
     mixing_exponent,
+    verify_eigenvalue,
 )
 from qudit_mermin.qudit_ops import rotation_alphabet
 
@@ -164,9 +165,10 @@ def _letters(shape):
         (lambda: permutation_class_max(1), "need at least two sites"),
         (lambda: contradiction_witness(SettingWord(5, (2, 2, 1))),
          "witnesses are defined for d=3"),
-        (lambda: uniform_factors(4), "supported local dimensions are"),
+        (lambda: uniform_factors(4), "local dimension must be odd and >= 3, got 4$"),
         (lambda: general_uniform_value(5, 0), "need at least one site"),
-        (lambda: general_uniform_value(11, 2), "supported local dimensions are"),
+        (lambda: general_uniform_value(17, 2),
+         r"local dimension: 17\*\*5 exceeds the cap of 1048576$"),
         (lambda: general_uniform_sum(5, -1), "need at least one site"),
         (lambda: ghz_state(0, 3, 0), "need at least one site"),
         (lambda: counts_by_position(3, 0), "need at least one site"),
@@ -195,6 +197,8 @@ def _letters(shape):
         (lambda: GeneralConfig(3.0, 2), "d and n_sites must be integers"),
         (lambda: general_uniform_value(5, 2.0), "d and n_sites must be integers"),
         (lambda: uniform_factors(5.0), "d and n_sites must be integers"),
+        (lambda: GeneralConfig(9, 2), "invalid cyclotomic order 81"),
+        (lambda: counts_by_position(9, 2), "invalid cyclotomic order 81"),
         (lambda: build_mermin(9, 2), "invalid cyclotomic order 81"),
         (lambda: MerminOperator(9, 1, 0, [[0]], [0]), "invalid cyclotomic order 81"),
         (lambda: MerminOperator.from_terms(9, 1, 0, ()), "invalid cyclotomic order 81"),
@@ -226,14 +230,14 @@ def _letters(shape):
     ids=[
         "power_sum", "uniform_value", "exhaustive_search", "permutation_class_max",
         "contradiction_witness", "uniform_factors", "general_uniform_value_zero_sites",
-        "general_uniform_value_d11", "general_uniform_sum_negative_sites", "ghz_state",
+        "general_uniform_value_d17", "general_uniform_sum_negative_sites", "ghz_state",
         "counts_by_position", "apply_word", "rotation_alphabet", "rotated_shift",
         "from_string", "full_space_scores", "product_space_sites",
         "ratio_space_zero_sites", "ratio_space_negative_sites", "operator_letters_shape",
         "operator_weights_shape", "hv_value_product_exact", "phase_exponent",
         "root_of_unity", "factor_value", "factor_triple_at", "general_config_float_d",
         "general_uniform_value_float_sites", "uniform_factors_float_d",
-        "build_mermin_d9", "operator_d9", "from_terms_d9", "factor_value_letter",
+        "general_config_d9", "counts_by_position_d9", "build_mermin_d9", "operator_d9", "from_terms_d9", "factor_value_letter",
         "hv_value_product_exact_no_sites", "hv_value_product_no_sites",
         "hv_assignment_no_sites", "hv_assignment_from_no_ratios",
         "compare_real_coeffs_lengths", "product_space_shape", "product_space_negative",
@@ -249,7 +253,9 @@ def test_invalid_input_raises_value_error(call, message):
 
 
 # Warm tracemalloc peaks at each budget's last admitted argument, measured on
-# Python 3.11.7 with numpy 2.4.6 (2.88, 6.00, 12.58, 0.16, 0.31 and 0.49 MiB);
+# Python 3.11.7 with numpy 2.4.6 (2.88, 6.00, 12.58, 0.16, 0.31 and 0.49 MiB;
+# at the largest admitted d, 13, and the identity's last N at d = 11 and 13:
+# 6.32, 2.92, 27.11 and 5.86 MiB, one warm run each in one process);
 # each bound is 1.5 times its measurement.  The identity's word budget d**N is
 # flat in d, but its memory grows with phi = d*(d - 1) coefficients per word.
 @pytest.mark.parametrize(
@@ -261,9 +267,15 @@ def test_invalid_input_raises_value_error(call, message):
         (lambda: _witness_table(8), 0.16),
         (lambda: _position_eigenvalue(7, 8), 0.31),
         (lambda: permutation_class_max(8), 0.49),
+        (lambda: _position_eigenvalue(13, 6), 6.32),
+        (lambda: general_uniform_sum(13, 6), 2.92),
+        (lambda: expand_identity(4, 11), 27.11),
+        (lambda: expand_identity(3, 13), 5.86),
     ],
     ids=["identity_d3_n9", "identity_d5_n6", "identity_d7_n5", "witness_n8",
-         "position_eigenvalue_d7_n8", "permutation_classes_n8"],
+         "position_eigenvalue_d7_n8", "permutation_classes_n8",
+         "position_eigenvalue_d13_n6", "uniform_sum_d13_n6", "identity_d11_n4",
+         "identity_d13_n3"],
 )
 def test_peak_memory_at_the_last_admitted_argument(call, measured_mib):
     call()  # warm the caches
@@ -274,6 +286,35 @@ def test_peak_memory_at_the_last_admitted_argument(call, measured_mib):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * measured_mib * 2**20
+
+
+# Every entry point that takes d states the local-dimension budget d**5 from
+# the integer d before it builds anything of size d (a d-letter alphabet, a
+# d**2 ring, a d**4 circulant), so a huge d is refused at once.
+HUGE_DIMENSION_CALLS = {
+    "GeneralConfig": lambda d: GeneralConfig(d, 2),
+    "counts_by_position": lambda d: counts_by_position(d, 2),
+    "expand_identity": lambda d: expand_identity(2, d),
+    "verify_eigenvalue": lambda d: verify_eigenvalue(build_mermin(d, 2)),
+    "check_verify_budget": lambda d: check_verify_budget(d, 2),
+    "_position_eigenvalue": lambda d: _position_eigenvalue(d, 2),
+    "from_terms": lambda d: MerminOperator.from_terms(d, 1, 0, ()),
+    "ratio_space": lambda d: ratio_space(d, 1),
+}
+
+
+@pytest.mark.parametrize("d", [101, 10**9 + 7])
+@pytest.mark.parametrize("name", sorted(HUGE_DIMENSION_CALLS))
+def test_a_huge_dimension_is_refused_before_any_array(name, d):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            HUGE_DIMENSION_CALLS[name](d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"local dimension: {d}**5 exceeds the cap of 1048576"
+    assert peak < 2**20
 
 
 # One float per integer argument, each entry point at least once; 3.0 and

@@ -597,6 +597,40 @@ def test_budget_exit_codes(runner):
     assert json.loads(result.stdout)["results"]["eigenvalue"] == 3**12
 
 
+# The local dimension d is admitted by one rule (``cyclotomic._local_dimension``):
+# odd, d**5 within its budget, and a prime ring.  One row per command and d past
+# 7: argv, then None if it exits 0, else the refusal message.
+DIMENSION_ROWS = [
+    (["verify", "--d", "11", "--n", "6"], None),
+    (["verify", "--d", "13", "--n", "6"], None),
+    (["general", "--d", "13", "--n", "6"], None),
+    (["verify", "--d", "13", "--n", "7"], "operator terms: 13**6 exceeds the cap of 1594323"),
+    (["verify", "--d", "17", "--n", "2"], "local dimension: 17**5 exceeds the cap of 1048576"),
+    (["verify", "--d", str(10**9 + 7), "--n", "2"],
+     f"local dimension: {10**9 + 7}**5 exceeds the cap of 1048576"),
+    (["general", "--d", "11", "--n", "3", "--conjecture"],
+     "ratio factor table: 11**13 exceeds the cap of 1000000"),
+    (["verify", "--d", "9", "--n", "2"],
+     "invalid cyclotomic order 81: expected d**2 with d an odd prime"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", DIMENSION_ROWS,
+    ids=["_".join(argv[:5:2]) for argv, _ in DIMENSION_ROWS],
+)
+def test_dimension_exit_codes(runner, argv, message):
+    result = runner.invoke(cli, [*argv, "--format", "json"])
+    if message is None:
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.stdout)["results"]
+        assert results["eigenvalue"] == results["expected"] and results["match"]
+    else:
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == f"Error: {message}"
+        assert result.stdout == ""
+
+
 @pytest.mark.parametrize("n", [16, 22, 23, 25, 40, 100, 321])
 def test_ratio_search_past_the_class_ranking_states_the_exact_facts(runner, monkeypatch, n):
     # past the ranking's N = 15 the maximum is |p_N|, tied 3**N ways, from the all-ones point;

@@ -215,7 +215,7 @@ def letter_ratios(d):
 
 
 def test_factors_match_per_root_sums():
-    for d in (3, 5, 7):
+    for d in (3, 5, 7, 11, 13):
         entries = uniform_factors(d).entries
         assert sorted(entry.product_index for entry in entries) == list(range(d))
         for entry in entries:
@@ -273,17 +273,21 @@ def test_mixing_exponent_lives_in_mermin():
 
 def test_ratio_space_states_its_factor_table_from_d(monkeypatch):
     # d**(d-1) letters x d slots x d**2 root counts = d**(d+2), stated from d,
-    # so a huge d is refused at once with a short message and no d**(d-1)
-    # is formed; Python refuses to print an int past 4300 digits (d >= 1501)
+    # so an admitted d past 5 is refused at once and no d**(d-1) is formed;
+    # a d past 13 is refused before, by the local-dimension budget d**5
     def never(*args):
         raise AssertionError("an over-budget space reached its build")
 
     monkeypatch.setattr(generalized, "_ratio_counts", never)
-    for d in (7, 101, 1501, 10**6):
+    for d in (7, 11, 13):
         with pytest.raises(ValueError) as refused:
             ratio_space(d, 1)
         assert str(refused.value) == f"ratio factor table: {d}**{d + 2} exceeds the cap of 1000000"
-    for d in (0, -3):  # no ratio letters: refused before any power of d is taken
+    for d in (17, 101, 1501, 10**6 + 1):
+        with pytest.raises(ValueError) as refused:
+            ratio_space(d, 1)
+        assert str(refused.value) == f"local dimension: {d}**5 exceeds the cap of 1048576"
+    for d in (0, -3, 10**6):  # even or below 3: refused before any power of d is taken
         with pytest.raises(ValueError, match=f"local dimension must be odd and >= 3, got {d}"):
             ratio_space(d, 1)
     monkeypatch.undo()
@@ -360,6 +364,19 @@ def test_histogram_product_is_exact_past_the_int64_switch(n_sites):
     assert total == CycInt.integer(3 * uniform_value(n_sites), 9)
 
 
+def test_admitted_dimensions_and_the_one_site_sum():
+    # one site: sum_p F_p = sum_j alpha**(j*(d-1)) sum_p omega**(j*p) = d
+    admitted = []
+    for d in range(-1, 20):
+        try:
+            GeneralConfig(d, 1)
+        except ValueError:
+            continue
+        admitted.append(d)
+        assert general_uniform_sum(d, 1) == CycInt.integer(d, d * d)
+    assert admitted == [3, 5, 7, 11, 13]
+
+
 def test_class_values_switch_to_python_integers():
     # 3 * 3**40 >= 2**63, so the one block of N = 40 letters leaves int64
     values = _class_values(_ratio_counts(3), np.zeros((1, 40), dtype=np.intp))
@@ -370,7 +387,8 @@ def test_class_values_switch_to_python_integers():
 
 def test_uniform_sum_equals_the_power_loop():
     # oracle: sum_p F_p**N by repeated CycInt squaring
-    for d, sizes in ((3, range(1, 10)), (5, range(1, 10)), (7, [*range(1, 10), 200])):
+    for d, sizes in ((3, range(1, 10)), (5, range(1, 10)), (7, [*range(1, 10), 200]),
+                     (11, range(1, 4)), (13, range(1, 4))):
         row = [per_root_factor(d, p) for p in range(d)]
         for n_sites in sizes:
             expected = sum((f**n_sites for f in row), CycInt.zero(d * d))

@@ -290,7 +290,7 @@ def per_word_identity(op, n_sites, d):
     )
 
 
-@pytest.mark.parametrize("d, n_max", [(3, 7), (5, 3), (7, 2)])
+@pytest.mark.parametrize("d, n_max", [(3, 7), (5, 3), (7, 2), (11, 2), (13, 2)])
 def test_expand_identity_equals_the_per_word_loop(d, n_max):
     for n in range(1, n_max + 1):
         assert expand_identity(n, d) == per_word_identity(build_mermin(d, n, 0), n, d)
@@ -448,19 +448,27 @@ def test_off_position_word_is_not_proportional():
         verify_eigenvalue(op)
 
 
-@pytest.mark.parametrize("d, n_max", [(3, 10), (5, 6), (7, 5)])
+@pytest.mark.parametrize("d, n_max", [(3, 10), (5, 6), (7, 5), (11, 3), (13, 3)])
 def test_position_eigenvalue_equals_the_term_path(d, n_max):
     for n in range(1, n_max + 1):
         for c in range(d):
             op = build_mermin(d, n, c)
             assert _position_eigenvalue(d, n, c) == (verify_eigenvalue(op), op.term_count)
+            assert op.term_count == d ** (n - 1)
 
 
 def test_position_eigenvalue_at_the_term_budget():
-    # the last admitted N per d, where every count is at most d**N < 7 * 3**13 < 2**63
-    for d, last in ((3, 14), (5, 9), (7, 8)):
+    # the last admitted N per d, where every count is at most d**N <= 13 * 3**13 < 2**63
+    for d, last in ((3, 14), (5, 9), (7, 8), (11, 6), (13, 6)):
         for c in range(d):
             assert _position_eigenvalue(d, last, c) == (d ** (last - 1), d ** (last - 1))
+
+
+@pytest.mark.parametrize("d, last", [(11, 4), (13, 3)])
+def test_identity_at_the_last_admitted_n_past_seven(d, last):
+    assert expand_identity(last, d).matches
+    with pytest.raises(ValueError, match=rf"identity words: {d}\*\*{last + 1} exceeds"):
+        expand_identity(last + 1, d)
 
 
 def test_position_eigenvalue_refuses_what_build_mermin_refuses():
