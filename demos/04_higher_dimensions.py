@@ -2,8 +2,9 @@
 
 With d settings on d-level systems the operator has d**(N-1) terms and the
 same exact eigenvalue law. The per-site uniform factors generalize A, B, C;
-for d = 5 the largest is about 4.6898, and the exhaustive scan at N = 2
-checks whether the all-ones point is still classically optimal.
+for d = 5 the largest is about 4.6898. At N = 2 every factor row obeys
+Parseval's identity, which proves the all-ones point classically optimal
+at every d without scanning an assignment.
 """
 
 from qudit_mermin import (
@@ -46,16 +47,18 @@ print("\nUniform classical value at d=5:")
 for n in (2, 3, 4):
     print(f"  N={n}: {general_uniform_value(5, n):.6g}  (quantum {5 ** (n - 1)})")
 
-# ---- is the all-ones point optimal at d = 5? --------------------------------------
+# ---- is the all-ones point optimal at N = 2? ---------------------------------------
 
-print("\nExhaustive scan of all 5**8 ratio assignments at d=5, N=2:")
-report = conjecture_search(5, 2)
-verdict = (
-    "attains the maximum"
-    if report.uniform_is_max
-    else f"misses the maximum by {report.gap:.6g}"
-)
-print(
-    f"  max |v| = {report.max_magnitude:.6g} "
-    f"({report.num_maximizers} maximizers); the all-ones point {verdict}."
-)
+print("\nClassical maximum over all d**(2(d-1)) ratio assignments at N=2, in closed form:")
+for d in (5, 7, 11, 13):
+    report = conjecture_search(d, 2)
+    verdict = (
+        "attains the maximum"
+        if report.uniform_is_max
+        else f"misses the maximum by {report.gap:.6g}"
+    )
+    print(
+        f"  d={d}: max |v| = {report.max_magnitude:.6g} "
+        f"({report.num_maximizers} maximizers of {report.assignments_scanned}); "
+        f"the all-ones point {verdict}."
+    )

@@ -13,31 +13,20 @@ A**N assignments.
 
 The search ranks in floats and decides exactly.  Class products are
 complex128 rows, built level by level with each prefix extended only by
-letters not below its last letter.  The last level is scored in groups of
-consecutive last letters, one matmul of their factors by the shared
-prefixes per group, and every score carries one proven rounding bound, set
-by the mass bound W = slots * M**N of ``_check_range`` (``_scored_blocks``),
-which refuses a space with 2W >= 2**63 before any score is formed.  The
-band of classes that may reach the maximum is kept with array operations
-on each group (``_band``), and only the band is resolved exactly: one
-class per orbit of the space's slot shift S (below), by the package's
-exact evaluator of given letter rows (``_class_values``: one batched
-``_site_product`` per block, folded once), then one squared magnitude per
-distinct value, ordered with ``compare_real_coeffs``.
-
-A space may carry a slot shift S, a letter map with F[S a, s] = F[a, s - 1]
-for every slot s (slot -1 being the last), checked exactly on the root
-counts when the space is built.  Then v(S a) = sum_s prod_i F[a_i, s - 1]
-= v(a): applying S at every site permutes the slot sum cyclically, so a
-class and its images under S share one exact value.  The exact pass
-evaluates the lexicographically least sorted image of each band class once
-per distinct image (``_orbits``) and spreads the values back to the band;
-without a shift every band class is its own orbit.
-``generalized.ratio_space`` carries the shift of its ratio letters, whose
-orbits have d letters, and that cuts the pass d-fold.  The qutrit ratio
-space needs no search at all: ``generalized._diagonal_search`` proves its
-maximizers and takes the result from three exact values, and
-``run_search`` of that space stays its oracle.
+letters not below its last letter.  The last level is scored one last
+letter at a time, one mat-vec of the prefixes it extends by its factors,
+and every score carries one proven rounding bound, set by the mass bound
+W = slots * M**N of ``_check_range`` (``_scored_blocks``), which refuses a
+space with 2W >= 2**63 before any score is formed.  The band of classes
+that may reach the maximum is kept letter by letter (``_band``), and only
+the band is resolved exactly, by the package's exact evaluator of given
+letter rows (``_class_values``: one batched ``_site_product`` per block,
+folded once), then one squared magnitude per distinct value, ordered with
+``compare_real_coeffs``.  No command calls ``run_search``: the qutrit
+ratio space needs no search (``generalized._diagonal_search`` proves its
+maximizers and takes the result from three exact values), the d >= 5
+conjecture at N <= 2 has a closed form (``generalized._parseval_search``),
+and ``run_search`` stays the oracle of both.
 
 A space scored whole (``full_space_scores``, and full search's ratio
 side) is walked once on exact root counts instead (``_multiset_values``):
@@ -65,7 +54,6 @@ digit, so the flat index order is the lexicographic order of assignments.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,26 +91,15 @@ FACTOR_CAP = 10**6
 # Classes per exact block: 2**5 x (N - 1) x slots x m**2 int64 circulants (0.8 MB
 # at d = 5, N = 2).  2**5 to 2**10 time alike; 2**10 adds 8 MB to a d = 5 search.
 _CLASS_BLOCK = 2**5
-# Ranking letters per matmul: a group's (letters x prefixes) float rectangle
-# stays within 2**14 entries (2**16, or one whole d = 5, N = 2 rectangle, adds
-# 2.7 MB of peak RSS).
-_GROUP_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
 class ProductSpace:
-    """Search-space description: per-letter slot factors over one ring.
-
-    ``shift``, if given, is a slot shift: letter map S with
-    ``counts[S] == np.roll(counts, 1, axis=1)`` exactly, so that
-    F[S a, s] = F[a, s - 1]; ``run_search`` then evaluates one class per
-    S-orbit.
-    """
+    """Search-space description: per-letter slot factors over one ring."""
 
     order: int
     n_sites: int
     counts: np.ndarray  # read-only (alphabet, slots, order) int64, all >= 0
-    shift: np.ndarray | None = None  # read-only (alphabet,) intp slot shift, or None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_sites", _site_count(self.n_sites))
@@ -130,8 +107,6 @@ class ProductSpace:
         if counts.ndim != 3 or counts.shape[-1] != self.order or (counts < 0).any():
             raise ValueError(f"counts must be non-negative of shape (A, S, {self.order})")
         object.__setattr__(self, "counts", _read_only(counts, np.int64))
-        if self.shift is not None:
-            object.__setattr__(self, "shift", _checked_shift(self.counts, self.shift))
 
     @property
     def alphabet(self) -> int:
@@ -150,29 +125,6 @@ class ProductSpace:
     @property
     def size(self) -> int:
         return self.alphabet**self.n_sites
-
-    def on_sites(self, n_sites: int) -> ProductSpace:
-        """These letters on ``n_sites`` sites, sharing the checked counts and shift."""
-        space = copy.copy(self)
-        object.__setattr__(space, "n_sites", _site_count(n_sites))
-        return space
-
-
-def _checked_shift(counts: np.ndarray, shift) -> np.ndarray:
-    """``shift`` as read-only intp letters; ValueError unless it is the slot shift of ``counts``.
-
-    Letter S[a]'s slot s must hold letter a's slot s - 1, slot 0 the last
-    one, count for count (two comparisons, no rolled copy of the table).
-    """
-    shift = _read_only(shift, np.intp)
-    if shift.shape != counts.shape[:1] or ((shift < 0) | (shift >= len(counts))).any():
-        raise ValueError(f"shift must hold {len(counts)} letters in [0, {len(counts)})")
-    if not (
-        np.array_equal(counts[shift, 1:], counts[:, :-1])
-        and np.array_equal(counts[shift, 0], counts[:, -1])
-    ):
-        raise ValueError("shift must map the counts to their roll by one slot")
-    return shift
 
 
 @dataclass(frozen=True)
@@ -281,33 +233,16 @@ def _float_prefixes(
     return bound, fhat, p
 
 
-def _letter_groups(sizes: list[int]) -> list[tuple[int, int]]:
-    """Consecutive last-letter ranges [b0, b1) scored by one matmul each.
-
-    Block b holds sizes[b] classes, so a group's rectangle has
-    (b1 - b0) * sizes[b1 - 1] entries, of which those past the classes it
-    holds are padding; a group takes the next letter while its rectangle
-    stays within ``_GROUP_ENTRIES``.
-    """
-    groups, b0 = [], 0
-    for b, n in enumerate(sizes):
-        if b > b0 and (b + 1 - b0) * n > _GROUP_ENTRIES:
-            groups.append((b0, b))
-            b0 = b
-    groups.append((b0, len(sizes)))
-    return groups
-
-
 def _scored_blocks(space: ProductSpace):
-    """Yield (b0, lower, upper) for the N-letter classes ending in letters b0..b1-1.
+    """Yield (b, lower, upper) for the N-letter classes ending in letter b, for every b.
 
-    ``lower`` and ``upper`` are (b1 - b0, n) arrays over the letter groups of
-    ``_letter_groups``: entry (r, j) is the class that extends prefix j (in
-    the order of ``_level_ends``) by letter b = b0 + r, and it is -inf in
-    both where j is not below ends[-1][b], the prefixes block b extends.
-    That class has exact score s = |v|**2, v = sum_s prod_i F[a_i, s],
-    within [lower, upper]: the float score s^ minus and plus one proven
-    bound B for every class, set by the mass bound W of ``_check_range``.
+    ``lower`` and ``upper`` hold one entry per prefix that block b extends,
+    the first ends[-1][b] in the order of ``_level_ends``: entry j is the
+    class that extends prefix j by letter b, scored by one mat-vec of those
+    prefixes by b's factors.  That class has exact score s = |v|**2,
+    v = sum_s prod_i F[a_i, s], within [lower, upper]: the float score s^
+    minus and plus one proven bound B for every class, set by the mass
+    bound W of ``_check_range``.
 
     Proof of the bound.  Write u = 2**-53 and M for the largest factor
     mass.  (1) A factor F = sum_e h_e alpha**e of mass mu <= M is stored as
@@ -333,15 +268,10 @@ def _scored_blocks(space: ProductSpace):
     """
     levels = _level_ends(space.alphabet, space.n_sites)
     bound, fhat, p = _float_prefixes(space, levels)
-    ends = levels[-1]  # the prefixes each block extends
-    sizes = ends.tolist()
-    for b0, b1 in _letter_groups(sizes):
-        n0, n = sizes[b0], sizes[b1 - 1]
-        v = fhat[b0:b1] @ p[:n].T
+    for b, n in enumerate(levels[-1].tolist()):  # block b extends the first n prefixes
+        v = p[:n] @ fhat[b]
         scores = v.real * v.real + v.imag * v.imag
-        if n0 < n:  # every block of the group extends the first n0 prefixes
-            scores[:, n0:][np.arange(n0, n) >= ends[b0:b1, None]] = -np.inf
-        yield b0, scores - bound, scores + bound
+        yield b, scores - bound, scores + bound
 
 
 def _class_letters(ends: tuple[np.ndarray, ...], ranks: np.ndarray) -> np.ndarray:
@@ -400,7 +330,7 @@ def _band(space: ProductSpace) -> np.ndarray:
     """Ranks of the classes whose score interval reaches the floor, ascending.
 
     The floor is the largest lower bound of ``_scored_blocks``, so the band
-    holds every maximizer.  Each group keeps the classes whose upper bound
+    holds every maximizer.  Each letter keeps the classes whose upper bound
     reaches the floor so far, which only grows, and one last pass re-filters
     with the final floor.  A class's rank is its block's first rank plus its
     prefix's rank, so the ranks ascend.
@@ -409,42 +339,19 @@ def _band(space: ProductSpace) -> np.ndarray:
     first = ends[-1] - ends[-2]  # block b's first rank
     floor = -np.inf
     band = []
-    for b0, lower, upper in _scored_blocks(space):
+    for b, lower, upper in _scored_blocks(space):
         floor = max(floor, float(lower.max()))
         kept = np.flatnonzero(upper >= floor)
-        rows, parents = np.divmod(kept, upper.shape[1])
-        band.append((first[rows + b0] + parents, upper.ravel()[kept]))
+        band.append((first[b] + kept, upper[kept]))
     ranks, upper = (np.concatenate(column) for column in zip(*band))
     return ranks[upper >= floor]
 
 
-def _orbits(letters: np.ndarray, space: ProductSpace) -> tuple[np.ndarray, np.ndarray]:
-    """One sorted class per S-orbit among the (K, N) sorted classes, and each class's orbit.
-
-    A class's orbit row is the least of its ``slots`` sorted images, image k
-    applying ``space.shift`` k times at every site; rows are compared letter
-    by letter, never as base-A codes (which pass 2**63 once A**N does).
-    Every image has the class's exact value.  A space without a shift keeps
-    its classes, each its own orbit.
-    """
-    least = image = np.ascontiguousarray(letters)
-    rows = np.arange(len(letters))
-    for _ in range(0 if space.shift is None else space.slots - 1):
-        image = np.sort(space.shift[image], axis=1)
-        first = (image != least).argmax(axis=1)  # 0 where the rows are equal
-        lower = image[rows, first] < least[rows, first]
-        least = np.where(lower[:, None], image, least)
-    keys = least.view(np.dtype((np.void, least.itemsize * least.shape[1]))).ravel()
-    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return least[at], inverse
-
-
 def run_search(space: ProductSpace) -> RawSearchResult:
-    """Exact maximum over all A**N assignments, one exact value per S-orbit of the band."""
+    """Exact maximum over all A**N assignments, one exact value per class of the band."""
     order, a_size = space.order, space.alphabet
     letters = _class_letters(_level_ends(a_size, space.n_sites + 1), _band(space))
-    orbits, inverse = _orbits(letters, space)
-    values = [tuple(row) for row in _class_values(space.counts, orbits)[inverse].tolist()]
+    values = [tuple(row) for row in _class_values(space.counts, letters).tolist()]
     exact = {value: CycInt(order, value) for value in set(values)}
     squares = {value: (v * v.conjugate()).coeffs for value, v in exact.items()}
     best_sq = max(squares.values(), key=cmp_to_key(partial(compare_real_coeffs, order)))

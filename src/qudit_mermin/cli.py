@@ -427,7 +427,8 @@ def cmd_witness(n: int, limit: int):
 @_command("general")
 @click.option("--d", type=int, default=5, show_default=True)
 @click.option("--n", type=int, required=True)
-@click.option("--conjecture", is_flag=True, help="Run the ratio-space scan too.")
+@click.option("--conjecture", is_flag=True,
+              help="Also give the proven classical maximum (at d >= 5, N <= 2 only).")
 @_workers_option
 def cmd_general(d: int, n: int, conjecture: bool, workers: int | None):
     """Eigenvalue and uniform factors for odd local dimension d."""

@@ -27,24 +27,16 @@ mod d; at d = 3 that is a = 3R + S, the qutrit ratio index of
 ``hidden_variables``.  Letter 0 is the all-ones point, whose factors are
 the d uniform factor magnitudes: A, B, C for d = 3, and for d = 5 the
 largest is about 4.6898.
-Whether the all-ones point is the true classical optimum for d > 3 is
-probed by exhaustive search over ``ratio_space`` and reported, never
-asserted.
 
-The table is closed under a slot shift, S below (``_ratio_shift``; not the
-qutrit ratio S above): lowering digit t_c by c (mod d) turns the mixing
-exponent j*(d*p + d - 1) of product p into that of p + 1, since omega**j =
-alpha**(j*d), so F_{p+1}(S a) = F_p(a) root count for root count. Applying
-S at every site permutes the d products cyclically and leaves the value
-sum_p prod_i F_p unchanged; S fixes no letter and S**d is the identity, so
-``ratio_space`` hands S to the search engine, which evaluates one exact
-value per S-orbit of its near-tie band (an orbit holds at most d classes)
-instead of one per class.
-
-At d = 3 every letter is a root of unity times the all-ones row shifted
-by S**s, and a proven bound leaves only the classes of one shift s as
-candidates, so ``_diagonal_search`` answers the d = 3 search from three
-exact values at every N, with no scan.
+Whether the all-ones point is the classical optimum is decided by proofs,
+not scans (``conjecture_search``).  At d = 3 every letter is a root of
+unity times the all-ones row shifted by one of three slot shifts, and a
+proven bound leaves only the classes of one shift as candidates, so
+``_diagonal_search`` answers the d = 3 search from three exact values at
+every N.  At d >= 5 every factor row is a discrete Fourier transform of
+unimodular terms, which settles N <= 2 in closed form; N >= 3 is refused.
+``ratio_space`` builds the letter table for the tests' oracle
+``_enumeration.run_search`` and for full search's ratio side at d = 3.
 """
 
 from __future__ import annotations
@@ -63,7 +55,7 @@ from ._enumeration import (
     _real_float,
     decode_index,
     encode_index,
-    run_search,
+    run_search,  # no path reads it: bound for perfbench/test_run.py, which wraps it here
 )
 from .cyclotomic import (
     CycInt,
@@ -181,15 +173,6 @@ def _mixing_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(mix, np.int64), _read_only(j % d, np.intp)
 
 
-def _ratio_digits(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, d) ratio rows of the letters a < A = d**(d-1), and the digit weights.
-
-    Written with d base-d digits, a is a ratio row with column 0 zero.
-    """
-    weights = d ** np.arange(d - 1, -1, -1)
-    return np.arange(d ** (d - 1))[:, None] // weights % d, weights
-
-
 @lru_cache(maxsize=None)
 def _uniform_counts(d: int) -> np.ndarray:
     """Read-only (d, m) root counts of letter 0 alone, the all-ones point, once per d."""
@@ -199,26 +182,12 @@ def _uniform_counts(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _ratio_counts(d: int) -> np.ndarray:
-    """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1)."""
-    ratios, _ = _ratio_digits(d)
-    return _read_only(root_counts(d * d, _factor_exponents(d, ratios)), np.int64)
+    """Read-only (A, d, m) root counts of every ratio letter a < A = d**(d-1).
 
-
-def _ratio_shift(d: int) -> np.ndarray:
-    """Read-only slot shift S of the ratio letters: F_{p+1}(S a) = F_p(a) term by term.
-
-    S lowers digit t_c by c (mod d).  The mixing exponent of product p + 1
-    exceeds that of p by j*d on letter j, so
-    F_{p+1}(S a) = sum_j alpha**(j*(d*p + d - 1)) * omega**(j + t'_j) with
-    t'_j = t_j - j (mod d): each term is the matching term of F_p(a), so the
-    root counts agree, and p = d - 1 wraps to 0 because
-    j*(d*d + d - 1) = j*(d - 1) (mod d**2).  Hence
-    ``_ratio_counts(d)[S] == np.roll(_ratio_counts(d), 1, axis=1)``.  S**d
-    lowers t_c by d*c, the identity, and S fixes no letter, since t_1
-    always moves.
+    Written with d base-d digits, a is a ratio row with column 0 zero.
     """
-    ratios, weights = _ratio_digits(d)
-    return _read_only((ratios - np.arange(d)) % d @ weights, np.intp)
+    ratios = np.arange(d ** (d - 1))[:, None] // d ** np.arange(d - 1, -1, -1) % d
+    return _read_only(root_counts(d * d, _factor_exponents(d, ratios)), np.int64)
 
 
 def _letter_forms(counts: np.ndarray) -> np.ndarray:
@@ -339,18 +308,12 @@ def _diagonal_search(n_sites: int) -> RawSearchResult:
     return RawSearchResult(best, _real_float(9, best), count, argmin, 9**n_sites)
 
 
-@lru_cache(maxsize=None)
-def _ratio_letters(d: int) -> ProductSpace:
-    """The ratio letters on one site, their slot shift checked once per d."""
-    return ProductSpace(d * d, 1, _ratio_counts(d), _ratio_shift(d))
-
-
 def ratio_space(d: int, n_sites: int) -> ProductSpace:
-    """The d**(d-1) ratio letters on N sites with their slot shift, budget-checked first."""
+    """The d**(d-1) ratio letters on N sites, budget-checked first."""
     d, n_sites = _local_dimension(d), _site_count(n_sites)
     _check_budget("ratio factor table", FACTOR_CAP, d, d + 2)  # d**(d-1) x d x d**2 counts
     _check_multisets(d ** (d - 1), n_sites)
-    return _ratio_letters(d).on_sites(n_sites)
+    return ProductSpace(d * d, n_sites, _ratio_counts(d))
 
 
 def uniform_factors(d: int) -> UniformFactorSet:
@@ -379,10 +342,12 @@ def general_uniform_value(d: int, n_sites: int) -> float:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Exhaustive ratio-space scan for general d, with the all-ones verdict.
+    """The classical maximum over the ratio assignments for general d, and the all-ones verdict.
 
     ``uniform_is_max`` records whether the all-ones point attains the
-    scanned maximum (decided exactly); no particular outcome is promised.
+    maximum (decided exactly); ``conjecture_search`` proves the maximum,
+    and ``assignments_scanned`` counts the assignments it covers, though
+    none is scanned.
     """
 
     d: int
@@ -395,35 +360,80 @@ class ConjectureReport:
     argmax_ratio_exponents: tuple[tuple[int, ...], ...]
     num_maximizers: int
     assignments_scanned: int
-    max_sq_coeffs: tuple[int, ...]  # canonical coeffs of |d*v|**2, scan maximum
+    max_sq_coeffs: tuple[int, ...]  # canonical coeffs of |d*v|**2, the maximum
     uniform_sq_coeffs: tuple[int, ...]  # and at the all-ones point
 
 
-def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
-    """Cover every per-site ratio tuple and compare against the all-ones point.
+# ``_parseval_search`` holds at N <= 2; no proof is written past it.
+_CONJECTURE_SITE_CAP = 2
 
-    At d = 3 no tuple is scanned: ``_diagonal_search`` proves which classes
+
+def _parseval_search(d: int, n_sites: int, uniform_sq: tuple[int, ...]) -> RawSearchResult:
+    """``run_search(ratio_space(d, N))`` at N <= 2, field for field, in closed form at every d.
+
+    Letter a's factor of product p is
+    F_p(a) = sum_j alpha**(j*(d*p + d - 1)) * omega**t_j
+    = sum_j g_j * omega**(j*p), with g_j = alpha**(j*(d-1)) * omega**t_j,
+    since omega = alpha**d.  Every |g_j| = 1, and g_0 = 1 because t_0 = 0.
+    The d rotation letters j are the d residues mod d, so the row
+    (F_p(a))_p is the length-d discrete Fourier transform of g, and for
+    every letter
+        sum_p |F_p(a)|**2 = d * sum_j |g_j|**2 = d**2  (Parseval),
+        sum_p F_p(a) = d * g_0 = d.
+
+    N = 1: d*v = sum_p F_p(a) = d at each of the d**(d-1) letters, so all
+    of them tie at |d*v|**2 = d**2.
+
+    N = 2: by Cauchy-Schwarz and Parseval, |sum_p F_p(a) F_p(b)| <= d**2,
+    with equality iff F_p(b) = lam * conj(F_p(a)) at every p, |lam| = 1.
+    conj(F_p(a)) = sum_j conj(g_{-j}) * omega**(j*p), so by the inverse
+    transform equality holds iff g_j(b) = lam * conj(g_{-j}(a)) at every j;
+    j = 0 forces lam = 1, and then t_j(b) = -t_{-j}(a) (mod d).  So each
+    letter a has exactly one partner b, the maximum |d*v|**2 = d**4 is
+    attained by the d**(d-1) ordered pairs (a, b), and letter 0 is its own
+    partner.
+
+    Either way the maximum is d**(2N), attained by d**(d-1) assignments, of
+    which the all-ones point, index 0, is the least.  ``uniform_sq``, the
+    all-ones |d*v|**2 that the caller forms exactly, must be d**(2N) (else
+    ArithmeticError): the one runtime check of the premise.  Nothing is
+    scanned; the d**((d-1)*N) assignments are those the result covers.
+    """
+    best = CycInt.integer(d ** (2 * n_sites), d * d).coeffs
+    if uniform_sq != best:
+        raise ArithmeticError(f"the all-ones value does not square to {d}**{2 * n_sites}")
+    scanned = d ** ((d - 1) * n_sites)
+    return RawSearchResult(best, _real_float(d * d, best), d ** (d - 1), 0, scanned)
+
+
+def conjecture_search(d: int = 5, n_sites: int = 2) -> ConjectureReport:
+    """The exact maximum over every per-site ratio tuple, against the all-ones point.
+
+    Nothing is scanned.  At d = 3 ``_diagonal_search`` proves which classes
     reach the maximum and takes it from three exact values (N <= 321).  At
-    d >= 5 the scan evaluates each multiset of per-site tuples once,
-    and a space over the search budget raises ValueError before its
-    d**(d-1) letters' root counts are built.  The arg-max index and each
-    site's ratio exponents follow the letter order of ``ratio_space``.
+    d >= 5 ``_parseval_search`` gives it in closed form at N <= 2, and
+    N >= 3 is refused by the budget "conjecture sites" (ValueError) before
+    anything is built.  The arg-max index and each site's ratio exponents
+    follow the letter order of ``ratio_space``.
     """
     cfg = GeneralConfig(d, n_sites)
-    if cfg.d == 3:
-        raw = _diagonal_search(cfg.n_sites)
+    d, n_sites = cfg.d, cfg.n_sites
+    if d == 3:
+        raw = _diagonal_search(n_sites)
     else:
-        raw = run_search(ratio_space(cfg.d, cfg.n_sites))
-    uniform_sum = general_uniform_sum(cfg.d, cfg.n_sites)
+        _check_budget("conjecture sites", _CONJECTURE_SITE_CAP, n_sites, work=str(n_sites))
+    uniform_sum = general_uniform_sum(d, n_sites)
     uniform_sq = (uniform_sum * uniform_sum.conjugate()).coeffs
+    if d > 3:
+        raw = _parseval_search(d, n_sites, uniform_sq)
     uniform_is_max = uniform_sq == raw.best_sq_coeffs
-    max_magnitude = math.sqrt(raw.best_sq_value) / cfg.d
-    uniform_magnitude = uniform_sum.magnitude() / cfg.d
-    letters = decode_index(raw.argmax_index, cfg.d ** (cfg.d - 1), cfg.n_sites)
-    site_tuples = tuple(decode_index(a, cfg.d, cfg.d - 1) for a in letters)
+    max_magnitude = math.sqrt(raw.best_sq_value) / d
+    uniform_magnitude = uniform_sum.magnitude() / d
+    letters = decode_index(raw.argmax_index, d ** (d - 1), n_sites)
+    site_tuples = tuple(decode_index(a, d, d - 1) for a in letters)
     return ConjectureReport(
-        d=cfg.d,
-        n_sites=cfg.n_sites,
+        d=d,
+        n_sites=n_sites,
         max_magnitude=max_magnitude,
         uniform_magnitude=uniform_magnitude,
         uniform_is_max=uniform_is_max,

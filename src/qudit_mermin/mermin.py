@@ -94,7 +94,7 @@ class MerminOperator:
             raise ValueError(f"letters must have shape (terms, {n_sites}), got {letters.shape}")
         if exponents.shape != letters.shape[:1]:
             raise ValueError("need one weight exponent per word")
-        if ((letters < -half) | (letters > half)).any():
+        if letters.size and (letters.min() < -half or letters.max() > half):
             raise ValueError(f"a rotation index is out of range for d={d}")
         letters = _read_only(letters, np.int8)
         exponents = _read_only(exponents % (d * d), np.int64)

@@ -3,8 +3,7 @@
 ``exact_sum`` and ``exact_letters_sum`` multiply one ``CycInt`` at a time and
 share no code with the batched evaluator ``_enumeration._class_values``;
 ``class_tally`` is the per-row loop that ``_enumeration._class_tally``
-replaced, and ``letter_band`` the per-letter ranking loop that
-``_enumeration._band`` replaced, on the same bound and float prefixes.
+replaced.
 ``clean_json`` is the JSON formula that ``cli._json_text`` replaced, and
 ``triple_full_search`` the full search over all 27 value triples per site
 that the x = 0 gauge of ``hidden_variables._class_scores`` replaced.
@@ -20,7 +19,6 @@ from qudit_mermin._enumeration import (
     ProductSpace,
     _class_letters,
     _class_tally,
-    _float_prefixes,
     _level_ends,
     _multiset_scores,
     _multiset_values,
@@ -63,30 +61,6 @@ def class_tally(letters, alphabet: int) -> tuple[int, int]:
     n_fact = math.factorial(letters.shape[1])
     count = sum(n_fact // math.prod(map(math.factorial, Counter(row).values())) for row in rows)
     return count, min(encode_index(row, alphabet) for row in rows)
-
-
-def letter_band(space: ProductSpace) -> np.ndarray:
-    """Ranks of the ranking band, one mat-vec, max and nonzero per letter.
-
-    The per-letter loop that ``_enumeration._band`` replaced: block b scores
-    the first ends[-1][b] prefixes by letter b alone, on the same bound and
-    float prefixes, and the band keeps the classes whose upper bound reaches
-    the largest lower bound.  Block b's classes start at rank
-    ends[N][b] - ends[N-1][b], with ends = ``_level_ends(A, N + 1)``.
-    """
-    ends = _level_ends(space.alphabet, space.n_sites + 1)
-    bound, fhat, p = _float_prefixes(space, ends[:-1])
-    floor = -np.inf
-    band = []
-    for b, n in enumerate(ends[-2].tolist()):
-        v = p[:n] @ fhat[b]
-        scores = v.real * v.real + v.imag * v.imag
-        lower, upper = scores - bound, scores + bound
-        floor = max(floor, float(lower.max()))
-        keep = np.nonzero(upper >= floor)[0]
-        band.append((keep + (ends[-1][b] - ends[-2][b]), upper[keep]))
-    ranks, upper = (np.concatenate(column) for column in zip(*band))
-    return ranks[upper >= floor]
 
 
 def clean_json(obj) -> str:

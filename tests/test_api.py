@@ -499,6 +499,10 @@ def _resolves(dotted):
     return False
 
 
+# Imports their module never reads, with the reason
+UNREAD_IMPORTS = {"generalized.py: run_search": "perfbench/test_run.py wraps it there by name"}
+
+
 def test_every_import_is_read_or_exported():
     # an import that its module never reads is a leftover of a deleted path
     unused = []
@@ -519,7 +523,7 @@ def test_every_import_is_read_or_exported():
         module = PACKAGE_MODULES.get(path.stem, qudit_mermin)  # __init__.py: the package
         exported = set(getattr(module, "__all__", ()))
         unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
-    assert unused == []
+    assert unused == sorted(UNREAD_IMPORTS)
 
 
 # ``_enumeration`` exports no other module of the package reads, with the reason

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -545,8 +546,8 @@ def test_usage_errors_exit_2(runner):
     huge = str(10**9)
     assert runner.invoke(cli, ["search", "--n", huge, "--mode", "full"]).exit_code == 2
     assert runner.invoke(cli, ["verify", "--n", huge]).exit_code == 2
-    # refused by the multiplication-table budget before any factor is built
-    result = runner.invoke(cli, ["general", "--d", "7", "--n", "1", "--conjecture"])
+    # refused by the conjecture-site budget before any factor is built
+    result = runner.invoke(cli, ["general", "--d", "7", "--n", "3", "--conjecture"])
     assert result.exit_code == 2
     assert "cap" in result.stderr
 
@@ -554,8 +555,8 @@ def test_usage_errors_exit_2(runner):
 HUGE_N = 10**9
 
 # One row per engine budget a command reaches: its argv without --n, the last
-# admitted N (None: every N is refused), and the refusal messages of the first
-# refused N and of --n 10**9, all in the one form of ``cyclotomic._check_budget``.
+# admitted N, and the refusal messages of the first refused N and of
+# --n 10**9, all in the one form of ``cyclotomic._check_budget``.
 BUDGET_ROWS = [
     (["verify", "--d", "3"], 14, "operator terms: 3**14 exceeds the cap of 1594323",
      f"operator terms: 3**{HUGE_N - 1} exceeds the cap of 1594323"),
@@ -568,10 +569,10 @@ BUDGET_ROWS = [
     (["search", "--mode", "full"], 6, "full search: 27**7 exceeds the cap of 387420489",
      f"full search: 27**{HUGE_N} exceeds the cap of 387420489"),
     (["general", "--d", "5", "--conjecture"], 2,
-     "letter multisets: C(627, 3) exceeds the cap of 500000",
+     "conjecture sites: 3 exceeds the cap of 2",
      f"operator terms: 5**{HUGE_N - 1} exceeds the cap of 1594323"),
-    (["general", "--d", "7", "--conjecture"], None,
-     "ratio factor table: 7**9 exceeds the cap of 1000000",
+    (["general", "--d", "7", "--conjecture"], 2,
+     "conjecture sites: 3 exceeds the cap of 2",
      f"operator terms: 7**{HUGE_N - 1} exceeds the cap of 1594323"),
     (["identity"], 9, "identity words: 3**10 exceeds the cap of 20000",
      f"identity words: 3**{HUGE_N} exceeds the cap of 20000"),
@@ -584,9 +585,8 @@ def test_budget_exit_codes(runner):
     # the last admitted N exits 0; the first refused N and a huge one exit 2
     # with the budget's message on stderr, and nothing on stdout
     for argv, last, refused, huge in BUDGET_ROWS:
-        if last is not None:
-            assert runner.invoke(cli, [*argv, "--n", str(last)]).exit_code == 0, argv
-        for n, message in ((1 if last is None else last + 1, refused), (HUGE_N, huge)):
+        assert runner.invoke(cli, [*argv, "--n", str(last)]).exit_code == 0, argv
+        for n, message in ((last + 1, refused), (HUGE_N, huge)):
             result = runner.invoke(cli, [*argv, "--n", str(n)])
             assert result.exit_code == 2, (argv, n)
             assert result.stderr.splitlines()[-1] == f"Error: {message}", (argv, n)
@@ -609,7 +609,7 @@ DIMENSION_ROWS = [
     (["verify", "--d", str(10**9 + 7), "--n", "2"],
      f"local dimension: {10**9 + 7}**5 exceeds the cap of 1048576"),
     (["general", "--d", "11", "--n", "3", "--conjecture"],
-     "ratio factor table: 11**13 exceeds the cap of 1000000"),
+     "conjecture sites: 3 exceeds the cap of 2"),
     (["verify", "--d", "9", "--n", "2"],
      "invalid cyclotomic order 81: expected d**2 with d an odd prime"),
 ]
@@ -629,6 +629,51 @@ def test_dimension_exit_codes(runner, argv, message):
         assert result.exit_code == 2
         assert result.stderr.splitlines()[-1] == f"Error: {message}"
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("d, n", itertools.product((7, 11, 13), (1, 2)))
+def test_conjecture_past_the_letter_table_states_the_closed_form(runner, d, n):
+    result = runner.invoke(
+        cli, ["general", "--d", str(d), "--n", str(n), "--conjecture", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    conjecture = json.loads(result.stdout)["results"]["conjecture"]
+    assert conjecture["num_maximizers"] == d ** (d - 1)
+    assert conjecture["assignments_scanned"] == d ** ((d - 1) * n)
+    assert conjecture["max_magnitude"] == d ** (n - 1)
+    assert conjecture["uniform_is_max"] is True
+
+
+def test_no_command_calls_the_class_ranking(runner, monkeypatch):
+    from qudit_mermin import _enumeration, generalized, hidden_variables
+
+    def refuse(space):
+        raise AssertionError("run_search was called")
+
+    for module in (_enumeration, generalized, hidden_variables):
+        monkeypatch.setattr(module, "run_search", refuse)
+    for argv, digest in [
+        (["general", "--d", "5", "--n", "2", "--conjecture"], CONJECTURE_SHA256["5", "2"]),
+        (["search", "--n", "7"], SEARCH_SHA256["7", "ratio"]),
+    ]:
+        result = runner.invoke(cli, [*argv, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
+
+
+def test_closed_form_builds_no_letter_table():
+    # the d = 13 table would hold 13**12 letters; only the all-ones row is built
+    from qudit_mermin import generalized
+
+    generalized._uniform_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        report = cli_module.conjecture_search(13, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.num_maximizers == 13**12
+    assert peak <= 4 * 2**20  # 3.1 MiB measured, cold caches included
 
 
 @pytest.mark.parametrize("n", [16, 22, 23, 25, 40, 100, 321])

@@ -16,7 +16,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -35,7 +34,6 @@ from qudit_mermin._enumeration import (
     _class_letters,
     _class_tally,
     _class_values,
-    _letter_groups,
     _level_ends,
     _multiset_values,
     _scored_blocks,
@@ -57,7 +55,7 @@ from qudit_mermin.cyclotomic import (
 )
 from qudit_mermin.generalized import ratio_space
 
-from oracles import class_tally, exact_letters_sum, exact_sum, letter_band
+from oracles import class_tally, exact_letters_sum, exact_sum
 
 _BAND_REL = 1e-6
 
@@ -359,49 +357,34 @@ def scaled_spaces(draw):
     return space_of(draw(st.integers(1, 4)), rows)
 
 
-# Group entry limits: the module's own, one letter per product, and small
-# ones that split the strategies' spaces into several groups
-_GROUP_LIMITS = st.sampled_from([_enumeration._GROUP_ENTRIES, 1, 16, 64])
-
-
-def group_limits(entries):
-    """Patch the ranking's group limit for the duration of a ``with`` block."""
-    return mock.patch.object(_enumeration, "_GROUP_ENTRIES", entries)
-
-
 def scored_classes(space):
     """Yield (letters, lower, upper) for every class of ``_scored_blocks``.
 
-    Each group row is one last letter b; its entries past the ends[-1][b]
-    prefixes that block b extends must be -inf in both bounds, and every
-    class must come exactly once.
+    Each block is one last letter b, with one entry per prefix that block b
+    extends, and every class must come exactly once.
     """
     ends = _level_ends(space.alphabet, space.n_sites + 1)
     seen = 0
-    for b0, lower, upper in _scored_blocks(space):
-        assert lower.shape == upper.shape and lower.shape[1] == ends[-2][b0 + len(lower) - 1]
-        for b, lo, hi in zip(range(b0, b0 + len(lower)), lower, upper):
-            n = ends[-2][b]
-            assert np.all(lo[n:] == -np.inf) and np.all(hi[n:] == -np.inf)
-            assert np.all(lo[:n] <= hi[:n])
-            seen += n
-            ranks = ends[-1][b] - n + np.arange(n)
-            yield _class_letters(ends, ranks), lo[:n], hi[:n]
+    for expected, (b, lower, upper) in enumerate(_scored_blocks(space)):
+        n = ends[-2][b]
+        assert b == expected and lower.shape == upper.shape == (n,)
+        assert np.all(lower <= upper)
+        seen += n
+        yield _class_letters(ends, ends[-1][b] - n + np.arange(n)), lower, upper
     assert seen == math.comb(space.n_sites + space.alphabet - 1, space.n_sites)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
-def test_score_bounds_hold_for_every_class(space, entries):
+@given(st.one_of(product_spaces(), scaled_spaces()))
+def test_score_bounds_hold_for_every_class(space):
     _check_range(space)
-    with group_limits(entries):
-        for letters, lower, upper in scored_classes(space):
-            for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
-                value = exact_letters_sum(space.order, space.factors, row)
-                sq = (value * value.conjugate()).coeffs
-                exact = mp_real_value(space.order, sq, 60)
-                with mpmath.workdps(60):
-                    assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+    for letters, lower, upper in scored_classes(space):
+        for row, lo, hi in zip(letters.tolist(), lower.tolist(), upper.tolist()):
+            value = exact_letters_sum(space.order, space.factors, row)
+            sq = (value * value.conjugate()).coeffs
+            exact = mp_real_value(space.order, sq, 60)
+            with mpmath.workdps(60):
+                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
 @pytest.mark.parametrize("d, n_sites", [(5, 1), (3, 6)])
@@ -424,17 +407,6 @@ BAND_CLASSES = {
     (3, n): count
     for n, count in enumerate((9, 6, 12, 15, 21, 30, 36, 45, 57, 66, 78, 93, 105, 120, 138), 1)
 } | {(5, 1): 625, (5, 2): 325}
-# Classes that ``run_search`` evaluates exactly there, one per orbit of the
-# slot shift: the band over d.
-EXACT_EVALUATIONS = {
-    (3, n): count
-    for n, count in enumerate((3, 2, 4, 5, 7, 10, 12, 15, 19, 22, 26, 31, 35, 40, 46), 1)
-} | {(5, 1): 125, (5, 2): 65}
-
-
-def unshifted(space):
-    """The same counts with no slot shift: one exact evaluation per band class."""
-    return ProductSpace(space.order, space.n_sites, space.counts)
 
 
 @pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
@@ -452,55 +424,15 @@ def test_band_holds_only_maximizers_on_ratio_spaces(monkeypatch, d, n_sites):
     space = ratio_space(d, n_sites)
     raw = run_search(space)
     assert len(_band(space)) == BAND_CLASSES[d, n_sites]
-    # one value per orbit gives the result of one value per class, field for field
-    assert run_search(unshifted(space)) == raw
-    orbit_rows, band_rows = evaluated
-    assert len(orbit_rows) == EXACT_EVALUATIONS[d, n_sites]
+    (band_rows,) = evaluated
     assert len(band_rows) == BAND_CLASSES[d, n_sites]
-    values = [CycInt(space.order, tuple(row)) for row in orbit_rows + band_rows]
+    values = [CycInt(space.order, tuple(row)) for row in band_rows]
     assert {(v * v.conjugate()).coeffs for v in values} == {raw.best_sq_coeffs}
 
 
-@pytest.mark.parametrize("d, n_sites", sorted(BAND_CLASSES))
-def test_grouped_band_equals_the_letter_loop(d, n_sites):
-    space = ratio_space(d, n_sites)
-    ranks = _band(space)
-    expected = letter_band(space)
-    assert ranks.dtype == expected.dtype
-    assert np.array_equal(ranks, expected)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(product_spaces(), scaled_spaces()), _GROUP_LIMITS)
-def test_grouped_band_gives_the_letter_loop_result(space, entries):
-    with mock.patch.object(_enumeration, "_band", letter_band):
-        expected = run_search(space)
-    with group_limits(entries):
-        assert run_search(space) == expected
-
-
-@pytest.mark.parametrize(
-    "alphabet, n_sites",
-    [(d ** (d - 1), n) for d, n in sorted(BAND_CLASSES)] + [(9, 16), (64, 3), (2401, 2)],
-)
-def test_letter_groups_follow_the_rule(alphabet, n_sites):
-    sizes = _level_ends(alphabet, n_sites)[-1].tolist()
-    groups = _letter_groups(sizes)
-    assert [b0 for b0, _ in groups] == [0] + [b1 for _, b1 in groups[:-1]]
-    assert groups[-1][1] == len(sizes)
-
-    def fits(b0, b1):
-        return (b1 - b0) * sizes[b1 - 1] <= _enumeration._GROUP_ENTRIES
-
-    for b0, b1 in groups:
-        assert b1 == b0 + 1 or fits(b0, b1)
-        assert b1 == len(sizes) or not fits(b0, b1 + 1)
-    if alphabet == 625:  # d = 5: a few dozen products instead of 625
-        assert len(groups) <= 40
-
-
 def test_ranking_peak_memory_stays_in_groups():
-    # the whole 625 x 625 complex rectangle of d = 5, N = 2 alone is 6.25 MB
+    # one mat-vec per last letter; the whole 625 x 625 complex rectangle of
+    # d = 5, N = 2 alone would be 6.25 MB
     space = ratio_space(5, 2)
     run_search(space)
     tracemalloc.start()
@@ -525,60 +457,6 @@ def test_class_values_equal_the_ring_loop_across_blocks(d, n_sites):
     factors = space.factors
     for row, value in zip(letters.tolist(), values.tolist()):
         assert tuple(value) == exact_letters_sum(space.order, factors, row).coeffs
-
-
-@st.composite
-def shifted_spaces(draw):
-    """Spaces closed under the slot roll, with their shift.
-
-    k random letters and their slots - 1 further rolls by one slot, in a
-    random letter order; the shift maps each letter to its next roll.
-    """
-    slots = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3))
-    factors = st.one_of(_factors, _scaled_factors)
-    row = st.lists(factors, min_size=slots, max_size=slots)
-    bases = draw(st.lists(row, min_size=k, max_size=k))
-    # letter order[i * slots + r] is base i rolled r times
-    order = draw(st.permutations(range(k * slots)))
-    rows, shift = [None] * (k * slots), [None] * (k * slots)
-    for i, base in enumerate(bases):
-        for r in range(slots):
-            rows[order[i * slots + r]] = tuple(base[-r:] + base[:-r])
-            shift[order[i * slots + r]] = order[i * slots + (r + 1) % slots]
-    space = space_of(draw(st.integers(1, 4)), rows)
-    return ProductSpace(space.order, space.n_sites, space.counts, shift)
-
-
-@settings(max_examples=100, deadline=None)
-@given(shifted_spaces())
-def test_orbit_evaluation_equals_every_class_on_shifted_spaces(space):
-    assert np.array_equal(space.counts[space.shift], np.roll(space.counts, 1, axis=1))
-    assert run_search(space) == run_search(unshifted(space))
-
-
-def test_shift_must_be_the_slot_roll():
-    ratio = ratio_space(3, 1)
-    counts, shift = ratio.counts, ratio.shift
-    space = ProductSpace(9, 2, counts, shift.tolist())
-    assert space.shift.dtype == np.intp and not space.shift.flags.writeable
-    bad = [
-        shift[:-1],  # one letter short
-        shift[:, None],  # not one letter per row
-        np.where(shift == 0, 9, shift),  # past the alphabet
-        np.where(shift == 0, -9, shift),  # negative, which numpy would wrap
-        shift[shift],  # a permutation, the roll by two slots
-        np.arange(9),  # the identity
-        shift.astype(np.float64),
-    ]
-    for wrong in bad:
-        with pytest.raises(ValueError):
-            ProductSpace(9, 2, counts, wrong)
-    # maps that pass one of the two slot comparisons: on one slot the first
-    # compares nothing, and letter 0 as slots (x, y, x) passes the second
-    for table, wrong in [(counts[:, :1], shift), (counts[:1, [0, 1, 0]], [0])]:
-        with pytest.raises(ValueError):
-            ProductSpace(9, 2, table, wrong)
 
 
 def test_products_past_int64_raise_overflow():

@@ -31,8 +31,8 @@ from qudit_mermin.generalized import (
     _diagonal_tally,
     _factor_exponents,
     _letter_forms,
+    _parseval_search,
     _ratio_counts,
-    _ratio_shift,
     build_general_mermin,
     conjecture_search,
     expand_general_identity,
@@ -177,18 +177,18 @@ def test_config_validation_and_caps(monkeypatch):
         GeneralConfig(5, 0)
     with pytest.raises(ValueError):
         verify_general_eigenvalue(GeneralConfig(5, 10))
-    with pytest.raises(ValueError):
-        conjecture_search(7, 2)
 
     def never(*args):
-        raise AssertionError("an over-budget space reached its build")
+        raise AssertionError("a ratio letter table was built")
 
-    # d = 7 is refused at N = 1 by the budget, before its root-count table
-    # is built or range-checked
+    # d >= 5 is answered at N <= 2 and refused at N = 3 by the site budget,
+    # in either case before any root-count table is built or range-checked
     monkeypatch.setattr(generalized, "_ratio_counts", never)
     monkeypatch.setattr(_enumeration, "_check_range", never)
-    with pytest.raises(ValueError):
-        conjecture_search(7, 1)
+    for d in (5, 7, 11, 13):
+        assert conjecture_search(d, 2).uniform_is_max
+        with pytest.raises(ValueError, match=r"^conjecture sites: 3 exceeds the cap of 2$"):
+            conjecture_search(d, 3)
     assert GeneralConfig(5, 2).settings == 5
 
 
@@ -242,9 +242,9 @@ def test_argmax_ratio_exponents_are_the_digits_of_the_argmax_letters(monkeypatch
         per_root_factor(5, p, ratio_exps) for p in range(5)
     )
     # the all-ones point is a maximizer, so force an arg-max elsewhere
-    raw = _enumeration.run_search(ratio_space(5, 1))
+    raw = _parseval_search(5, 2, general_sq(5, 2))
     fake = dataclasses.replace(raw, argmax_index=389 * 625 + 17)
-    monkeypatch.setattr(generalized, "run_search", lambda space: fake)
+    monkeypatch.setattr(generalized, "_parseval_search", lambda *args: fake)
     report = conjecture_search(5, 2)
     assert report.argmax_index == 389 * 625 + 17
     assert report.argmax_ratio_exponents == ((3, 0, 2, 4), (0, 0, 3, 2))
@@ -407,7 +407,6 @@ def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
         post_init(self)
 
     generalized._ratio_counts.cache_clear()
-    generalized._ratio_letters.cache_clear()
     monkeypatch.setattr(CycInt, "__post_init__", counting)
     raw = _enumeration.run_search(ratio_space(5, 2))
     assert raw.assignments_scanned == 625**2
@@ -415,60 +414,83 @@ def test_cold_ratio_search_builds_no_factor_rows(monkeypatch):
     assert len(built) <= 10
 
 
-def test_ratio_space_checks_its_shift_once_per_d(monkeypatch):
-    checked = []
-    checked_shift = _enumeration._checked_shift
-
-    def counting(counts, shift):
-        checked.append(len(counts))
-        return checked_shift(counts, shift)
-
-    generalized._ratio_letters.cache_clear()
-    monkeypatch.setattr(_enumeration, "_checked_shift", counting)
-    spaces = [ratio_space(3, n) for n in (2, 2, 5)] + [ratio_space(5, 1), ratio_space(5, 2)]
-    assert checked == [9, 625]
-    assert [space.n_sites for space in spaces] == [2, 2, 5, 1, 2]
-    assert all(space.shift is spaces[0].shift for space in spaces[:3])
-    for n_sites in (0, 2.0):
-        with pytest.raises(ValueError):
-            spaces[0].on_sites(n_sites)
-    # a space built by hand is still checked
-    with pytest.raises(ValueError, match="roll by one slot"):
-        _enumeration.ProductSpace(9, 2, spaces[0].counts, np.arange(9))
-    assert checked == [9, 625, 9]
+# ---- the d >= 5 conjecture at N <= 2 in closed form ------------------------------
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_ratio_shift_rolls_the_whole_table_by_one_slot(d):
-    counts = _ratio_counts(d)
-    assert np.array_equal(counts[_ratio_shift(d)], np.roll(counts, 1, axis=1))
+def general_sq(d, n_sites):
+    """Exact |d*v|**2 at the all-ones point, as ``conjecture_search`` forms it."""
+    value = general_uniform_sum(d, n_sites)
+    return (value * value.conjugate()).coeffs
 
 
-def test_ratio_shift_rolls_sampled_d7_letters_by_one_slot():
-    # the whole d = 7 table would be 117,649 x 7 x 49 int64 (323 MB)
+@pytest.mark.parametrize("d, n_sites", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_closed_form_equals_the_class_ranking(d, n_sites):
+    raw = _enumeration.run_search(ratio_space(d, n_sites))
+    assert _parseval_search(d, n_sites, general_sq(d, n_sites)) == raw
+    report = conjecture_search(d, n_sites)
+    assert (report.max_sq_coeffs, report.num_maximizers) == (
+        raw.best_sq_coeffs, raw.num_maximizers
+    )
+    assert (report.argmax_index, report.assignments_scanned) == (
+        raw.argmax_index, raw.assignments_scanned
+    )
+    assert report.max_magnitude == math.sqrt(raw.best_sq_value) / d
+    assert report.uniform_is_max and report.uniform_sq_coeffs == raw.best_sq_coeffs
+
+
+def test_closed_form_checks_its_premise_on_the_all_ones_value(monkeypatch):
+    # a wrong all-ones value must stop the report, not pass as the maximum
+    with pytest.raises(ArithmeticError, match=r"does not square to 5\*\*4"):
+        _parseval_search(5, 2, general_sq(5, 1))
+    off = general_uniform_sum(7, 2) + CycInt.integer(1, 49)
+    monkeypatch.setattr(generalized, "general_uniform_sum", lambda d, n: off)
+    with pytest.raises(ArithmeticError, match=r"does not square to 7\*\*4"):
+        conjecture_search(7, 2)
+
+
+def sampled_d7_letters():
+    """400 seeded d = 7 letters and their (400, 7, 49) root counts, without the 323 MB table."""
     d = 7
     letters = np.random.default_rng(7).integers(0, d ** (d - 1), size=400)
-    weights = d ** np.arange(d - 1, -1, -1)
+    return letters, root_counts(d * d, _factor_exponents(d, letter_rows(d, letters)))
 
-    def counts(rows):
-        ratios = rows[:, None] // weights % d
-        return root_counts(d * d, _factor_exponents(d, ratios))
 
-    assert np.array_equal(counts(_ratio_shift(d)[letters]), np.roll(counts(letters), 1, axis=1))
+def factor_rows(counts):
+    """(A, d, m) root counts as ``CycInt`` rows, F_p(a) at [a][p]."""
+    m = counts.shape[-1]
+    return [[CycInt(m, tuple(f)) for f in row] for row in (counts @ _root_coeffs(m)).tolist()]
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_ratio_shift_has_order_d_and_no_fixed_letter(d):
-    shift = _ratio_shift(d)
-    letters = np.arange(d ** (d - 1))
-    assert not shift.flags.writeable
-    assert not (shift == letters).any()
-    image = letters
-    for _ in range(d):
-        image = shift[image]
-    assert np.array_equal(image, letters)
-    if d < 7:  # d = 7 exceeds the factor budget
-        assert np.array_equal(ratio_space(d, 1).shift, shift)
+def test_every_factor_row_obeys_parseval_and_sums_to_d(d):
+    # the row is the length-d Fourier transform of unimodular g_j with g_0 = 1
+    counts = _ratio_counts(d) if d < 7 else sampled_d7_letters()[1]
+    square, total = CycInt.integer(d * d, d * d), CycInt.integer(d, d * d)
+    for row in factor_rows(counts):
+        assert sum((f * f.conjugate() for f in row), CycInt.zero(d * d)) == square
+        assert sum(row, CycInt.zero(d * d)) == total
+
+
+def partner(d, letters):
+    """Letter b with t_j(b) = -t_{-j}(a): the digit of column c becomes -t at column -c mod d."""
+    rows = letter_rows(d, letters)
+    return (-rows[:, (-np.arange(d)) % d] % d) @ d ** np.arange(d - 1, -1, -1)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_each_letter_and_its_partner_attain_d_squared(d):
+    if d < 7:
+        letters, counts = np.arange(d ** (d - 1)), _ratio_counts(d)
+    else:
+        letters, counts = sampled_d7_letters()
+    partners = partner(d, letters)
+    assert np.array_equal(partner(d, partners), letters)  # an involution
+    assert partner(d, [0]).tolist() == [0]
+    mates = root_counts(d * d, _factor_exponents(d, letter_rows(d, partners)))
+    square = CycInt.integer(d * d, d * d)
+    for row, mate in zip(factor_rows(counts), factor_rows(mates), strict=True):
+        value = sum((f * g for f, g in zip(row, mate)), CycInt.zero(d * d))
+        assert value == square
 
 
 # ---- the d = 3 ratio search from its proven bound -------------------------------
